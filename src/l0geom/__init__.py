@@ -53,8 +53,10 @@ from .norms import (
 )
 from .sampling import sample_levelset, sample_levelset_batch
 from .solver import (
+    ConvergenceError,
     L0Solver,
     SolveResult,
+    dual_vertices,
     member_distances,
     solve_l0,
     subspace_distance,
@@ -78,12 +80,12 @@ from .subspaces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "ConfigError", "ConstantSet", "Dictionary", "EquivConstants",
+    "BoundReport", "ConfigError", "ConstantSet", "ConvergenceError", "Dictionary", "EquivConstants",
     "ExperimentConfig", "FitResult", "L0Solver", "LevelSetExperiment", "MCEstimate",
     "NormSpec", "Quantity", "SolveResult", "SpanFamily", "SubspaceBasis",
     "ValidationReport", "ValidationRow", "VolumeEstimate", "assemble_constants",
     "ball_volume", "bound_report", "compute_equiv_constants", "config_from_dict",
-    "constants_to_csv", "cylinder_constant", "empty_basis", "enumerate_pairs",
+    "constants_to_csv", "cylinder_constant", "dual_vertices", "empty_basis", "enumerate_pairs",
     "enumerate_spans", "equivalence_constant", "estimate_expect", "estimate_measure",
     "estimate_prob", "euclid_ball_volume", "euclid_ck", "fit_asymptote",
     "intersection_basis", "intersection_dim", "load_config", "member_distances",

@@ -32,7 +32,9 @@ from .norms import (
     hit_or_miss_volume,
     norm_eval,
 )
-from .solver import subspace_distance
+# subspace_distance is no longer called here but stays importable from this
+# module, where perfbench/tracing.py looks it up.
+from .solver import member_distances, subspace_distance  # noqa: F401
 from .streams import PURPOSE_PROJECTED, PURPOSE_SLICE, stream_id
 from .subspaces import (
     DEFAULT_SPAN_TOL,
@@ -78,9 +80,12 @@ def projected_ball_volume(
     Measured in (N - K) dimensions, where K is the subspace dimension; by
     convention the K = N shadow is the single point 0 with volume 1.
     Closed form for Euclidean fidelity (method "auto"); otherwise
-    hit-or-miss Monte Carlo over the box |y_i| <= delta2, using the
-    fidelity distance to the subspace as membership test.  method "mc"
-    forces the Monte Carlo path even when a closed form exists.
+    hit-or-miss Monte Carlo over the box |y_i| <= delta2.  A point y of
+    the complement lies in the shadow exactly when its fidelity distance
+    to the subspace is at most 1, which ``member_distances`` gives for a
+    whole chunk at once (one product with the dual vertex table for
+    polyhedral fidelities).  method "mc" forces the Monte Carlo path even
+    when a closed form exists.
     """
     if method not in ("auto", "mc"):
         raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
@@ -99,15 +104,10 @@ def projected_ball_volume(
         def member(points: np.ndarray) -> np.ndarray:
             # The shadow of the Euclidean ball is the Euclidean ball of V-perp.
             return np.linalg.norm(points, axis=1) <= 1.0
-    elif k == 0:
-        def member(points: np.ndarray) -> np.ndarray:
-            return np.asarray(norm_eval(fidelity, points @ complement.matrix.T)) <= 1.0
     else:
         def member(points: np.ndarray) -> np.ndarray:
             ambient = points @ complement.matrix.T
-            return np.array(
-                [subspace_distance(fidelity, basis, row)[0] <= 1.0 for row in ambient]
-            )
+            return member_distances(fidelity, basis, ambient) <= 1.0
 
     return hit_or_miss_volume(
         member,

@@ -3,8 +3,13 @@
 The solver handles the standard form min c.x subject to A x = b, x >= 0,
 with Bland's rule throughout, so it cannot cycle.  Problem sizes here are
 tiny (tens of variables), which keeps a dense tableau both simple and
-fast.  On top of it sit the two projection programs used by the distance
-oracle: closest point of a subspace in the l1 and linf norms.
+fast.  On top of it sit the two projection programs for the closest
+point of a subspace in the l1 and linf norms.
+
+Distances alone never come from here: they are row maxima against the
+dual vertex tables of ``solver.dual_vertices``.  These programs serve only
+the closest point of a solve's winning span, and the tests, which use
+them as the oracle for the vertex tables.
 """
 
 from __future__ import annotations

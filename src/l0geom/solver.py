@@ -7,11 +7,20 @@ the span of the chosen atoms, so the search runs over the distinct spans
 of size-k subsets instead of the subsets themselves; rank-deficient
 subsets never help and are skipped.  The attained value never exceeds the
 ambient dimension N, because the dictionary spans R^N.
+
+Distances to a span V come in one form per norm family.  Euclidean
+distances are orthogonal projections.  Polyhedral fidelities (l1, linf,
+and weighted l1) use LP duality: dist_f(x, V) = max <z, x> over z in
+V-perp with dual norm at most 1, and the maximum is attained at one of
+finitely many vertices that depend on V alone.  ``dual_vertices`` lists
+them once per span, after which every distance is a row maximum of one
+matrix product.  Weighted lp with p > 1 runs coordinate descent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
@@ -30,6 +39,19 @@ DEFAULT_FEAS_TOL = 1e-10
 DEFAULT_DIST_TOL = 1e-9
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Coordinate descent caps for wlp with p > 1: full sweeps over the
+# coefficients, and doublings of a line search's bracket.
+_MAX_SWEEPS = 500
+_MAX_BRACKET_DOUBLINGS = 80
+
+# Box-vertex candidates whose dual norm exceeds 1 by more than this are
+# dropped as infeasible; the rest are scaled onto the dual unit sphere.
+_VERTEX_SLACK = 1e-6
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when an iterative distance computation hits its iteration cap."""
 
 
 def _golden_minimize(fn, lo: float, hi: float, tol: float) -> float:
@@ -51,26 +73,35 @@ def _golden_minimize(fn, lo: float, hi: float, tol: float) -> float:
 
 
 def _wlp_projection(
-    spec: NormSpec, basis: np.ndarray, d: np.ndarray, dist_tol: float
+    spec: NormSpec, basis: SubspaceBasis, d: np.ndarray, dist_tol: float
 ) -> tuple[np.ndarray, float]:
-    """Minimize the wlp distance from d to the column span of ``basis``.
+    """Minimize the wlp distance from d to the span of ``basis``.
 
     p = 1 reduces exactly to an l1 program after scaling each row by its
     weight.  For p > 1 the objective is smooth and convex, so cyclic
     coordinate descent with golden-section line searches converges to the
-    global minimum.
+    global minimum; running out of sweeps or of bracket doublings raises
+    ConvergenceError.
     """
+    bm = basis.matrix
     w = np.asarray(spec.weights, dtype=float)
     if spec.p == 1.0:
-        return simplex.l1_projection(basis * w[:, None], d * w)
-    k = basis.shape[1]
-    y = basis.T @ d  # Euclidean projection as warm start
+        return simplex.l1_projection(bm * w[:, None], d * w)
+    k = bm.shape[1]
+    y = bm.T @ d  # Euclidean projection as warm start
 
     def value(coeffs: np.ndarray) -> float:
-        return float(norm_eval(spec, d - basis @ coeffs))
+        return float(norm_eval(spec, d - bm @ coeffs))
+
+    def fail(what: str, improvement: float) -> ConvergenceError:
+        return ConvergenceError(
+            f"wlp coordinate descent for basis {basis.provenance or bm.shape} {what} "
+            f"(last improvement {improvement:.3g})"
+        )
 
     best = value(y)
-    for _ in range(500):
+    improvement = np.inf
+    for sweep in range(1, _MAX_SWEEPS + 1):
         previous = best
         for i in range(k):
             def along(t: float, i: int = i) -> float:
@@ -81,15 +112,77 @@ def _wlp_projection(
             # Expand around the current coordinate until a bracket appears.
             center = y[i]
             half = 1.0
-            for _ in range(80):
+            for _ in range(_MAX_BRACKET_DOUBLINGS):
                 if along(center - half) >= best and along(center + half) >= best:
                     break
                 half *= 2.0
+            else:
+                what = f"found no bracket in {_MAX_BRACKET_DOUBLINGS} doublings in sweep {sweep}"
+                raise fail(what, improvement)
             y[i] = _golden_minimize(along, center - half, center + half, dist_tol)
             best = value(y)
-        if previous - best <= dist_tol * 1e-3:
-            break
-    return y, best
+        improvement = previous - best
+        if improvement <= dist_tol * 1e-3:
+            return y, best
+    raise fail(f"did not converge in {_MAX_SWEEPS} sweeps", improvement)
+
+
+def _is_polyhedral(fidelity: NormSpec) -> bool:
+    """True for the fidelity norms with a polytope unit ball: l1, linf, wlp with p = 1."""
+    return fidelity.kind in ("l1", "linf") or (fidelity.kind == "wlp" and fidelity.p == 1.0)
+
+
+def _indices(n: int, r: int) -> np.ndarray:
+    """All r-element subsets of range(n), one per row, in lexicographic order."""
+    subsets = list(combinations(range(n), r))
+    return np.array(subsets, dtype=int).reshape(len(subsets), r)
+
+
+def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
+    """(n_v, N) table whose row maxima against x give the distance from x to the span.
+
+    By LP duality dist_f(x, V) = max <z, x> over the polytope of z in
+    V-perp with dual norm at most 1, attained at a vertex.  With C an
+    orthonormal basis of V-perp (m = N - K columns) and z = C c:
+
+    * linf fidelity (dual ball the cross-polytope): a vertex vanishes on
+      m - 1 coordinates whose rows of C are independent, so c spans the
+      null space of those rows; z is scaled to ||z||_1 = 1, with both signs.
+    * l1 and weighted l1 fidelity (dual ball the box |z_i| <= w_i): a
+      vertex sits on m faces whose rows of C are independent, so
+      C_A c = sigma * w_A for an active set A and a sign vector sigma.
+
+    Every candidate is scaled onto the dual unit sphere, so each row is a
+    feasible point and the row maximum equals the LP value up to rounding.
+    Candidates from singular restricted systems are feasible extra points
+    and do no harm.  The zero row keeps the table nonempty when V is all
+    of R^N.
+    """
+    if not _is_polyhedral(fidelity):
+        raise ValueError(f"dual vertices need a polyhedral fidelity norm, got {fidelity}")
+    n, m = basis.ambient_dim, basis.ambient_dim - basis.dim
+    if m == 0:
+        return np.zeros((1, n))
+    comp = basis.complement().matrix
+    if fidelity.kind == "linf":
+        coeffs = np.linalg.svd(comp[_indices(n, m - 1)])[2][:, -1]
+        z = coeffs @ comp.T
+        z /= np.sum(np.abs(z), axis=1, keepdims=True)
+        z = np.vstack([z, -z])
+    else:
+        w = np.ones(n) if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError(f"wlp norm has {w.size} weights but dimension is {n}")
+        active = _indices(n, m)
+        signs = np.array(list(product((-1.0, 1.0), repeat=m)))
+        rhs = signs[None, :, :] * w[active][:, None, :]
+        coeffs = np.einsum("aij,asj->asi", np.linalg.pinv(comp[active]), rhs)
+        z = coeffs.reshape(-1, m) @ comp.T
+        scale = np.max(np.abs(z) / w, axis=1)
+        keep = (scale > 0.0) & (scale <= 1.0 + _VERTEX_SLACK)
+        z = z[keep] / scale[keep, None]
+    _, first = np.unique(np.round(z, 12), axis=0, return_index=True)
+    return np.vstack([np.zeros((1, n)), z[np.sort(first)]])
 
 
 def subspace_distance(
@@ -102,7 +195,10 @@ def subspace_distance(
 
     Euclidean distances are orthogonal projections; l1 and linf are solved
     as small linear programs over the basis coefficients; wlp falls back to
-    coordinate descent (exact scaled program when p = 1).
+    coordinate descent (exact scaled program when p = 1).  The programs
+    are what make the closest point available: a search that needs only
+    distances goes through ``member_distances`` instead, and a solve runs
+    this once, on its winning span.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (basis.ambient_dim,):
@@ -119,7 +215,7 @@ def subspace_distance(
         elif fidelity.kind == "linf":
             coeffs, dist = simplex.linf_projection(bm, d)
         else:
-            coeffs, dist = _wlp_projection(fidelity, bm, d, dist_tol)
+            coeffs, dist = _wlp_projection(fidelity, basis, d, dist_tol)
     except simplex.SimplexError as err:
         raise simplex.SimplexError(
             f"projection program failed for basis {basis.provenance or basis.matrix.shape}: {err}"
@@ -133,10 +229,11 @@ def member_distances(
     rows: np.ndarray,
     dist_tol: float = DEFAULT_DIST_TOL,
 ) -> np.ndarray:
-    """Fidelity distance from each row to the subspace, vectorized when possible.
+    """Fidelity distance from each row to the subspace, without closest points.
 
-    Euclidean distances come from one pair of matrix products; other norms
-    fall back to the per-row projection programs.
+    Euclidean distances come from one pair of matrix products and
+    polyhedral ones from one product with the span's ``dual_vertices``
+    table; only wlp with p > 1 runs a per-row coordinate descent.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != basis.ambient_dim:
@@ -147,6 +244,8 @@ def member_distances(
         proj = rows @ basis.matrix
         gap = np.einsum("ij,ij->i", rows, rows) - np.einsum("ij,ij->i", proj, proj)
         return np.sqrt(np.maximum(gap, 0.0))
+    if _is_polyhedral(fidelity):
+        return np.max(rows @ dual_vertices(fidelity, basis).T, axis=1)
     return np.array(
         [subspace_distance(fidelity, basis, row, dist_tol)[0] for row in rows]
     )
@@ -171,9 +270,10 @@ class SolveResult:
 class L0Solver:
     """Shared search state for many solves against one dictionary and norm.
 
-    Span families are built once per size and reused; the solver itself is
-    read-only after construction, so distinct data vectors may be solved
-    concurrently.
+    Span families are built once per size and reused, and so are the dual
+    vertex tables of a polyhedral fidelity.  The tables are built on first
+    use in the calling thread; afterwards the solver is only read, so
+    distinct data vectors may be solved concurrently.
     """
 
     def __init__(
@@ -192,11 +292,20 @@ class L0Solver:
         self.feas_tol = feas_tol
         self.dist_tol = dist_tol
         self._families: dict[int, SpanFamily] = {}
+        self._dual_tables: dict[int, tuple[np.ndarray, ...]] = {}
 
     def family(self, k: int) -> SpanFamily:
         if k not in self._families:
             self._families[k] = enumerate_spans(self.dictionary, k, self.span_tol)
         return self._families[k]
+
+    def dual_tables(self, k: int) -> tuple[np.ndarray, ...]:
+        """``dual_vertices`` of each size-k member, in member order."""
+        if k not in self._dual_tables:
+            self._dual_tables[k] = tuple(
+                dual_vertices(self.fidelity, member) for member in self.family(k).members
+            )
+        return self._dual_tables[k]
 
     def _check_data(self, d: np.ndarray, tau: float) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -208,32 +317,49 @@ class L0Solver:
             raise ValueError(f"tau must be > 0, got {tau}")
         return d
 
+    def _first_feasible(self, k: int, d: np.ndarray, thresh: float) -> SubspaceBasis | None:
+        """The size-k member of smallest provenance within thresh of d, if any.
+
+        Members are in provenance order, so the scan stops at the first
+        feasible one.  Polyhedral fidelities test max(Z @ d) against each
+        member's dual vertex table Z and run no linear program.
+        """
+        members = self.family(k).members
+        if k > 0 and _is_polyhedral(self.fidelity):
+            return next(
+                (m for m, z in zip(members, self.dual_tables(k)) if np.max(z @ d) <= thresh),
+                None,
+            )
+        return next(
+            (
+                m
+                for m in members
+                if subspace_distance(self.fidelity, m, d, self.dist_tol)[0] <= thresh
+            ),
+            None,
+        )
+
     def solve(self, d: np.ndarray, tau: float) -> SolveResult:
+        """Smallest support within tau of d, and its lexicographically first witness.
+
+        Only the winning span gets a closest point, from one
+        ``subspace_distance`` call.
+        """
         d = self._check_data(d, tau)
         thresh = tau * (1.0 + self.feas_tol)
         for k in range(self.dictionary.n_dim + 1):
-            winner: SubspaceBasis | None = None
-            winner_point: np.ndarray | None = None
-            for member in self.family(k).members:
-                dist, point = subspace_distance(self.fidelity, member, d, self.dist_tol)
-                if dist <= thresh and (winner is None or member.provenance < winner.provenance):
-                    winner, winner_point = member, point
-            if winner is not None:
-                atoms = self.dictionary.subset(winner.provenance)
-                coeffs = (
-                    np.linalg.lstsq(atoms, winner_point, rcond=None)[0]
-                    if k
-                    else np.zeros(0)
-                )
-                residual = float(norm_eval(self.fidelity, atoms @ coeffs - d)) if k else float(
-                    norm_eval(self.fidelity, d)
-                )
-                return SolveResult(
-                    value=k,
-                    support=winner.provenance,
-                    coefficients=coeffs,
-                    residual=residual,
-                )
+            winner = self._first_feasible(k, d, thresh)
+            if winner is None:
+                continue
+            _, point = subspace_distance(self.fidelity, winner, d, self.dist_tol)
+            atoms = self.dictionary.subset(winner.provenance)
+            coeffs = np.linalg.lstsq(atoms, point, rcond=None)[0]
+            return SolveResult(
+                value=k,
+                support=winner.provenance,
+                coefficients=coeffs,
+                residual=float(norm_eval(self.fidelity, atoms @ coeffs - d)),
+            )
         raise AssertionError("unreachable: the full-space span is always feasible")
 
     def value(self, d: np.ndarray, tau: float) -> int:
@@ -248,11 +374,7 @@ class L0Solver:
         d = self._check_data(d, tau)
         if not 0 <= K <= self.dictionary.n_dim:
             raise ValueError(f"K must lie in [0, {self.dictionary.n_dim}], got {K}")
-        thresh = tau * (1.0 + self.feas_tol)
-        return any(
-            subspace_distance(self.fidelity, member, d, self.dist_tol)[0] <= thresh
-            for member in self.family(K).members
-        )
+        return self._first_feasible(K, d, tau * (1.0 + self.feas_tol)) is not None
 
     def value_eq(self, d: np.ndarray, tau: float, K: int) -> bool:
         if K == 0:
@@ -266,12 +388,18 @@ class L0Solver:
         member of the size-k family; column N is identically zero.  The
         value of a solve is the first column whose entry is within the
         feasibility threshold, so one profile matrix serves every tau.
+        Polyhedral dual tables are built here, before any worker starts.
         """
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != self.dictionary.n_dim:
             raise ValueError(f"expected (n, {self.dictionary.n_dim}) data, got {data.shape}")
         n_dim = self.dictionary.n_dim
         families = [self.family(k) for k in range(n_dim + 1)]
+        tables = (
+            {k: self.dual_tables(k) for k in range(1, n_dim)}
+            if _is_polyhedral(self.fidelity)
+            else None
+        )
         block = 4096
         n_blocks = max(1, -(-data.shape[0] // block))
 
@@ -282,8 +410,12 @@ class L0Solver:
             out[:, n_dim] = 0.0
             for k in range(1, n_dim):
                 best = np.full(rows.shape[0], np.inf)
-                for member in families[k].members:
-                    dists = member_distances(self.fidelity, member, rows, self.dist_tol)
+                for i, member in enumerate(families[k].members):
+                    dists = (
+                        np.max(rows @ tables[k][i].T, axis=1)
+                        if tables is not None
+                        else member_distances(self.fidelity, member, rows, self.dist_tol)
+                    )
                     np.minimum(best, dists, out=best)
                 out[:, k] = best
             return out

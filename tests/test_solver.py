@@ -4,12 +4,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from l0geom import (
+    ConvergenceError,
     Dictionary,
     L0Solver,
     NormSpec,
+    dual_vertices,
     member_distances,
     norm_eval,
     orthonormal_basis,
@@ -20,7 +24,8 @@ from l0geom import (
     val_leq,
     values_from_profiles,
 )
-from l0geom.subspaces import empty_basis
+from l0geom import simplex, solver
+from l0geom.subspaces import empty_basis, enumerate_spans
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 THREE_LINES = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -242,3 +247,167 @@ class TestAgainstBruteForce:
                     res.residual, abs=1e-9
                 )
                 assert res.residual <= tau * (1.0 + 1e-9)
+
+
+def random_basis(rng, n, k, kind):
+    """Orthonormal basis of a k-dimensional span in R^n.
+
+    "axes" spans coordinate axes and "sums" spans 0/1 vectors (sums of
+    coordinates); both put many dual vertices in degenerate position.
+    "random" spans Gaussian vectors.
+    """
+    while True:
+        if kind == "axes":
+            vectors = np.eye(n)[np.sort(rng.choice(n, k, replace=False))]
+        elif kind == "sums":
+            vectors = rng.integers(0, 2, (k, n)).astype(float)
+        else:
+            vectors = rng.standard_normal((k, n))
+        basis = orthonormal_basis(vectors) if k else empty_basis(n)
+        if basis.dim == k:
+            return basis
+
+
+@st.composite
+def spans_and_points(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["random", "axes", "sums"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = random_basis(rng, n, k, kind)
+    points = rng.standard_normal((8, n)) * draw(st.sampled_from([0.01, 1.0, 100.0]))
+    # Points on the span itself, where the distance is zero.
+    points[0] = basis.matrix @ rng.standard_normal(k)
+    weights = rng.uniform(0.2, 5.0, n)
+    return basis, points, weights
+
+
+def lp_distances(spec, basis, points):
+    """Distances from the simplex projection programs, one LP per point."""
+    if basis.dim == 0:
+        return np.asarray(norm_eval(spec, points))
+    if spec.kind == "l1":
+        return np.array([simplex.l1_projection(basis.matrix, x)[1] for x in points])
+    if spec.kind == "linf":
+        return np.array([simplex.linf_projection(basis.matrix, x)[1] for x in points])
+    w = np.asarray(spec.weights)
+    return np.array([simplex.l1_projection(basis.matrix * w[:, None], x * w)[1] for x in points])
+
+
+class TestDualVertices:
+    @settings(max_examples=150, deadline=None)
+    @given(spans_and_points())
+    def test_matches_the_simplex_projections(self, case):
+        basis, points, weights = case
+        scale = 1.0 + np.abs(points).sum(axis=1)
+        for spec in (L1, LINF, NormSpec.weighted_lp(1.0, weights)):
+            fast = member_distances(spec, basis, points)
+            slow = lp_distances(spec, basis, points)
+            assert np.all(np.abs(fast - slow) <= 1e-9 * scale), spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(spans_and_points())
+    def test_rows_are_feasible_dual_points(self, case):
+        basis, _, weights = case
+        for spec, dual_norm in (
+            (L1, lambda z: np.max(np.abs(z), axis=1)),
+            (LINF, lambda z: np.sum(np.abs(z), axis=1)),
+            (NormSpec.weighted_lp(1.0, weights), lambda z: np.max(np.abs(z) / weights, axis=1)),
+        ):
+            table = dual_vertices(spec, basis)
+            assert table.shape[1] == basis.ambient_dim
+            assert np.all(dual_norm(table) <= 1.0 + 1e-12)
+            assert np.all(np.abs(table @ basis.matrix) <= 1e-12)
+
+    def test_full_space_has_only_the_zero_row(self):
+        table = dual_vertices(LINF, orthonormal_basis(np.eye(3)))
+        np.testing.assert_array_equal(table, np.zeros((1, 3)))
+
+    def test_rejects_smooth_norms(self):
+        with pytest.raises(ValueError):
+            dual_vertices(L2, orthonormal_basis([[1.0, 1.0]]))
+        with pytest.raises(ValueError):
+            dual_vertices(NormSpec.weighted_lp(2.0, [1.0, 2.0]), orthonormal_basis([[1.0, 1.0]]))
+
+
+def lp_scan(spec, dictionary, d, tau, feas_tol=1e-10):
+    """Value and support by one simplex LP per family member, in provenance order."""
+    thresh = tau * (1.0 + feas_tol)
+    for k in range(dictionary.n_dim + 1):
+        for member in enumerate_spans(dictionary, k).members:
+            if subspace_distance(spec, member, d)[0] <= thresh:
+                return k, member.provenance
+    raise AssertionError("the full space is always feasible")
+
+
+class TestPolyhedralSolve:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.integers(0, 3),
+        st.sampled_from(["l1", "linf"]),
+    )
+    def test_matches_a_per_member_lp_scan(self, seed, n, extra, kind):
+        spec = NormSpec(kind)
+        rng = np.random.default_rng(seed)
+        while True:
+            try:
+                dictionary = Dictionary.from_vectors(rng.standard_normal((n + extra, n)))
+                break
+            except ValueError:
+                continue
+        fast = L0Solver(dictionary, spec)
+        for _ in range(4):
+            d = rng.standard_normal(n)
+            tau = float(rng.uniform(0.02, 1.0))
+            res = fast.solve(d, tau)
+            assert (res.value, res.support) == lp_scan(spec, dictionary, d, tau)
+            assert res.residual <= tau * (1.0 + 1e-9)
+            for K in range(n + 1):
+                assert fast.value_leq(d, tau, K) == (res.value <= K)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([L1, LINF, NormSpec.weighted_lp(1.0, [0.5, 1.0, 3.0])]),
+    )
+    def test_profiles_worker_invariance(self, seed, spec):
+        dictionary = Dictionary.from_vectors(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]
+        )
+        points = np.random.default_rng(seed).uniform(-1.0, 1.0, (9000, 3))
+        one = L0Solver(dictionary, spec).distance_profiles(points, workers=1)
+        two = L0Solver(dictionary, spec).distance_profiles(points, workers=2)
+        np.testing.assert_array_equal(one, two)
+
+    def test_profiles_agree_with_member_distances(self):
+        solver = L0Solver(THREE_LINES, LINF)
+        points = np.random.default_rng(5).standard_normal((50, 2))
+        profiles = solver.distance_profiles(points)
+        nearest = np.min(
+            [member_distances(LINF, m, points) for m in solver.family(1).members], axis=0
+        )
+        np.testing.assert_array_equal(profiles[:, 1], nearest)
+
+
+class TestWeightedLpConvergence:
+    SPEC = NormSpec.weighted_lp(3.0, [0.2, 1.0, 4.0, 2.0])
+    BASIS = orthonormal_basis([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, -1.0]], provenance=(0, 2))
+    DATA = np.array([3.0, -1.0, 2.0, 0.5])
+
+    def test_converges_within_the_cap(self):
+        dist, point = subspace_distance(self.SPEC, self.BASIS, self.DATA)
+        assert float(norm_eval(self.SPEC, self.DATA - point)) == pytest.approx(dist)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_SWEEPS", 1)
+        message = r"\(0, 2\) did not converge in 1 sweeps \(last improvement \d"
+        with pytest.raises(ConvergenceError, match=message):
+            subspace_distance(self.SPEC, self.BASIS, self.DATA)
+
+    def test_bracket_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_BRACKET_DOUBLINGS", 1)
+        message = r"\(0, 2\) found no bracket in 1 doublings in sweep 1 \(last improvement"
+        with pytest.raises(ConvergenceError, match=message):
+            subspace_distance(self.SPEC, self.BASIS, 1000.0 * self.DATA)
