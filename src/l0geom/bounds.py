@@ -32,11 +32,11 @@ from .norms import (
     hit_or_miss_volume,
     norm_eval,
 )
-# subspace_distance is no longer called here but stays importable from this
-# module, where perfbench/tracing.py looks it up.
-from .solver import member_distances, subspace_distance  # noqa: F401
+# subspace_distance and enumerate_spans are no longer called here but stay
+# importable from this module, where perfbench/tracing.py looks them up.
+from .solver import member_distances, span_family, subspace_distance  # noqa: F401
 from .streams import PURPOSE_PROJECTED, PURPOSE_SLICE, stream_id
-from .subspaces import (
+from .subspaces import (  # noqa: F401
     DEFAULT_SPAN_TOL,
     Dictionary,
     SpanFamily,
@@ -204,16 +204,29 @@ def overlap_constant(
         raise ValueError("overlap constants need two equal-dimension spans")
     if spans_equal(first, second, span_tol):
         raise ValueError("overlap constants are defined for distinct spans only")
-    n = first.ambient_dim
     meet = intersection_basis(first, second, span_tol)
-    k = meet.dim
+    inner = _closed_slice(data, meet.dim) or slice_volume(
+        data, meet, n_samples, seed, workers, subid=subid
+    )
+    return _overlap(fidelity, data, first.ambient_dim, meet.dim, inner)
+
+
+def _closed_slice(data: NormSpec, k: int) -> VolumeEstimate | None:
+    """Slice volume of the data ball through any k-dimensional subspace, when
+    it depends on k alone: the point for k = 0, the Euclidean ball for l2 data."""
+    if k == 0:
+        return VolumeEstimate(1.0)
+    if data.kind == "l2":
+        return VolumeEstimate(euclid_ball_volume(k))
+    return None
+
+
+def _overlap(
+    fidelity: NormSpec, data: NormSpec, n: int, k: int, inner: VolumeEstimate
+) -> VolumeEstimate:
+    """alpha(N - k) (2 delta2)^(N - k) times the intersection's slice volume."""
     delta2 = compute_equiv_constants(fidelity, data, n).delta2
     factor = _alpha(n - k) * (2.0 * delta2) ** (n - k)
-    inner = (
-        VolumeEstimate(1.0)
-        if k == 0
-        else slice_volume(data, meet, n_samples, seed, workers, subid=subid)
-    )
     return VolumeEstimate(factor * inner.value, factor * inner.std_err)
 
 
@@ -265,12 +278,27 @@ class ConstantSet:
     euclidean: bool
 
 
-def _delta_gate(K: int, n_dim: int, delta_hat: float, delta_pair: float) -> float:
+def gate_factors(
+    fidelity: NormSpec, data: NormSpec, n_dim: int, K: int
+) -> tuple[float, float, float]:
+    """(delta_hat, delta_pair, delta_gate) of the level-K bounds.
+
+    Euclidean fidelity and data norms tighten the width factors to
+    delta_hat = 1 and delta_pair = 2; any other norm pair uses delta_bar
+    and 3 delta_bar from the comparison constants.  Bounds at level K are
+    valid when theta >= delta_gate * tau, the largest factor met on the
+    levels 0..K.
+    """
+    if fidelity.kind == "l2" and data.kind == "l2":
+        delta_hat, delta_pair = 1.0, 2.0
+    else:
+        delta_bar = compute_equiv_constants(fidelity, data, n_dim).delta_bar
+        delta_hat, delta_pair = delta_bar, 3.0 * delta_bar
     gate = delta_hat  # level 0
     for j in range(1, K + 1):
         step = delta_hat if j == n_dim else max(delta_hat, delta_pair)
         gate = max(gate, step)
-    return gate
+    return delta_hat, delta_pair, gate
 
 
 def assemble_constants(
@@ -286,16 +314,21 @@ def assemble_constants(
     """Compute the full constant set for sparsity level K.
 
     Euclidean fidelity and data norms short-circuit every volume to closed
-    form and tighten the width factors to delta_hat = 1, delta_pair = 2;
-    any other norm pair uses the general factors delta_hat = delta_bar and
-    delta_pair = 3 delta_bar from the comparison constants.
+    form; ``gate_factors`` gives the width factors and the validity gate.
+    The family comes from ``span_family``, so it is the one the dictionary's
+    solvers use.  Q_k sums the overlap constants of the ordered pairs that
+    ``enumerate_pairs`` lists at k.  When the intersection's slice volume
+    depends on k alone (k = 0, or l2 data) the pair value is priced once
+    per k; only pairs whose slice needs Monte Carlo call
+    ``overlap_constant``, each unordered pair once, with subid counting the
+    distinct pairs met so far.
     """
     n = dictionary.n_dim
     if not 0 <= K <= n:
         raise ValueError(f"K must lie in [0, {n}], got {K}")
     equiv = compute_equiv_constants(fidelity, data, n)
     euclidean = fidelity.kind == "l2" and data.kind == "l2"
-    family = enumerate_spans(dictionary, K, span_tol)
+    family = span_family(dictionary, K, span_tol)
 
     c_members = tuple(
         cylinder_constant(fidelity, data, member, n_samples, seed, workers, subid=i)
@@ -309,12 +342,14 @@ def assemble_constants(
     q_totals: dict[int, VolumeEstimate] = {}
     pair_cache: dict[tuple[int, int], VolumeEstimate] = {}
     for k in range(k_min, K):
+        inner = _closed_slice(data, k)
+        closed = None if inner is None else _overlap(fidelity, data, n, k, inner)
         value = 0.0
         err = 0.0
         for i, j in enumerate_pairs(family, k, span_tol):
             key = (min(i, j), max(i, j))
             if key not in pair_cache:
-                pair_cache[key] = overlap_constant(
+                pair_cache[key] = closed or overlap_constant(
                     fidelity,
                     data,
                     family.members[key[0]],
@@ -329,8 +364,7 @@ def assemble_constants(
             err += pair_cache[key].std_err
         q_totals[k] = VolumeEstimate(value, err)
 
-    delta_hat = 1.0 if euclidean else equiv.delta_bar
-    pair_factor = 2.0 if euclidean else 3.0 * equiv.delta_bar
+    delta_hat, pair_factor, delta_gate = gate_factors(fidelity, data, n, K)
     return ConstantSet(
         K=K,
         n_dim=n,
@@ -340,7 +374,7 @@ def assemble_constants(
         q_totals=q_totals,
         delta_hat=delta_hat,
         delta_pair={k: pair_factor for k in q_totals},
-        delta_gate=_delta_gate(K, n, delta_hat, pair_factor),
+        delta_gate=delta_gate,
         k_min=k_min,
         equiv=equiv,
         euclidean=euclidean,

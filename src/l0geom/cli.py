@@ -23,18 +23,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import assemble_constants, constants_to_csv
+from .bounds import assemble_constants, constants_to_csv, gate_factors
 from .config import ConfigError, ExperimentConfig, load_config
 from .montecarlo import (
     LevelSetExperiment,
     MCEstimate,
     Quantity,
+    bound_levels,
     report_to_csv,
     validate_bounds,
 )
 from .norms import ball_volume
-from .solver import L0Solver
-from .subspaces import enumerate_pairs, enumerate_spans
+from .solver import L0Solver, span_family
+from .subspaces import enumerate_pairs
 
 ENV_SEED = "L0GEOM_SEED"
 ENV_THREADS = "L0GEOM_THREADS"
@@ -146,7 +147,7 @@ def _cmd_spans(config: ExperimentConfig, args: argparse.Namespace) -> int:
     n = config.dictionary.n_dim
     if not 0 <= args.level <= n:
         raise ConfigError(f"--level must lie in [0, {n}], got {args.level}")
-    family = enumerate_spans(config.dictionary, args.level, config.span_tol)
+    family = span_family(config.dictionary, args.level, config.span_tol)
     pairs = {
         str(k): [list(pair) for pair in enumerate_pairs(family, k, config.span_tol)]
         for k in range(max(0, 2 * args.level - n), args.level)
@@ -232,21 +233,15 @@ def _cmd_estimate(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     # Surface validity problems before any long computation: the gates only
-    # need the norm comparison constants, never Monte Carlo.
-    from .norms import compute_equiv_constants  # local import to keep startup light
-
-    equiv = compute_equiv_constants(
-        config.fidelity, config.data, config.dictionary.n_dim
+    # need the norm comparison constants, never Monte Carlo.  A tau is listed
+    # when some cell at it will be flagged, that is when theta is below the
+    # largest gate of the levels the cells use.
+    n = config.dictionary.n_dim
+    worst_gate = max(
+        gate_factors(config.fidelity, config.data, n, k)[2]
+        for k in bound_levels(config.quantities, config.K_list, n)
     )
-    euclidean = config.fidelity.kind == "l2" and config.data.kind == "l2"
-    delta_hat = 1.0 if euclidean else equiv.delta_bar
-    pair = 2.0 if euclidean else 3.0 * equiv.delta_bar
-    worst_gate = max(delta_hat, pair)
-    bad = [
-        tau
-        for tau in config.tau_grid
-        if config.theta < worst_gate * tau and max(config.K_list, default=0) >= 1
-    ]
+    bad = [tau for tau in config.tau_grid if config.theta < worst_gate * tau]
     if bad:
         sys.stderr.write(
             f"warning: theta={config.theta} is below the validity gate "

@@ -394,6 +394,26 @@ def _row_from(
     )
 
 
+def bound_levels(
+    quantities: Iterable[Quantity], K_list: Iterable[int], n_dim: int
+) -> tuple[int, ...]:
+    """Sorted levels whose constant sets the requested cells need.
+
+    Every quantity but expect needs the levels in K_list; the == quantities
+    also need K - 1 for each K >= 1, and expect needs all of 0..N-1.
+    """
+    K_list = tuple(K_list)
+    levels: set[int] = set()
+    for q in quantities:
+        if q is Quantity.EXPECT:
+            levels.update(range(n_dim))
+        else:
+            levels.update(K_list)
+            if q in (Quantity.MEASURE_EQ, Quantity.PROB_EQ):
+                levels.update(k - 1 for k in K_list if k >= 1)
+    return tuple(sorted(levels))
+
+
 def validate_bounds(
     dictionary: Dictionary,
     fidelity: NormSpec,
@@ -427,20 +447,12 @@ def validate_bounds(
         if not 0 <= k <= n:
             raise ValueError(f"K must lie in [0, {n}], got {k}")
 
-    levels = set()
-    for q in quantities:
-        if q is Quantity.EXPECT:
-            levels.update(range(n))
-        else:
-            levels.update(K_list)
-            if q in (Quantity.MEASURE_EQ, Quantity.PROB_EQ):
-                levels.update(k - 1 for k in K_list if k >= 1)
     vol_samples = constants_samples if constants_samples is not None else n_samples
     consts: dict[int, ConstantSet] = {
         k: assemble_constants(
             dictionary, fidelity, data, k, span_tol, vol_samples, seed, workers
         )
-        for k in sorted(levels)
+        for k in bound_levels(quantities, K_list, n)
     }
     data_ball_vol = ball_volume(data, n, vol_samples, seed, workers)
     experiment = LevelSetExperiment(

@@ -19,6 +19,7 @@ matrix product.  Weighted lp with p > 1 runs coordinate descent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -48,6 +49,10 @@ _MAX_BRACKET_DOUBLINGS = 80
 # Box-vertex candidates whose dual norm exceeds 1 by more than this are
 # dropped as infeasible; the rest are scaled onto the dual unit sphere.
 _VERTEX_SLACK = 1e-6
+
+# Largest C(N, N - K) * 2^(N - K) candidate count that an l1 or weighted-l1
+# dual vertex table is built from; see dual_vertices.
+MAX_DUAL_CANDIDATES = 250_000
 
 
 class ConvergenceError(RuntimeError):
@@ -156,13 +161,23 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     feasible point and the row maximum equals the LP value up to rounding.
     Candidates from singular restricted systems are feasible extra points
     and do no harm.  The zero row keeps the table nonempty when V is all
-    of R^N.
+    of R^N.  The box has C(N, m) 2^m candidates, held in memory at once;
+    a ValueError is raised before any work when that count exceeds
+    ``MAX_DUAL_CANDIDATES``.
     """
     if not _is_polyhedral(fidelity):
         raise ValueError(f"dual vertices need a polyhedral fidelity norm, got {fidelity}")
     n, m = basis.ambient_dim, basis.ambient_dim - basis.dim
     if m == 0:
         return np.zeros((1, n))
+    if fidelity.kind != "linf":
+        candidates = math.comb(n, m) * 2**m
+        if candidates > MAX_DUAL_CANDIDATES:
+            raise ValueError(
+                f"{fidelity.kind} dual vertex table for N={n}, K={basis.dim} needs "
+                f"C({n}, {m}) * 2^{m} = {candidates} candidates, above the cap of "
+                f"{MAX_DUAL_CANDIDATES}"
+            )
     comp = basis.complement().matrix
     if fidelity.kind == "linf":
         coeffs = np.linalg.svd(comp[_indices(n, m - 1)])[2][:, -1]
@@ -267,13 +282,30 @@ class SolveResult:
     residual: float
 
 
+def span_family(
+    dictionary: Dictionary, K: int, tol: float = DEFAULT_SPAN_TOL
+) -> SpanFamily:
+    """The size-K span family of the dictionary, enumerated once per (K, tol).
+
+    The family is memoised on the dictionary, so every solver, constant set
+    and CLI listing built from one dictionary shares one enumeration, and
+    through the family one ``pair_dims`` pass.
+    """
+    key = (K, tol)
+    if key not in dictionary._families:
+        dictionary._families[key] = enumerate_spans(dictionary, K, tol)
+    return dictionary._families[key]
+
+
 class L0Solver:
     """Shared search state for many solves against one dictionary and norm.
 
-    Span families are built once per size and reused, and so are the dual
-    vertex tables of a polyhedral fidelity.  The tables are built on first
-    use in the calling thread; afterwards the solver is only read, so
-    distinct data vectors may be solved concurrently.
+    Span families come from ``span_family``, so they are enumerated once
+    per dictionary, and are kept per size for the search loop; the dual
+    vertex tables of a polyhedral fidelity are built once per solver.  The
+    tables are built on first use in the calling thread; afterwards the
+    solver is only read, so distinct data vectors may be solved
+    concurrently.
     """
 
     def __init__(
@@ -296,7 +328,7 @@ class L0Solver:
 
     def family(self, k: int) -> SpanFamily:
         if k not in self._families:
-            self._families[k] = enumerate_spans(self.dictionary, k, self.span_tol)
+            self._families[k] = span_family(self.dictionary, k, self.span_tol)
         return self._families[k]
 
     def dual_tables(self, k: int) -> tuple[np.ndarray, ...]:

@@ -6,11 +6,18 @@ by K-element subsets of the dictionary, keeping one representative per
 span together with the lexicographically smallest index subset that
 produced it.  Pairs of distinct family members are indexed by the
 dimension of their intersection, which drives the overlap corrections in
-the measure bounds.
+the measure bounds.  ``pair_dims`` finds every pair's dimension in one
+batched rank pass per family and memoises the matrix on the family, so
+``enumerate_pairs`` is a filter over it at every k.
+
+Enumeration refuses, before it starts, families whose C(m, K) subset
+count exceeds ``MAX_SPAN_SUBSETS``: deduplication and the pair pass both
+grow with the square of the family size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Iterable, Sequence
@@ -18,6 +25,9 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 DEFAULT_SPAN_TOL = 1e-9
+
+# Largest C(m, K) that enumerate_spans accepts; see its docstring.
+MAX_SPAN_SUBSETS = 5_000
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,23 @@ class SubspaceBasis:
         n, k = self.matrix.shape
         if k == 0:
             return SubspaceBasis(np.eye(n))
-        u, _, _ = np.linalg.svd(self.matrix, full_matrices=True)
+        u, _ = _left_singular(self.matrix, full_matrices=True)
         return SubspaceBasis(u[:, k:])
+
+
+def _left_singular(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values of m.
+
+    Some LAPACK builds' divide-and-conquer SVD fails to converge on small,
+    well-conditioned integer matrices; the SVD of the transpose is the same
+    factorisation with the factors swapped, so it serves as the retry.
+    """
+    try:
+        u, s, _ = np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        _, s, ut = np.linalg.svd(m.T, full_matrices=full_matrices)
+        u = ut.T
+    return u, s
 
 
 def empty_basis(ambient_dim: int) -> SubspaceBasis:
@@ -70,10 +95,17 @@ def empty_basis(ambient_dim: int) -> SubspaceBasis:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Finite spanning set of R^N, atoms stored as the columns of ``atoms``."""
+    """Finite spanning set of R^N, atoms stored as the columns of ``atoms``.
+
+    ``_families`` memoises the span families enumerated from this
+    dictionary, keyed by (K, tol); ``solver.span_family`` fills it.
+    """
 
     atoms: np.ndarray
     span_tol: float = DEFAULT_SPAN_TOL
+    _families: dict[tuple[int, float], "SpanFamily"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         a = np.asarray(self.atoms, dtype=float)
@@ -140,7 +172,7 @@ def orthonormal_basis(
     m = arr.T  # columns spanning the subspace
     if m.shape[1] == 0:
         return empty_basis(m.shape[0])
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s = _left_singular(m, full_matrices=False)
     if s[0] == 0.0:
         return empty_basis(m.shape[0])
     rank = int(np.sum(s > tol * s[0]))
@@ -189,11 +221,15 @@ class SpanFamily:
 
     Members are ordered by their provenance subsets (lexicographically);
     each provenance is the smallest index subset generating that span.
+    ``_pair_dims`` memoises ``pair_dims`` per tolerance.
     """
 
     K: int
     ambient_dim: int
     members: tuple[SubspaceBasis, ...] = field(default_factory=tuple)
+    _pair_dims: dict[float, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -207,10 +243,22 @@ def enumerate_spans(
     Rank-deficient subsets are skipped: their spans already appear at a
     smaller size.  The family size is at most C(n_atoms, K); for K = 0 it is
     the single zero-dimensional span and for K = N the whole space.
+
+    Deduplication compares each new span with every kept one, and the pair
+    pass of the overlap constants is quadratic in the family size as well,
+    so a ValueError is raised up front when C(n_atoms, K) exceeds
+    ``MAX_SPAN_SUBSETS``.
     """
     n = dictionary.n_dim
     if not 0 <= K <= n:
         raise ValueError(f"K must lie in [0, {n}], got {K}")
+    m = dictionary.n_atoms
+    subsets = math.comb(m, K)
+    if subsets > MAX_SPAN_SUBSETS:
+        raise ValueError(
+            f"span family of m={m} atoms at K={K} needs C({m}, {K}) = {subsets} "
+            f"subsets, above the cap of {MAX_SPAN_SUBSETS}"
+        )
     if K == 0:
         return SpanFamily(K=0, ambient_dim=n, members=(empty_basis(n),))
     members: list[SubspaceBasis] = []
@@ -227,25 +275,46 @@ def enumerate_spans(
     return SpanFamily(K=K, ambient_dim=n, members=tuple(members))
 
 
+def pair_dims(family: SpanFamily, tol: float = DEFAULT_SPAN_TOL) -> np.ndarray:
+    """(M, M) matrix of intersection dimensions between the family's members.
+
+    Entry (i, j) equals ``intersection_dim(members[i], members[j], tol)``;
+    the diagonal holds K.  Row i stacks member i against every later member
+    and takes all their singular values in one batched SVD, with the rank
+    rule of ``intersection_dim``, so memory stays O(M N K) rather than
+    O(M^2 N K).  The read-only matrix is computed once per tolerance and
+    memoised on the family.
+    """
+    if tol not in family._pair_dims:
+        size, k = len(family.members), family.K
+        dims = np.full((size, size), k, dtype=np.int16)
+        if k > 0 and size > 1:
+            bases = np.stack([member.matrix for member in family.members])
+            for i in range(size - 1):
+                later = bases[i + 1 :]
+                stacked = np.concatenate(
+                    [np.broadcast_to(bases[i], later.shape), later], axis=2
+                )
+                s = np.linalg.svd(stacked, compute_uv=False)
+                rank = np.sum(s > tol * np.maximum(1.0, s[:, :1]), axis=1)
+                dims[i, i + 1 :] = dims[i + 1 :, i] = 2 * k - rank
+        dims.flags.writeable = False
+        family._pair_dims[tol] = dims
+    return family._pair_dims[tol]
+
+
 def enumerate_pairs(
     family: SpanFamily, k: int, tol: float = DEFAULT_SPAN_TOL
 ) -> tuple[tuple[int, int], ...]:
     """Ordered pairs (i, j), i != j, of members whose spans meet in dimension k.
 
-    Empty whenever k is not attainable, in particular for any k below
-    max(0, 2K - N) and for families with fewer than two members.
+    Pairs come in row-major order.  Empty whenever k is not attainable, in
+    particular for any k below max(0, 2K - N) and for families with fewer
+    than two members.  The dimensions come from the family's memoised
+    ``pair_dims`` matrix, so calls at every k share one rank pass.
     """
     if not 0 <= k <= family.K:
         raise ValueError(f"k must lie in [0, {family.K}], got {k}")
-    pairs = []
-    dims: dict[tuple[int, int], int] = {}
-    for i, j in combinations(range(len(family.members)), 2):
-        dims[(i, j)] = intersection_dim(family.members[i], family.members[j], tol)
-    for i in range(len(family.members)):
-        for j in range(len(family.members)):
-            if i == j:
-                continue
-            d = dims[(i, j) if i < j else (j, i)]
-            if d == k:
-                pairs.append((i, j))
-    return tuple(pairs)
+    hits = pair_dims(family, tol) == k
+    np.fill_diagonal(hits, False)
+    return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(hits)))

@@ -247,6 +247,32 @@ class TestValidateCommand:
         assert "warning:" in captured.err
         assert any(line.endswith(",false,") for line in captured.out.splitlines()[1:])
 
+    @pytest.mark.parametrize(
+        "quantities, flagged_taus, invalid_cells",
+        [
+            # expect uses every level's gate: 2 * tau at level 1 flags tau 0.6.
+            (None, [0.6, 1.5], 6),
+            # prob_leq at K = 0 has gate 1 * tau: only tau 1.5 is flagged.
+            (["prob_leq"], [1.5], 1),
+        ],
+    )
+    def test_warning_lists_exactly_the_flagged_taus(
+        self, config_path, capsys, quantities, flagged_taus, invalid_cells
+    ):
+        obj = {
+            "dictionary": THREE, "theta": 1.0, "K_list": [0],
+            "tau_grid": [0.6, 1.5], "samples": 2000,
+        }
+        if quantities is not None:
+            obj["quantities"] = quantities
+        assert main(["validate", "--config", config_path(obj)]) == 0
+        captured = capsys.readouterr()
+        assert f"for tau in {flagged_taus};" in captured.err
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        invalid = [row for row in rows if row[11] == "false"]
+        assert len(invalid) == invalid_cells
+        assert sorted({float(row[2]) for row in invalid}) == flagged_taus
+
     def test_failures_exit_two(self, config_path, capsys, monkeypatch):
         path = config_path(self.CLEAN)
         bad_row = ValidationRow(

@@ -323,6 +323,16 @@ class TestDualVertices:
         table = dual_vertices(LINF, orthonormal_basis(np.eye(3)))
         np.testing.assert_array_equal(table, np.zeros((1, 3)))
 
+    def test_candidate_cap_fails_fast(self, monkeypatch):
+        line = orthonormal_basis([[1.0, 2.0, 3.0]])  # C(3, 2) * 2^2 = 12 candidates
+        monkeypatch.setattr(solver, "MAX_DUAL_CANDIDATES", 11)
+        for spec in (L1, NormSpec.weighted_lp(1.0, [1.0, 2.0, 3.0])):
+            with pytest.raises(ValueError, match=r"C\(3, 2\) \* 2\^2 = 12 candidates.*cap of 11"):
+                dual_vertices(spec, line)
+        assert dual_vertices(LINF, line).shape[1] == 3  # the cross-polytope is not capped
+        monkeypatch.setattr(solver, "MAX_DUAL_CANDIDATES", 12)
+        assert dual_vertices(L1, line).shape[1] == 3
+
     def test_rejects_smooth_norms(self):
         with pytest.raises(ValueError):
             dual_vertices(L2, orthonormal_basis([[1.0, 1.0]]))

@@ -17,6 +17,7 @@ from l0geom import (
     orthonormal_basis,
     spans_equal,
 )
+from l0geom import subspaces
 
 E1E2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
 THREE_LINES = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -53,6 +54,18 @@ class TestDictionary:
 
 
 class TestBases:
+    def test_basis_of_vectors_whose_svd_fails_to_converge(self):
+        # LAPACK's divide-and-conquer SVD does not converge on this 5 x 4
+        # matrix in some builds; the basis comes from its transpose instead.
+        vectors = np.array(
+            [[2, 2, -1, -2, 1], [-2, 1, -2, 1, 2], [1, -2, 1, -2, 1], [2, -1, -2, 1, -2]],
+            dtype=float,
+        )
+        b = orthonormal_basis(vectors)
+        assert b.dim == 4
+        np.testing.assert_allclose(b.projector() @ vectors.T, vectors.T, atol=1e-12)
+        assert b.complement().dim == 1
+
     def test_orthonormal_basis_examples(self):
         b = orthonormal_basis([[3.0, 0.0], [0.0, 0.0]])
         assert b.dim == 1
@@ -171,6 +184,14 @@ class TestSpanFamilies:
             enumerate_spans(E1E2, 3)
         with pytest.raises(ValueError):
             enumerate_spans(E1E2, -1)
+
+    def test_subset_cap_fails_fast(self, monkeypatch):
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 2)
+        with pytest.raises(ValueError, match=r"m=3 atoms at K=1 .*C\(3, 1\) = 3 .*cap of 2"):
+            enumerate_spans(THREE_LINES, 1)
+        assert len(enumerate_spans(THREE_LINES, 0)) == 1
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 3)
+        assert len(enumerate_spans(THREE_LINES, 1)) == 3
 
     def test_family_properties_randomized(self):
         rng = np.random.default_rng(23)
