@@ -138,11 +138,10 @@ def slice_volume(
     if method not in ("auto", "mc"):
         raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
     n, k = basis.ambient_dim, basis.dim
-    if k == 0:
-        return VolumeEstimate(1.0)
-    if method == "auto":
-        if data.kind == "l2":
-            return VolumeEstimate(euclid_ball_volume(k))
+    if method == "auto" or k == 0:
+        closed = _closed_slice(data, k)
+        if closed is not None:
+            return closed
         if k == n:
             return ball_volume(data, n, n_samples, seed, workers)
     delta3 = compute_equiv_constants(data, data, n).delta3
@@ -205,9 +204,7 @@ def overlap_constant(
     if spans_equal(first, second, span_tol):
         raise ValueError("overlap constants are defined for distinct spans only")
     meet = intersection_basis(first, second, span_tol)
-    inner = _closed_slice(data, meet.dim) or slice_volume(
-        data, meet, n_samples, seed, workers, subid=subid
-    )
+    inner = slice_volume(data, meet, n_samples, seed, workers, subid=subid)
     return _overlap(fidelity, data, first.ambient_dim, meet.dim, inner)
 
 
@@ -349,7 +346,7 @@ def assemble_constants(
         for i, j in enumerate_pairs(family, k, span_tol):
             key = (min(i, j), max(i, j))
             if key not in pair_cache:
-                pair_cache[key] = closed or overlap_constant(
+                pair_cache[key] = closed if closed is not None else overlap_constant(
                     fidelity,
                     data,
                     family.members[key[0]],

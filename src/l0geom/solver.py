@@ -301,8 +301,7 @@ class L0Solver:
     """Shared search state for many solves against one dictionary and norm.
 
     Span families come from ``span_family``, so they are enumerated once
-    per dictionary, and are kept per size for the search loop; the dual
-    vertex tables of a polyhedral fidelity are built once per solver.  The
+    per dictionary; the dual vertex tables of a polyhedral fidelity are built once per solver.  The
     tables are built on first use in the calling thread; afterwards the
     solver is only read, so distinct data vectors may be solved
     concurrently.
@@ -323,13 +322,10 @@ class L0Solver:
         self.span_tol = span_tol
         self.feas_tol = feas_tol
         self.dist_tol = dist_tol
-        self._families: dict[int, SpanFamily] = {}
         self._dual_tables: dict[int, tuple[np.ndarray, ...]] = {}
 
     def family(self, k: int) -> SpanFamily:
-        if k not in self._families:
-            self._families[k] = span_family(self.dictionary, k, self.span_tol)
-        return self._families[k]
+        return span_family(self.dictionary, k, self.span_tol)
 
     def dual_tables(self, k: int) -> tuple[np.ndarray, ...]:
         """``dual_vertices`` of each size-k member, in member order."""

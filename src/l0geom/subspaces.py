@@ -10,9 +10,11 @@ the measure bounds.  ``pair_dims`` finds every pair's dimension in one
 batched rank pass per family and memoises the matrix on the family, so
 ``enumerate_pairs`` is a filter over it at every k.
 
-Enumeration refuses, before it starts, families whose C(m, K) subset
-count exceeds ``MAX_SPAN_SUBSETS``: deduplication and the pair pass both
-grow with the square of the family size.
+Enumeration refuses, before it starts, families with 0 < K < N whose
+C(m, K) subset count exceeds ``MAX_SPAN_SUBSETS``: deduplication and the
+pair pass both grow with the square of the family size.  The K = N family
+is the whole space and costs at most C(m, N) rank checks, so it is not
+capped.
 """
 
 from __future__ import annotations
@@ -242,16 +244,25 @@ def enumerate_spans(
 
     Rank-deficient subsets are skipped: their spans already appear at a
     smaller size.  The family size is at most C(n_atoms, K); for K = 0 it is
-    the single zero-dimensional span and for K = N the whole space.
+    the single zero-dimensional span and for K = N the whole space, whose
+    provenance is the first full-rank subset, found without deduplication.
 
-    Deduplication compares each new span with every kept one, and the pair
-    pass of the overlap constants is quadratic in the family size as well,
-    so a ValueError is raised up front when C(n_atoms, K) exceeds
-    ``MAX_SPAN_SUBSETS``.
+    For 0 < K < N, deduplication compares each new span with every kept
+    one, and the pair pass of the overlap constants is quadratic in the
+    family size as well, so a ValueError is raised up front when
+    C(n_atoms, K) exceeds ``MAX_SPAN_SUBSETS``.
     """
     n = dictionary.n_dim
     if not 0 <= K <= n:
         raise ValueError(f"K must lie in [0, {n}], got {K}")
+    if K == 0:
+        return SpanFamily(K=0, ambient_dim=n, members=(empty_basis(n),))
+    if K == n:
+        for subset in combinations(range(dictionary.n_atoms), n):
+            basis = orthonormal_basis(dictionary.subset(subset).T, tol=tol, provenance=subset)
+            if basis.dim == n:
+                return SpanFamily(K=n, ambient_dim=n, members=(basis,))
+        return SpanFamily(K=n, ambient_dim=n)
     m = dictionary.n_atoms
     subsets = math.comb(m, K)
     if subsets > MAX_SPAN_SUBSETS:
@@ -259,8 +270,6 @@ def enumerate_spans(
             f"span family of m={m} atoms at K={K} needs C({m}, {K}) = {subsets} "
             f"subsets, above the cap of {MAX_SPAN_SUBSETS}"
         )
-    if K == 0:
-        return SpanFamily(K=0, ambient_dim=n, members=(empty_basis(n),))
     members: list[SubspaceBasis] = []
     projectors: list[np.ndarray] = []
     for subset in combinations(range(dictionary.n_atoms), K):

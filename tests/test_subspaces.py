@@ -8,6 +8,8 @@ import pytest
 
 from l0geom import (
     Dictionary,
+    L0Solver,
+    NormSpec,
     SubspaceBasis,
     empty_basis,
     enumerate_pairs,
@@ -16,6 +18,7 @@ from l0geom import (
     intersection_dim,
     orthonormal_basis,
     spans_equal,
+    validate_bounds,
 )
 from l0geom import subspaces
 
@@ -192,6 +195,37 @@ class TestSpanFamilies:
         assert len(enumerate_spans(THREE_LINES, 0)) == 1
         monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 3)
         assert len(enumerate_spans(THREE_LINES, 1)) == 3
+
+    def test_whole_space_is_not_capped(self, monkeypatch):
+        # C(6, 2) = 15 is above the cap, but the K = N family is one span:
+        # the first full-rank subset, here (0, 2) since (0, 1) is parallel.
+        d = Dictionary.from_vectors(
+            [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]]
+        )
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 10)
+        fam = enumerate_spans(d, 2)
+        assert [m.provenance for m in fam.members] == [(0, 2)]
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 20)
+        uncapped = enumerate_spans(d, 2)
+        assert [m.provenance for m in uncapped.members] == [(0, 2)]
+        np.testing.assert_array_equal(fam.members[0].matrix, uncapped.members[0].matrix)
+
+    def test_capped_dictionary_still_validates_and_solves(self, monkeypatch):
+        # validate enumerates every level 0..N and a dense vector climbs to
+        # level N, so neither may trip the cap when only C(m, N) exceeds it.
+        d = Dictionary.from_vectors(
+            [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]]
+        )
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 10)
+        solver = L0Solver(d, NormSpec.l2())
+        profiles = solver.distance_profiles(np.array([[0.5, 0.3], [0.0, 0.0]]))
+        assert profiles.shape == (2, 3)
+        result = solver.solve(np.array([0.9, 0.31]), 0.01)
+        assert (result.value, result.support) == (2, (0, 2))
+        report = validate_bounds(
+            d, NormSpec.l2(), NormSpec.l2(), [0.5], theta=1.0, K_list=[1], n_samples=500
+        )
+        assert report.rows
 
     def test_family_properties_randomized(self):
         rng = np.random.default_rng(23)
