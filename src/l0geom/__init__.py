@@ -33,9 +33,6 @@ from .montecarlo import (
     MCEstimate,
     ValidationReport,
     ValidationRow,
-    estimate_expect,
-    estimate_measure,
-    estimate_prob,
     fit_asymptote,
     report_to_csv,
     validate_bounds,
@@ -60,8 +57,6 @@ from .solver import (
     member_distances,
     solve_l0,
     subspace_distance,
-    val_eq,
-    val_leq,
     values_from_profiles,
 )
 from .subspaces import (
@@ -80,18 +75,16 @@ from .subspaces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "ConfigError", "ConstantSet", "ConvergenceError", "Dictionary", "EquivConstants",
-    "ExperimentConfig", "FitResult", "L0Solver", "LevelSetExperiment", "MCEstimate",
-    "NormSpec", "Quantity", "SolveResult", "SpanFamily", "SubspaceBasis",
-    "ValidationReport", "ValidationRow", "VolumeEstimate", "assemble_constants",
-    "ball_volume", "bound_report", "compute_equiv_constants", "config_from_dict",
-    "constants_to_csv", "cylinder_constant", "dual_vertices", "empty_basis", "enumerate_pairs",
-    "enumerate_spans", "equivalence_constant", "estimate_expect", "estimate_measure",
-    "estimate_prob", "euclid_ball_volume", "euclid_ck", "fit_asymptote",
-    "intersection_basis", "intersection_dim", "load_config", "member_distances",
-    "norm_eval", "orthonormal_basis", "overlap_budget", "overlap_cap",
-    "overlap_constant", "projected_ball_volume", "report_to_csv", "sample_levelset",
-    "sample_levelset_batch", "slice_volume", "solve_l0", "spans_equal",
-    "subspace_distance", "val_eq", "val_leq", "validate_bounds", "values_from_profiles",
-    "wilson_half_width",
+    "BoundReport", "ConfigError", "ConstantSet", "ConvergenceError", "Dictionary",
+    "EquivConstants", "ExperimentConfig", "FitResult", "L0Solver", "LevelSetExperiment",
+    "MCEstimate", "NormSpec", "Quantity", "SolveResult", "SpanFamily", "SubspaceBasis",
+    "ValidationReport", "ValidationRow", "VolumeEstimate", "assemble_constants", "ball_volume",
+    "bound_report", "compute_equiv_constants", "config_from_dict", "constants_to_csv",
+    "cylinder_constant", "dual_vertices", "empty_basis", "enumerate_pairs", "enumerate_spans",
+    "equivalence_constant", "euclid_ball_volume", "euclid_ck", "fit_asymptote",
+    "intersection_basis", "intersection_dim", "load_config", "member_distances", "norm_eval",
+    "orthonormal_basis", "overlap_budget", "overlap_cap", "overlap_constant",
+    "projected_ball_volume", "report_to_csv", "sample_levelset", "sample_levelset_batch",
+    "slice_volume", "solve_l0", "spans_equal", "subspace_distance", "validate_bounds",
+    "values_from_profiles", "wilson_half_width",
 ]

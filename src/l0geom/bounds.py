@@ -79,11 +79,11 @@ def projected_ball_volume(
 
     Measured in (N - K) dimensions, where K is the subspace dimension; by
     convention the K = N shadow is the single point 0 with volume 1.
-    Closed form for Euclidean fidelity (method "auto"); otherwise
-    hit-or-miss Monte Carlo over the box |y_i| <= delta2.  A point y of
-    the complement lies in the shadow exactly when its fidelity distance
-    to the subspace is at most 1, which ``member_distances`` gives for a
-    whole chunk at once (one product with the dual vertex table for
+    Closed form for Euclidean fidelity and for K = 0 (method "auto");
+    otherwise hit-or-miss Monte Carlo over the box |y_i| <= delta2.  A
+    point y of the complement lies in the shadow exactly when its fidelity
+    distance to the subspace is at most 1, which ``member_distances`` gives
+    for a whole chunk at once (one product with the dual vertex table for
     polyhedral fidelities).  method "mc" forces the Monte Carlo path even
     when a closed form exists.
     """
@@ -96,7 +96,7 @@ def projected_ball_volume(
         if fidelity.kind == "l2":
             return VolumeEstimate(euclid_ball_volume(n - k))
         if k == 0:
-            return ball_volume(fidelity, n, n_samples, seed, workers)
+            return ball_volume(fidelity, n)
     complement = basis.complement()
     delta2 = compute_equiv_constants(fidelity, fidelity, n).delta2
 
@@ -131,9 +131,8 @@ def slice_volume(
     """K-dimensional volume of the data unit ball's slice through the subspace.
 
     The K = 0 slice is the single point 0 with volume 1.  Closed form for
-    Euclidean data norm and for full-dimensional slices of closed-form
-    kinds; otherwise hit-or-miss Monte Carlo over |y_i| <= delta3 in
-    subspace coordinates.
+    Euclidean data norm and for full-dimensional slices; otherwise
+    hit-or-miss Monte Carlo over |y_i| <= delta3 in subspace coordinates.
     """
     if method not in ("auto", "mc"):
         raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
@@ -143,7 +142,7 @@ def slice_volume(
         if closed is not None:
             return closed
         if k == n:
-            return ball_volume(data, n, n_samples, seed, workers)
+            return ball_volume(data, n)
     delta3 = compute_equiv_constants(data, data, n).delta3
 
     def member(points: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from .montecarlo import (
     report_to_csv,
     validate_bounds,
 )
-from .norms import ball_volume
 from .solver import L0Solver, span_family
 from .subspaces import enumerate_pairs
 
@@ -208,10 +207,6 @@ def _cmd_estimate(config: ExperimentConfig, args: argparse.Namespace) -> int:
         config.n_samples, config.seed, config.span_tol, config.feas_tol,
         config.dist_tol, config.threads,
     )
-    ball = ball_volume(
-        config.data, config.dictionary.n_dim,
-        config.constants_samples or config.n_samples, config.seed, config.threads,
-    )
     estimates: list[MCEstimate] = []
     for quantity in config.quantities:
         for tau in config.tau_grid:
@@ -224,9 +219,9 @@ def _cmd_estimate(config: ExperimentConfig, args: argparse.Namespace) -> int:
                 elif quantity is Quantity.PROB_EQ:
                     estimates.append(experiment.prob(K, tau, "eq"))
                 elif quantity is Quantity.MEASURE_LEQ:
-                    estimates.append(experiment.measure(K, tau, "leq", ball))
+                    estimates.append(experiment.measure(K, tau, "leq"))
                 else:
-                    estimates.append(experiment.measure(K, tau, "eq", ball))
+                    estimates.append(experiment.measure(K, tau, "eq"))
     _emit(_estimates_csv(estimates), args.output)
     return 0
 

@@ -130,9 +130,7 @@ class LevelSetExperiment:
         return values_from_profiles(self.profiles, tau, self.feas_tol)
 
     def data_ball_volume(self) -> VolumeEstimate:
-        return ball_volume(
-            self.data, self.dictionary.n_dim, self.n_samples, self.seed, self.workers
-        )
+        return ball_volume(self.data, self.dictionary.n_dim)
 
     def _check_level(self, K: int) -> None:
         if not 0 <= K <= self.dictionary.n_dim:
@@ -176,16 +174,10 @@ class LevelSetExperiment:
             self.seed,
         )
 
-    def measure(
-        self,
-        K: int,
-        tau: float,
-        mode: str = "leq",
-        data_ball_vol: VolumeEstimate | None = None,
-    ) -> MCEstimate:
+    def measure(self, K: int, tau: float, mode: str = "leq") -> MCEstimate:
         """Volume estimate: frequency rescaled by the sampling ball's volume."""
         p = self.prob(K, tau, mode)
-        vol = data_ball_vol if data_ball_vol is not None else self.data_ball_volume()
+        vol = self.data_ball_volume().value
         scale = self.theta**self.dictionary.n_dim
         quantity = Quantity.MEASURE_LEQ if mode == "leq" else Quantity.MEASURE_EQ
         return MCEstimate(
@@ -193,18 +185,14 @@ class LevelSetExperiment:
             K,
             tau,
             self.theta,
-            p.mean * scale * vol.value,
-            scale * (p.half_width_95 * vol.value + Z95 * vol.std_err * p.mean),
+            p.mean * scale * vol,
+            scale * (p.half_width_95 * vol),
             self.n_samples,
             self.seed,
         )
 
     def tube_overlap_measure(
-        self,
-        first: SubspaceBasis,
-        second: SubspaceBasis,
-        tau: float,
-        data_ball_vol: VolumeEstimate | None = None,
+        self, first: SubspaceBasis, second: SubspaceBasis, tau: float
     ) -> MCEstimate:
         """Measure of the set within tau of both spans, inside the data ball."""
         if not tau > 0.0:
@@ -213,80 +201,18 @@ class LevelSetExperiment:
         near_first = member_distances(self.fidelity, first, self.points, self.dist_tol) <= thresh
         near_second = member_distances(self.fidelity, second, self.points, self.dist_tol) <= thresh
         p_hat = int(np.count_nonzero(near_first & near_second)) / self.n_samples
-        vol = data_ball_vol if data_ball_vol is not None else self.data_ball_volume()
+        vol = self.data_ball_volume().value
         scale = self.theta**self.dictionary.n_dim
         return MCEstimate(
             Quantity.MEASURE_LEQ,
             None,
             tau,
             self.theta,
-            p_hat * scale * vol.value,
-            scale
-            * (
-                wilson_half_width(p_hat, self.n_samples) * vol.value
-                + Z95 * vol.std_err * p_hat
-            ),
+            p_hat * scale * vol,
+            scale * (wilson_half_width(p_hat, self.n_samples) * vol),
             self.n_samples,
             self.seed,
         )
-
-
-def estimate_prob(
-    dictionary: Dictionary,
-    fidelity: NormSpec,
-    data: NormSpec,
-    K: int,
-    tau: float,
-    theta: float,
-    n_samples: int,
-    seed: int,
-    mode: str = "leq",
-    span_tol: float = DEFAULT_SPAN_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    dist_tol: float = DEFAULT_DIST_TOL,
-    workers: int = 1,
-) -> MCEstimate:
-    return LevelSetExperiment(
-        dictionary, fidelity, data, theta, n_samples, seed, span_tol, feas_tol, dist_tol, workers
-    ).prob(K, tau, mode)
-
-
-def estimate_expect(
-    dictionary: Dictionary,
-    fidelity: NormSpec,
-    data: NormSpec,
-    tau: float,
-    theta: float,
-    n_samples: int,
-    seed: int,
-    span_tol: float = DEFAULT_SPAN_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    dist_tol: float = DEFAULT_DIST_TOL,
-    workers: int = 1,
-) -> MCEstimate:
-    return LevelSetExperiment(
-        dictionary, fidelity, data, theta, n_samples, seed, span_tol, feas_tol, dist_tol, workers
-    ).expect(tau)
-
-
-def estimate_measure(
-    dictionary: Dictionary,
-    fidelity: NormSpec,
-    data: NormSpec,
-    K: int,
-    tau: float,
-    theta: float,
-    n_samples: int,
-    seed: int,
-    mode: str = "leq",
-    span_tol: float = DEFAULT_SPAN_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    dist_tol: float = DEFAULT_DIST_TOL,
-    workers: int = 1,
-) -> MCEstimate:
-    return LevelSetExperiment(
-        dictionary, fidelity, data, theta, n_samples, seed, span_tol, feas_tol, dist_tol, workers
-    ).measure(K, tau, mode)
 
 
 @dataclass(frozen=True)
@@ -454,7 +380,7 @@ def validate_bounds(
         )
         for k in bound_levels(quantities, K_list, n)
     }
-    data_ball_vol = ball_volume(data, n, vol_samples, seed, workers)
+    data_ball_vol = ball_volume(data, n)
     experiment = LevelSetExperiment(
         dictionary, fidelity, data, theta, n_samples, seed,
         span_tol, feas_tol, dist_tol, workers,
@@ -483,10 +409,10 @@ def validate_bounds(
             prev = consts.get(K - 1) if K >= 1 else None
             for tau in tau_grid:
                 if q is Quantity.MEASURE_LEQ:
-                    est = experiment.measure(K, tau, "leq", data_ball_vol)
+                    est = experiment.measure(K, tau, "leq")
                     bound = bound_report(q, tau, theta, consts[K])
                 elif q is Quantity.MEASURE_EQ:
-                    est = experiment.measure(K, tau, "eq", data_ball_vol)
+                    est = experiment.measure(K, tau, "eq")
                     bound = bound_report(q, tau, theta, consts[K], constants_prev=prev)
                 elif q is Quantity.PROB_LEQ:
                     est = experiment.prob(K, tau, "leq")

@@ -10,8 +10,9 @@ and volume computations.  Both are drawn from a fixed menu:
     wlp   (sum_i (w_i |x_i|)^p)^(1/p),  p >= 1, weights w_i > 0
 
 The menu is closed under everything the rest of the package needs: exact
-evaluation, explicit pairwise comparison constants, and unit-ball volumes
-(closed form where available, hit-or-miss Monte Carlo for wlp).
+evaluation, explicit pairwise comparison constants, and closed-form
+unit-ball volumes.  ``hit_or_miss_volume`` estimates the volumes of the
+shadows and slices that have no closed form.
 """
 
 from __future__ import annotations
@@ -234,17 +235,12 @@ def hit_or_miss_volume(
     )
 
 
-def ball_volume(
-    spec: NormSpec,
-    n: int,
-    n_samples: int = 200_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> VolumeEstimate:
-    """Volume of the unit ball of ``spec`` in R^n.
+def ball_volume(spec: NormSpec, n: int) -> VolumeEstimate:
+    """Volume of the unit ball of ``spec`` in R^n, exact (std_err 0).
 
-    Closed form for the plain kinds; hit-or-miss Monte Carlo over the
-    bounding box |x_i| <= 1/w_i for wlp.
+    The weighted lp ball has volume (2 Gamma(1 + 1/p))^n / (Gamma(1 + n/p)
+    prod_i w_i); l1, l2 and linf are its special cases, written out so each
+    keeps its own rounding.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -256,12 +252,8 @@ def ball_volume(
         return VolumeEstimate(2.0**n)
     if len(spec.weights) != n:
         raise ValueError(f"wlp norm has {len(spec.weights)} weights but dimension is {n}")
-    half = 1.0 / np.asarray(spec.weights, dtype=float)
-    return hit_or_miss_volume(
-        lambda pts: np.asarray(norm_eval(spec, pts)) <= 1.0,
-        half,
-        n_samples,
-        seed,
-        streams.stream_id(streams.PURPOSE_BALL),
-        workers,
+    p = spec.p
+    return VolumeEstimate(
+        (2.0 * math.gamma(1.0 + 1.0 / p)) ** n
+        / (math.gamma(1.0 + n / p) * math.prod(spec.weights))
     )

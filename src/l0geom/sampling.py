@@ -1,8 +1,14 @@
 """Uniform sampling from scaled norm balls.
 
-The Euclidean ball is sampled directly (isotropic direction times a
-U^(1/n) radius); every other menu norm is sampled by rejection from its
-bounding box.  Draws come from the counter-based streams in ``streams``,
+Every menu norm is sampled exactly, with a fixed number of draws per
+point, so no dimension makes sampling slow.  The Euclidean ball takes an
+isotropic direction times a U^(1/n) radius and the cube is a plain box
+draw.  The l1 ball and the weighted lp balls take the representation of
+Barthe, Guedon, Mendelson & Naor (Ann. Probab. 33(2), 2005): with G_i
+i.i.d. of density proportional to exp(-|t|^p) and E ~ Exp(1),
+G / (sum_i |G_i|^p + E)^(1/p) is uniform on the unit lp ball, and
+dividing by the weights maps it onto the weighted ball (l1 is p = 1 with
+unit weights).  Draws come from the counter-based streams in ``streams``,
 so sample i of a run is a pure function of (seed, i) and can be
 regenerated in isolation with ``sample_levelset``.
 """
@@ -12,19 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import streams
-from .norms import NormSpec, norm_eval
-
-# Rejection batches per chunk before giving up.  The lowest menu acceptance
-# rate at desk scale (l1 in R^8) needs about 41k batches on average.
-_MAX_REJECTION_BATCHES = 200_000
-
-
-def _box_half_widths(spec: NormSpec, theta: float, dim: int) -> np.ndarray:
-    """Tight coordinate box around the ball of radius theta."""
-    if spec.kind == "wlp":
-        return theta / np.asarray(spec.weights, dtype=float)
-    # l1, l2, linf unit balls all touch the cube |x_i| <= 1.
-    return np.full(dim, theta)
+from .norms import NormSpec
 
 
 def _levelset_chunk(
@@ -43,21 +37,16 @@ def _levelset_chunk(
             lengths[degenerate] = 1.0
         radii = theta * gen.random(m) ** (1.0 / dim)
         return normals * (radii / lengths)[:, None]
-    half = _box_half_widths(spec, theta, dim)
-    accepted = np.empty((m, dim))
-    filled = 0
-    for _ in range(_MAX_REJECTION_BATCHES):
-        draw = (2.0 * gen.random((m, dim)) - 1.0) * half
-        hits = draw[np.asarray(norm_eval(spec, draw)) <= theta]
-        take = min(m - filled, hits.shape[0])
-        accepted[filled : filled + take] = hits[:take]
-        filled += take
-        if filled == m:
-            return accepted
-    raise RuntimeError(
-        f"rejection sampling for {spec.kind} in dimension {dim} accepted "
-        f"{filled}/{m} samples after {_MAX_REJECTION_BATCHES} batches"
+    if spec.kind == "linf":
+        return (2.0 * gen.random((m, dim)) - 1.0) * theta
+    p, weights = (1.0, 1.0) if spec.kind == "l1" else (spec.p, np.asarray(spec.weights))
+    # |G_i| ~ Gamma(1/p)^(1/p) has the law of Gamma(1 + 1/p)^(1/p) * U_i, and
+    # the second form does not underflow at large p; 2U - 1 adds the sign.
+    g = gen.standard_gamma(1.0 + 1.0 / p, (m, dim)) ** (1.0 / p) * (
+        2.0 * gen.random((m, dim)) - 1.0
     )
+    radial = np.sum(np.abs(g) ** p, axis=1) + gen.standard_exponential(m)
+    return g * (theta / radial ** (1.0 / p))[:, None] / weights
 
 
 def _check_args(spec: NormSpec, theta: float, dim: int) -> None:

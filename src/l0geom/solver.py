@@ -470,28 +470,3 @@ def solve_l0(
 ) -> SolveResult:
     return L0Solver(dictionary, fidelity, span_tol, feas_tol, dist_tol).solve(d, tau)
 
-
-def val_leq(
-    dictionary: Dictionary,
-    fidelity: NormSpec,
-    d: np.ndarray,
-    tau: float,
-    K: int,
-    span_tol: float = DEFAULT_SPAN_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    dist_tol: float = DEFAULT_DIST_TOL,
-) -> bool:
-    return L0Solver(dictionary, fidelity, span_tol, feas_tol, dist_tol).value_leq(d, tau, K)
-
-
-def val_eq(
-    dictionary: Dictionary,
-    fidelity: NormSpec,
-    d: np.ndarray,
-    tau: float,
-    K: int,
-    span_tol: float = DEFAULT_SPAN_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    dist_tol: float = DEFAULT_DIST_TOL,
-) -> bool:
-    return L0Solver(dictionary, fidelity, span_tol, feas_tol, dist_tol).value_eq(d, tau, K)

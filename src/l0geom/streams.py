@@ -22,7 +22,6 @@ CHUNK = 4096
 
 # Purpose tags keep unrelated draws on disjoint key streams.
 PURPOSE_LEVELSET = 1
-PURPOSE_BALL = 2
 PURPOSE_PROJECTED = 3
 PURPOSE_SLICE = 4
 

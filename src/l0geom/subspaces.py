@@ -91,6 +91,12 @@ def _left_singular(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.n
     return u, s
 
 
+def _rank(s: np.ndarray, tol: float) -> np.ndarray:
+    """Numerical rank from singular values sorted in descending order along
+    the last axis: how many exceed tol times the largest."""
+    return np.sum(s > tol * s[..., :1], axis=-1)
+
+
 def empty_basis(ambient_dim: int) -> SubspaceBasis:
     return SubspaceBasis(np.zeros((ambient_dim, 0)))
 
@@ -119,11 +125,10 @@ class Dictionary:
         scale = lengths.max()
         if scale == 0.0 or np.any(lengths <= self.span_tol * scale):
             raise ValueError("dictionary contains a zero atom")
-        s = np.linalg.svd(a, compute_uv=False)
-        if np.sum(s > self.span_tol * s[0]) < a.shape[0]:
+        rank = int(_rank(np.linalg.svd(a, compute_uv=False), self.span_tol))
+        if rank < a.shape[0]:
             raise ValueError(
-                f"dictionary does not span R^{a.shape[0]} "
-                f"(numerical rank {int(np.sum(s > self.span_tol * s[0]))})"
+                f"dictionary does not span R^{a.shape[0]} (numerical rank {rank})"
             )
         object.__setattr__(self, "atoms", a)
 
@@ -177,8 +182,7 @@ def orthonormal_basis(
     u, s = _left_singular(m, full_matrices=False)
     if s[0] == 0.0:
         return empty_basis(m.shape[0])
-    rank = int(np.sum(s > tol * s[0]))
-    return SubspaceBasis(u[:, :rank], provenance=provenance)
+    return SubspaceBasis(u[:, : int(_rank(s, tol))], provenance=provenance)
 
 
 def spans_equal(a: SubspaceBasis, b: SubspaceBasis, tol: float = DEFAULT_SPAN_TOL) -> bool:
@@ -197,9 +201,7 @@ def intersection_dim(a: SubspaceBasis, b: SubspaceBasis, tol: float = DEFAULT_SP
     if a.dim == 0 or b.dim == 0:
         return 0
     stacked = np.hstack([a.matrix, b.matrix])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
-    return a.dim + b.dim - rank
+    return a.dim + b.dim - int(_rank(np.linalg.svd(stacked, compute_uv=False), tol))
 
 
 def intersection_basis(
@@ -304,8 +306,7 @@ def pair_dims(family: SpanFamily, tol: float = DEFAULT_SPAN_TOL) -> np.ndarray:
                 stacked = np.concatenate(
                     [np.broadcast_to(bases[i], later.shape), later], axis=2
                 )
-                s = np.linalg.svd(stacked, compute_uv=False)
-                rank = np.sum(s > tol * np.maximum(1.0, s[:, :1]), axis=1)
+                rank = _rank(np.linalg.svd(stacked, compute_uv=False), tol)
                 dims[i, i + 1 :] = dims[i + 1 :, i] = 2 * k - rank
         dims.flags.writeable = False
         family._pair_dims[tol] = dims

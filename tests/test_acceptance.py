@@ -203,10 +203,9 @@ def build_artifacts(workers):
 
         x_axis = orthonormal_basis([[1.0, 0.0]])
         y_axis = orthonormal_basis([[0.0, 1.0]])
-        ball = exp.data_ball_volume()
         rows = ["tau,estimate,ci,bound"]
         for tau in TAUS_OVERLAP:
-            est = exp.tube_overlap_measure(x_axis, y_axis, tau, ball)
+            est = exp.tube_overlap_measure(x_axis, y_axis, tau)
             bound = 4.0 * math.pi * tau * tau
             rows.append(f"{tau!r},{est.mean!r},{est.half_width_95!r},{bound!r}")
         return slope_text, "\n".join(rows) + "\n"

@@ -21,9 +21,6 @@ from l0geom import (
     VolumeEstimate,
     assemble_constants,
     bound_report,
-    estimate_expect,
-    estimate_measure,
-    estimate_prob,
     fit_asymptote,
     orthonormal_basis,
     report_to_csv,
@@ -33,7 +30,6 @@ from l0geom import (
 
 L2 = NormSpec.l2()
 AXES2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
-DISK = VolumeEstimate(math.pi)
 
 
 def two_strip_prob(tau):
@@ -99,7 +95,7 @@ class TestExperiment:
         assert experiment.expect(tau).mean == pytest.approx(expected, abs=1e-12)
 
     def test_measure_is_rescaled_probability(self, experiment):
-        est = experiment.measure(1, 0.05, "leq", DISK)
+        est = experiment.measure(1, 0.05, "leq")
         prob = experiment.prob(1, 0.05, "leq")
         assert est.mean == pytest.approx(prob.mean * math.pi, rel=1e-15)
         assert est.quantity is Quantity.MEASURE_LEQ
@@ -109,7 +105,7 @@ class TestExperiment:
         x_axis = orthonormal_basis([[1.0, 0.0]])
         y_axis = orthonormal_basis([[0.0, 1.0]])
         tau = 0.1
-        est = experiment.tube_overlap_measure(x_axis, y_axis, tau, DISK)
+        est = experiment.tube_overlap_measure(x_axis, y_axis, tau)
         assert abs(est.mean - 4.0 * tau * tau) <= 4.0 * est.std_err
         cap = 4.0 * math.pi * tau * tau  # one ordered pair's overlap constant
         assert est.mean <= cap + 3.0 * est.std_err
@@ -126,20 +122,13 @@ class TestExperiment:
         with pytest.raises(ValueError):
             LevelSetExperiment(AXES2, L2, L2, theta=1.0, n_samples=0, seed=0)
 
-    def test_module_level_wrappers_agree(self, experiment):
-        args = (AXES2, L2, L2)
-        assert (
-            estimate_prob(*args, K=1, tau=0.05, theta=1.0, n_samples=40_000, seed=7)
-            == experiment.prob(1, 0.05)
-        )
-        assert (
-            estimate_expect(*args, tau=0.05, theta=1.0, n_samples=40_000, seed=7)
-            == experiment.expect(0.05)
-        )
-        direct = estimate_measure(
-            *args, K=0, tau=0.05, theta=1.0, n_samples=40_000, seed=7, mode="eq"
-        )
-        assert direct == experiment.measure(0, 0.05, "eq")
+    def test_fresh_experiments_agree(self, experiment):
+        def fresh():
+            return LevelSetExperiment(AXES2, L2, L2, theta=1.0, n_samples=40_000, seed=7)
+
+        assert fresh().prob(1, 0.05) == experiment.prob(1, 0.05)
+        assert fresh().expect(0.05) == experiment.expect(0.05)
+        assert fresh().measure(0, 0.05, "eq") == experiment.measure(0, 0.05, "eq")
 
 
 class TestFit:
@@ -205,7 +194,7 @@ class TestValidation:
             honest, c_total=VolumeEstimate(honest.c_total.value / 2.0)
         )
         tau = 0.05
-        est = experiment.measure(1, tau, "leq", DISK)
+        est = experiment.measure(1, tau, "leq")
         bound = bound_report(Quantity.MEASURE_LEQ, tau, 1.0, crooked)
         assert est.mean > bound.upper + 3.0 * (est.std_err + bound.upper_std_err)
 

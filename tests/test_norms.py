@@ -23,6 +23,17 @@ def dirichlet_lp_ball_volume(p: float, n: int) -> float:
     return (2.0 * math.gamma(1.0 + 1.0 / p)) ** n / math.gamma(1.0 + n / p)
 
 
+def wlp_hit_or_miss(spec: NormSpec, seed: int):
+    """Monte Carlo volume of a wlp unit ball over its bounding box."""
+    return hit_or_miss_volume(
+        lambda pts: np.asarray(norm_eval(spec, pts)) <= 1.0,
+        1.0 / np.asarray(spec.weights),
+        200_000,
+        seed,
+        stream=2,
+    )
+
+
 class TestNormSpec:
     def test_plain_kinds(self):
         assert L1.kind == "l1" and L1.p is None and L1.weights is None
@@ -172,28 +183,32 @@ class TestBallVolumes:
         assert ball_volume(L1, 3).std_err == 0.0
 
     def test_wlp_mc_matches_plain_closed_forms(self):
-        # All-ones weights reduce wlp to the plain norms with closed forms.
-        for p, n, closed in ((1.0, 3, 8.0 / 6.0), (2.0, 2, math.pi)):
+        # All-ones weights reduce wlp to the plain norms with closed forms;
+        # a hit-or-miss estimate over the unit cube agrees within 3 sigma.
+        for p, n, plain in ((1.0, 3, L1), (2.0, 2, L2)):
             spec = NormSpec.weighted_lp(p, [1.0] * n)
-            est = ball_volume(spec, n, n_samples=200_000, seed=10)
-            assert est.std_err > 0.0
-            assert abs(est.value - closed) <= 3.0 * est.std_err
+            exact = ball_volume(spec, n)
+            assert exact.std_err == 0.0
+            assert exact.value == pytest.approx(ball_volume(plain, n).value, rel=1e-12)
+            mc = wlp_hit_or_miss(spec, seed=10)
+            assert abs(mc.value - exact.value) <= 3.0 * mc.std_err
 
     def test_wlp_mc_matches_dirichlet_formula(self):
         # Weight scaling divides the plain lp volume by the weight product.
-        p, weights = 3.0, (1.0, 0.5)
-        spec = NormSpec.weighted_lp(p, weights)
-        est = ball_volume(spec, 2, n_samples=200_000, seed=10)
-        closed = dirichlet_lp_ball_volume(p, 2) / np.prod(weights)
-        assert closed == pytest.approx(7.066555001141804)
-        assert abs(est.value - closed) <= 3.0 * est.std_err
-
-        p2 = 1.5
-        spec2 = NormSpec.weighted_lp(p2, (1.0, 1.0, 1.0))
-        est2 = ball_volume(spec2, 3, n_samples=200_000, seed=11)
-        closed2 = dirichlet_lp_ball_volume(p2, 3)
-        assert closed2 == pytest.approx(2.9427657258847146)
-        assert abs(est2.value - closed2) <= 3.0 * est2.std_err
+        for p, weights, seed, expected in (
+            (3.0, (1.0, 0.5), 10, 7.066555001141804),
+            (1.5, (1.0, 1.0, 1.0), 11, 2.9427657258847146),
+            (50.0, (2.0, 1.0, 0.25, 1.0), 12, None),
+        ):
+            spec = NormSpec.weighted_lp(p, weights)
+            exact = ball_volume(spec, len(weights))
+            closed = dirichlet_lp_ball_volume(p, len(weights)) / np.prod(weights)
+            assert exact.std_err == 0.0
+            assert exact.value == pytest.approx(closed, rel=1e-12)
+            if expected is not None:
+                assert closed == pytest.approx(expected)
+            mc = wlp_hit_or_miss(spec, seed)
+            assert abs(mc.value - exact.value) <= 3.0 * mc.std_err
 
     def test_wlp_dimension_guard(self):
         with pytest.raises(ValueError):

@@ -20,8 +20,6 @@ from l0geom import (
     sample_levelset_batch,
     solve_l0,
     subspace_distance,
-    val_eq,
-    val_leq,
     values_from_profiles,
 )
 from l0geom import simplex, solver
@@ -190,8 +188,9 @@ class TestSolveProperties:
             for K in range(3):
                 assert solver.value_leq(d, tau, K) == (value <= K)
                 assert solver.value_eq(d, tau, K) == (value == K)
-            assert val_leq(THREE_LINES, LINF, d, tau, value)
-            assert val_eq(THREE_LINES, LINF, d, tau, value)
+            fresh = L0Solver(THREE_LINES, LINF)
+            assert fresh.value_leq(d, tau, value)
+            assert fresh.value_eq(d, tau, value)
 
     def test_profiles_match_individual_solves(self):
         solver = L0Solver(THREE_LINES, L2)
