@@ -71,8 +71,9 @@ class LevelSetExperiment:
     """Uniform data-ball samples plus their distance profiles, shared by all cells.
 
     Sampling and profile computation happen lazily on first use and are
-    reused afterwards; ``workers`` splits the chunked work without changing
-    any result.
+    reused afterwards, and so are the values at each tau, which every cell
+    at that tau shares as one read-only array; ``workers`` splits the
+    chunked work without changing any result.
     """
 
     def __init__(
@@ -104,6 +105,7 @@ class LevelSetExperiment:
         self.solver = L0Solver(dictionary, fidelity, span_tol, feas_tol, dist_tol)
         self._points: np.ndarray | None = None
         self._profiles: np.ndarray | None = None
+        self._values: dict[float, np.ndarray] = {}
 
     @property
     def points(self) -> np.ndarray:
@@ -127,7 +129,12 @@ class LevelSetExperiment:
     def values(self, tau: float) -> np.ndarray:
         if not tau > 0.0:
             raise ValueError(f"tau must be > 0, got {tau}")
-        return values_from_profiles(self.profiles, tau, self.feas_tol)
+        tau = float(tau)
+        if tau not in self._values:
+            vals = values_from_profiles(self.profiles, tau, self.feas_tol)
+            vals.flags.writeable = False
+            self._values[tau] = vals
+        return self._values[tau]
 
     def data_ball_volume(self) -> VolumeEstimate:
         return ball_volume(self.data, self.dictionary.n_dim)

@@ -15,6 +15,16 @@ V-perp with dual norm at most 1, and the maximum is attained at one of
 finitely many vertices that depend on V alone.  ``dual_vertices`` lists
 them once per span, after which every distance is a row maximum of one
 matrix product.  Weighted lp with p > 1 runs coordinate descent.
+
+``L0Solver`` prices a whole level of a span family at once through one
+level table per level, built in the calling thread before any worker
+starts.  For l2 fidelity the table holds, per member, the upper triangle
+of I - P (so a sample's squared distances are one product with its pair
+products x_i x_j) and the stacked bases, which single-vector scans use in
+residual form ||d - U U^T d||, as accurate as one projection.  For
+polyhedral fidelities it is the members' dual vertex tables stacked into
+one matrix with segment offsets.  Weighted lp with p > 1 keeps a loop
+over members.
 """
 
 from __future__ import annotations
@@ -53,6 +63,11 @@ _VERTEX_SLACK = 1e-6
 # Largest C(N, N - K) * 2^(N - K) candidate count that an l1 or weighted-l1
 # dual vertex table is built from; see dual_vertices.
 MAX_DUAL_CANDIDATES = 250_000
+
+# Largest rows x table-columns product one distance_profiles block holds.
+# Small blocks keep each worker's transient arrays near 256 KB; larger ones
+# run no faster and leave more memory behind in the allocator.
+_PROFILE_CELLS = 1 << 15
 
 
 class ConvergenceError(RuntimeError):
@@ -266,6 +281,53 @@ def member_distances(
     )
 
 
+class _QuadraticLevel:
+    """l2 level table: every member's distance from one product.
+
+    Column m of ``gram`` is the upper triangle of I - P_m with doubled
+    off-diagonal entries, so a row's pair products x_i x_j (i <= j) times
+    ``gram`` are its squared distances <x x^T, I - P_m>.  ``bases`` is the
+    (M, N, k) stack of member bases for single-vector residual scans.
+    """
+
+    def __init__(self, members: tuple[SubspaceBasis, ...]) -> None:
+        n = members[0].ambient_dim
+        self.upper = i, j = np.triu_indices(n)
+        self.bases = np.stack([member.matrix for member in members])
+        residual = np.eye(n) - self.bases @ self.bases.transpose(0, 2, 1)
+        self.gram = np.ascontiguousarray((residual[:, i, j] * np.where(i == j, 1.0, 2.0)).T)
+        self.width = self.gram.shape[1]
+
+    def nearest(self, rows: np.ndarray) -> np.ndarray:
+        i, j = self.upper
+        squared = np.min((rows[:, i] * rows[:, j]) @ self.gram, axis=1)
+        return np.sqrt(np.maximum(squared, 0.0))
+
+    def distances(self, d: np.ndarray) -> np.ndarray:
+        residual = d - (self.bases @ (d @ self.bases)[:, :, None])[:, :, 0]
+        return np.sqrt(np.einsum("mn,mn->m", residual, residual))
+
+
+class _DualLevel:
+    """Polyhedral level table: the members' dual vertex tables side by side.
+
+    ``vertices`` is (N, V); member m owns the columns from ``offsets[m]`` to
+    the next offset, so its distances are the maxima over that segment.
+    """
+
+    def __init__(self, fidelity: NormSpec, members: tuple[SubspaceBasis, ...]) -> None:
+        tables = [dual_vertices(fidelity, member) for member in members]
+        self.offsets = np.cumsum([0] + [t.shape[0] for t in tables[:-1]])
+        self.vertices = np.ascontiguousarray(np.vstack(tables).T)
+        self.width = self.vertices.shape[1]
+
+    def distances(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(x @ self.vertices, self.offsets, axis=-1)
+
+    def nearest(self, rows: np.ndarray) -> np.ndarray:
+        return np.min(self.distances(rows), axis=1)
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one smallest-support solve.
@@ -301,10 +363,15 @@ class L0Solver:
     """Shared search state for many solves against one dictionary and norm.
 
     Span families come from ``span_family``, so they are enumerated once
-    per dictionary; the dual vertex tables of a polyhedral fidelity are built once per solver.  The
-    tables are built on first use in the calling thread; afterwards the
-    solver is only read, so distinct data vectors may be solved
-    concurrently.
+    per dictionary.  Each level k of 1..N gets one level table for the
+    fidelity's norm family (``level_table``), which prices every size-k
+    member in one product: a profile block takes each row's nearest
+    member from it, and a solve takes the first member within tau from
+    the residual form for l2 or the stacked dual tables for polyhedral
+    fidelities.  Tables are built on first use in the calling thread, and
+    ``distance_profiles`` builds all it needs before any worker starts;
+    afterwards the solver is only read, so distinct data vectors may be
+    solved concurrently.
     """
 
     def __init__(
@@ -322,18 +389,26 @@ class L0Solver:
         self.span_tol = span_tol
         self.feas_tol = feas_tol
         self.dist_tol = dist_tol
-        self._dual_tables: dict[int, tuple[np.ndarray, ...]] = {}
+        self._levels: dict[int, _QuadraticLevel | _DualLevel | None] = {}
 
     def family(self, k: int) -> SpanFamily:
         return span_family(self.dictionary, k, self.span_tol)
 
-    def dual_tables(self, k: int) -> tuple[np.ndarray, ...]:
-        """``dual_vertices`` of each size-k member, in member order."""
-        if k not in self._dual_tables:
-            self._dual_tables[k] = tuple(
-                dual_vertices(self.fidelity, member) for member in self.family(k).members
-            )
-        return self._dual_tables[k]
+    def level_table(self, k: int) -> _QuadraticLevel | _DualLevel | None:
+        """The size-k level table, or None where members are priced one at a time.
+
+        That is level 0, whose one member is priced by the norm itself, and
+        every level of a wlp fidelity with p > 1.
+        """
+        if k not in self._levels:
+            members = self.family(k).members
+            table = None
+            if k > 0 and self.fidelity.kind == "l2":
+                table = _QuadraticLevel(members)
+            elif k > 0 and _is_polyhedral(self.fidelity):
+                table = _DualLevel(self.fidelity, members)
+            self._levels[k] = table
+        return self._levels[k]
 
     def _check_data(self, d: np.ndarray, tau: float) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -348,24 +423,22 @@ class L0Solver:
     def _first_feasible(self, k: int, d: np.ndarray, thresh: float) -> SubspaceBasis | None:
         """The size-k member of smallest provenance within thresh of d, if any.
 
-        Members are in provenance order, so the scan stops at the first
-        feasible one.  Polyhedral fidelities test max(Z @ d) against each
-        member's dual vertex table Z and run no linear program.
+        Members are in provenance order, so the first member the level
+        table puts within thresh is the answer.  No linear program runs.
         """
         members = self.family(k).members
-        if k > 0 and _is_polyhedral(self.fidelity):
+        table = self.level_table(k)
+        if table is None:
             return next(
-                (m for m, z in zip(members, self.dual_tables(k)) if np.max(z @ d) <= thresh),
+                (
+                    m
+                    for m in members
+                    if subspace_distance(self.fidelity, m, d, self.dist_tol)[0] <= thresh
+                ),
                 None,
             )
-        return next(
-            (
-                m
-                for m in members
-                if subspace_distance(self.fidelity, m, d, self.dist_tol)[0] <= thresh
-            ),
-            None,
-        )
+        hits = np.flatnonzero(table.distances(d) <= thresh)
+        return members[hits[0]] if hits.size else None
 
     def solve(self, d: np.ndarray, tau: float) -> SolveResult:
         """Smallest support within tau of d, and its lexicographically first witness.
@@ -416,19 +489,16 @@ class L0Solver:
         member of the size-k family; column N is identically zero.  The
         value of a solve is the first column whose entry is within the
         feasibility threshold, so one profile matrix serves every tau.
-        Polyhedral dual tables are built here, before any worker starts.
+        Level tables are built here, before any worker starts, and each
+        block of rows prices a level with one product.
         """
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != self.dictionary.n_dim:
             raise ValueError(f"expected (n, {self.dictionary.n_dim}) data, got {data.shape}")
         n_dim = self.dictionary.n_dim
-        families = [self.family(k) for k in range(n_dim + 1)]
-        tables = (
-            {k: self.dual_tables(k) for k in range(1, n_dim)}
-            if _is_polyhedral(self.fidelity)
-            else None
-        )
-        block = 4096
+        tables = {k: self.level_table(k) for k in range(1, n_dim)}
+        widest = max((t.width for t in tables.values() if t is not None), default=1)
+        block = max(1, _PROFILE_CELLS // widest)
         n_blocks = max(1, -(-data.shape[0] // block))
 
         def profile_block(b: int) -> np.ndarray:
@@ -436,16 +506,17 @@ class L0Solver:
             out = np.empty((rows.shape[0], n_dim + 1))
             out[:, 0] = np.asarray(norm_eval(self.fidelity, rows))
             out[:, n_dim] = 0.0
-            for k in range(1, n_dim):
-                best = np.full(rows.shape[0], np.inf)
-                for i, member in enumerate(families[k].members):
-                    dists = (
-                        np.max(rows @ tables[k][i].T, axis=1)
-                        if tables is not None
-                        else member_distances(self.fidelity, member, rows, self.dist_tol)
-                    )
-                    np.minimum(best, dists, out=best)
-                out[:, k] = best
+            for k, table in tables.items():
+                if table is not None:
+                    out[:, k] = table.nearest(rows)
+                    continue
+                out[:, k] = np.min(
+                    [
+                        member_distances(self.fidelity, member, rows, self.dist_tol)
+                        for member in self.family(k).members
+                    ],
+                    axis=0,
+                )
             return out
 
         return np.vstack(map_chunks(profile_block, n_blocks, workers))

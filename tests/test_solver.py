@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -339,8 +339,11 @@ class TestDualVertices:
             dual_vertices(NormSpec.weighted_lp(2.0, [1.0, 2.0]), orthonormal_basis([[1.0, 1.0]]))
 
 
-def lp_scan(spec, dictionary, d, tau, feas_tol=1e-10):
-    """Value and support by one simplex LP per family member, in provenance order."""
+def member_scan(spec, dictionary, d, tau, feas_tol=1e-10):
+    """Value and support by one ``subspace_distance`` per family member, in provenance order.
+
+    Polyhedral fidelities solve one simplex LP per member; l2 projects.
+    """
     thresh = tau * (1.0 + feas_tol)
     for k in range(dictionary.n_dim + 1):
         for member in enumerate_spans(dictionary, k).members:
@@ -371,7 +374,7 @@ class TestPolyhedralSolve:
             d = rng.standard_normal(n)
             tau = float(rng.uniform(0.02, 1.0))
             res = fast.solve(d, tau)
-            assert (res.value, res.support) == lp_scan(spec, dictionary, d, tau)
+            assert (res.value, res.support) == member_scan(spec, dictionary, d, tau)
             assert res.residual <= tau * (1.0 + 1e-9)
             for K in range(n + 1):
                 assert fast.value_leq(d, tau, K) == (res.value <= K)
@@ -398,6 +401,107 @@ class TestPolyhedralSolve:
             [member_distances(LINF, m, points) for m in solver.family(1).members], axis=0
         )
         np.testing.assert_array_equal(profiles[:, 1], nearest)
+
+
+@st.composite
+def dependent_dictionaries(draw):
+    """A dictionary in R^n, n <= 6, with repeated, parallel and summed atoms, plus points.
+
+    Some points are exact sparse combinations of the atoms, where the
+    distance to a containing span is zero.
+    """
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = list(rng.standard_normal((n, n)))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.integers(len(atoms), size=2)
+        kind = draw(st.sampled_from(["repeat", "parallel", "sum"]))
+        if kind == "repeat":
+            atoms.append(atoms[i].copy())
+        elif kind == "parallel":
+            atoms.append(atoms[i] * draw(st.sampled_from([-3.0, -1.0, 0.5, 2.0])))
+        else:
+            atoms.append(atoms[i] + atoms[j])
+        assume(np.any(atoms[-1] != 0.0))
+    atoms = np.array(atoms)[rng.permutation(len(atoms))]
+    points = rng.standard_normal((30, n)) * draw(st.sampled_from([0.01, 1.0, 100.0]))
+    for i in range(min(n, 4)):
+        support = rng.choice(len(atoms), i + 1, replace=False)
+        points[i] = rng.standard_normal(i + 1) @ atoms[support]
+    return Dictionary.from_vectors(atoms), points
+
+
+class TestLevelTables:
+    @settings(max_examples=60, deadline=None)
+    @given(dependent_dictionaries())
+    def test_l2_profiles_match_member_distances(self, case):
+        dictionary, points = case
+        solver = L0Solver(dictionary, L2)
+        profiles = solver.distance_profiles(points)
+        scale = 1.0 + np.einsum("ij,ij->i", points, points)
+        for k in range(1, dictionary.n_dim):
+            nearest = np.min(
+                [member_distances(L2, m, points) for m in solver.family(k).members], axis=0
+            )
+            assert np.all(np.abs(profiles[:, k] ** 2 - nearest**2) <= 1e-12 * scale), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(dependent_dictionaries(), st.sampled_from(["l1", "linf", "weighted"]))
+    def test_polyhedral_profiles_match_member_tables(self, case, kind):
+        dictionary, points = case
+        n = dictionary.n_dim
+        spec = NormSpec.weighted_lp(1.0, np.linspace(0.5, 3.0, n)) if kind == "weighted" else NormSpec(kind)
+        solver = L0Solver(dictionary, spec)
+        profiles = solver.distance_profiles(points)
+        scale = 1.0 + np.abs(points).sum(axis=1)
+        for k in range(1, n):
+            nearest = np.min(
+                [np.max(points @ dual_vertices(spec, m).T, axis=1) for m in solver.family(k).members],
+                axis=0,
+            )
+            assert np.all(np.abs(profiles[:, k] - nearest) <= 1e-12 * scale), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(dependent_dictionaries(), st.integers(0, 2**32 - 1))
+    def test_l2_solve_matches_a_per_member_scan(self, case, seed):
+        dictionary, points = case
+        solver = L0Solver(dictionary, L2)
+        rng = np.random.default_rng(seed)
+        for d in points[::3]:
+            tau = float(rng.uniform(0.02, 1.0)) * float(np.linalg.norm(d) + 1e-3)
+            res = solver.solve(d, tau)
+            assert (res.value, res.support) == member_scan(L2, dictionary, d, tau)
+            assert res.residual <= tau * (1.0 + 1e-9)
+            for K in range(dictionary.n_dim + 1):
+                assert solver.value_leq(d, tau, K) == (res.value <= K)
+
+    @pytest.mark.parametrize("spec", [L2, L1, LINF], ids=["l2", "l1", "linf"])
+    def test_profiles_worker_invariance_off_the_block(self, spec):
+        dictionary = Dictionary.from_vectors(
+            [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+             [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0], [1.0, -1.0, 1.0, 2.0]]
+        )
+        first = L0Solver(dictionary, spec)
+        block = solver._PROFILE_CELLS // max(first.level_table(k).width for k in range(1, 4))
+        assert block > 17
+        points = np.random.default_rng(17).uniform(-1.0, 1.0, (3 * block + 17, 4))
+        one = first.distance_profiles(points, workers=1)
+        two = L0Solver(dictionary, spec).distance_profiles(points, workers=2)
+        np.testing.assert_array_equal(one, two)
+
+    def test_l2_solve_recovers_exact_sparse_combinations(self):
+        """Exact K-sparse data is within 1e-12 of a size-K span, dependent atoms included."""
+        rng = np.random.default_rng(61)
+        base = rng.standard_normal((8, 5))
+        atoms = np.vstack([base, base[0] + base[1], base[2] + base[3], base[4]])
+        dictionary = Dictionary.from_vectors(atoms)
+        solver = L0Solver(dictionary, L2)
+        for K in range(1, 6):
+            for _ in range(60):
+                support = rng.choice(len(atoms), K, replace=False)
+                d = rng.standard_normal(K) @ atoms[support]
+                assert solver.solve(d, 1e-12).value <= K
+                assert solver.value_leq(d, 1e-12, K)
 
 
 class TestWeightedLpConvergence:
