@@ -49,6 +49,9 @@ from .subspaces import (  # noqa: F401
 
 DEFAULT_VOLUME_SAMPLES = 200_000
 
+# Two-sided 95% normal quantile: a 95% half width is Z95 standard errors.
+Z95 = 1.959963984540054
+
 
 def _alpha(n: int) -> float:
     """Euclidean unit-ball volume with the zero-dimensional convention 1."""
@@ -71,7 +74,6 @@ def projected_ball_volume(
     basis: SubspaceBasis,
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
-    workers: int = 1,
     method: str = "auto",
     subid: int = 0,
 ) -> VolumeEstimate:
@@ -115,7 +117,6 @@ def projected_ball_volume(
         n_samples,
         seed,
         stream_id(PURPOSE_PROJECTED, subid),
-        workers,
     )
 
 
@@ -124,7 +125,6 @@ def slice_volume(
     basis: SubspaceBasis,
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
-    workers: int = 1,
     method: str = "auto",
     subid: int = 0,
 ) -> VolumeEstimate:
@@ -156,7 +156,6 @@ def slice_volume(
         n_samples,
         seed,
         stream_id(PURPOSE_SLICE, subid),
-        workers,
     )
 
 
@@ -171,14 +170,11 @@ def cylinder_constant(
     basis: SubspaceBasis,
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
-    workers: int = 1,
     subid: int = 0,
 ) -> VolumeEstimate:
     """Leading constant of one subspace: shadow volume times slice volume."""
-    shadow = projected_ball_volume(
-        fidelity, basis, n_samples, seed, workers, subid=subid
-    )
-    inner = slice_volume(data, basis, n_samples, seed, workers, subid=subid)
+    shadow = projected_ball_volume(fidelity, basis, n_samples, seed, subid=subid)
+    inner = slice_volume(data, basis, n_samples, seed, subid=subid)
     return _product(shadow, inner)
 
 
@@ -189,7 +185,6 @@ def overlap_constant(
     second: SubspaceBasis,
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
-    workers: int = 1,
     span_tol: float = DEFAULT_SPAN_TOL,
     subid: int = 0,
 ) -> VolumeEstimate:
@@ -203,7 +198,7 @@ def overlap_constant(
     if spans_equal(first, second, span_tol):
         raise ValueError("overlap constants are defined for distinct spans only")
     meet = intersection_basis(first, second, span_tol)
-    inner = slice_volume(data, meet, n_samples, seed, workers, subid=subid)
+    inner = slice_volume(data, meet, n_samples, seed, subid=subid)
     return _overlap(fidelity, data, first.ambient_dim, meet.dim, inner)
 
 
@@ -305,7 +300,6 @@ def assemble_constants(
     span_tol: float = DEFAULT_SPAN_TOL,
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
-    workers: int = 1,
 ) -> ConstantSet:
     """Compute the full constant set for sparsity level K.
 
@@ -327,7 +321,7 @@ def assemble_constants(
     family = span_family(dictionary, K, span_tol)
 
     c_members = tuple(
-        cylinder_constant(fidelity, data, member, n_samples, seed, workers, subid=i)
+        cylinder_constant(fidelity, data, member, n_samples, seed, subid=i)
         for i, member in enumerate(family.members)
     )
     c_total = VolumeEstimate(
@@ -352,7 +346,6 @@ def assemble_constants(
                     family.members[key[1]],
                     n_samples,
                     seed,
-                    workers,
                     span_tol,
                     subid=len(pair_cache),
                 )
@@ -413,7 +406,6 @@ def constants_to_csv(sets: list[ConstantSet] | tuple[ConstantSet, ...]) -> str:
     n = sets[0].n_dim
     if any(c.n_dim != n for c in sets):
         raise ValueError("constant sets mix ambient dimensions")
-    z95 = 1.959963984540054
     header = ["K", "C_K", "kK"]
     header += [f"Q_{k}" for k in range(n)]
     header += ["deltaHat", "Delta_K", "ci", "deltaPrime"]
@@ -427,10 +419,10 @@ def constants_to_csv(sets: list[ConstantSet] | tuple[ConstantSet, ...]) -> str:
         cells += [
             repr(c.delta_hat),
             repr(c.delta_gate),
-            repr(z95 * c.c_total.std_err),
+            repr(Z95 * c.c_total.std_err),
             "" if prime is None else repr(prime),
         ]
-        cells += ["" if q is None else repr(z95 * q.std_err) for q in qs]
+        cells += ["" if q is None else repr(Z95 * q.std_err) for q in qs]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

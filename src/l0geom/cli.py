@@ -27,11 +27,11 @@ from .bounds import assemble_constants, constants_to_csv, gate_factors
 from .config import ConfigError, ExperimentConfig, load_config
 from .montecarlo import (
     LevelSetExperiment,
-    MCEstimate,
-    Quantity,
     bound_levels,
+    estimates_to_csv,
     report_to_csv,
     validate_bounds,
+    validation_cells,
 )
 from .solver import L0Solver, span_family
 from .subspaces import enumerate_pairs
@@ -173,32 +173,12 @@ def _cmd_constants(config: ExperimentConfig, args: argparse.Namespace) -> int:
     sets = [
         assemble_constants(
             config.dictionary, config.fidelity, config.data, k,
-            config.span_tol, vol_samples, config.seed, config.threads,
+            config.span_tol, vol_samples, config.seed,
         )
         for k in config.K_list
     ]
     _emit(constants_to_csv(sets), args.output)
     return 0
-
-
-def _estimates_csv(estimates: list[MCEstimate]) -> str:
-    lines = ["quantity,K,tau,theta,estimate,ci,n,seed"]
-    for e in estimates:
-        lines.append(
-            ",".join(
-                [
-                    e.quantity.value,
-                    "" if e.K is None else str(e.K),
-                    repr(e.tau),
-                    repr(e.theta),
-                    repr(e.mean),
-                    repr(e.half_width_95),
-                    str(e.n_samples),
-                    str(e.seed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_estimate(config: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -207,22 +187,8 @@ def _cmd_estimate(config: ExperimentConfig, args: argparse.Namespace) -> int:
         config.n_samples, config.seed, config.span_tol, config.feas_tol,
         config.dist_tol, config.threads,
     )
-    estimates: list[MCEstimate] = []
-    for quantity in config.quantities:
-        for tau in config.tau_grid:
-            if quantity is Quantity.EXPECT:
-                estimates.append(experiment.expect(tau))
-                continue
-            for K in config.K_list:
-                if quantity is Quantity.PROB_LEQ:
-                    estimates.append(experiment.prob(K, tau, "leq"))
-                elif quantity is Quantity.PROB_EQ:
-                    estimates.append(experiment.prob(K, tau, "eq"))
-                elif quantity is Quantity.MEASURE_LEQ:
-                    estimates.append(experiment.measure(K, tau, "leq"))
-                else:
-                    estimates.append(experiment.measure(K, tau, "eq"))
-    _emit(_estimates_csv(estimates), args.output)
+    cells = validation_cells(config.quantities, config.K_list, config.tau_grid)
+    _emit(estimates_to_csv(experiment.estimate(*cell) for cell in cells), args.output)
     return 0
 
 

@@ -16,7 +16,12 @@ Optional, with defaults:
     span_tol           1e-9               span comparison tolerance
     feas_tol           1e-10              relative feasibility slack on tau
     dist_tol           1e-9               distance solver tolerance
-    threads            1                  worker threads (never affects results)
+    threads            1                  worker threads for sampling and distance
+                                          profiles (never affects results); volume
+                                          constants run in the calling thread
+
+Estimates and validation rows both come in cell order: quantity, then K,
+then tau.
 """
 
 from __future__ import annotations

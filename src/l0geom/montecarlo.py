@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bounds import (
+    Z95,
     ConstantSet,
     Quantity,
     assemble_constants,
@@ -33,8 +34,6 @@ from .solver import (
     values_from_profiles,
 )
 from .subspaces import DEFAULT_SPAN_TOL, Dictionary, SubspaceBasis
-
-Z95 = 1.959963984540054
 
 
 def wilson_half_width(p_hat: float, n: int) -> float:
@@ -72,8 +71,9 @@ class LevelSetExperiment:
 
     Sampling and profile computation happen lazily on first use and are
     reused afterwards, and so are the values at each tau, which every cell
-    at that tau shares as one read-only array; ``workers`` splits the
-    chunked work without changing any result.
+    at that tau shares as one read-only array; ``estimate`` prices any
+    (quantity, K, tau) cell from them.  ``workers`` splits the chunked
+    sampling and profile work without changing any result.
     """
 
     def __init__(
@@ -139,63 +139,44 @@ class LevelSetExperiment:
     def data_ball_volume(self) -> VolumeEstimate:
         return ball_volume(self.data, self.dictionary.n_dim)
 
-    def _check_level(self, K: int) -> None:
-        if not 0 <= K <= self.dictionary.n_dim:
+    def estimate(self, quantity: Quantity | str, K: int | None, tau: float) -> MCEstimate:
+        """Estimate of one cell: ``quantity`` at level K and tolerance tau.
+
+        prob_leq and prob_eq are the frequencies of value <= K and == K with
+        a Wilson interval; measure_leq and measure_eq rescale them by the
+        volume of the radius-theta data ball; expect is the mean value with a
+        normal interval and takes K = None.
+        """
+        quantity = Quantity(quantity)
+        vals = self.values(tau)
+        if quantity is Quantity.EXPECT:
+            if K is not None:
+                raise ValueError(f"expect takes K = None, got {K}")
+            spread = float(vals.std(ddof=1)) if self.n_samples > 1 else 0.0
+            return MCEstimate(
+                quantity, None, tau, self.theta, float(vals.mean()),
+                Z95 * spread / math.sqrt(self.n_samples), self.n_samples, self.seed,
+            )
+        if K is None or not 0 <= K <= self.dictionary.n_dim:
             raise ValueError(f"K must lie in [0, {self.dictionary.n_dim}], got {K}")
-
-    def prob(self, K: int, tau: float, mode: str = "leq") -> MCEstimate:
-        """Empirical frequency of value <= K (mode "leq") or == K (mode "eq")."""
-        self._check_level(K)
-        vals = self.values(tau)
-        if mode == "leq":
+        if quantity in (Quantity.MEASURE_LEQ, Quantity.PROB_LEQ):
             hits = int(np.count_nonzero(vals <= K))
-            quantity = Quantity.PROB_LEQ
-        elif mode == "eq":
-            hits = int(np.count_nonzero(vals == K))
-            quantity = Quantity.PROB_EQ
         else:
-            raise ValueError(f"mode must be 'leq' or 'eq', got {mode!r}")
+            hits = int(np.count_nonzero(vals == K))
+        return self._frequency(quantity, K, tau, hits)
+
+    def _frequency(
+        self, quantity: Quantity, K: int | None, tau: float, hits: int
+    ) -> MCEstimate:
+        """Hit rate with its Wilson interval, as a volume for the measures."""
         p_hat = hits / self.n_samples
+        mean, half_width = p_hat, wilson_half_width(p_hat, self.n_samples)
+        if quantity in (Quantity.MEASURE_LEQ, Quantity.MEASURE_EQ):
+            vol = self.data_ball_volume().value
+            scale = self.theta**self.dictionary.n_dim
+            mean, half_width = p_hat * scale * vol, scale * (half_width * vol)
         return MCEstimate(
-            quantity,
-            K,
-            tau,
-            self.theta,
-            p_hat,
-            wilson_half_width(p_hat, self.n_samples),
-            self.n_samples,
-            self.seed,
-        )
-
-    def expect(self, tau: float) -> MCEstimate:
-        vals = self.values(tau)
-        spread = float(vals.std(ddof=1)) if self.n_samples > 1 else 0.0
-        return MCEstimate(
-            Quantity.EXPECT,
-            None,
-            tau,
-            self.theta,
-            float(vals.mean()),
-            Z95 * spread / math.sqrt(self.n_samples),
-            self.n_samples,
-            self.seed,
-        )
-
-    def measure(self, K: int, tau: float, mode: str = "leq") -> MCEstimate:
-        """Volume estimate: frequency rescaled by the sampling ball's volume."""
-        p = self.prob(K, tau, mode)
-        vol = self.data_ball_volume().value
-        scale = self.theta**self.dictionary.n_dim
-        quantity = Quantity.MEASURE_LEQ if mode == "leq" else Quantity.MEASURE_EQ
-        return MCEstimate(
-            quantity,
-            K,
-            tau,
-            self.theta,
-            p.mean * scale * vol,
-            scale * (p.half_width_95 * vol),
-            self.n_samples,
-            self.seed,
+            quantity, K, tau, self.theta, mean, half_width, self.n_samples, self.seed
         )
 
     def tube_overlap_measure(
@@ -207,19 +188,8 @@ class LevelSetExperiment:
         thresh = tau * (1.0 + self.feas_tol)
         near_first = member_distances(self.fidelity, first, self.points, self.dist_tol) <= thresh
         near_second = member_distances(self.fidelity, second, self.points, self.dist_tol) <= thresh
-        p_hat = int(np.count_nonzero(near_first & near_second)) / self.n_samples
-        vol = self.data_ball_volume().value
-        scale = self.theta**self.dictionary.n_dim
-        return MCEstimate(
-            Quantity.MEASURE_LEQ,
-            None,
-            tau,
-            self.theta,
-            p_hat * scale * vol,
-            scale * (wilson_half_width(p_hat, self.n_samples) * vol),
-            self.n_samples,
-            self.seed,
-        )
+        hits = int(np.count_nonzero(near_first & near_second))
+        return self._frequency(Quantity.MEASURE_LEQ, None, tau, hits)
 
 
 @dataclass(frozen=True)
@@ -347,6 +317,19 @@ def bound_levels(
     return tuple(sorted(levels))
 
 
+def validation_cells(
+    quantities: Iterable[Quantity], K_list: Sequence[int], tau_grid: Sequence[float]
+) -> Iterator[tuple[Quantity, int | None, float]]:
+    """Every (quantity, K, tau) cell in report order: quantity, then K, then tau.
+
+    expect has no level and yields K = None once per tau.
+    """
+    for q in quantities:
+        for K in (None,) if q is Quantity.EXPECT else K_list:
+            for tau in tau_grid:
+                yield q, K, tau
+
+
 def validate_bounds(
     dictionary: Dictionary,
     fidelity: NormSpec,
@@ -368,7 +351,8 @@ def validate_bounds(
     A cell passes when the estimate sits within the analytic sandwich with
     3 standard errors of slack, pooling the estimate's uncertainty with
     the bound's own Monte Carlo uncertainty.  Cells outside the validity
-    region are flagged with passed = None.
+    region are flagged with passed = None.  ``workers`` splits sampling and
+    distance profiles; the volume constants run in the calling thread.
     """
     quantities = tuple(Quantity(q) for q in quantities)
     tau_grid = tuple(float(t) for t in tau_grid)
@@ -382,57 +366,34 @@ def validate_bounds(
 
     vol_samples = constants_samples if constants_samples is not None else n_samples
     consts: dict[int, ConstantSet] = {
-        k: assemble_constants(
-            dictionary, fidelity, data, k, span_tol, vol_samples, seed, workers
-        )
+        k: assemble_constants(dictionary, fidelity, data, k, span_tol, vol_samples, seed)
         for k in bound_levels(quantities, K_list, n)
     }
+    all_consts = (
+        tuple(consts[k] for k in range(n)) if Quantity.EXPECT in quantities else None
+    )
     data_ball_vol = ball_volume(data, n)
     experiment = LevelSetExperiment(
         dictionary, fidelity, data, theta, n_samples, seed,
         span_tol, feas_tol, dist_tol, workers,
     )
 
-    def leading_for(q: Quantity, K: int, tau: float) -> float | None:
+    def leading_for(q: Quantity, K: int | None, tau: float) -> float | None:
+        if q is Quantity.EXPECT:
+            return None
         c = consts[K].c_total.value
         if q in (Quantity.MEASURE_LEQ, Quantity.MEASURE_EQ):
             return c * tau ** (n - K) * theta**K
-        if q in (Quantity.PROB_LEQ, Quantity.PROB_EQ):
-            return c / data_ball_vol.value * (tau / theta) ** (n - K)
-        return None
+        return c / data_ball_vol.value * (tau / theta) ** (n - K)
 
     rows: list[ValidationRow] = []
-    for q in quantities:
-        if q is Quantity.EXPECT:
-            all_consts = tuple(consts[k] for k in range(n))
-            for tau in tau_grid:
-                est = experiment.expect(tau)
-                bound = bound_report(
-                    q, tau, theta, all_constants=all_consts, data_ball_vol=data_ball_vol
-                )
-                rows.append(_row_from(est, bound, None))
-            continue
-        for K in K_list:
-            prev = consts.get(K - 1) if K >= 1 else None
-            for tau in tau_grid:
-                if q is Quantity.MEASURE_LEQ:
-                    est = experiment.measure(K, tau, "leq")
-                    bound = bound_report(q, tau, theta, consts[K])
-                elif q is Quantity.MEASURE_EQ:
-                    est = experiment.measure(K, tau, "eq")
-                    bound = bound_report(q, tau, theta, consts[K], constants_prev=prev)
-                elif q is Quantity.PROB_LEQ:
-                    est = experiment.prob(K, tau, "leq")
-                    bound = bound_report(
-                        q, tau, theta, consts[K], data_ball_vol=data_ball_vol
-                    )
-                else:
-                    est = experiment.prob(K, tau, "eq")
-                    bound = bound_report(
-                        q, tau, theta, consts[K], constants_prev=prev,
-                        data_ball_vol=data_ball_vol,
-                    )
-                rows.append(_row_from(est, bound, leading_for(q, K, tau)))
+    for q, K, tau in validation_cells(quantities, K_list, tau_grid):
+        bound = bound_report(
+            q, tau, theta, consts.get(K),
+            constants_prev=consts.get(K - 1) if K else None,
+            all_constants=all_consts, data_ball_vol=data_ball_vol,
+        )
+        rows.append(_row_from(experiment.estimate(q, K, tau), bound, leading_for(q, K, tau)))
     return ValidationReport(
         rows=tuple(rows), theta=float(theta), n_samples=int(n_samples), seed=int(seed)
     )
@@ -450,22 +411,32 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv(header: str, rows: Iterable[tuple]) -> str:
+    lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def report_to_csv(report: ValidationReport) -> str:
     """Deterministic CSV rendering of a validation report."""
-    header = (
-        "quantity,K,tau,theta,estimate,ci,lower,upper,lower_err,upper_err,"
-        "ratio,valid,pass"
-    )
-    lines = [header]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.quantity, r.K, r.tau, r.theta, r.estimate, r.half_width_95,
-                    r.lower, r.upper, r.lower_std_err, r.upper_std_err,
-                    r.ratio, r.valid, r.passed,
-                )
+    return _csv(
+        "quantity,K,tau,theta,estimate,ci,lower,upper,lower_err,upper_err,ratio,valid,pass",
+        (
+            (
+                r.quantity, r.K, r.tau, r.theta, r.estimate, r.half_width_95,
+                r.lower, r.upper, r.lower_std_err, r.upper_std_err,
+                r.ratio, r.valid, r.passed,
             )
-        )
-    return "\n".join(lines) + "\n"
+            for r in report.rows
+        ),
+    )
+
+
+def estimates_to_csv(estimates: Iterable[MCEstimate]) -> str:
+    """Deterministic CSV rendering of Monte Carlo estimates, one row per cell."""
+    return _csv(
+        "quantity,K,tau,theta,estimate,ci,n,seed",
+        (
+            (e.quantity, e.K, e.tau, e.theta, e.mean, e.half_width_95, e.n_samples, e.seed)
+            for e in estimates
+        ),
+    )

@@ -207,26 +207,23 @@ def hit_or_miss_volume(
     n_samples: int,
     seed: int,
     stream: int,
-    workers: int = 1,
 ) -> VolumeEstimate:
     """Monte Carlo volume of a set enclosed in the box prod_i [-h_i, h_i].
 
     ``indicator`` maps an (m, d) array of points to an (m,) boolean array.
-    Chunked counter-based draws keep the estimate identical for any worker
-    count and any interleaving with other computations.
+    The draws run chunk by chunk in the calling thread; chunked
+    counter-based draws keep the estimate identical for any interleaving
+    with other computations.
     """
     h = np.asarray(half_widths, dtype=float)
     if h.ndim != 1 or h.size == 0 or np.any(h <= 0) or not np.all(np.isfinite(h)):
         raise ValueError("half_widths must be a nonempty vector of positive reals")
-    total = streams.n_chunks_for(n_samples)
-
-    def count_hits(chunk_index: int) -> int:
+    hits = 0
+    for chunk_index in range(streams.n_chunks_for(n_samples)):
         pts = streams.uniform_box_chunk(seed, stream, chunk_index, h)
-        if chunk_index == total - 1 and n_samples % streams.CHUNK:
-            pts = pts[: n_samples % streams.CHUNK]
-        return int(np.count_nonzero(indicator(pts)))
-
-    hits = sum(streams.map_chunks(count_hits, total, workers))
+        # Only the last chunk is cut short, to the draws below n_samples.
+        pts = pts[: n_samples - chunk_index * streams.CHUNK]
+        hits += int(np.count_nonzero(indicator(pts)))
     box = float(np.prod(2.0 * h))
     p = hits / n_samples
     return VolumeEstimate(

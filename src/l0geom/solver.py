@@ -416,6 +416,8 @@ class L0Solver:
             raise ValueError(
                 f"data has shape {d.shape}, expected ({self.dictionary.n_dim},)"
             )
+        if not np.isfinite(d).all():
+            raise ValueError(f"data must be finite, got {d.tolist()}")
         if not tau > 0.0:
             raise ValueError(f"tau must be > 0, got {tau}")
         return d

@@ -151,12 +151,12 @@ def build_artifacts(workers):
         plane3 = orthonormal_basis([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
         full2 = orthonormal_basis(np.eye(2))
         cells = [
-            ("shadow_line_r2", projected_ball_volume(L2, line2, SAMPLES, SEED, workers, "mc", 0), 2.0),
-            ("shadow_line_r3", projected_ball_volume(L2, line3, SAMPLES, SEED, workers, "mc", 1), math.pi),
-            ("shadow_plane_r3", projected_ball_volume(L2, plane3, SAMPLES, SEED, workers, "mc", 2), 2.0),
-            ("slice_line_r3", slice_volume(L2, line3, SAMPLES, SEED, workers, "mc", 3), 2.0),
-            ("slice_plane_r3", slice_volume(L2, plane3, SAMPLES, SEED, workers, "mc", 4), math.pi),
-            ("slice_full_r2", slice_volume(L2, full2, SAMPLES, SEED, workers, "mc", 5), math.pi),
+            ("shadow_line_r2", projected_ball_volume(L2, line2, SAMPLES, SEED, "mc", 0), 2.0),
+            ("shadow_line_r3", projected_ball_volume(L2, line3, SAMPLES, SEED, "mc", 1), math.pi),
+            ("shadow_plane_r3", projected_ball_volume(L2, plane3, SAMPLES, SEED, "mc", 2), 2.0),
+            ("slice_line_r3", slice_volume(L2, line3, SAMPLES, SEED, "mc", 3), 2.0),
+            ("slice_plane_r3", slice_volume(L2, plane3, SAMPLES, SEED, "mc", 4), math.pi),
+            ("slice_full_r2", slice_volume(L2, full2, SAMPLES, SEED, "mc", 5), math.pi),
         ]
         lines = ["name,estimate,target"]
         lines += [f"{name},{est.value!r},{target!r}" for name, est, target in cells]
@@ -190,7 +190,7 @@ def build_artifacts(workers):
             vals = exp.values(tau)
             hits0 = int(np.count_nonzero(vals <= 0))
             hits1 = int(np.count_nonzero(vals <= 1))
-            mean = exp.expect(tau).mean
+            mean = exp.estimate(Quantity.EXPECT, None, tau).mean
             p0s.append(hits0 / SAMPLES)
             p1s.append(hits1 / SAMPLES)
             gaps.append(2.0 - mean)

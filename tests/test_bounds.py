@@ -99,12 +99,6 @@ class TestShadowVolume:
         assert est.std_err > 0.0
         assert abs(est.value - math.pi) <= 4.0 * est.std_err
 
-    def test_worker_invariance(self):
-        diag = orthonormal_basis([[1.0, -1.0, 0.0]])
-        one = projected_ball_volume(L1, diag, n_samples=30_000, workers=1)
-        four = projected_ball_volume(L1, diag, n_samples=30_000, workers=4)
-        assert one == four
-
     def test_method_guard(self):
         with pytest.raises(ValueError):
             projected_ball_volume(L2, empty_basis(2), method="exact")

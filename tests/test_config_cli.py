@@ -140,6 +140,14 @@ class TestSolveCommand:
         assert main(["solve", "--config", path, "--data", "1,2,3"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("data", ["nan,0.5", "inf,0.5"])
+    def test_non_finite_data_vector(self, config_path, capsys, data):
+        path = config_path(minimal())
+        assert main(["solve", "--config", path, "--data", data]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.out == ""
+
     def test_unparsable_data_vector(self, config_path, capsys):
         path = config_path(minimal())
         assert main(["solve", "--config", path, "--data", "1,oops"]) == 1
@@ -186,6 +194,23 @@ class TestEstimateCommand:
         assert len(lines) == 1 + 4 + 2
         assert lines[1].startswith("prob_leq,0,")
         assert lines[-1].startswith("expect,,")
+
+    def test_rows_follow_the_validate_cells(self, config_path, capsys):
+        # One config for both commands: every estimate row is the validate
+        # row of the same (quantity, K, tau) cell, in the same order.
+        path = config_path(
+            {
+                "dictionary": THREE, "tau_grid": [0.05, 0.1], "K_list": [1, 2],
+                "quantities": ["measure_eq", "expect", "prob_leq"], "samples": 3000,
+            }
+        )
+        assert main(["estimate", "--config", path]) == 0
+        estimates = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        main(["validate", "--config", path])
+        validated = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(estimates) == len(validated) == 2 * 2 + 2 + 2 * 2
+        # quantity, K, tau, theta, estimate, ci lead both layouts.
+        assert [row[:6] for row in estimates] == [row[:6] for row in validated]
 
 
 class TestValidateCommand:

@@ -71,19 +71,19 @@ class TestExperiment:
 
     def test_probability_matches_the_exact_strip_union(self, experiment):
         for tau in (0.05, 0.1):
-            est = experiment.prob(1, tau)
+            est = experiment.estimate(Quantity.PROB_LEQ, 1, tau)
             assert est.quantity is Quantity.PROB_LEQ
             assert abs(est.mean - two_strip_prob(tau)) <= 4.0 * est.std_err
 
     def test_point_mass_probability(self, experiment):
         tau = 0.1
-        est = experiment.prob(0, tau, mode="eq")
+        est = experiment.estimate(Quantity.PROB_EQ, 0, tau)
         assert abs(est.mean - tau * tau) <= 4.0 * est.std_err
 
     def test_frequencies_partition_exactly(self, experiment):
         tau = 0.07
-        eqs = [experiment.prob(K, tau, "eq").mean for K in range(3)]
-        leqs = [experiment.prob(K, tau, "leq").mean for K in range(3)]
+        eqs = [experiment.estimate(Quantity.PROB_EQ, K, tau).mean for K in range(3)]
+        leqs = [experiment.estimate(Quantity.PROB_LEQ, K, tau).mean for K in range(3)]
         assert sum(eqs) == pytest.approx(1.0, abs=1e-15)
         assert leqs == sorted(leqs)
         assert leqs[2] == 1.0
@@ -91,12 +91,15 @@ class TestExperiment:
 
     def test_expectation_identity(self, experiment):
         tau = 0.07
-        expected = 2.0 - sum(experiment.prob(K, tau).mean for K in range(2))
-        assert experiment.expect(tau).mean == pytest.approx(expected, abs=1e-12)
+        expected = 2.0 - sum(
+            experiment.estimate(Quantity.PROB_LEQ, K, tau).mean for K in range(2)
+        )
+        mean = experiment.estimate(Quantity.EXPECT, None, tau).mean
+        assert mean == pytest.approx(expected, abs=1e-12)
 
     def test_measure_is_rescaled_probability(self, experiment):
-        est = experiment.measure(1, 0.05, "leq")
-        prob = experiment.prob(1, 0.05, "leq")
+        est = experiment.estimate(Quantity.MEASURE_LEQ, 1, 0.05)
+        prob = experiment.estimate(Quantity.PROB_LEQ, 1, 0.05)
         assert est.mean == pytest.approx(prob.mean * math.pi, rel=1e-15)
         assert est.quantity is Quantity.MEASURE_LEQ
 
@@ -112,9 +115,13 @@ class TestExperiment:
 
     def test_guards(self, experiment):
         with pytest.raises(ValueError):
-            experiment.prob(5, 0.1)
+            experiment.estimate(Quantity.PROB_LEQ, 5, 0.1)
         with pytest.raises(ValueError):
-            experiment.prob(1, 0.1, mode="between")
+            experiment.estimate("between", 1, 0.1)
+        with pytest.raises(ValueError):
+            experiment.estimate(Quantity.MEASURE_EQ, None, 0.1)
+        with pytest.raises(ValueError):
+            experiment.estimate(Quantity.EXPECT, 1, 0.1)
         with pytest.raises(ValueError):
             experiment.values(0.0)
         with pytest.raises(ValueError):
@@ -126,9 +133,12 @@ class TestExperiment:
         def fresh():
             return LevelSetExperiment(AXES2, L2, L2, theta=1.0, n_samples=40_000, seed=7)
 
-        assert fresh().prob(1, 0.05) == experiment.prob(1, 0.05)
-        assert fresh().expect(0.05) == experiment.expect(0.05)
-        assert fresh().measure(0, 0.05, "eq") == experiment.measure(0, 0.05, "eq")
+        for cell in (
+            (Quantity.PROB_LEQ, 1, 0.05),
+            (Quantity.EXPECT, None, 0.05),
+            (Quantity.MEASURE_EQ, 0, 0.05),
+        ):
+            assert fresh().estimate(*cell) == experiment.estimate(*cell)
 
 
 class TestFit:
@@ -194,7 +204,7 @@ class TestValidation:
             honest, c_total=VolumeEstimate(honest.c_total.value / 2.0)
         )
         tau = 0.05
-        est = experiment.measure(1, tau, "leq")
+        est = experiment.estimate(Quantity.MEASURE_LEQ, 1, tau)
         bound = bound_report(Quantity.MEASURE_LEQ, tau, 1.0, crooked)
         assert est.mean > bound.upper + 3.0 * (est.std_err + bound.upper_std_err)
 

@@ -218,8 +218,7 @@ class TestBallVolumes:
         disk = lambda pts: np.linalg.norm(pts, axis=1) <= 1.0
         a = hit_or_miss_volume(disk, [1.0, 1.0], 50_000, seed=4, stream=9)
         b = hit_or_miss_volume(disk, [1.0, 1.0], 50_000, seed=4, stream=9)
-        c = hit_or_miss_volume(disk, [1.0, 1.0], 50_000, seed=4, stream=9, workers=3)
-        assert a == b == c
+        assert a == b
         assert abs(a.value - math.pi) <= 3.0 * a.std_err
 
     def test_hit_or_miss_guards(self):

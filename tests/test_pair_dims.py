@@ -89,7 +89,7 @@ def per_pair_q_totals(family, fidelity, data, n_samples, seed):
             if key not in priced:
                 priced[key] = overlap_constant(
                     fidelity, data, family.members[key[0]], family.members[key[1]],
-                    n_samples, seed, 1, subid=len(priced),
+                    n_samples, seed, subid=len(priced),
                 )
             value += priced[key].value
             err += priced[key].std_err

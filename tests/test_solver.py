@@ -164,6 +164,14 @@ class TestSolveExamples:
         with pytest.raises(ValueError):
             solve_l0(THREE_LINES, L2, np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spec", [L2, LINF], ids=["l2", "linf"])
+    def test_non_finite_data_is_rejected(self, bad, spec):
+        # No span is within tau of a non-finite point, not even the whole
+        # space, so the level scan must never start.
+        with pytest.raises(ValueError, match="finite"):
+            solve_l0(THREE_LINES, spec, np.array([bad, 0.5]), 0.1)
+
 
 class TestSolveProperties:
     def test_monotone_in_tau_and_scale_covariant(self):
