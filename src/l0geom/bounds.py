@@ -297,7 +297,7 @@ def assemble_constants(
     fidelity: NormSpec,
     data: NormSpec,
     K: int,
-    span_tol: float = DEFAULT_SPAN_TOL,
+    *,
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
 ) -> ConstantSet:
@@ -306,19 +306,19 @@ def assemble_constants(
     Euclidean fidelity and data norms short-circuit every volume to closed
     form; ``gate_factors`` gives the width factors and the validity gate.
     The family comes from ``span_family``, so it is the one the dictionary's
-    solvers use.  Q_k sums the overlap constants of the ordered pairs that
-    ``enumerate_pairs`` lists at k.  When the intersection's slice volume
-    depends on k alone (k = 0, or l2 data) the pair value is priced once
-    per k; only pairs whose slice needs Monte Carlo call
-    ``overlap_constant``, each unordered pair once, with subid counting the
-    distinct pairs met so far.
+    solvers use, and its tolerance decides every intersection.  Q_k sums
+    the overlap constants of the ordered pairs that ``enumerate_pairs``
+    lists at k.  When the intersection's slice volume depends on k alone
+    (k = 0, or l2 data) the pair value is priced once per k; only pairs
+    whose slice needs Monte Carlo call ``overlap_constant``, each unordered
+    pair once, with subid counting the distinct pairs met so far.
     """
     n = dictionary.n_dim
     if not 0 <= K <= n:
         raise ValueError(f"K must lie in [0, {n}], got {K}")
     equiv = compute_equiv_constants(fidelity, data, n)
     euclidean = fidelity.kind == "l2" and data.kind == "l2"
-    family = span_family(dictionary, K, span_tol)
+    family = span_family(dictionary, K)
 
     c_members = tuple(
         cylinder_constant(fidelity, data, member, n_samples, seed, subid=i)
@@ -336,7 +336,7 @@ def assemble_constants(
         closed = None if inner is None else _overlap(fidelity, data, n, k, inner)
         value = 0.0
         err = 0.0
-        for i, j in enumerate_pairs(family, k, span_tol):
+        for i, j in enumerate_pairs(family, k):
             key = (min(i, j), max(i, j))
             if key not in pair_cache:
                 pair_cache[key] = closed if closed is not None else overlap_constant(
@@ -346,7 +346,7 @@ def assemble_constants(
                     family.members[key[1]],
                     n_samples,
                     seed,
-                    span_tol,
+                    family.span_tol,
                     subid=len(pair_cache),
                 )
             value += pair_cache[key].value

@@ -124,7 +124,7 @@ def _cmd_solve(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if not tau > 0:
         raise ConfigError(f"tau must be positive, got {tau}")
     solver = L0Solver(
-        config.dictionary, config.fidelity, config.span_tol, config.feas_tol, config.dist_tol
+        config.dictionary, config.fidelity, feas_tol=config.feas_tol, dist_tol=config.dist_tol
     )
     result = solver.solve(data, tau)
     _emit(
@@ -146,9 +146,9 @@ def _cmd_spans(config: ExperimentConfig, args: argparse.Namespace) -> int:
     n = config.dictionary.n_dim
     if not 0 <= args.level <= n:
         raise ConfigError(f"--level must lie in [0, {n}], got {args.level}")
-    family = span_family(config.dictionary, args.level, config.span_tol)
+    family = span_family(config.dictionary, args.level)
     pairs = {
-        str(k): [list(pair) for pair in enumerate_pairs(family, k, config.span_tol)]
+        str(k): [list(pair) for pair in enumerate_pairs(family, k)]
         for k in range(max(0, 2 * args.level - n), args.level)
     }
     _emit(
@@ -173,7 +173,7 @@ def _cmd_constants(config: ExperimentConfig, args: argparse.Namespace) -> int:
     sets = [
         assemble_constants(
             config.dictionary, config.fidelity, config.data, k,
-            config.span_tol, vol_samples, config.seed,
+            n_samples=vol_samples, seed=config.seed,
         )
         for k in config.K_list
     ]
@@ -183,9 +183,8 @@ def _cmd_constants(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_estimate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     experiment = LevelSetExperiment(
-        config.dictionary, config.fidelity, config.data, config.theta,
-        config.n_samples, config.seed, config.span_tol, config.feas_tol,
-        config.dist_tol, config.threads,
+        config.dictionary, config.fidelity, config.data, config.theta, config.n_samples,
+        config.seed, workers=config.threads, feas_tol=config.feas_tol, dist_tol=config.dist_tol,
     )
     cells = validation_cells(config.quantities, config.K_list, config.tau_grid)
     _emit(estimates_to_csv(experiment.estimate(*cell) for cell in cells), args.output)
@@ -212,9 +211,10 @@ def _cmd_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
     report = validate_bounds(
         config.dictionary, config.fidelity, config.data, config.tau_grid,
-        config.theta, config.K_list, config.quantities, config.n_samples,
-        config.seed, config.span_tol, config.feas_tol, config.dist_tol,
-        config.constants_samples, config.threads,
+        config.theta, config.K_list, quantities=config.quantities,
+        n_samples=config.n_samples, seed=config.seed, feas_tol=config.feas_tol,
+        dist_tol=config.dist_tol, constants_samples=config.constants_samples,
+        workers=config.threads,
     )
     _emit(report_to_csv(report), args.output)
     if report.n_fail:

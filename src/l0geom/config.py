@@ -13,9 +13,10 @@ Optional, with defaults:
     samples            100000             Monte Carlo draws per estimate
     constants_samples  same as samples    draws for volume constants
     seed               42                 base seed for all streams
-    span_tol           1e-9               span comparison tolerance
-    feas_tol           1e-10              relative feasibility slack on tau
-    dist_tol           1e-9               distance solver tolerance
+    span_tol           1e-9               rank tolerance of the spanning check, span
+                                          families, pair dimensions and overlaps
+    feas_tol           1e-10              relative slack on tau in feasibility tests
+    dist_tol           1e-9               wlp coordinate descent tolerance (p > 1)
     threads            1                  worker threads for sampling and distance
                                           profiles (never affects results); volume
                                           constants run in the calling thread
@@ -32,7 +33,8 @@ from typing import Any
 
 from .bounds import Quantity
 from .norms import NormSpec
-from .subspaces import Dictionary
+from .solver import DEFAULT_DIST_TOL, DEFAULT_FEAS_TOL
+from .subspaces import DEFAULT_SPAN_TOL, Dictionary
 
 
 class ConfigError(ValueError):
@@ -58,10 +60,13 @@ class ExperimentConfig:
     n_samples: int
     constants_samples: int | None
     seed: int
-    span_tol: float
     feas_tol: float
     dist_tol: float
     threads: int
+
+    @property
+    def span_tol(self) -> float:
+        return self.dictionary.span_tol
 
 
 def _positive(obj: dict[str, Any], key: str, default: float) -> float:
@@ -87,7 +92,7 @@ def config_from_dict(obj: dict[str, Any]) -> ExperimentConfig:
     if "dictionary" not in obj:
         raise ConfigError("config needs a 'dictionary' field")
 
-    span_tol = _positive(obj, "span_tol", 1e-9)
+    span_tol = _positive(obj, "span_tol", DEFAULT_SPAN_TOL)
     try:
         dictionary = Dictionary.from_vectors(obj["dictionary"], span_tol=span_tol)
     except (ValueError, TypeError) as err:
@@ -163,9 +168,8 @@ def config_from_dict(obj: dict[str, Any]) -> ExperimentConfig:
         n_samples=_positive_int(obj, "samples", 100_000),
         constants_samples=constants_samples,
         seed=seed,
-        span_tol=span_tol,
-        feas_tol=_positive(obj, "feas_tol", 1e-10),
-        dist_tol=_positive(obj, "dist_tol", 1e-9),
+        feas_tol=_positive(obj, "feas_tol", DEFAULT_FEAS_TOL),
+        dist_tol=_positive(obj, "dist_tol", DEFAULT_DIST_TOL),
         threads=_positive_int(obj, "threads", 1),
     )
 

@@ -33,7 +33,7 @@ from .solver import (
     member_distances,
     values_from_profiles,
 )
-from .subspaces import DEFAULT_SPAN_TOL, Dictionary, SubspaceBasis
+from .subspaces import Dictionary, SubspaceBasis
 
 
 def wilson_half_width(p_hat: float, n: int) -> float:
@@ -73,7 +73,8 @@ class LevelSetExperiment:
     reused afterwards, and so are the values at each tau, which every cell
     at that tau shares as one read-only array; ``estimate`` prices any
     (quantity, K, tau) cell from them.  ``workers`` splits the chunked
-    sampling and profile work without changing any result.
+    sampling and profile work without changing any result.  The
+    tolerances are read from ``solver`` and the dictionary it searches.
     """
 
     def __init__(
@@ -84,7 +85,7 @@ class LevelSetExperiment:
         theta: float,
         n_samples: int,
         seed: int,
-        span_tol: float = DEFAULT_SPAN_TOL,
+        *,
         feas_tol: float = DEFAULT_FEAS_TOL,
         dist_tol: float = DEFAULT_DIST_TOL,
         workers: int = 1,
@@ -99,10 +100,8 @@ class LevelSetExperiment:
         self.theta = float(theta)
         self.n_samples = int(n_samples)
         self.seed = int(seed)
-        self.feas_tol = feas_tol
-        self.dist_tol = dist_tol
         self.workers = workers
-        self.solver = L0Solver(dictionary, fidelity, span_tol, feas_tol, dist_tol)
+        self.solver = L0Solver(dictionary, fidelity, feas_tol=feas_tol, dist_tol=dist_tol)
         self._points: np.ndarray | None = None
         self._profiles: np.ndarray | None = None
         self._values: dict[float, np.ndarray] = {}
@@ -131,7 +130,7 @@ class LevelSetExperiment:
             raise ValueError(f"tau must be > 0, got {tau}")
         tau = float(tau)
         if tau not in self._values:
-            vals = values_from_profiles(self.profiles, tau, self.feas_tol)
+            vals = values_from_profiles(self.profiles, tau, self.solver.feas_tol)
             vals.flags.writeable = False
             self._values[tau] = vals
         return self._values[tau]
@@ -185,10 +184,12 @@ class LevelSetExperiment:
         """Measure of the set within tau of both spans, inside the data ball."""
         if not tau > 0.0:
             raise ValueError(f"tau must be > 0, got {tau}")
-        thresh = tau * (1.0 + self.feas_tol)
-        near_first = member_distances(self.fidelity, first, self.points, self.dist_tol) <= thresh
-        near_second = member_distances(self.fidelity, second, self.points, self.dist_tol) <= thresh
-        hits = int(np.count_nonzero(near_first & near_second))
+        thresh = tau * (1.0 + self.solver.feas_tol)
+        near = [
+            member_distances(self.fidelity, span, self.points, self.solver.dist_tol) <= thresh
+            for span in (first, second)
+        ]
+        hits = int(np.count_nonzero(near[0] & near[1]))
         return self._frequency(Quantity.MEASURE_LEQ, None, tau, hits)
 
 
@@ -337,10 +338,10 @@ def validate_bounds(
     tau_grid: Sequence[float],
     theta: float,
     K_list: Sequence[int],
+    *,
     quantities: Iterable[Quantity | str] = tuple(Quantity),
     n_samples: int = 100_000,
     seed: int = 42,
-    span_tol: float = DEFAULT_SPAN_TOL,
     feas_tol: float = DEFAULT_FEAS_TOL,
     dist_tol: float = DEFAULT_DIST_TOL,
     constants_samples: int | None = None,
@@ -366,7 +367,7 @@ def validate_bounds(
 
     vol_samples = constants_samples if constants_samples is not None else n_samples
     consts: dict[int, ConstantSet] = {
-        k: assemble_constants(dictionary, fidelity, data, k, span_tol, vol_samples, seed)
+        k: assemble_constants(dictionary, fidelity, data, k, n_samples=vol_samples, seed=seed)
         for k in bound_levels(quantities, K_list, n)
     }
     all_consts = (
@@ -375,7 +376,7 @@ def validate_bounds(
     data_ball_vol = ball_volume(data, n)
     experiment = LevelSetExperiment(
         dictionary, fidelity, data, theta, n_samples, seed,
-        span_tol, feas_tol, dist_tol, workers,
+        feas_tol=feas_tol, dist_tol=dist_tol, workers=workers,
     )
 
     def leading_for(q: Quantity, K: int | None, tau: float) -> float | None:

@@ -38,13 +38,7 @@ import numpy as np
 from . import simplex
 from .norms import NormSpec, norm_eval
 from .streams import map_chunks
-from .subspaces import (
-    DEFAULT_SPAN_TOL,
-    Dictionary,
-    SpanFamily,
-    SubspaceBasis,
-    enumerate_spans,
-)
+from .subspaces import Dictionary, SpanFamily, SubspaceBasis, enumerate_spans
 
 DEFAULT_FEAS_TOL = 1e-10
 DEFAULT_DIST_TOL = 1e-9
@@ -344,26 +338,26 @@ class SolveResult:
     residual: float
 
 
-def span_family(
-    dictionary: Dictionary, K: int, tol: float = DEFAULT_SPAN_TOL
-) -> SpanFamily:
-    """The size-K span family of the dictionary, enumerated once per (K, tol).
+def span_family(dictionary: Dictionary, K: int) -> SpanFamily:
+    """The size-K span family of the dictionary, enumerated once per K.
 
     The family is memoised on the dictionary, so every solver, constant set
-    and CLI listing built from one dictionary shares one enumeration, and
-    through the family one ``pair_dims`` pass.
+    and CLI listing built from one dictionary shares one enumeration, at
+    the dictionary's tolerance, and through the family one ``pair_dims`` pass.
     """
-    key = (K, tol)
-    if key not in dictionary._families:
-        dictionary._families[key] = enumerate_spans(dictionary, K, tol)
-    return dictionary._families[key]
+    if K not in dictionary._families:
+        dictionary._families[K] = enumerate_spans(dictionary, K)
+    return dictionary._families[K]
 
 
 class L0Solver:
     """Shared search state for many solves against one dictionary and norm.
 
     Span families come from ``span_family``, so they are enumerated once
-    per dictionary.  Each level k of 1..N gets one level table for the
+    per dictionary, at the dictionary's own tolerance; a ``span_tol``
+    argument other than that one raises ValueError.  The solver owns the
+    relative slack on tau, ``feas_tol``, and the wlp descent tolerance,
+    ``dist_tol``.  Each level k of 1..N gets one level table for the
     fidelity's norm family (``level_table``), which prices every size-k
     member in one product: a profile block takes each row's nearest
     member from it, and a solve takes the first member within tau from
@@ -378,21 +372,22 @@ class L0Solver:
         self,
         dictionary: Dictionary,
         fidelity: NormSpec,
-        span_tol: float = DEFAULT_SPAN_TOL,
+        span_tol: float | None = None,
         feas_tol: float = DEFAULT_FEAS_TOL,
         dist_tol: float = DEFAULT_DIST_TOL,
     ) -> None:
-        if feas_tol < 0 or dist_tol <= 0 or span_tol <= 0:
+        if span_tol not in (None, dictionary.span_tol):
+            raise ValueError(f"span_tol {span_tol} is not the dictionary's {dictionary.span_tol}")
+        if not (feas_tol >= 0 and dist_tol > 0):
             raise ValueError("tolerances must be positive (feas_tol may be zero)")
         self.dictionary = dictionary
         self.fidelity = fidelity
-        self.span_tol = span_tol
         self.feas_tol = feas_tol
         self.dist_tol = dist_tol
         self._levels: dict[int, _QuadraticLevel | _DualLevel | None] = {}
 
     def family(self, k: int) -> SpanFamily:
-        return span_family(self.dictionary, k, self.span_tol)
+        return span_family(self.dictionary, k)
 
     def level_table(self, k: int) -> _QuadraticLevel | _DualLevel | None:
         """The size-k level table, or None where members are priced one at a time.
@@ -537,9 +532,9 @@ def solve_l0(
     fidelity: NormSpec,
     d: np.ndarray,
     tau: float,
-    span_tol: float = DEFAULT_SPAN_TOL,
+    *,
     feas_tol: float = DEFAULT_FEAS_TOL,
     dist_tol: float = DEFAULT_DIST_TOL,
 ) -> SolveResult:
-    return L0Solver(dictionary, fidelity, span_tol, feas_tol, dist_tol).solve(d, tau)
+    return L0Solver(dictionary, fidelity, feas_tol=feas_tol, dist_tol=dist_tol).solve(d, tau)
 

@@ -32,13 +32,14 @@ DEFAULT_SPAN_TOL = 1e-9
 MAX_SPAN_SUBSETS = 5_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Orthonormal basis of a subspace of R^N, possibly zero-dimensional.
 
     ``matrix`` has shape (N, dim) with orthonormal columns; ``provenance``
     records the dictionary indices the span came from (empty for bases not
-    derived from a dictionary subset).
+    derived from a dictionary subset).  Equality is identity; whether two
+    bases span the same subspace is ``spans_equal``.
     """
 
     matrix: np.ndarray
@@ -101,21 +102,23 @@ def empty_basis(ambient_dim: int) -> SubspaceBasis:
     return SubspaceBasis(np.zeros((ambient_dim, 0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Finite spanning set of R^N, atoms stored as the columns of ``atoms``.
 
-    ``_families`` memoises the span families enumerated from this
-    dictionary, keyed by (K, tol); ``solver.span_family`` fills it.
+    ``span_tol`` is the relative rank tolerance of the spanning check and
+    of every span family, pair dimension and overlap intersection derived
+    from the dictionary.  ``_families`` memoises the span families by K;
+    ``solver.span_family`` fills it.  Equality is identity.
     """
 
     atoms: np.ndarray
     span_tol: float = DEFAULT_SPAN_TOL
-    _families: dict[tuple[int, float], "SpanFamily"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _families: dict[int, "SpanFamily"] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not self.span_tol > 0:
+            raise ValueError(f"span_tol must be positive, got {self.span_tol!r}")
         a = np.asarray(self.atoms, dtype=float)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"atom matrix must be (N, m) with N, m >= 1, got {a.shape}")
@@ -219,30 +222,28 @@ def intersection_basis(
     return SubspaceBasis(a.matrix @ u[:, :k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanFamily:
     """All distinct K-dimensional dictionary spans, one representative each.
 
     Members are ordered by their provenance subsets (lexicographically);
     each provenance is the smallest index subset generating that span.
-    ``_pair_dims`` memoises ``pair_dims`` per tolerance.
+    ``span_tol`` is the tolerance of the dictionary the family came from,
+    and ``_pair_dims`` memoises its ``pair_dims`` matrix.
     """
 
     K: int
     ambient_dim: int
+    span_tol: float
     members: tuple[SubspaceBasis, ...] = field(default_factory=tuple)
-    _pair_dims: dict[float, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _pair_dims: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-def enumerate_spans(
-    dictionary: Dictionary, K: int, tol: float = DEFAULT_SPAN_TOL
-) -> SpanFamily:
-    """Distinct spans of K-element dictionary subsets.
+def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
+    """Distinct spans of K-element dictionary subsets, at the dictionary's span_tol.
 
     Rank-deficient subsets are skipped: their spans already appear at a
     smaller size.  The family size is at most C(n_atoms, K); for K = 0 it is
@@ -254,17 +255,17 @@ def enumerate_spans(
     family size as well, so a ValueError is raised up front when
     C(n_atoms, K) exceeds ``MAX_SPAN_SUBSETS``.
     """
-    n = dictionary.n_dim
+    n, tol = dictionary.n_dim, dictionary.span_tol
     if not 0 <= K <= n:
         raise ValueError(f"K must lie in [0, {n}], got {K}")
     if K == 0:
-        return SpanFamily(K=0, ambient_dim=n, members=(empty_basis(n),))
+        return SpanFamily(K=0, ambient_dim=n, span_tol=tol, members=(empty_basis(n),))
     if K == n:
         for subset in combinations(range(dictionary.n_atoms), n):
             basis = orthonormal_basis(dictionary.subset(subset).T, tol=tol, provenance=subset)
             if basis.dim == n:
-                return SpanFamily(K=n, ambient_dim=n, members=(basis,))
-        return SpanFamily(K=n, ambient_dim=n)
+                return SpanFamily(K=n, ambient_dim=n, span_tol=tol, members=(basis,))
+        return SpanFamily(K=n, ambient_dim=n, span_tol=tol)
     m = dictionary.n_atoms
     subsets = math.comb(m, K)
     if subsets > MAX_SPAN_SUBSETS:
@@ -283,20 +284,20 @@ def enumerate_spans(
             continue
         members.append(basis)
         projectors.append(proj)
-    return SpanFamily(K=K, ambient_dim=n, members=tuple(members))
+    return SpanFamily(K=K, ambient_dim=n, span_tol=tol, members=tuple(members))
 
 
-def pair_dims(family: SpanFamily, tol: float = DEFAULT_SPAN_TOL) -> np.ndarray:
+def pair_dims(family: SpanFamily) -> np.ndarray:
     """(M, M) matrix of intersection dimensions between the family's members.
 
-    Entry (i, j) equals ``intersection_dim(members[i], members[j], tol)``;
-    the diagonal holds K.  Row i stacks member i against every later member
-    and takes all their singular values in one batched SVD, with the rank
-    rule of ``intersection_dim``, so memory stays O(M N K) rather than
-    O(M^2 N K).  The read-only matrix is computed once per tolerance and
-    memoised on the family.
+    Entry (i, j) equals ``intersection_dim(members[i], members[j],
+    family.span_tol)``; the diagonal holds K.  Row i stacks member i against
+    every later member and takes all their singular values in one batched
+    SVD, with the rank rule of ``intersection_dim``, so memory stays
+    O(M N K) rather than O(M^2 N K).  The read-only matrix is computed once
+    and memoised on the family.
     """
-    if tol not in family._pair_dims:
+    if family._pair_dims is None:
         size, k = len(family.members), family.K
         dims = np.full((size, size), k, dtype=np.int16)
         if k > 0 and size > 1:
@@ -306,16 +307,14 @@ def pair_dims(family: SpanFamily, tol: float = DEFAULT_SPAN_TOL) -> np.ndarray:
                 stacked = np.concatenate(
                     [np.broadcast_to(bases[i], later.shape), later], axis=2
                 )
-                rank = _rank(np.linalg.svd(stacked, compute_uv=False), tol)
+                rank = _rank(np.linalg.svd(stacked, compute_uv=False), family.span_tol)
                 dims[i, i + 1 :] = dims[i + 1 :, i] = 2 * k - rank
         dims.flags.writeable = False
-        family._pair_dims[tol] = dims
-    return family._pair_dims[tol]
+        object.__setattr__(family, "_pair_dims", dims)
+    return family._pair_dims
 
 
-def enumerate_pairs(
-    family: SpanFamily, k: int, tol: float = DEFAULT_SPAN_TOL
-) -> tuple[tuple[int, int], ...]:
+def enumerate_pairs(family: SpanFamily, k: int) -> tuple[tuple[int, int], ...]:
     """Ordered pairs (i, j), i != j, of members whose spans meet in dimension k.
 
     Pairs come in row-major order.  Empty whenever k is not attainable, in
@@ -325,6 +324,6 @@ def enumerate_pairs(
     """
     if not 0 <= k <= family.K:
         raise ValueError(f"k must lie in [0, {family.K}], got {k}")
-    hits = pair_dims(family, tol) == k
+    hits = pair_dims(family) == k
     np.fill_diagonal(hits, False)
     return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(hits)))

@@ -119,7 +119,7 @@ def build_artifacts(workers):
         exp = LevelSetExperiment(
             DICT3, L2, L2, theta=1.0, n_samples=100_000, seed=SEED, workers=workers
         )
-        feasible = exp.profiles <= 0.05 * (1.0 + exp.feas_tol)
+        feasible = exp.profiles <= 0.05 * (1.0 + exp.solver.feas_tol)
         n_infeasible = int(np.count_nonzero(~feasible.any(axis=1)))
         counts = np.bincount(exp.values(0.05), minlength=4)
         lines = ["val,count"]
@@ -174,7 +174,7 @@ def build_artifacts(workers):
     def sandwich():
         report = validate_bounds(
             AXES2, L2, L2, TAUS_SANDWICH, 1.0, (0, 1, 2),
-            tuple(Quantity), SAMPLES, SEED, workers=workers,
+            quantities=tuple(Quantity), n_samples=SAMPLES, seed=SEED, workers=workers,
         )
         return report_to_csv(report)
 
@@ -379,7 +379,7 @@ def test_check_10_non_euclidean_end_to_end():
             start = time.monotonic()
             report = validate_bounds(
                 DICT3, LINF, L1, TAUS_SANDWICH, 1.0, (0, 1, 2, 3),
-                tuple(Quantity), 100_000, SEED, workers=workers,
+                quantities=tuple(Quantity), n_samples=100_000, seed=SEED, workers=workers,
             )
             seconds[workers] = time.monotonic() - start
             assert seconds[workers] < 60.0, f"validate took {seconds[workers]:.1f} s"

@@ -56,6 +56,11 @@ class TestConfig:
         assert cfg.constants_samples == 800
         assert cfg.seed == 0
 
+    def test_span_tol_is_the_dictionary_tolerance(self):
+        cfg = config_from_dict(minimal(span_tol=1e-6))
+        assert cfg.span_tol == cfg.dictionary.span_tol == 1e-6
+        assert cfg == cfg and cfg != config_from_dict(minimal(span_tol=1e-6))
+
     def test_scalar_level(self):
         assert config_from_dict(minimal(K=1)).K_list == (1,)
 
@@ -162,6 +167,15 @@ class TestSpansCommand:
         assert out["K"] == 1 and out["ambient_dim"] == 2
         assert [m["atoms"] for m in out["members"]] == [[0], [1], [2]]
         assert len(out["pairs"]["0"]) == 6
+
+    def test_listing_at_the_config_span_tol(self, config_path, capsys):
+        # The second atom is within 1e-7 of the first: one span at 1e-6.
+        near = [[1.0, 0.0], [1.0, 1e-7], [0.0, 1.0]]
+        path = config_path({"dictionary": near, "tau": 0.05, "span_tol": 1e-6})
+        assert main(["spans", "--config", path, "--level", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [m["atoms"] for m in out["members"]] == [[0], [2]]
+        assert out["pairs"] == {"0": [[0, 1], [1, 0]]}
 
     def test_level_out_of_range(self, config_path, capsys):
         path = config_path(minimal())

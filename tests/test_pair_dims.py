@@ -119,12 +119,16 @@ class TestPairDims:
             for k in range(K + 1):
                 assert enumerate_pairs(family, k) == double_loop_pairs(family, k)
 
-    def test_memoised_per_tolerance_and_read_only(self):
-        family = enumerate_spans(Dictionary.from_vectors([[1, 0], [0, 1], [1, 1]]), 1)
+    def test_memoised_per_family_and_read_only(self):
+        vectors = [[1, 0], [0, 1], [1, 1]]
+        family = span_family(Dictionary.from_vectors(vectors), 1)
         dims = pair_dims(family)
         assert pair_dims(family) is dims
-        assert pair_dims(family, 1e-6) is not dims
+        rebuilt = span_family(Dictionary.from_vectors(vectors, span_tol=1e-6), 1)
+        assert (family.span_tol, rebuilt.span_tol) == (1e-9, 1e-6)
+        assert rebuilt is not family and pair_dims(rebuilt) is not dims
         np.testing.assert_array_equal(dims, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(pair_dims(rebuilt), dims)
         with pytest.raises(ValueError):
             dims[0, 1] = 1
 
@@ -170,20 +174,23 @@ class TestOverlapTotals:
 
 
 class TestSpanFamilyMemo:
-    def test_one_enumeration_per_level_and_tolerance(self, monkeypatch):
+    def test_one_enumeration_per_level_and_dictionary(self, monkeypatch):
         from l0geom import solver as solver_module
 
         calls = []
         original = solver_module.enumerate_spans
 
-        def counting(dictionary, K, tol):
-            calls.append((K, tol))
-            return original(dictionary, K, tol)
+        def counting(dictionary, K):
+            calls.append((K, dictionary.span_tol))
+            return original(dictionary, K)
 
         monkeypatch.setattr(solver_module, "enumerate_spans", counting)
-        dictionary = Dictionary.from_vectors([[1, 0], [0, 1], [1, 1]])
+        vectors = [[1, 0], [0, 1], [1, 1]]
+        dictionary = Dictionary.from_vectors(vectors)
         for _ in range(3):
             L0Solver(dictionary, L2).solve(np.array([0.3, 0.2]), 0.01)
         assert span_family(dictionary, 1) is span_family(dictionary, 1)
-        assert span_family(dictionary, 1, 1e-6) is not span_family(dictionary, 1)
+        rebuilt = Dictionary.from_vectors(vectors, span_tol=1e-6)
+        assert span_family(rebuilt, 1) is not span_family(dictionary, 1)
+        assert span_family(rebuilt, 1) is span_family(rebuilt, 1)
         assert sorted(calls) == [(0, 1e-9), (1, 1e-9), (1, 1e-6), (2, 1e-9)]

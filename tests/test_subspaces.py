@@ -9,8 +9,10 @@ import pytest
 from l0geom import (
     Dictionary,
     L0Solver,
+    LevelSetExperiment,
     NormSpec,
     SubspaceBasis,
+    assemble_constants,
     empty_basis,
     enumerate_pairs,
     enumerate_spans,
@@ -276,3 +278,57 @@ class TestPairEnumeration:
         fam = enumerate_spans(THREE_LINES, 1)
         with pytest.raises(ValueError):
             enumerate_pairs(fam, 2)
+
+
+# The second atom is within 1e-7 of the first: one span at span_tol 1e-6,
+# two at the 1e-9 default.
+NEAR_PARALLEL = [[1.0, 0.0], [1.0, 1e-7], [0.0, 1.0]]
+
+
+class TestDictionarySpanTolerance:
+    def test_every_family_uses_the_dictionary_tolerance(self):
+        d = Dictionary.from_vectors(NEAR_PARALLEL, span_tol=1e-6)
+        l2 = NormSpec.l2()
+        family = enumerate_spans(d, 1)
+        assert family.span_tol == 1e-6
+        assert [m.provenance for m in family.members] == [(0,), (2,)]
+        assert [m.provenance for m in L0Solver(d, l2).family(1).members] == [(0,), (2,)]
+        consts = assemble_constants(d, l2, l2, 1)
+        assert [m.provenance for m in consts.family.members] == [(0,), (2,)]
+        assert consts.c_total.value == pytest.approx(8.0, rel=1e-12)
+        default = Dictionary.from_vectors(NEAR_PARALLEL)
+        assert len(assemble_constants(default, l2, l2, 1).family) == 3
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_rejects_a_non_positive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="span_tol"):
+            Dictionary.from_vectors(np.eye(2), span_tol=tol)
+
+    def test_solver_span_tol_must_repeat_the_dictionary(self):
+        d = Dictionary.from_vectors(NEAR_PARALLEL, span_tol=1e-6)
+        l2 = NormSpec.l2()
+        with pytest.raises(ValueError, match="span_tol"):
+            L0Solver(d, l2, 1e-9)
+        assert len(L0Solver(d, l2, 1e-6).family(1)) == 2
+
+    def test_tuning_arguments_are_keyword_only(self):
+        l2 = NormSpec.l2()
+        with pytest.raises(TypeError):
+            assemble_constants(E1E2, l2, l2, 1, 1_000)
+        with pytest.raises(TypeError):
+            validate_bounds(E1E2, l2, l2, (0.1,), 1.0, (1,), ("prob_leq",))
+        with pytest.raises(TypeError):
+            LevelSetExperiment(E1E2, l2, l2, 1.0, 10, 0, 1e-10)
+
+
+class TestIdentityEquality:
+    def test_dictionaries_bases_and_families_compare_by_identity(self):
+        first, second = Dictionary.from_vectors(np.eye(2)), Dictionary.from_vectors(np.eye(2))
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+        line = orthonormal_basis([[1.0, 0.0]])
+        assert line == line and line != orthonormal_basis([[1.0, 0.0]])
+        assert spans_equal(line, orthonormal_basis([[1.0, 0.0]]))
+        assert len({line, line}) == 1
+        family = enumerate_spans(first, 1)
+        assert family == family and family != enumerate_spans(first, 1)
