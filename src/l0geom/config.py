@@ -16,7 +16,10 @@ Optional, with defaults:
     span_tol           1e-9               rank tolerance of the spanning check, span
                                           families, pair dimensions and overlaps
     feas_tol           1e-10              relative slack on tau in feasibility tests
-    dist_tol           1e-9               wlp coordinate descent tolerance (p > 1)
+    dist_tol           1e-9               stopping tolerance of the Newton fit that
+                                          prices every level of a wlp fidelity
+                                          with p > 1 (one level table per level,
+                                          as for every fidelity)
     threads            1                  worker threads for sampling and distance
                                           profiles (never affects results); volume
                                           constants run in the calling thread

@@ -122,9 +122,20 @@ def norm_eval(spec: NormSpec, x: np.ndarray) -> np.ndarray | float:
     elif spec.kind == "linf":
         out = np.max(np.abs(x), axis=-1)
     else:
-        w = np.asarray(spec.weights, dtype=float)
-        out = np.sum((w * np.abs(x)) ** spec.p, axis=-1) ** (1.0 / spec.p)
+        peak, scaled = scaled_magnitudes(np.asarray(spec.weights, dtype=float) * np.abs(x))
+        out = peak * np.sum(scaled**spec.p, axis=-1) ** (1.0 / spec.p)
     return float(out) if out.ndim == 0 else out
+
+
+def scaled_magnitudes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest entry m of y >= 0 on the last axis, and y / m (y itself where m is 0 or inf).
+
+    The weighted lp norm is m (sum (y_i / m)^p)^(1/p): every power lies in
+    [0, 1] and the largest is 1, so the sum neither overflows nor
+    underflows to zero at large p.
+    """
+    peak = np.max(y, axis=-1)
+    return peak, y / np.where((peak > 0.0) & (peak < np.inf), peak, 1.0)[..., None]
 
 
 def _lp_profile(spec: NormSpec) -> tuple[float, float, float]:

@@ -14,17 +14,20 @@ and weighted l1) use LP duality: dist_f(x, V) = max <z, x> over z in
 V-perp with dual norm at most 1, and the maximum is attained at one of
 finitely many vertices that depend on V alone.  ``dual_vertices`` lists
 them once per span, after which every distance is a row maximum of one
-matrix product.  Weighted lp with p > 1 runs coordinate descent.
+matrix product.  Weighted lp with p > 1 has no finite table: its
+distances come from one damped Newton fit over the basis coefficients,
+run for every (row, member) pair at once and stopped by ``dist_tol``.
 
-``L0Solver`` prices a whole level of a span family at once through one
-level table per level, built in the calling thread before any worker
-starts.  For l2 fidelity the table holds, per member, the upper triangle
-of I - P (so a sample's squared distances are one product with its pair
-products x_i x_j) and the stacked bases, which single-vector scans use in
-residual form ||d - U U^T d||, as accurate as one projection.  For
-polyhedral fidelities it is the members' dual vertex tables stacked into
-one matrix with segment offsets.  Weighted lp with p > 1 keeps a loop
-over members.
+``L0Solver`` prices each level k >= 1 of a span family through one level
+table, built in the calling thread before any worker starts; level 0 is
+the norm itself.  For l2 fidelity the table holds, per member, the upper
+triangle of I - P (so a sample's squared distances are one product with
+its pair products x_i x_j) and the stacked bases, which single-vector
+scans use in residual form ||d - U U^T d||, as accurate as one
+projection.  For polyhedral fidelities it is the members' dual vertex
+tables stacked into one matrix with segment offsets.  For weighted lp
+with p > 1 it is the stacked bases that the Newton fit runs on.
+``member_distances`` is the level table of a single member.
 """
 
 from __future__ import annotations
@@ -36,19 +39,24 @@ from itertools import combinations, product
 import numpy as np
 
 from . import simplex
-from .norms import NormSpec, norm_eval
+from .norms import NormSpec, norm_eval, scaled_magnitudes
 from .streams import map_chunks
 from .subspaces import Dictionary, SpanFamily, SubspaceBasis, enumerate_spans
 
 DEFAULT_FEAS_TOL = 1e-10
 DEFAULT_DIST_TOL = 1e-9
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Newton steps of one weighted-lp fit before ConvergenceError, and step
+# halvings of one Armijo backtracking search.
+_MAX_NEWTON_STEPS = 100
+_MAX_HALVINGS = 60
 
-# Coordinate descent caps for wlp with p > 1: full sweeps over the
-# coefficients, and doublings of a line search's bracket.
-_MAX_SWEEPS = 500
-_MAX_BRACKET_DOUBLINGS = 80
+# Curvature weights t^(p - 2) grow without bound at t = 0 when p < 2 (the
+# dual fit's correction step), so they are taken at max(t, _CURVATURE_FLOOR);
+# a floor of 1e-12 left that step ill-conditioned, 4.7e-10 off in distance at
+# p = 1.02.  Each K x K Newton system gets a ridge of _RIDGE times its trace.
+_CURVATURE_FLOOR = 1e-8
+_RIDGE = 1e-12
 
 # Box-vertex candidates whose dual norm exceeds 1 by more than this are
 # dropped as infeasible; the rest are scaled onto the dual unit sphere.
@@ -66,79 +74,6 @@ _PROFILE_CELLS = 1 << 15
 
 class ConvergenceError(RuntimeError):
     """Raised when an iterative distance computation hits its iteration cap."""
-
-
-def _golden_minimize(fn, lo: float, hi: float, tol: float) -> float:
-    """Argmin of a unimodal function on [lo, hi] to argument tolerance tol."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def _wlp_projection(
-    spec: NormSpec, basis: SubspaceBasis, d: np.ndarray, dist_tol: float
-) -> tuple[np.ndarray, float]:
-    """Minimize the wlp distance from d to the span of ``basis``.
-
-    p = 1 reduces exactly to an l1 program after scaling each row by its
-    weight.  For p > 1 the objective is smooth and convex, so cyclic
-    coordinate descent with golden-section line searches converges to the
-    global minimum; running out of sweeps or of bracket doublings raises
-    ConvergenceError.
-    """
-    bm = basis.matrix
-    w = np.asarray(spec.weights, dtype=float)
-    if spec.p == 1.0:
-        return simplex.l1_projection(bm * w[:, None], d * w)
-    k = bm.shape[1]
-    y = bm.T @ d  # Euclidean projection as warm start
-
-    def value(coeffs: np.ndarray) -> float:
-        return float(norm_eval(spec, d - bm @ coeffs))
-
-    def fail(what: str, improvement: float) -> ConvergenceError:
-        return ConvergenceError(
-            f"wlp coordinate descent for basis {basis.provenance or bm.shape} {what} "
-            f"(last improvement {improvement:.3g})"
-        )
-
-    best = value(y)
-    improvement = np.inf
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        previous = best
-        for i in range(k):
-            def along(t: float, i: int = i) -> float:
-                trial = y.copy()
-                trial[i] = t
-                return value(trial)
-
-            # Expand around the current coordinate until a bracket appears.
-            center = y[i]
-            half = 1.0
-            for _ in range(_MAX_BRACKET_DOUBLINGS):
-                if along(center - half) >= best and along(center + half) >= best:
-                    break
-                half *= 2.0
-            else:
-                what = f"found no bracket in {_MAX_BRACKET_DOUBLINGS} doublings in sweep {sweep}"
-                raise fail(what, improvement)
-            y[i] = _golden_minimize(along, center - half, center + half, dist_tol)
-            best = value(y)
-        improvement = previous - best
-        if improvement <= dist_tol * 1e-3:
-            return y, best
-    raise fail(f"did not converge in {_MAX_SWEEPS} sweeps", improvement)
 
 
 def _is_polyhedral(fidelity: NormSpec) -> bool:
@@ -217,12 +152,12 @@ def subspace_distance(
 ) -> tuple[float, np.ndarray]:
     """Distance from d to the subspace in the fidelity norm, with a closest point.
 
-    Euclidean distances are orthogonal projections; l1 and linf are solved
-    as small linear programs over the basis coefficients; wlp falls back to
-    coordinate descent (exact scaled program when p = 1).  The programs
-    are what make the closest point available: a search that needs only
-    distances goes through ``member_distances`` instead, and a solve runs
-    this once, on its winning span.
+    Euclidean distances are orthogonal projections; l1, linf and weighted
+    l1 are solved as small linear programs over the basis coefficients;
+    weighted lp with p > 1 is the Newton fit of ``member_distances`` on one
+    row and one member.  The programs are what make the closest point
+    available: a search that needs only distances goes through the level
+    tables instead, and a solve runs this once, on its winning span.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (basis.ambient_dim,):
@@ -233,13 +168,17 @@ def subspace_distance(
     if fidelity.kind == "l2":
         v = bm @ (bm.T @ d)
         return float(np.linalg.norm(d - v)), v
+    if not _is_polyhedral(fidelity):
+        dist, coeffs = _PowerLevel(fidelity, (basis,), dist_tol).fit(d[None, :])
+        return float(dist[0, 0]), bm @ coeffs[0, 0]
     try:
         if fidelity.kind == "l1":
             coeffs, dist = simplex.l1_projection(bm, d)
         elif fidelity.kind == "linf":
             coeffs, dist = simplex.linf_projection(bm, d)
         else:
-            coeffs, dist = _wlp_projection(fidelity, basis, d, dist_tol)
+            w = np.asarray(fidelity.weights, dtype=float)
+            coeffs, dist = simplex.l1_projection(bm * w[:, None], d * w)
     except simplex.SimplexError as err:
         raise simplex.SimplexError(
             f"projection program failed for basis {basis.provenance or basis.matrix.shape}: {err}"
@@ -255,24 +194,18 @@ def member_distances(
 ) -> np.ndarray:
     """Fidelity distance from each row to the subspace, without closest points.
 
-    Euclidean distances come from one pair of matrix products and
-    polyhedral ones from one product with the span's ``dual_vertices``
-    table; only wlp with p > 1 runs a per-row coordinate descent.
+    This is the level table of the one member: a product with the
+    projector's upper triangle for l2, one product with the span's
+    ``dual_vertices`` for polyhedral norms, and one batched Newton fit over
+    every row for weighted lp with p > 1.  A zero-dimensional span is
+    priced by the norm itself.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != basis.ambient_dim:
         raise ValueError(f"expected (n, {basis.ambient_dim}) rows, got {rows.shape}")
     if basis.dim == 0:
         return np.asarray(norm_eval(fidelity, rows))
-    if fidelity.kind == "l2":
-        proj = rows @ basis.matrix
-        gap = np.einsum("ij,ij->i", rows, rows) - np.einsum("ij,ij->i", proj, proj)
-        return np.sqrt(np.maximum(gap, 0.0))
-    if _is_polyhedral(fidelity):
-        return np.max(rows @ dual_vertices(fidelity, basis).T, axis=1)
-    return np.array(
-        [subspace_distance(fidelity, basis, row, dist_tol)[0] for row in rows]
-    )
+    return _level_table(fidelity, (basis,), dist_tol).nearest(rows)
 
 
 class _QuadraticLevel:
@@ -322,14 +255,187 @@ class _DualLevel:
         return np.min(self.distances(rows), axis=1)
 
 
-@dataclass(frozen=True)
+def _curvature(w: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
+    """Curvature weights w^2 t^(p - 2) of the weighted lp norm at scaled magnitudes t."""
+    return w * w * np.maximum(t, _CURVATURE_FLOOR) ** (p - 2.0)
+
+
+def _weighted_gram(bases_t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(B, K, K) matrices U_b^T diag(weights_b) U_b from (B, K, N) transposed bases.
+
+    Built one row at a time, so no temporary is larger than the bases.
+    """
+    count, k, _ = bases_t.shape
+    gram = np.empty((count, k, k))
+    for i in range(k):
+        gram[:, i] = np.sum(bases_t[:, i, None, :] * bases_t * weights[:, None, :], axis=-1)
+    return gram
+
+
+class _PowerLevel:
+    """Weighted-lp level table (p > 1): the stacked bases and one Newton fit.
+
+    ``fit`` prices every (row, member) pair at once.  For p >= 2 it runs
+    ``_newton`` on the member's K basis coefficients.  For p < 2 residuals
+    that end near zero make that Newton oscillate, so it runs on the dual
+    problem, whose exponent q = p / (p - 1) exceeds 2: 1 / dist(d, V) is the
+    (1/w, q) distance from z0 = C u / |u|^2 to span(C E), with C an
+    orthonormal basis of V-perp, u = C^T d and E one of u-perp.  The dual
+    minimiser z gives the primal residual r ~ sign(z) |z / w|^(q - 1) / w.
+    The coefficients fit d - r, first by projection and then corrected by
+    least squares weighted with the primal curvature w^2 |r|^(p - 2), which
+    keeps the near-zero residuals near zero (the projection alone leaves
+    them at the dual's error, up to 1e-8 in distance at p = 1.01).  The
+    distance is the norm of d - U c at the returned coefficients c.  Every
+    operation acts on one pair's own numbers, so a pair gets the same bits
+    fitted alone, in a block, or in a whole level.
+    """
+
+    def __init__(
+        self, fidelity: NormSpec, members: tuple[SubspaceBasis, ...], dist_tol: float
+    ) -> None:
+        self.fidelity, self.members, self.dist_tol = fidelity, members, dist_tol
+        self.weights = np.asarray(fidelity.weights, dtype=float)
+        self.bases = np.stack([member.matrix for member in members])
+        n_members, n, k = self.bases.shape
+        self.dual = fidelity.p < 2.0 and k < n
+        if self.dual:
+            self.complements = np.stack([member.complement().matrix for member in members])
+        # Unknowns per row, over all members: the fit's largest arrays hold
+        # N cells for each, and its Python steps are paid once per block.
+        self.width = n_members * max(k, n - k - 1 if self.dual else 0)
+
+    def fit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(n, M) distances and (n, M, K) coefficients of every row against every member."""
+        n_rows, (n_members, _, k) = rows.shape[0], self.bases.shape
+        which = np.tile(np.arange(n_members), n_rows)
+        data = np.repeat(rows, n_members, axis=0)
+        bases = self.bases[which]
+        if self.dual:
+            coeffs = self._dual_fit(bases, data, which)
+        else:
+            coeffs = self._newton(self.weights, self.fidelity.p, bases, data, which)
+        dist = norm_eval(self.fidelity, data - np.sum(bases * coeffs[:, None, :], axis=-1))
+        return dist.reshape(n_rows, n_members), coeffs.reshape(n_rows, n_members, k)
+
+    def _dual_fit(self, bases: np.ndarray, data: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """Coefficients of every pair through the dual problem (p < 2)."""
+        w, p = self.weights, self.fidelity.p
+        comp = self.complements[which]
+        u = np.sum(comp.transpose(0, 2, 1) * data[:, None, :], axis=-1)
+        norm2 = np.sum(u * u, axis=-1)
+        inside = norm2 == 0.0  # data in the span: residual 0
+        z0 = np.sum(comp * (u / np.where(inside, 1.0, norm2)[:, None])[:, None, :], axis=-1)
+        perp_t = np.linalg.qr(u[:, :, None], mode="complete")[0][:, :, 1:].transpose(0, 2, 1)
+        dual_bases = np.sum(comp[:, :, None, :] * perp_t[:, None, :, :], axis=-1)
+        q = p / (p - 1.0)
+        y = self._newton(1.0 / w, q, dual_bases, z0, which, dual=True)
+        z = z0 - np.sum(dual_bases * y[:, None, :], axis=-1)
+        peak, t = scaled_magnitudes(np.abs(z) / w)
+        scale = w * np.where(inside, np.inf, peak * np.sum(t**q, axis=-1))[:, None]
+        residual = np.sign(z) * t ** (q - 1.0) / scale
+        bases_t = bases.transpose(0, 2, 1)
+        coeffs = np.sum(bases_t * (data - residual)[:, None, :], axis=-1)
+        misfit = data - residual - np.sum(bases * coeffs[:, None, :], axis=-1)
+        curv = _curvature(w, scaled_magnitudes(w * np.abs(residual))[1], p)
+        target = np.sum(bases_t * (curv * misfit)[:, None, :], axis=-1)
+        return coeffs + np.linalg.solve(_weighted_gram(bases_t, curv), target[:, :, None])[:, :, 0]
+
+    def _newton(
+        self, w: np.ndarray, p: float, bases: np.ndarray, data: np.ndarray, which: np.ndarray,
+        dual: bool = False,
+    ) -> np.ndarray:
+        """Coefficients c minimising phi(c) = ||data_i - bases_i c||_{w,p} for every pair i.
+
+        Damped Newton on phi^2 from c = U^T d.  With r the residual,
+        m = max_i w_i |r_i|, t = w |r| / m, S = sum_i t_i^p and
+        g = U^T (w t^(p-1) sign(r)), the step is
+
+            m [(p - 1) U^T diag(w^2 t^(p-2)) U - (p - 2) g g^T / S]^(-1) g,
+
+        so every power is taken of a number in [0, 1]; where that is not a
+        descent direction, a gradient step of length m replaces it.  Each
+        step backtracks until Armijo's condition holds on phi, and a pair
+        stops once a step gains at most 1e-3 * dist_tol in the distance (in
+        phi itself, or for the ``dual`` fit in 1 / phi).  A pair still
+        gaining after ``_MAX_NEWTON_STEPS`` raises ConvergenceError.
+        """
+        k, bases_t = bases.shape[2], bases.transpose(0, 2, 1)
+        spec = NormSpec("wlp", p=p, weights=tuple(w))
+
+        def residual(pairs: np.ndarray, c: np.ndarray) -> np.ndarray:
+            return data[pairs] - np.sum(bases[pairs] * c[:, None, :], axis=-1)
+
+        coeffs = np.sum(bases_t * data[:, None, :], axis=-1)
+        active = np.arange(len(data))
+        for _ in range(_MAX_NEWTON_STEPS):
+            c, u_t = coeffs[active], bases_t[active]
+            r = residual(active, c)
+            peak, t = scaled_magnitudes(w * np.abs(r))
+            total = np.maximum(np.sum(t**p, axis=-1), 1.0)  # >= 1 already where peak > 0
+            phi = peak * total ** (1.0 / p)
+            g = np.sum(u_t * (w * t ** (p - 1.0) * np.sign(r))[:, None, :], axis=-1)
+            hess = (p - 1.0) * _weighted_gram(u_t, _curvature(w, t, p))
+            hess -= (p - 2.0) * g[:, :, None] * g[:, None, :] / total[:, None, None]
+            trace = np.sum(np.diagonal(hess, axis1=1, axis2=2), axis=-1)
+            hess += (_RIDGE * trace)[:, None, None] * np.eye(k)
+            hess[~(trace > 0.0)] = np.eye(k)
+            step = peak[:, None] * np.linalg.solve(hess, g[:, :, None])[:, :, 0]
+            bad = ~((trace > 0.0) & (np.sum(g * step, axis=-1) > 0.0))
+            length = np.maximum(np.linalg.norm(g[bad], axis=-1), np.finfo(float).tiny)
+            step[bad] = peak[bad, None] * g[bad] / length[:, None]
+            slope = -np.sum(g * step, axis=-1) * total ** (1.0 / p - 1.0)  # d phi / d alpha
+
+            new_c, new_phi, alpha = c.copy(), phi.copy(), np.ones(len(active))
+            trying = np.arange(len(active))
+            for _ in range(_MAX_HALVINGS):
+                trial = c[trying] + alpha[trying, None] * step[trying]
+                trial_phi = norm_eval(spec, residual(active[trying], trial))
+                ok = trial_phi <= phi[trying] + 1e-4 * alpha[trying] * slope[trying]
+                new_c[trying[ok]], new_phi[trying[ok]] = trial[ok], trial_phi[ok]
+                trying = trying[~ok]
+                if not trying.size:
+                    break
+                alpha[trying] *= 0.5
+
+            coeffs[active] = new_c
+            gain = phi - new_phi
+            going = gain > 1e-3 * self.dist_tol * (phi * new_phi if dual else 1.0)
+            active, gain = active[going], gain[going]
+            if not active.size:
+                return coeffs
+        basis = self.members[which[active[0]]]
+        raise ConvergenceError(
+            f"wlp Newton fit for basis {basis.provenance or basis.matrix.shape} did not "
+            f"converge in {_MAX_NEWTON_STEPS} steps (last gain {gain[0]:.3g})"
+        )
+
+    def distances(self, d: np.ndarray) -> np.ndarray:
+        return self.fit(d[None, :])[0][0]
+
+    def nearest(self, rows: np.ndarray) -> np.ndarray:
+        return np.min(self.fit(rows)[0], axis=1)
+
+
+def _level_table(
+    fidelity: NormSpec, members: tuple[SubspaceBasis, ...], dist_tol: float
+) -> _QuadraticLevel | _DualLevel | _PowerLevel:
+    """The level table of the fidelity's norm family for members of one dimension k >= 1."""
+    if fidelity.kind == "l2":
+        return _QuadraticLevel(members)
+    if _is_polyhedral(fidelity):
+        return _DualLevel(fidelity, members)
+    return _PowerLevel(fidelity, members, dist_tol)
+
+
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Outcome of one smallest-support solve.
 
     ``support`` is the lexicographically smallest atom subset attaining the
     optimum, ``coefficients`` its weights, and ``residual`` the fidelity
     norm of the approximation error (at most tau up to the feasibility
-    slack).
+    slack).  Equality is identity.
     """
 
     value: int
@@ -356,13 +462,13 @@ class L0Solver:
     Span families come from ``span_family``, so they are enumerated once
     per dictionary, at the dictionary's own tolerance; a ``span_tol``
     argument other than that one raises ValueError.  The solver owns the
-    relative slack on tau, ``feas_tol``, and the wlp descent tolerance,
-    ``dist_tol``.  Each level k of 1..N gets one level table for the
-    fidelity's norm family (``level_table``), which prices every size-k
-    member in one product: a profile block takes each row's nearest
-    member from it, and a solve takes the first member within tau from
-    the residual form for l2 or the stacked dual tables for polyhedral
-    fidelities.  Tables are built on first use in the calling thread, and
+    relative slack on tau, ``feas_tol``, and the stopping tolerance of the
+    weighted-lp Newton fit, ``dist_tol``.  Each level k of 1..N gets one
+    level table for the fidelity's norm family (``level_table``), whatever
+    the fidelity, which prices every size-k member at once: a profile block
+    takes each row's nearest member from it, and a solve takes the first
+    member within tau from it.  Level 0 is priced by the norm itself.
+    Tables are built on first use in the calling thread, and
     ``distance_profiles`` builds all it needs before any worker starts;
     afterwards the solver is only read, so distinct data vectors may be
     solved concurrently.
@@ -384,25 +490,17 @@ class L0Solver:
         self.fidelity = fidelity
         self.feas_tol = feas_tol
         self.dist_tol = dist_tol
-        self._levels: dict[int, _QuadraticLevel | _DualLevel | None] = {}
+        self._levels: dict[int, _QuadraticLevel | _DualLevel | _PowerLevel] = {}
 
     def family(self, k: int) -> SpanFamily:
         return span_family(self.dictionary, k)
 
-    def level_table(self, k: int) -> _QuadraticLevel | _DualLevel | None:
-        """The size-k level table, or None where members are priced one at a time.
-
-        That is level 0, whose one member is priced by the norm itself, and
-        every level of a wlp fidelity with p > 1.
-        """
+    def level_table(self, k: int) -> _QuadraticLevel | _DualLevel | _PowerLevel:
+        """The level table of the size-k members, k = 1..N, memoised on the solver."""
+        if not 1 <= k <= self.dictionary.n_dim:
+            raise ValueError(f"level tables cover k = 1..{self.dictionary.n_dim}, got {k}")
         if k not in self._levels:
-            members = self.family(k).members
-            table = None
-            if k > 0 and self.fidelity.kind == "l2":
-                table = _QuadraticLevel(members)
-            elif k > 0 and _is_polyhedral(self.fidelity):
-                table = _DualLevel(self.fidelity, members)
-            self._levels[k] = table
+            self._levels[k] = _level_table(self.fidelity, self.family(k).members, self.dist_tol)
         return self._levels[k]
 
     def _check_data(self, d: np.ndarray, tau: float) -> np.ndarray:
@@ -424,17 +522,8 @@ class L0Solver:
         table puts within thresh is the answer.  No linear program runs.
         """
         members = self.family(k).members
-        table = self.level_table(k)
-        if table is None:
-            return next(
-                (
-                    m
-                    for m in members
-                    if subspace_distance(self.fidelity, m, d, self.dist_tol)[0] <= thresh
-                ),
-                None,
-            )
-        hits = np.flatnonzero(table.distances(d) <= thresh)
+        dists = self.level_table(k).distances(d) if k else norm_eval(self.fidelity, d[None, :])
+        hits = np.flatnonzero(dists <= thresh)
         return members[hits[0]] if hits.size else None
 
     def solve(self, d: np.ndarray, tau: float) -> SolveResult:
@@ -487,14 +576,14 @@ class L0Solver:
         value of a solve is the first column whose entry is within the
         feasibility threshold, so one profile matrix serves every tau.
         Level tables are built here, before any worker starts, and each
-        block of rows prices a level with one product.
+        block of rows prices a level with one call of its table.
         """
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != self.dictionary.n_dim:
             raise ValueError(f"expected (n, {self.dictionary.n_dim}) data, got {data.shape}")
         n_dim = self.dictionary.n_dim
         tables = {k: self.level_table(k) for k in range(1, n_dim)}
-        widest = max((t.width for t in tables.values() if t is not None), default=1)
+        widest = max((t.width for t in tables.values()), default=1)
         block = max(1, _PROFILE_CELLS // widest)
         n_blocks = max(1, -(-data.shape[0] // block))
 
@@ -504,16 +593,7 @@ class L0Solver:
             out[:, 0] = np.asarray(norm_eval(self.fidelity, rows))
             out[:, n_dim] = 0.0
             for k, table in tables.items():
-                if table is not None:
-                    out[:, k] = table.nearest(rows)
-                    continue
-                out[:, k] = np.min(
-                    [
-                        member_distances(self.fidelity, member, rows, self.dist_tol)
-                        for member in self.family(k).members
-                    ],
-                    axis=0,
-                )
+                out[:, k] = table.nearest(rows)
             return out
 
         return np.vstack(map_chunks(profile_block, n_blocks, workers))

@@ -1,10 +1,11 @@
-"""End-to-end acceptance suite: ten numbered checks, one line printed each.
+"""End-to-end acceptance suite: eleven numbered checks, one line printed each.
 
 Checks 2 through 8 build deterministic text artifacts through a shared
 builder; check 9 rebuilds every artifact with 2 and 8 worker threads and
 requires byte identity with the single-threaded build.  Check 1 (solver
-versus brute force) is randomized but seeded, and timed.  Check 10 runs
-a non-Euclidean validation (linf fidelity, l1 data) end to end.
+versus brute force) is randomized but seeded, and timed.  Checks 10 and
+11 run non-Euclidean validations end to end: linf fidelity with l1 data,
+and weighted lp (p = 3) fidelity with l2 data.
 """
 
 import math
@@ -393,3 +394,28 @@ def test_check_10_non_euclidean_end_to_end():
         )
 
     _checked(10, "non-Euclidean end to end", body)
+
+
+def test_check_11_weighted_lp_end_to_end():
+    fidelity = NormSpec.weighted_lp(3.0, [1.0, 2.0, 0.5])
+
+    def body():
+        csvs, seconds = {}, {}
+        for workers in (1, 2):
+            start = time.monotonic()
+            report = validate_bounds(
+                DICT3, fidelity, L2, TAUS_SANDWICH, 1.0, (0, 1, 2, 3),
+                quantities=tuple(Quantity), n_samples=20_000, seed=SEED, workers=workers,
+            )
+            seconds[workers] = time.monotonic() - start
+            assert seconds[workers] < 60.0, f"validate took {seconds[workers]:.1f} s"
+            assert report.n_fail == 0
+            assert report.n_pass > 0
+            csvs[workers] = report_to_csv(report)
+        assert csvs[1] == csvs[2]
+        return (
+            f"{report.n_pass} valid cells pass, {report.n_invalid} invalid, "
+            f"CSV identical at 1 and 2 workers, {max(seconds.values()):.1f} s"
+        )
+
+    _checked(11, "weighted lp end to end", body)

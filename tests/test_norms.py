@@ -93,6 +93,15 @@ class TestNormEval:
         np.testing.assert_allclose(out, [5.0, 1.0])
         assert norm_eval(L1, batch.reshape(1, 2, 2)).shape == (1, 2)
 
+    def test_wlp_at_large_p_neither_overflows_nor_underflows(self):
+        # (w |x|)^p alone overflows to inf at 10^400 and underflows to 0 at 0.1^400.
+        wide = NormSpec.weighted_lp(400.0, [1.0, 1.0])
+        assert norm_eval(wide, np.array([10.0, 0.0])) == 10.0
+        assert norm_eval(wide, np.array([0.1, 0.0])) == 0.1
+        assert norm_eval(wide, np.array([np.inf, 1.0])) == np.inf
+        small = norm_eval(NormSpec.weighted_lp(120.0, [1.0, 1.0, 1.0]), np.array([1e-3, 5e-4, 0.0]))
+        assert small == pytest.approx(1e-3, rel=1e-15)
+
     def test_wlp_dimension_guard(self):
         with pytest.raises(ValueError):
             norm_eval(NormSpec.weighted_lp(2.0, [1.0, 1.0]), np.zeros(3))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from l0geom import (
     ConvergenceError,
@@ -163,6 +163,12 @@ class TestSolveExamples:
             solve_l0(THREE_LINES, L2, np.zeros(3), 0.1)
         with pytest.raises(ValueError):
             solve_l0(THREE_LINES, L2, np.zeros(2), 0.0)
+
+    def test_results_compare_by_identity(self):
+        identity = Dictionary.from_vectors(np.eye(2))
+        first = solve_l0(identity, L2, np.array([1.0, 1.0]), 0.1)
+        assert first == first
+        assert first != solve_l0(identity, L2, np.array([1.0, 1.0]), 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("spec", [L2, LINF], ids=["l2", "linf"])
@@ -405,10 +411,11 @@ class TestPolyhedralSolve:
         solver = L0Solver(THREE_LINES, LINF)
         points = np.random.default_rng(5).standard_normal((50, 2))
         profiles = solver.distance_profiles(points)
-        nearest = np.min(
-            [member_distances(LINF, m, points) for m in solver.family(1).members], axis=0
-        )
-        np.testing.assert_array_equal(profiles[:, 1], nearest)
+        nearest = [
+            min(subspace_distance(LINF, m, x)[0] for m in solver.family(1).members) for x in points
+        ]
+        scale = 1.0 + np.abs(points).sum(axis=1)
+        assert np.all(np.abs(profiles[:, 1] - nearest) <= 1e-12 * scale)
 
 
 @st.composite
@@ -448,8 +455,9 @@ class TestLevelTables:
         profiles = solver.distance_profiles(points)
         scale = 1.0 + np.einsum("ij,ij->i", points, points)
         for k in range(1, dictionary.n_dim):
-            nearest = np.min(
-                [member_distances(L2, m, points) for m in solver.family(k).members], axis=0
+            members = solver.family(k).members
+            nearest = np.array(
+                [min(subspace_distance(L2, m, x)[0] for m in members) for x in points]
             )
             assert np.all(np.abs(profiles[:, k] ** 2 - nearest**2) <= 1e-12 * scale), k
 
@@ -483,7 +491,11 @@ class TestLevelTables:
             for K in range(dictionary.n_dim + 1):
                 assert solver.value_leq(d, tau, K) == (res.value <= K)
 
-    @pytest.mark.parametrize("spec", [L2, L1, LINF], ids=["l2", "l1", "linf"])
+    @pytest.mark.parametrize(
+        "spec",
+        [L2, L1, LINF] + [NormSpec.weighted_lp(p, [1.0, 2.0, 0.5, 3.0]) for p in (3.0, 1.3)],
+        ids=["l2", "l1", "linf", "wlp3", "wlp1.3"],
+    )
     def test_profiles_worker_invariance_off_the_block(self, spec):
         dictionary = Dictionary.from_vectors(
             [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
@@ -521,14 +533,120 @@ class TestWeightedLpConvergence:
         dist, point = subspace_distance(self.SPEC, self.BASIS, self.DATA)
         assert float(norm_eval(self.SPEC, self.DATA - point)) == pytest.approx(dist)
 
-    def test_sweep_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(solver, "_MAX_SWEEPS", 1)
-        message = r"\(0, 2\) did not converge in 1 sweeps \(last improvement \d"
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_step_cap_raises(self, monkeypatch, p):
+        spec = NormSpec.weighted_lp(p, self.SPEC.weights)
+        monkeypatch.setattr(solver, "_MAX_NEWTON_STEPS", 1)
+        message = r"\(0, 2\) did not converge in 1 steps \(last gain \d"
         with pytest.raises(ConvergenceError, match=message):
-            subspace_distance(self.SPEC, self.BASIS, self.DATA)
+            subspace_distance(spec, self.BASIS, self.DATA)
 
-    def test_bracket_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(solver, "_MAX_BRACKET_DOUBLINGS", 1)
-        message = r"\(0, 2\) found no bracket in 1 doublings in sweep 1 \(last improvement"
-        with pytest.raises(ConvergenceError, match=message):
-            subspace_distance(self.SPEC, self.BASIS, 1000.0 * self.DATA)
+
+def nelder_mead_distance(spec, basis, d, start):
+    """Smallest distance scipy's Nelder-Mead reaches from start, at most its value there."""
+    def objective(c):
+        return float(norm_eval(spec, d - basis.matrix @ c))
+
+    options = {"xatol": 1e-14, "fatol": 1e-17, "maxfev": 4_000}
+    return minimize(objective, start, method="Nelder-Mead", options=options).fun
+
+
+def first_order_gap(spec, basis, d, point):
+    """|U^T a| at the residual s = d - point, and the part of it rounding can explain.
+
+    a = w t^(p-1) sign(s), with t = w |s| / max(w |s|), is the gradient of
+    sum (w |s|)^p up to a positive factor.  Near p = 1 the optimal s_i of
+    a near-interpolated coordinate is far below rounding (0.05^20 ~ 1e-26
+    at p = 1.05), so s_i is known only to the accuracy of the fitted
+    coefficients, taken as 1e-13 of |d_i| + sum_k |U_ik c_k|.  That moves
+    t_i^(p-1) a lot where s_i is tiny, so the allowance is the spread of
+    a_i over that interval, summed through |U|.
+    """
+    w, p, u = np.asarray(spec.weights), spec.p, basis.matrix
+    s = d - point
+    peak = np.max(w * np.abs(s))
+    ulps = 1e-13 * (np.abs(d) + np.abs(u) @ np.abs(u.T @ point))
+    t, slack = w * np.abs(s) / peak, w * ulps / peak
+    grad = u.T @ (w * t ** (p - 1.0) * np.sign(s))
+    lower = np.where(t > slack, 1.0, -1.0) * np.abs(t - slack) ** (p - 1.0)
+    spread = w * ((t + slack) ** (p - 1.0) - lower)
+    return np.abs(grad), np.abs(u).T @ spread, np.abs(u).T @ (w * t ** (p - 1.0))
+
+
+@st.composite
+def wlp_cases(draw):
+    """A dependent dictionary, points, and a wlp fidelity with p in [1.05, 50]."""
+    dictionary, points = draw(dependent_dictionaries())
+    n = dictionary.n_dim
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.2, 5.0, n)
+    spec = NormSpec.weighted_lp(draw(st.floats(1.05, 50.0)), weights)
+    return dictionary, points, spec
+
+
+class TestWeightedLpFit:
+    @settings(max_examples=30, deadline=None)
+    @given(wlp_cases(), st.integers(0, 2**32 - 1))
+    def test_first_order_condition_and_nelder_mead(self, case, seed):
+        dictionary, points, spec = case
+        rng = np.random.default_rng(seed)
+        for k in range(1, dictionary.n_dim):
+            members = enumerate_spans(dictionary, k).members
+            for d in points[rng.choice(len(points), 2, replace=False)]:
+                basis = members[rng.integers(len(members))]
+                dist, point = subspace_distance(spec, basis, d)
+                # The fit stops on a gain of 1e-12, which leaves a gradient of
+                # order sqrt(1e-12 * curvature), and phi's curvature is ~ p / dist.
+                if dist > 1e-12 * (1.0 + np.abs(d).sum()):
+                    grad, rounding, size = first_order_gap(spec, basis, d, point)
+                    allowed = rounding + 1e-5 * np.sqrt(spec.p / min(dist, 1.0)) * size
+                    assert np.all(grad <= allowed), (spec.p, dist, grad, rounding)
+                reference = nelder_mead_distance(spec, basis, d, basis.matrix.T @ point)
+                assert dist - reference <= 1e-12 * (1.0 + dist), (spec.p, dist, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wlp_cases(), st.integers(0, 2**32 - 1))
+    def test_data_in_the_span_are_at_distance_zero(self, case, seed):
+        dictionary, _, spec = case
+        rng = np.random.default_rng(seed)
+        for k in range(1, dictionary.n_dim + 1):
+            for basis in enumerate_spans(dictionary, k).members[:3]:
+                d = basis.matrix @ rng.standard_normal(k)
+                dist, point = subspace_distance(spec, basis, d)
+                assert dist <= 1e-12 * (1.0 + np.abs(d).sum())
+                np.testing.assert_allclose(point, d, atol=1e-12 * (1.0 + np.abs(d).sum()))
+
+    @pytest.mark.parametrize("p", [1.3, 3.0])
+    def test_a_pair_fits_the_same_alone_in_a_block_and_in_a_level(self, p):
+        spec = NormSpec.weighted_lp(p, [1.0, 2.0, 0.5, 3.0])
+        dictionary = Dictionary.from_vectors(
+            [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+             [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0], [1.0, -1.0, 1.0, 2.0]]
+        )
+        points = np.random.default_rng(71).uniform(-1.0, 1.0, (40, 4))
+        fitted = L0Solver(dictionary, spec)
+        for k in range(1, 4):
+            members = fitted.family(k).members
+            level = fitted.level_table(k).fit(points)[0]
+            for m, member in enumerate(members):
+                np.testing.assert_array_equal(member_distances(spec, member, points), level[:, m])
+                for i in (0, 17, 39):
+                    alone = subspace_distance(spec, member, points[i])[0]
+                    assert alone == level[i, m]
+            for i in (0, 17, 39):
+                np.testing.assert_array_equal(fitted.level_table(k).distances(points[i]), level[i])
+
+    @pytest.mark.parametrize("p", [1.3, 3.0])
+    def test_solve_values_match_the_profiles(self, p):
+        spec = NormSpec.weighted_lp(p, [1.0, 2.0, 0.5])
+        dictionary = Dictionary.from_vectors(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]
+        )
+        fitted = L0Solver(dictionary, spec)
+        points = sample_levelset_batch(L2, 1.0, 3, 300, seed=9)
+        profiles = fitted.distance_profiles(points)
+        for tau in (0.01, 0.05, 0.2):
+            values = values_from_profiles(profiles, tau)
+            for i in range(0, 300, 7):
+                res = fitted.solve(points[i], tau)
+                assert res.value == values[i]
+                assert res.residual <= tau * (1.0 + 1e-9)
