@@ -102,14 +102,8 @@ def projected_ball_volume(
     complement = basis.complement()
     delta2 = compute_equiv_constants(fidelity, fidelity, n).delta2
 
-    if fidelity.kind == "l2":
-        def member(points: np.ndarray) -> np.ndarray:
-            # The shadow of the Euclidean ball is the Euclidean ball of V-perp.
-            return np.linalg.norm(points, axis=1) <= 1.0
-    else:
-        def member(points: np.ndarray) -> np.ndarray:
-            ambient = points @ complement.matrix.T
-            return member_distances(fidelity, basis, ambient) <= 1.0
+    def member(points: np.ndarray) -> np.ndarray:
+        return member_distances(fidelity, basis, points @ complement.matrix.T) <= 1.0
 
     return hit_or_miss_volume(
         member,
@@ -146,8 +140,6 @@ def slice_volume(
     delta3 = compute_equiv_constants(data, data, n).delta3
 
     def member(points: np.ndarray) -> np.ndarray:
-        if data.kind == "l2":
-            return np.linalg.norm(points, axis=1) <= 1.0
         return np.asarray(norm_eval(data, points @ basis.matrix.T)) <= 1.0
 
     return hit_or_miss_volume(

@@ -1,20 +1,19 @@
 """Dictionaries, orthonormal subspace bases, and span-family enumeration.
 
 A dictionary is a finite list of nonzero vectors spanning R^N.  For each
-size K this module enumerates the distinct K-dimensional subspaces spanned
-by K-element subsets of the dictionary, keeping one representative per
-span together with the lexicographically smallest index subset that
-produced it.  Pairs of distinct family members are indexed by the
-dimension of their intersection, which drives the overlap corrections in
-the measure bounds.  ``pair_dims`` finds every pair's dimension in one
-batched rank pass per family and memoises the matrix on the family, so
-``enumerate_pairs`` is a filter over it at every k.
+size K this module enumerates the distinct K-dimensional spans of
+K-element subsets, the rank-K flats of the dictionary's matroid, keeping
+the lexicographically smallest index subset of each.  One rank rule,
+``_rank`` at the dictionary's span_tol, decides every span question: an
+atom lies in a span's flat, and two K-spans coincide, when the stacked
+columns keep rank K.  Pairs of distinct members are indexed by the
+dimension of their intersection, which drives the overlap corrections;
+``pair_dims`` finds them all in one batched rank pass per family.
 
 Enumeration refuses, before it starts, families with 0 < K < N whose
-C(m, K) subset count exceeds ``MAX_SPAN_SUBSETS``: deduplication and the
-pair pass both grow with the square of the family size.  The K = N family
-is the whole space and costs at most C(m, N) rank checks, so it is not
-capped.
+C(m, K) subset count exceeds ``MAX_SPAN_SUBSETS``: the pair pass grows
+with the square of the family size.  The K = N family is the whole space
+and is not capped.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ import numpy as np
 
 DEFAULT_SPAN_TOL = 1e-9
 
-# Largest C(m, K) that enumerate_spans accepts; see its docstring.
+# Largest C(m, K) that enumerate_spans accepts.  It guards the quadratic
+# pair pass alone: N=8, m=16, K=4 has 1,820 members and takes about 17 s.
 MAX_SPAN_SUBSETS = 5_000
 
 
@@ -78,7 +78,7 @@ class SubspaceBasis:
 
 
 def _left_singular(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors and singular values of m.
+    """Left singular vectors and singular values of m, or of a stack of matrices.
 
     Some LAPACK builds' divide-and-conquer SVD fails to converge on small,
     well-conditioned integer matrices; the SVD of the transpose is the same
@@ -87,8 +87,8 @@ def _left_singular(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.n
     try:
         u, s, _ = np.linalg.svd(m, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
-        _, s, ut = np.linalg.svd(m.T, full_matrices=full_matrices)
-        u = ut.T
+        _, s, ut = np.linalg.svd(m.swapaxes(-1, -2), full_matrices=full_matrices)
+        u = ut.swapaxes(-1, -2)
     return u, s
 
 
@@ -189,12 +189,9 @@ def orthonormal_basis(
 
 
 def spans_equal(a: SubspaceBasis, b: SubspaceBasis, tol: float = DEFAULT_SPAN_TOL) -> bool:
-    """True when the two spans coincide (projector distance within tol)."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("bases live in different ambient dimensions")
-    if a.dim != b.dim:
-        return False
-    return bool(np.linalg.norm(a.projector() - b.projector()) <= tol)
+    """True when the two spans coincide: equal dimensions that their
+    intersection attains, by the rank rule of ``intersection_dim``."""
+    return intersection_dim(a, b, tol) == a.dim == b.dim
 
 
 def intersection_dim(a: SubspaceBasis, b: SubspaceBasis, tol: float = DEFAULT_SPAN_TOL) -> int:
@@ -246,14 +243,13 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
     """Distinct spans of K-element dictionary subsets, at the dictionary's span_tol.
 
     Rank-deficient subsets are skipped: their spans already appear at a
-    smaller size.  The family size is at most C(n_atoms, K); for K = 0 it is
-    the single zero-dimensional span and for K = N the whole space, whose
-    provenance is the first full-rank subset, found without deduplication.
-
-    For 0 < K < N, deduplication compares each new span with every kept
-    one, and the pair pass of the overlap constants is quadratic in the
-    family size as well, so a ValueError is raised up front when
-    C(n_atoms, K) exceeds ``MAX_SPAN_SUBSETS``.
+    smaller size.  For K = 0 the family is the zero-dimensional span and for
+    K = N the whole space, whose provenance is the first full-rank subset.
+    For 0 < K < N one stacked SVD gives every subset's basis and rank; a
+    full-rank subset S is keyed by its closure, the atoms a with
+    rank [U_S | a/|a|] = K, and the first subset of each closure is kept,
+    the lexicographically smallest basis of its flat.  A ValueError is
+    raised up front when C(n_atoms, K) exceeds ``MAX_SPAN_SUBSETS``.
     """
     n, tol = dictionary.n_dim, dictionary.span_tol
     if not 0 <= K <= n:
@@ -267,24 +263,26 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
                 return SpanFamily(K=n, ambient_dim=n, span_tol=tol, members=(basis,))
         return SpanFamily(K=n, ambient_dim=n, span_tol=tol)
     m = dictionary.n_atoms
-    subsets = math.comb(m, K)
-    if subsets > MAX_SPAN_SUBSETS:
+    count = math.comb(m, K)
+    if count > MAX_SPAN_SUBSETS:
         raise ValueError(
-            f"span family of m={m} atoms at K={K} needs C({m}, {K}) = {subsets} "
+            f"span family of m={m} atoms at K={K} needs C({m}, {K}) = {count} "
             f"subsets, above the cap of {MAX_SPAN_SUBSETS}"
         )
-    members: list[SubspaceBasis] = []
-    projectors: list[np.ndarray] = []
-    for subset in combinations(range(dictionary.n_atoms), K):
-        basis = orthonormal_basis(dictionary.subset(subset).T, tol=tol, provenance=subset)
-        if basis.dim < K:
-            continue
-        proj = basis.projector()
-        if any(np.linalg.norm(proj - q) <= tol for q in projectors):
-            continue
-        members.append(basis)
-        projectors.append(proj)
-    return SpanFamily(K=K, ambient_dim=n, span_tol=tol, members=tuple(members))
+    subsets = np.array(list(combinations(range(m), K)))
+    u, s = _left_singular(np.moveaxis(dictionary.atoms[:, subsets], 1, 0), full_matrices=False)
+    full = _rank(s, tol) == K
+    bases, subsets = u[full], subsets[full]
+    unit = (dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)).T
+    block = max(1, (1 << 16) // (m * n * (K + 1)))  # 512 KiB stacks of [U_S | a]
+    closures = []
+    for chunk in np.split(bases, range(block, len(bases), block)):
+        stacked = np.empty((len(chunk), m, n, K + 1))
+        stacked[..., :K], stacked[..., K] = chunk[:, None], unit
+        closures.append(_rank(np.linalg.svd(stacked, compute_uv=False), tol) == K)
+    _, first = np.unique(np.concatenate(closures), axis=0, return_index=True)
+    members = tuple(SubspaceBasis(bases[i], provenance=subsets[i]) for i in np.sort(first))
+    return SpanFamily(K=K, ambient_dim=n, span_tol=tol, members=members)
 
 
 def pair_dims(family: SpanFamily) -> np.ndarray:
@@ -295,7 +293,8 @@ def pair_dims(family: SpanFamily) -> np.ndarray:
     every later member and takes all their singular values in one batched
     SVD, with the rank rule of ``intersection_dim``, so memory stays
     O(M N K) rather than O(M^2 N K).  The read-only matrix is computed once
-    and memoised on the family.
+    and memoised on the family.  Two members meeting in dimension K are one
+    span counted twice: a ValueError names both provenances.
     """
     if family._pair_dims is None:
         size, k = len(family.members), family.K
@@ -308,6 +307,13 @@ def pair_dims(family: SpanFamily) -> np.ndarray:
                     [np.broadcast_to(bases[i], later.shape), later], axis=2
                 )
                 rank = _rank(np.linalg.svd(stacked, compute_uv=False), family.span_tol)
+                same = np.flatnonzero(rank == k)
+                if same.size:
+                    raise ValueError(
+                        f"members {family.members[i].provenance} and "
+                        f"{family.members[i + 1 + same[0]].provenance} have one span "
+                        f"at span_tol {family.span_tol}"
+                    )
                 dims[i, i + 1 :] = dims[i + 1 :, i] = 2 * k - rank
         dims.flags.writeable = False
         object.__setattr__(family, "_pair_dims", dims)

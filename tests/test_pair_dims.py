@@ -1,10 +1,14 @@
-"""Batched pair dimensions, memoised families and closed-form overlap sums.
+"""Closure-keyed families, batched pair dimensions, memoised families and
+closed-form overlap sums.
 
 Property tests on small dictionaries with repeated, parallel and dependent
-atoms check the batched rank pass against the per-pair rank oracle, the
-pair lists against the original double loop, and every Q_k against the
+atoms check the closure-keyed families against the original projector
+dedup, the batched rank pass against the per-pair rank oracle, the pair
+lists against the original double loop, and every Q_k against the
 per-pair sum of ``overlap_constant``.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from l0geom import (
     enumerate_pairs,
     enumerate_spans,
     intersection_dim,
+    orthonormal_basis,
     overlap_constant,
 )
 from l0geom.solver import span_family
@@ -62,6 +67,24 @@ def structured_dictionaries(draw):
     return Dictionary.from_vectors(atoms)
 
 
+def projector_dedup_members(dictionary, K):
+    """The span dedup that closure keys replaced, kept as the oracle: each
+    full-rank subset's span is kept unless its projector lies within span_tol
+    (Frobenius) of a kept one."""
+    tol = dictionary.span_tol
+    members, projectors = [], []
+    for subset in combinations(range(dictionary.n_atoms), K):
+        basis = orthonormal_basis(dictionary.subset(subset).T, tol=tol, provenance=subset)
+        if basis.dim < K:
+            continue
+        proj = basis.projector()
+        if any(np.linalg.norm(proj - q) <= tol for q in projectors):
+            continue
+        members.append(basis)
+        projectors.append(proj)
+    return members
+
+
 def double_loop_pairs(family, k, tol=1e-9):
     """The per-pair enumeration that pair_dims replaced, kept as the oracle."""
     size = len(family.members)
@@ -95,6 +118,19 @@ def per_pair_q_totals(family, fidelity, data, n_samples, seed):
             err += priced[key].std_err
         totals[k] = VolumeEstimate(value, err)
     return totals
+
+
+class TestClosureFamilies:
+    @settings(max_examples=150, deadline=None)
+    @given(structured_dictionaries())
+    def test_matches_the_projector_dedup(self, dictionary):
+        for K in range(1, dictionary.n_dim):
+            family = enumerate_spans(dictionary, K)
+            expected = projector_dedup_members(dictionary, K)
+            assert [m.provenance for m in family.members] == [m.provenance for m in expected]
+            assert [m.matrix.tobytes() for m in family.members] == [
+                m.matrix.tobytes() for m in expected
+            ]
 
 
 class TestPairDims:

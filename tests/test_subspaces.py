@@ -19,10 +19,12 @@ from l0geom import (
     intersection_basis,
     intersection_dim,
     orthonormal_basis,
+    overlap_constant,
     spans_equal,
     validate_bounds,
 )
 from l0geom import subspaces
+from l0geom.subspaces import pair_dims
 
 E1E2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
 THREE_LINES = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -70,6 +72,35 @@ class TestBases:
         assert b.dim == 4
         np.testing.assert_allclose(b.projector() @ vectors.T, vectors.T, atol=1e-12)
         assert b.complement().dim == 1
+
+    def test_stacked_svd_retries_on_the_transposes(self, monkeypatch):
+        real_svd = np.linalg.svd
+        failures = []
+
+        def fails_once_on_a_stack(a, *args, **kwargs):
+            if np.ndim(a) == 3 and not failures:
+                failures.append(np.shape(a))
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        d = Dictionary.from_vectors(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        )
+        expected = enumerate_spans(d, 2)
+        monkeypatch.setattr(np.linalg, "svd", fails_once_on_a_stack)
+        stack = np.random.default_rng(4).standard_normal((5, 4, 2))
+        u, s = subspaces._left_singular(stack, full_matrices=False)
+        assert failures == [(5, 4, 2)]
+        for i, matrix in enumerate(stack):
+            _, s_i, ut_i = real_svd(matrix.T, full_matrices=False)
+            np.testing.assert_array_equal(u[i], ut_i.T)
+            np.testing.assert_array_equal(s[i], s_i)
+        failures.clear()
+        retried = enumerate_spans(d, 2)
+        assert failures == [(10, 3, 2)]
+        assert [m.provenance for m in retried.members] == [m.provenance for m in expected.members]
+        assert [m.provenance for m in expected.members] == [(0, 1), (0, 4), (1, 4), (3, 4)]
+        assert all(spans_equal(a, b) for a, b in zip(retried.members, expected.members))
 
     def test_orthonormal_basis_examples(self):
         b = orthonormal_basis([[3.0, 0.0], [0.0, 0.0]])
@@ -319,6 +350,39 @@ class TestDictionarySpanTolerance:
             validate_bounds(E1E2, l2, l2, (0.1,), 1.0, (1,), ("prob_leq",))
         with pytest.raises(TypeError):
             LevelSetExperiment(E1E2, l2, l2, 1.0, 10, 0, 1e-10)
+
+
+class TestNearTolerance:
+    """Atoms within span_tol of each other's spans: one rank rule decides both
+    the family and its pair dimensions."""
+
+    def test_atoms_within_span_tol_form_one_flat(self):
+        angle = 1.5e-6
+        d = Dictionary.from_vectors(
+            [[1.0, 0.0], [np.cos(angle), np.sin(angle)], [0.0, 1.0]], span_tol=1e-6
+        )
+        family = enumerate_spans(d, 1)
+        assert [m.provenance for m in family.members] == [(0,), (2,)]
+        assert enumerate_pairs(family, 0) == ((0, 1), (1, 0))
+        assert enumerate_pairs(family, 1) == ()
+        l2 = NormSpec.l2()
+        consts = assemble_constants(d, l2, l2, 1)
+        pair = overlap_constant(l2, l2, *family.members)
+        assert consts.q_totals[0].value == 2 * pair.value
+
+    def test_a_chain_of_near_parallel_atoms_fails_fast(self):
+        # Neighbours are within span_tol, atoms two steps apart are not, so
+        # the closures of atoms 0 and 1 differ while their spans coincide.
+        step = 1.2e-6
+        chain = [[np.cos(i * step), np.sin(i * step)] for i in range(3)]
+        d = Dictionary.from_vectors(chain + [[0.0, 1.0]], span_tol=1e-6)
+        family = enumerate_spans(d, 1)
+        assert [m.provenance for m in family.members] == [(0,), (1,), (2,), (3,)]
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"members \(0,\) and \(1,\) have one span"):
+                pair_dims(family)
+        with pytest.raises(ValueError, match="have one span"):
+            assemble_constants(d, NormSpec.l2(), NormSpec.l2(), 1)
 
 
 class TestIdentityEquality:
