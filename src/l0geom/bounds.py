@@ -9,9 +9,15 @@ complement times the volume of the data ball's slice through the
 subspace.  Pairwise overlaps between family members enter the lower bound
 through correction constants indexed by intersection dimension.
 
+Every shadow and slice of an l2 ball has a closed form.  Those of l1,
+linf and weighted-l1 balls are polytopes, priced exactly by
+``norms.polytope_volume`` (the linf shadow by the zonotope formula), once
+per distinct subspace and dictionary.  Only weighted lp balls with p > 1
+fall back to hit-or-miss Monte Carlo, whose uncertainty propagates into
+the one-standard-error fields; every other constant has standard error 0.
+
 All bounds here are rigorous only when theta is large enough relative to
-tau; each report carries that validity flag, and Monte Carlo uncertainty
-in the constants propagates into one-standard-error fields.
+tau; each report carries that validity flag.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -27,14 +35,24 @@ from .norms import (
     NormSpec,
     VolumeEstimate,
     ball_volume,
+    check_candidates,
     compute_equiv_constants,
     euclid_ball_volume,
     hit_or_miss_volume,
     norm_eval,
+    polytope_volumes,
 )
 # subspace_distance and enumerate_spans are no longer called here but stay
 # importable from this module, where perfbench/tracing.py looks them up.
-from .solver import member_distances, span_family, subspace_distance  # noqa: F401
+from .solver import (  # noqa: F401
+    _indices,
+    box_vertices,
+    dual_vertices,
+    member_distances,
+    null_directions,
+    span_family,
+    subspace_distance,
+)
 from .streams import PURPOSE_PROJECTED, PURPOSE_SLICE, stream_id
 from .subspaces import (  # noqa: F401
     DEFAULT_SPAN_TOL,
@@ -44,10 +62,19 @@ from .subspaces import (  # noqa: F401
     enumerate_pairs,
     enumerate_spans,
     intersection_basis,
+    meet_matrices,
     spans_equal,
 )
 
 DEFAULT_VOLUME_SAMPLES = 200_000
+
+# Exact volumes are priced from a subspace's key, its projector rounded to
+# multiples of 2^-46, so two bases of one subspace price it to the same
+# bits and a memo of volumes cannot change a result.
+_KEY_SCALE = 2.0**46
+
+# Subspaces priced per batch; it bounds the stacked vertex and facet arrays.
+_PRICE_BATCH = 1024
 
 # Two-sided 95% normal quantile: a 95% half width is Z95 standard errors.
 Z95 = 1.959963984540054
@@ -69,6 +96,104 @@ def euclid_ck(K: int, n: int) -> float:
     return _alpha(K) * _alpha(n - K)
 
 
+def _weights(norm: NormSpec, n: int) -> np.ndarray:
+    return np.ones(n) if norm.kind != "wlp" else np.asarray(norm.weights, dtype=float)
+
+
+def _stacked(rows: list[np.ndarray]) -> np.ndarray:
+    """Equal-width 2-d arrays stacked into one 3-d array, zero rows padding the shorter."""
+    stack = np.zeros((len(rows), max(len(r) for r in rows), rows[0].shape[1]))
+    for i, r in enumerate(rows):
+        stack[i, : len(r)] = r
+    return stack
+
+
+def _slice_polytope(data: NormSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and facet normals of {y : data(U y) <= 1} for a polyhedral data
+    norm and each (N, k) orthonormal U of a stack, 0 < k < N.
+
+    linf: the facets are the rows +-u_i of U, and ``box_vertices`` lists the
+    vertices.  l1 and weighted l1: a vertex has k - 1 zero coordinates, so
+    it spans the null space of k - 1 rows of U (``null_directions``,
+    scaled to norm 1), and the facets are U^T (w * sigma) for every sign
+    vector sigma in {-1, 1}^N.
+    """
+    n, k = u.shape[1:]
+    what = f"{data.kind} slice of a {k}-dimensional subspace of R^{n}"
+    if data.kind == "linf":
+        points = math.comb(n, k) * 2**k
+        check_candidates(
+            f"{what}: C({n}, {k}) * 2^{k} = {points} vertex candidates by {2 * n} facets",
+            points * 2 * n,
+        )
+        return _stacked([box_vertices(each, np.ones(n))[0] for each in u]), np.hstack([u, -u])
+    points = 2 * math.comb(n, k - 1)
+    check_candidates(
+        f"{what}: 2 * C({n}, {k - 1}) = {points} vertex candidates by 2^{n} sign vectors",
+        points * 2**n,
+    )
+    w = _weights(data, n)
+    r = null_directions(u)
+    r /= np.sum(w * np.abs(r @ u.transpose(0, 2, 1)), axis=2, keepdims=True)
+    signs = np.array(list(product((-1.0, 1.0), repeat=n)))
+    return np.hstack([r, -r]), (signs * w) @ u
+
+
+def _shadow_polytope(
+    fidelity: NormSpec, u: np.ndarray, comp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and facet normals of the l1 or weighted-l1 fidelity ball's shadow
+    on the complement of span U, 0 < K < N, in the coordinates of an
+    orthonormal complement basis C, for each (U, C) of a stack: the hull of
+    the +-c_i / w_i over the rows c_i of C, whose facets are the rows of
+    ``dual_vertices`` in complement coordinates, since a point y lies in it
+    exactly when max (Z C y) <= 1."""
+    w = np.tile(_weights(fidelity, comp.shape[1]), 2)[:, None]
+    facets = [dual_vertices(fidelity, SubspaceBasis(a))[1:] @ c for a, c in zip(u, comp)]
+    return np.hstack([comp, -comp]) / w, _stacked(facets)
+
+
+def _zonotope_volumes(comp: np.ndarray) -> np.ndarray:
+    """(N - K)-volume of the cube's shadow on the span of each orthonormal C of
+    a stack: the zonotope sum_i [-c_i, c_i] over the rows c_i of C, of volume
+    2^m sum_S |det C_S| over the m-row subsets S (Shephard, Canad. J.
+    Math. 26, 1974)."""
+    n, m = comp.shape[1:]
+    check_candidates(f"linf shadow on R^{m} in R^{n}: C({n}, {m}) determinants", math.comb(n, m))
+    return 2.0**m * np.abs(np.linalg.det(comp[:, _indices(n, m)])).sum(axis=1)
+
+
+def _price_exact(
+    kind: str, norm: NormSpec, bases: np.ndarray, volumes: dict
+) -> list[VolumeEstimate]:
+    """Exact volumes of a polyhedral ball's "slice" through, or "shadow" on
+    the complement of, the span of each (N, k) orthonormal matrix of a
+    stack, 0 < k < N.
+
+    Each is priced from its subspace's key alone, the projector rounded to
+    multiples of 2^-46, in the eigenvector basis of that rounded projector,
+    and kept in ``volumes`` under (kind, norm, key); the missing keys are
+    priced in one batch, which gives each the bits it has alone.
+    """
+    n, k = bases.shape[1:]
+    rounded = np.round(bases @ bases.transpose(0, 2, 1) * _KEY_SCALE) + 0.0
+    keys = [(kind, norm, projector.tobytes()) for projector in rounded]
+    missing = list(dict.fromkeys(key for key in keys if key not in volumes))
+    for lo in range(0, len(missing), _PRICE_BATCH):
+        batch = missing[lo : lo + _PRICE_BATCH]
+        projectors = np.stack([np.frombuffer(key[2]).reshape(n, n) for key in batch])
+        frames = np.linalg.eigh(projectors / _KEY_SCALE)[1]
+        u, comp = frames[:, :, n - k :], frames[:, :, : n - k]
+        if kind == "slice":
+            values = polytope_volumes(*_slice_polytope(norm, u))
+        elif norm.kind == "linf":
+            values = _zonotope_volumes(comp)
+        else:
+            values = polytope_volumes(*_shadow_polytope(norm, u, comp))
+        volumes.update((key, VolumeEstimate(float(value))) for key, value in zip(batch, values))
+    return [volumes[key] for key in keys]
+
+
 def projected_ball_volume(
     fidelity: NormSpec,
     basis: SubspaceBasis,
@@ -76,18 +201,21 @@ def projected_ball_volume(
     seed: int = 0,
     method: str = "auto",
     subid: int = 0,
+    *,
+    volumes: dict | None = None,
 ) -> VolumeEstimate:
     """Volume of the fidelity unit ball's shadow on the orthogonal complement.
 
     Measured in (N - K) dimensions, where K is the subspace dimension; by
-    convention the K = N shadow is the single point 0 with volume 1.
-    Closed form for Euclidean fidelity and for K = 0 (method "auto");
-    otherwise hit-or-miss Monte Carlo over the box |y_i| <= delta2.  A
-    point y of the complement lies in the shadow exactly when its fidelity
-    distance to the subspace is at most 1, which ``member_distances`` gives
-    for a whole chunk at once (one product with the dual vertex table for
-    polyhedral fidelities).  method "mc" forces the Monte Carlo path even
-    when a closed form exists.
+    convention the K = N shadow is the single point 0 with volume 1.  With
+    method "auto" it is exact, with standard error 0, for every fidelity
+    but weighted lp with p > 1: a closed form for l2 and for K = 0, and a
+    polytope volume for l1, linf and weighted l1 (``volumes``, a
+    dictionary's memo, keeps it).  Weighted lp with p > 1, and method "mc"
+    for any norm, use hit-or-miss Monte Carlo over the box |y_i| <= delta2:
+    a point y of the complement lies in the shadow exactly when its
+    fidelity distance to the subspace is at most 1, which
+    ``member_distances`` gives for a whole chunk at once.
     """
     if method not in ("auto", "mc"):
         raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
@@ -99,6 +227,9 @@ def projected_ball_volume(
             return VolumeEstimate(euclid_ball_volume(n - k))
         if k == 0:
             return ball_volume(fidelity, n)
+        if fidelity.polyhedral:
+            memo = {} if volumes is None else volumes
+            return _price_exact("shadow", fidelity, basis.matrix[None], memo)[0]
     complement = basis.complement()
     delta2 = compute_equiv_constants(fidelity, fidelity, n).delta2
 
@@ -121,12 +252,18 @@ def slice_volume(
     seed: int = 0,
     method: str = "auto",
     subid: int = 0,
+    *,
+    volumes: dict | None = None,
 ) -> VolumeEstimate:
     """K-dimensional volume of the data unit ball's slice through the subspace.
 
-    The K = 0 slice is the single point 0 with volume 1.  Closed form for
-    Euclidean data norm and for full-dimensional slices; otherwise
-    hit-or-miss Monte Carlo over |y_i| <= delta3 in subspace coordinates.
+    The K = 0 slice is the single point 0 with volume 1.  With method
+    "auto" it is exact, with standard error 0, for every data norm but
+    weighted lp with p > 1: a closed form for l2 and for full-dimensional
+    slices, and a polytope volume for l1, linf and weighted l1 (``volumes``,
+    a dictionary's memo, keeps it).  Weighted lp with p > 1, and method
+    "mc" for any norm, use hit-or-miss Monte Carlo over |y_i| <= delta3 in
+    subspace coordinates.
     """
     if method not in ("auto", "mc"):
         raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
@@ -135,8 +272,12 @@ def slice_volume(
         closed = _closed_slice(data, k)
         if closed is not None:
             return closed
+    if method == "auto":
         if k == n:
             return ball_volume(data, n)
+        if data.polyhedral:
+            memo = {} if volumes is None else volumes
+            return _price_exact("slice", data, basis.matrix[None], memo)[0]
     delta3 = compute_equiv_constants(data, data, n).delta3
 
     def member(points: np.ndarray) -> np.ndarray:
@@ -163,10 +304,12 @@ def cylinder_constant(
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
     subid: int = 0,
+    *,
+    volumes: dict | None = None,
 ) -> VolumeEstimate:
     """Leading constant of one subspace: shadow volume times slice volume."""
-    shadow = projected_ball_volume(fidelity, basis, n_samples, seed, subid=subid)
-    inner = slice_volume(data, basis, n_samples, seed, subid=subid)
+    shadow = projected_ball_volume(fidelity, basis, n_samples, seed, subid=subid, volumes=volumes)
+    inner = slice_volume(data, basis, n_samples, seed, subid=subid, volumes=volumes)
     return _product(shadow, inner)
 
 
@@ -191,7 +334,7 @@ def overlap_constant(
         raise ValueError("overlap constants are defined for distinct spans only")
     meet = intersection_basis(first, second, span_tol)
     inner = slice_volume(data, meet, n_samples, seed, subid=subid)
-    return _overlap(fidelity, data, first.ambient_dim, meet.dim, inner)
+    return _overlap(_overlap_factor(fidelity, data, first.ambient_dim, meet.dim), inner)
 
 
 def _closed_slice(data: NormSpec, k: int) -> VolumeEstimate | None:
@@ -204,12 +347,13 @@ def _closed_slice(data: NormSpec, k: int) -> VolumeEstimate | None:
     return None
 
 
-def _overlap(
-    fidelity: NormSpec, data: NormSpec, n: int, k: int, inner: VolumeEstimate
-) -> VolumeEstimate:
-    """alpha(N - k) (2 delta2)^(N - k) times the intersection's slice volume."""
+def _overlap_factor(fidelity: NormSpec, data: NormSpec, n: int, k: int) -> float:
+    """alpha(N - k) (2 delta2)^(N - k), the overlap constant per unit slice volume."""
     delta2 = compute_equiv_constants(fidelity, data, n).delta2
-    factor = _alpha(n - k) * (2.0 * delta2) ** (n - k)
+    return _alpha(n - k) * (2.0 * delta2) ** (n - k)
+
+
+def _overlap(factor: float, inner: VolumeEstimate) -> VolumeEstimate:
     return VolumeEstimate(factor * inner.value, factor * inner.std_err)
 
 
@@ -301,9 +445,13 @@ def assemble_constants(
     solvers use, and its tolerance decides every intersection.  Q_k sums
     the overlap constants of the ordered pairs that ``enumerate_pairs``
     lists at k.  When the intersection's slice volume depends on k alone
-    (k = 0, or l2 data) the pair value is priced once per k; only pairs
-    whose slice needs Monte Carlo call ``overlap_constant``, each unordered
-    pair once, with subid counting the distinct pairs met so far.
+    (k = 0, or l2 data) the pair value is priced once per k.  Every other
+    unordered pair is priced once, as ``overlap_constant`` prices it, but a
+    level's intersections come from one stacked SVD at the dimension the
+    pair pass gives: their slices are priced exactly, in one batch, through
+    the dictionary's memo of volumes, which every level shares; or by Monte
+    Carlo (weighted lp data with p > 1), with subid counting the distinct
+    pairs met so far.  The member volumes of a level are one batch too.
     """
     n = dictionary.n_dim
     if not 0 <= K <= n:
@@ -312,9 +460,13 @@ def assemble_constants(
     euclidean = fidelity.kind == "l2" and data.kind == "l2"
     family = span_family(dictionary, K)
 
+    members, volumes = family.members, dictionary._volumes
+    for kind, norm in (("slice", data), ("shadow", fidelity)):
+        if norm.polyhedral and 0 < K < n:
+            _price_exact(kind, norm, np.stack([member.matrix for member in members]), volumes)
     c_members = tuple(
-        cylinder_constant(fidelity, data, member, n_samples, seed, subid=i)
-        for i, member in enumerate(family.members)
+        cylinder_constant(fidelity, data, member, n_samples, seed, subid=i, volumes=volumes)
+        for i, member in enumerate(members)
     )
     c_total = VolumeEstimate(
         sum(c.value for c in c_members), sum(c.std_err for c in c_members)
@@ -324,23 +476,32 @@ def assemble_constants(
     q_totals: dict[int, VolumeEstimate] = {}
     pair_cache: dict[tuple[int, int], VolumeEstimate] = {}
     for k in range(k_min, K):
+        listed = enumerate_pairs(family, k)
+        factor = _overlap_factor(fidelity, data, n, k)
         inner = _closed_slice(data, k)
-        closed = None if inner is None else _overlap(fidelity, data, n, k, inner)
+        closed = None if inner is None else _overlap(factor, inner)
+        fresh = [] if closed is not None else [(i, j) for i, j in listed if i < j]
+        if fresh:
+            meets = meet_matrices(
+                np.stack([members[i].matrix for i, _ in fresh]),
+                np.stack([members[j].matrix for _, j in fresh]),
+                k,
+            )
+            if data.polyhedral:
+                inners = _price_exact("slice", data, meets, volumes)
+            else:
+                base = len(pair_cache)
+                inners = [
+                    slice_volume(data, SubspaceBasis(meet), n_samples, seed, subid=base + t)
+                    for t, meet in enumerate(meets)
+                ]
+            pair_cache.update((key, _overlap(factor, inner)) for key, inner in zip(fresh, inners))
         value = 0.0
         err = 0.0
-        for i, j in enumerate_pairs(family, k):
+        for i, j in listed:
             key = (min(i, j), max(i, j))
             if key not in pair_cache:
-                pair_cache[key] = closed if closed is not None else overlap_constant(
-                    fidelity,
-                    data,
-                    family.members[key[0]],
-                    family.members[key[1]],
-                    n_samples,
-                    seed,
-                    family.span_tol,
-                    subid=len(pair_cache),
-                )
+                pair_cache[key] = closed
             value += pair_cache[key].value
             err += pair_cache[key].std_err
         q_totals[k] = VolumeEstimate(value, err)

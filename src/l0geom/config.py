@@ -11,7 +11,8 @@ Optional, with defaults:
     quantities         all five           subset of measure_leq, measure_eq,
                                           prob_leq, prob_eq, expect
     samples            100000             Monte Carlo draws per estimate
-    constants_samples  same as samples    draws for volume constants
+    constants_samples  same as samples    draws for the volume constants that
+                                          have no exact value (wlp with p > 1)
     seed               42                 base seed for all streams
     span_tol           1e-9               rank tolerance of the spanning check, span
                                           families, pair dimensions and overlaps

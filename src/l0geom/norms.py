@@ -11,8 +11,11 @@ and volume computations.  Both are drawn from a fixed menu:
 
 The menu is closed under everything the rest of the package needs: exact
 evaluation, explicit pairwise comparison constants, and closed-form
-unit-ball volumes.  ``hit_or_miss_volume`` estimates the volumes of the
-shadows and slices that have no closed form.
+unit-ball volumes.  l1, linf and wlp with p = 1 have polytope unit balls,
+so every shadow and slice of theirs is a polytope, and
+``polytope_volume`` prices it exactly.  ``hit_or_miss_volume`` estimates
+the shadows and slices of wlp balls with p > 1, the only ones left
+without an exact value.
 """
 
 from __future__ import annotations
@@ -26,6 +29,16 @@ import numpy as np
 from . import streams
 
 _KINDS = ("l1", "l2", "linf", "wlp")
+
+# A point lies on a facet of polytope_volume's polytope when its facet
+# product is within this of 1.
+_ON_FACET = 1e-10
+
+# Largest vertex-by-facet candidate table that polytope_volume starts
+# from, and largest number of candidate faces its walk examines; a
+# ValueError naming the counts is raised past it.  At the cap a walk takes
+# about 6 s on a 2-CPU machine (README, "Size limits").
+MAX_POLYTOPE_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,11 @@ class NormSpec:
         else:
             if self.p is not None or self.weights is not None:
                 raise ValueError(f"kind {self.kind!r} takes neither p nor weights")
+
+    @property
+    def polyhedral(self) -> bool:
+        """True for the norms with a polytope unit ball: l1, linf, wlp with p = 1."""
+        return self.kind in ("l1", "linf") or (self.kind == "wlp" and self.p == 1.0)
 
     @staticmethod
     def l1() -> "NormSpec":
@@ -221,6 +239,9 @@ def hit_or_miss_volume(
 ) -> VolumeEstimate:
     """Monte Carlo volume of a set enclosed in the box prod_i [-h_i, h_i].
 
+    Used only where no exact volume exists, the shadows and slices of wlp
+    balls with p > 1, and by the test-only ``method="mc"`` of
+    ``bounds.projected_ball_volume`` and ``bounds.slice_volume``.
     ``indicator`` maps an (m, d) array of points to an (m,) boolean array.
     The draws run chunk by chunk in the calling thread; chunked
     counter-based draws keep the estimate identical for any interleaving
@@ -265,3 +286,170 @@ def ball_volume(spec: NormSpec, n: int) -> VolumeEstimate:
         (2.0 * math.gamma(1.0 + 1.0 / p)) ** n
         / (math.gamma(1.0 + n / p) * math.prod(spec.weights))
     )
+
+
+def check_candidates(what: str, count: int) -> None:
+    """Raise a ValueError when count exceeds ``MAX_POLYTOPE_CANDIDATES``."""
+    if count > MAX_POLYTOPE_CANDIDATES:
+        raise ValueError(
+            f"{what} needs {count} candidates, above the cap of {MAX_POLYTOPE_CANDIDATES}"
+        )
+
+
+def _maximal_sets(sets: np.ndarray, least: int) -> np.ndarray:
+    """(P, R) mask of the rows of each (R, C) boolean matrix in a stack that
+    have at least ``least`` members and lie inside no other row, the first
+    of each group of equal rows.  Counts come from products of 0/1
+    matrices, exact in float32, taken in blocks of rows near 16 MB."""
+    counts = sets.astype(np.float32)
+    size = counts.sum(axis=2)
+    keep = size >= least
+    rows = sets.shape[1]
+    step = max(1, (1 << 22) // max(1, sets.shape[0] * rows))
+    for lo in range(0, rows, step):
+        part = slice(lo, lo + step)
+        within = counts[:, part] @ counts.transpose(0, 2, 1) == size[:, part, None]
+        larger = size[:, None, :] > size[:, part, None]
+        earlier = np.arange(rows) < np.arange(rows)[part, None]
+        keep[:, part] &= ~(within & (larger | earlier)).any(axis=2)
+    return keep
+
+
+def _walls(meets: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
+    """(count, width, m) vertex sets: for each owner (nondecreasing), the
+    maximal sets among its meets, one of each; the other rows are empty."""
+    sizes = np.bincount(owner, minlength=count)
+    slot = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+    grid = np.zeros((count, sizes.max(initial=0), meets.shape[1]), dtype=bool)
+    grid[owner, slot] = meets
+    return grid & _maximal_sets(grid, 1)[:, :, None]
+
+
+def polytope_volume(vertices: np.ndarray, facet_normals: np.ndarray) -> float:
+    """Exact volume of the polytope {x : <a, x> <= 1 for every row a of facet_normals}.
+
+    The origin must lie inside the polytope, and ``vertices`` must hold
+    every vertex.  Other boundary points and repeats are allowed: a point
+    is kept when the facets through it (products within 1e-10 of 1) form a
+    maximal set, one point per set.  Rows that touch no kept point, or only
+    a smaller face, are dropped the same way, so redundant and repeated
+    inequalities (and zero rows of either array) do no harm.
+
+    The polytope is cut into simplices: the cone from the origin over a
+    pulling triangulation of each facet (Lasserre, JOTA 39, 1983; Bueler,
+    Enge & Fukuda, 2000).  A face is its vertex set.  A face of dimension
+    j with j + 1 vertices is a simplex; any other is the union of pyramids
+    from its lowest vertex over its facets that avoid it.  The facets of a
+    facet H of a face X are the maximal proper sets H & H' over the other
+    facets H' of X, so each face meets only its siblings.  The walk runs
+    over many faces at once, one dimension per step, and every simplex's
+    determinant comes from one batched ``np.linalg.det``; the simplices are
+    summed in a fixed order.  A ValueError is raised before any work when
+    the points times the facet normals exceed ``MAX_POLYTOPE_CANDIDATES``,
+    as soon as the walk has examined more candidate faces than that, and
+    when the incidences do not form a face lattice.
+    """
+    v = np.asarray(vertices, dtype=float)
+    a = np.asarray(facet_normals, dtype=float)
+    if v.ndim != 2 or a.ndim != 2:
+        raise ValueError(f"need (m, d) vertices and (f, d) facet normals, got {v.shape}, {a.shape}")
+    return float(polytope_volumes(v[None], a[None])[0])
+
+
+_LATTICE_ERROR = "facet incidences of the polytope do not form a face lattice"
+
+
+def polytope_volumes(vertices: np.ndarray, facet_normals: np.ndarray) -> np.ndarray:
+    """``polytope_volume`` of each polytope in a stack of (P, m, d) vertices and
+    (P, f, d) facet normals, zero rows padding the shorter lists, with their
+    walks run together in batches near 16 MB.  Each value has the bits that
+    ``polytope_volume`` gives its polytope alone."""
+    v = np.asarray(vertices, dtype=float)
+    a = np.asarray(facet_normals, dtype=float)
+    if v.ndim != 3 or a.ndim != 3 or v.shape[::2] != a.shape[::2] or v.shape[2] == 0:
+        raise ValueError(
+            f"need (P, m, d) vertices and (P, f, d) facet normals, got {v.shape}, {a.shape}"
+        )
+    count, width, d = v.shape
+    check_candidates(f"{width} points by {a.shape[1]} facet normals", width * a.shape[1])
+    step = max(1, (1 << 21) // (a.shape[1] * (a.shape[1] + width)))
+    return np.concatenate(
+        [_summed(v[lo : lo + step], *_triangulate(v[lo : lo + step], a[lo : lo + step]))
+         for lo in range(0, count, step)]
+    )
+
+
+def _summed(v: np.ndarray, chains: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Volume of each polytope of a stack from its simplices, summed in
+    lexicographic order of their point indices."""
+    count, _, d = v.shape
+    if np.any(np.bincount(owner, minlength=count) == 0):
+        raise ValueError(_LATTICE_ERROR)
+    order = np.lexsort(np.vstack([chains.T[::-1], owner]))
+    chains, owner = chains[order], owner[order]
+    dets = np.abs(np.linalg.det(v[owner[:, None], chains]))
+    return np.add.reduceat(dets, np.searchsorted(owner, np.arange(count))) / math.factorial(d)
+
+
+def _triangulate(v: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Simplices (rows of d point indices) of the polytopes of a stack, and
+    the polytope each belongs to."""
+    count, width, d = v.shape
+    on = np.abs(v @ a.transpose(0, 2, 1) - 1.0) <= _ON_FACET
+    on &= _maximal_sets(on, d)[:, :, None]
+    facets = on.transpose(0, 2, 1)
+    facets = facets & _maximal_sets(facets, d)[:, :, None]
+    touched = facets.any(axis=1)
+    if np.any(touched & (facets.sum(axis=1) < d)):  # every vertex lies on d facets or more
+        raise ValueError(_LATTICE_ERROR)
+    # A batch of faces X of one dimension: the facets of each X (padded with
+    # empty sets), the apex of X (-1 for a polytope, whose apex is the
+    # origin), the apexes leading to X, shared by the simplices inside it,
+    # and the polytope X belongs to.
+    stack = [(d, facets, np.full(count, -1), np.empty((count, 0), dtype=np.intp), np.arange(count))]
+    met = np.zeros(count, dtype=np.int64)
+    simplices, owners = [], []
+    while stack:
+        dim, walls, apex, prefix, poly = stack.pop()
+        size = walls.sum(axis=2)
+        walked = (size > 0) & ((apex < 0)[:, None] | ~walls[np.arange(len(apex)), :, apex])
+        if np.any((size > 0) & (size < dim)):
+            raise ValueError(_LATTICE_ERROR)
+        group, which = np.nonzero(walked & (size == dim))
+        corners = np.nonzero(walls[group, which])[1].reshape(-1, dim)
+        simplices.append(np.hstack([prefix[group], corners]))
+        owners.append(poly[group])
+        group, which = np.nonzero(walked & (size > dim))
+        if len(group) == 0:
+            continue
+        if dim == 1:
+            raise ValueError(_LATTICE_ERROR)
+        np.add.at(met, poly[group], np.count_nonzero(size, axis=1)[group])
+        worst = poly[group][np.argmax(met[poly[group]])]
+        check_candidates(
+            f"face walk of a {d}-polytope with {np.count_nonzero(touched[worst])} vertices",
+            met[worst],
+        )
+        # Vertices each face shares with each sibling; a lone polytope's
+        # facets are counted for its non-simplex facets alone.
+        counts = walls.astype(np.float32)
+        if len(walls) == 1:
+            cut = counts[0, which] @ counts[0].T
+        else:
+            cut = (counts @ counts.transpose(0, 2, 1))[group, which]
+        child, sibling = np.nonzero((cut >= dim - 1) & (cut < size[group, which][:, None]))
+        top = walls[group, which].argmax(axis=1)
+        chains = np.column_stack([prefix[group], top])
+        # Batches of children whose face-by-wall arrays stay near 16 MB.
+        most = np.bincount(child).max()
+        step = max(1, (1 << 22) // (most * (most + width)))
+        for lo in range(0, len(group), step):
+            pick = slice(*np.searchsorted(child, [lo, lo + step]))
+            owner = group[child[pick]], which[child[pick]]
+            meets = walls[owner] & walls[owner[0], sibling[pick]]
+            inner = _walls(meets, child[pick] - lo, min(step, len(group) - lo))
+            if np.any(~inner.any(axis=(1, 2))):
+                raise ValueError(_LATTICE_ERROR)
+            part = slice(lo, lo + step)
+            stack.append((dim - 1, inner, top[part], chains[part], poly[group[part]]))
+    return np.concatenate(simplices), np.concatenate(owners)

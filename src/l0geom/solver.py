@@ -76,15 +76,38 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative distance computation hits its iteration cap."""
 
 
-def _is_polyhedral(fidelity: NormSpec) -> bool:
-    """True for the fidelity norms with a polytope unit ball: l1, linf, wlp with p = 1."""
-    return fidelity.kind in ("l1", "linf") or (fidelity.kind == "wlp" and fidelity.p == 1.0)
-
-
 def _indices(n: int, r: int) -> np.ndarray:
     """All r-element subsets of range(n), one per row, in lexicographic order."""
     subsets = list(combinations(range(n), r))
     return np.array(subsets, dtype=int).reshape(len(subsets), r)
+
+
+def null_directions(c: np.ndarray) -> np.ndarray:
+    """(C(N, m - 1), m) unit vectors x, one per m - 1 rows of the (N, m) matrix c,
+    with those rows of c x zero: the null space of the rows when they are
+    independent, some vector in it otherwise.  A stack of matrices gives a
+    stack of such tables."""
+    n, m = c.shape[-2:]
+    return np.linalg.svd(c[..., _indices(n, m - 1), :])[2][..., -1, :]
+
+
+def box_vertices(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary points c x of the box |(c x)_i| <= w_i, as (x rows, c x rows).
+
+    Each of the C(N, m) 2^m candidates solves c_A x = sigma * w_A for m
+    active rows A and signs sigma; candidates outside the box by more than
+    a relative 1e-6 are dropped and the rest scaled onto its boundary.
+    Among them is every vertex of the polytope {x : |(c x)_i| <= w_i}.
+    """
+    n, m = c.shape
+    active = _indices(n, m)
+    signs = np.array(list(product((-1.0, 1.0), repeat=m)))
+    rhs = signs[None, :, :] * w[active][:, None, :]
+    coeffs = np.einsum("aij,asj->asi", np.linalg.pinv(c[active]), rhs).reshape(-1, m)
+    z = coeffs @ c.T
+    scale = np.max(np.abs(z) / w, axis=1)
+    keep = (scale > 0.0) & (scale <= 1.0 + _VERTEX_SLACK)
+    return coeffs[keep] / scale[keep, None], z[keep] / scale[keep, None]
 
 
 def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
@@ -109,7 +132,7 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     a ValueError is raised before any work when that count exceeds
     ``MAX_DUAL_CANDIDATES``.
     """
-    if not _is_polyhedral(fidelity):
+    if not fidelity.polyhedral:
         raise ValueError(f"dual vertices need a polyhedral fidelity norm, got {fidelity}")
     n, m = basis.ambient_dim, basis.ambient_dim - basis.dim
     if m == 0:
@@ -124,22 +147,14 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
             )
     comp = basis.complement().matrix
     if fidelity.kind == "linf":
-        coeffs = np.linalg.svd(comp[_indices(n, m - 1)])[2][:, -1]
-        z = coeffs @ comp.T
+        z = null_directions(comp) @ comp.T
         z /= np.sum(np.abs(z), axis=1, keepdims=True)
         z = np.vstack([z, -z])
     else:
         w = np.ones(n) if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
         if w.shape != (n,):
             raise ValueError(f"wlp norm has {w.size} weights but dimension is {n}")
-        active = _indices(n, m)
-        signs = np.array(list(product((-1.0, 1.0), repeat=m)))
-        rhs = signs[None, :, :] * w[active][:, None, :]
-        coeffs = np.einsum("aij,asj->asi", np.linalg.pinv(comp[active]), rhs)
-        z = coeffs.reshape(-1, m) @ comp.T
-        scale = np.max(np.abs(z) / w, axis=1)
-        keep = (scale > 0.0) & (scale <= 1.0 + _VERTEX_SLACK)
-        z = z[keep] / scale[keep, None]
+        _, z = box_vertices(comp, w)
     _, first = np.unique(np.round(z, 12), axis=0, return_index=True)
     return np.vstack([np.zeros((1, n)), z[np.sort(first)]])
 
@@ -168,7 +183,7 @@ def subspace_distance(
     if fidelity.kind == "l2":
         v = bm @ (bm.T @ d)
         return float(np.linalg.norm(d - v)), v
-    if not _is_polyhedral(fidelity):
+    if not fidelity.polyhedral:
         dist, coeffs = _PowerLevel(fidelity, (basis,), dist_tol).fit(d[None, :])
         return float(dist[0, 0]), bm @ coeffs[0, 0]
     try:
@@ -423,7 +438,7 @@ def _level_table(
     """The level table of the fidelity's norm family for members of one dimension k >= 1."""
     if fidelity.kind == "l2":
         return _QuadraticLevel(members)
-    if _is_polyhedral(fidelity):
+    if fidelity.polyhedral:
         return _DualLevel(fidelity, members)
     return _PowerLevel(fidelity, members, dist_tol)
 

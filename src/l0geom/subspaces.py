@@ -109,12 +109,16 @@ class Dictionary:
     ``span_tol`` is the relative rank tolerance of the spanning check and
     of every span family, pair dimension and overlap intersection derived
     from the dictionary.  ``_families`` memoises the span families by K;
-    ``solver.span_family`` fills it.  Equality is identity.
+    ``solver.span_family`` fills it.  ``_volumes`` memoises the exact shadow
+    and slice volumes of the dictionary's subspaces, keyed by kind, norm
+    and subspace; ``bounds.assemble_constants`` fills it.  Equality is
+    identity.
     """
 
     atoms: np.ndarray
     span_tol: float = DEFAULT_SPAN_TOL
     _families: dict[int, "SpanFamily"] = field(default_factory=dict, init=False, repr=False)
+    _volumes: dict[tuple, Any] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.span_tol > 0:
@@ -209,14 +213,26 @@ def intersection_basis(
 ) -> SubspaceBasis:
     """Orthonormal basis of the intersection of the two spans.
 
-    The dimension always matches ``intersection_dim``; the basis consists of
-    the principal directions of span a closest to span b.
+    The dimension always matches ``intersection_dim``; the basis is
+    ``meet_basis`` at that dimension.
     """
-    k = intersection_dim(a, b, tol)
+    return meet_basis(a, b, intersection_dim(a, b, tol))
+
+
+def meet_basis(a: SubspaceBasis, b: SubspaceBasis, k: int) -> SubspaceBasis:
+    """Orthonormal basis of the intersection of two spans known to meet in
+    dimension k: the k principal directions of span a closest to span b."""
     if k == 0:
         return empty_basis(a.ambient_dim)
-    u, _, _ = np.linalg.svd(a.matrix.T @ b.matrix)
-    return SubspaceBasis(a.matrix @ u[:, :k])
+    return SubspaceBasis(meet_matrices(a.matrix[None], b.matrix[None], k)[0])
+
+
+def meet_matrices(first: np.ndarray, second: np.ndarray, k: int) -> np.ndarray:
+    """``meet_basis`` for stacks of (N, K) basis matrices known to meet in
+    dimension k >= 1, from one stacked SVD; each (N, k) result has the bits
+    that ``meet_basis`` gives its pair alone."""
+    u = np.linalg.svd(first.transpose(0, 2, 1) @ second)[0]
+    return first @ u[:, :, :k]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,12 @@
-"""End-to-end acceptance suite: eleven numbered checks, one line printed each.
+"""End-to-end acceptance suite: twelve numbered checks, one line printed each.
 
 Checks 2 through 8 build deterministic text artifacts through a shared
 builder; check 9 rebuilds every artifact with 2 and 8 worker threads and
 requires byte identity with the single-threaded build.  Check 1 (solver
-versus brute force) is randomized but seeded, and timed.  Checks 10 and
-11 run non-Euclidean validations end to end: linf fidelity with l1 data,
-and weighted lp (p = 3) fidelity with l2 data.
+versus brute force) is randomized but seeded, and timed.  Checks 10, 11
+and 12 run non-Euclidean validations end to end: linf fidelity with l1
+data, weighted lp (p = 3) fidelity with l2 data, and l1 data on the
+identity in R^6, whose exact constants must not depend on the seed.
 """
 
 import math
@@ -21,6 +22,8 @@ from l0geom import (
     LevelSetExperiment,
     NormSpec,
     Quantity,
+    assemble_constants,
+    constants_to_csv,
     fit_asymptote,
     norm_eval,
     orthonormal_basis,
@@ -419,3 +422,40 @@ def test_check_11_weighted_lp_end_to_end():
         )
 
     _checked(11, "weighted lp end to end", body)
+
+
+def test_check_12_l1_data_at_size_end_to_end():
+    identity6 = Dictionary.from_vectors(np.eye(6))
+    taus = (0.02, 0.05, 0.1)
+
+    def body():
+        csvs, seconds = {}, {}
+        for workers in (1, 2):
+            start = time.monotonic()
+            report = validate_bounds(
+                identity6, L2, L1, taus, 1.0, tuple(range(7)),
+                quantities=tuple(Quantity), n_samples=100_000, seed=SEED, workers=workers,
+            )
+            seconds[workers] = time.monotonic() - start
+            assert seconds[workers] < 60.0, f"validate took {seconds[workers]:.1f} s"
+            assert (report.n_pass, report.n_fail, report.n_invalid) == (87, 0, 0)
+            csvs[workers] = report_to_csv(report)
+        assert csvs[1] == csvs[2]
+        tables = [
+            constants_to_csv([
+                assemble_constants(identity6, L2, L1, K, n_samples=100_000, seed=seed)
+                for K in range(7)
+            ])
+            for seed in (SEED, SEED + 1)
+        ]
+        assert tables[0] == tables[1]
+        header, *rows = (line.split(",") for line in tables[0].splitlines())
+        for row in rows:
+            errors = [cell for name, cell in zip(header, row) if name.endswith("ci") and cell]
+            assert errors and all(float(cell) == 0.0 for cell in errors)
+        return (
+            f"{report.n_pass} cells pass, CSV identical at 1 and 2 workers, "
+            f"exact constants identical at two seeds, {max(seconds.values()):.1f} s"
+        )
+
+    _checked(12, "l1 data at size end to end", body)

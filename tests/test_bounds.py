@@ -4,15 +4,23 @@ Oracles used here:
   * Euclidean ball volumes pi^(n/2) / Gamma(n/2 + 1) and the equivalent
     ratio form 4 pi^(n/2) / (K (n-K) Gamma((n-K)/2) Gamma(K/2)).
   * Hand-computed shadows and slices for axis and diagonal lines.
+  * scipy's ConvexHull and HalfspaceIntersection for the exact polytope
+    volumes of l1, linf and weighted-l1 shadows and slices, the
+    coordinate-section closed forms 2^k / k! and 2^k, and forced Monte
+    Carlo for the zonotope shadows of the linf ball.
   * The area of a union of two perpendicular strips inside the unit disk,
     4 (tau sqrt(1 - tau^2) + asin tau) - 4 tau^2, for the exact level-set
     measure of the two-axis dictionary.
 """
 
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from l0geom import (
     BoundReport,
@@ -35,7 +43,9 @@ from l0geom import (
     projected_ball_volume,
     slice_volume,
 )
-from l0geom.subspaces import empty_basis
+from l0geom import bounds, norms
+from l0geom.norms import polytope_volume
+from l0geom.subspaces import SubspaceBasis, empty_basis
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 AXES2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
@@ -119,16 +129,202 @@ class TestSliceVolume:
         assert slice_volume(LINF, full).value == pytest.approx(4.0)
 
     def test_diagonal_slice_of_the_l1_ball(self):
-        # {t (1,1)/sqrt(2) : sqrt(2) |t| <= 1} has length sqrt(2).
+        # {t (1,1)/sqrt(2) : sqrt(2) |t| <= 1} has length sqrt(2), exactly.
         diag = orthonormal_basis([[1.0, 1.0]])
         est = slice_volume(L1, diag, n_samples=100_000)
-        assert est.std_err > 0.0
-        assert abs(est.value - math.sqrt(2.0)) <= 4.0 * est.std_err
+        assert est.std_err == 0.0
+        assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_forced_monte_carlo_agrees_with_closed_form(self):
         plane = orthonormal_basis([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         est = slice_volume(L2, plane, n_samples=50_000, method="mc")
         assert abs(est.value - math.pi) <= 4.0 * est.std_err
+
+
+def _random_basis(rng, n, k):
+    return orthonormal_basis(rng.standard_normal((k, n)))
+
+
+def _signs(n):
+    return np.array(list(product((-1.0, 1.0), repeat=n)))
+
+
+def _halfspace_volume(normals):
+    """Volume of {y : normals @ y <= 1} from scipy's halfspace intersection."""
+    halfspaces = np.column_stack([normals, -np.ones(len(normals))])
+    corners = HalfspaceIntersection(halfspaces, np.zeros(normals.shape[1])).intersections
+    return ConvexHull(corners).volume
+
+
+def _slice_normals(norm, u):
+    """Facet normals of {y : norm(U y) <= 1} in the coordinates of U."""
+    if norm.kind == "linf":
+        return np.vstack([u, -u])
+    w = np.ones(u.shape[0]) if norm.kind == "l1" else np.asarray(norm.weights)
+    return (_signs(u.shape[0]) * w) @ u
+
+
+def _weighted_l1(n, rng):
+    return NormSpec.weighted_lp(1.0, rng.uniform(0.5, 2.0, n))
+
+
+class TestExactVolumes:
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_slices_match_scipy(self, n):
+        rng = np.random.default_rng(n)
+        worst = 0.0
+        for k in range(2, 6):
+            for norm in (L1, LINF, _weighted_l1(n, rng)):
+                u = _random_basis(rng, n, k)
+                est = slice_volume(norm, u)
+                ref = _halfspace_volume(_slice_normals(norm, u.matrix))
+                assert est.std_err == 0.0
+                worst = max(worst, abs(est.value - ref) / ref)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_shadows_match_scipy(self, n):
+        rng = np.random.default_rng(100 + n)
+        for k in range(1, n - 1):
+            for norm in (L1, LINF, _weighted_l1(n, rng)):
+                basis = _random_basis(rng, n, k)
+                comp = basis.complement().matrix
+                if norm.kind == "linf":
+                    corners = _signs(n) @ comp
+                else:
+                    w = np.ones(n) if norm.kind == "l1" else np.asarray(norm.weights)
+                    corners = np.vstack([comp, -comp]) / np.tile(w, 2)[:, None]
+                est = projected_ball_volume(norm, basis)
+                assert est.std_err == 0.0
+                assert est.value == pytest.approx(ConvexHull(corners).volume, rel=1e-13)
+
+    def test_polytope_volume_matches_convex_hull(self):
+        rng = np.random.default_rng(7)
+        for n, k in ((5, 2), (6, 3), (6, 5), (8, 4)):
+            u = _random_basis(rng, n, k).matrix
+            s = list(combinations(range(n), k - 1))
+            r = np.linalg.svd(u[np.array(s).reshape(len(s), k - 1)])[2][:, -1]
+            r /= np.abs(r @ u.T).sum(axis=1, keepdims=True)
+            points = np.vstack([r, -r])
+            assert polytope_volume(points, _slice_normals(L1, u)) == pytest.approx(
+                ConvexHull(points).volume, rel=1e-14
+            )
+
+    def test_coordinate_sections_are_exact(self):
+        for n in range(2, 7):
+            for k in range(1, n):
+                for subset in (tuple(range(k)), tuple(range(n - k, n))):
+                    basis = orthonormal_basis(np.eye(n)[list(subset)])
+                    assert slice_volume(L1, basis).value == 2.0**k / math.factorial(k)
+                    assert slice_volume(LINF, basis).value == pytest.approx(2.0**k, rel=1e-14)
+                    m = n - k
+                    assert projected_ball_volume(L1, basis).value == pytest.approx(
+                        2.0**m / math.factorial(m), rel=1e-14
+                    )
+                    assert projected_ball_volume(LINF, basis).value == 2.0**m
+
+    def test_zonotope_shadow_agrees_with_monte_carlo(self):
+        rng = np.random.default_rng(11)
+        for n, k in ((3, 1), (4, 2), (5, 2)):
+            basis = _random_basis(rng, n, k)
+            exact = projected_ball_volume(LINF, basis)
+            mc = projected_ball_volume(LINF, basis, n_samples=200_000, seed=3, method="mc")
+            assert mc.std_err > 0.0
+            assert abs(exact.value - mc.value) <= 3.0 * mc.std_err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["l1", "linf", "wl1"]),
+        st.booleans(),
+    )
+    def test_invariant_under_isometries(self, dims, seed, kind, integer):
+        # A rotation of the basis inside its subspace, and a permutation
+        # with sign flips of the coordinates (weights permuted alike), map
+        # every shadow and slice onto an isometric copy.
+        n, k = dims
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(-2, 3, (k, n)).astype(float) if integer else rng.standard_normal((k, n))
+        assume(np.linalg.matrix_rank(raw) == k)
+        basis = orthonormal_basis(raw)
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        perm, flips = rng.permutation(n), rng.choice([-1.0, 1.0], n)
+        weights = rng.uniform(0.5, 2.0, n)
+        norm = {"l1": L1, "linf": LINF, "wl1": NormSpec.weighted_lp(1.0, weights)}[kind]
+        moved_norm = norm if kind != "wl1" else NormSpec.weighted_lp(1.0, weights[perm])
+        rotated = SubspaceBasis(basis.matrix @ q)
+        moved = SubspaceBasis((basis.matrix * flips[:, None])[perm])
+        for volume in (slice_volume, projected_ball_volume):
+            ref = volume(norm, basis).value
+            assert volume(norm, rotated).value == pytest.approx(ref, rel=1e-12)
+            assert volume(moved_norm, moved).value == pytest.approx(ref, rel=1e-12)
+
+    def test_missing_vertex_raises(self):
+        cross = np.vstack([np.eye(3), -np.eye(3)])
+        assert polytope_volume(cross, _signs(3)) == pytest.approx(4.0 / 3.0, rel=1e-15)
+        with pytest.raises(ValueError, match="face lattice"):
+            polytope_volume(cross[1:], _signs(3))
+
+    def test_caps_fail_fast(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        plane4 = _random_basis(rng, 6, 4)
+        monkeypatch.setattr(norms, "MAX_POLYTOPE_CANDIDATES", 2559)
+        with pytest.raises(
+            ValueError,
+            match=r"2 \* C\(6, 3\) = 40 vertex candidates by 2\^6 sign vectors needs 2560 "
+            r"candidates, above the cap of 2559",
+        ):
+            slice_volume(L1, plane4)
+        with pytest.raises(ValueError, match=r"C\(6, 4\) \* 2\^4 = 240 vertex candidates by 12"):
+            slice_volume(LINF, plane4)
+        monkeypatch.setattr(norms, "MAX_POLYTOPE_CANDIDATES", 14)
+        with pytest.raises(ValueError, match=r"12 points by \d+ facet normals"):
+            projected_ball_volume(L1, _random_basis(rng, 6, 2))
+        with pytest.raises(ValueError, match=r"C\(6, 2\) determinants needs 15 candidates"):
+            projected_ball_volume(LINF, plane4)
+        # A hyperplane section of the cross-polytope in R^8 starts from
+        # 2 C(8, 6) * 2^8 = 14,336 candidate incidences and walks more faces.
+        monkeypatch.setattr(norms, "MAX_POLYTOPE_CANDIDATES", 14_336)
+        with pytest.raises(ValueError, match="face walk of a 7-polytope with 56 vertices"):
+            slice_volume(L1, _random_basis(rng, 8, 7))
+
+    def test_each_distinct_subspace_is_priced_once_per_dictionary(self, monkeypatch):
+        calls = []
+        original = bounds._slice_polytope
+
+        def counting(data, u):
+            calls.append((len(u), u.shape[2]))
+            return original(data, u)
+
+        monkeypatch.setattr(bounds, "_slice_polytope", counting)
+        identity = Dictionary.from_vectors(np.eye(6))
+        first = [assemble_constants(identity, L2, L1, K, seed=1) for K in range(7)]
+        # Every coordinate subspace of dimension 1..5, once, in one batch per
+        # dimension: the overlap slices at level K are the cylinder slices of
+        # lower levels.
+        assert calls == [(math.comb(6, k), k) for k in range(1, 6)]
+        assert len(identity._volumes) == 62
+        again = [assemble_constants(identity, L2, L1, K, seed=2) for K in range(7)]
+        assert len(calls) == 5
+        assert constants_to_csv(first) == constants_to_csv(again)
+        fresh = Dictionary.from_vectors(np.eye(6))
+        assert fresh._volumes == {}
+        assemble_constants(fresh, L2, L1, 1)
+        assert calls[5:] == [(6, 1)]
+
+    def test_polyhedral_constants_are_exact_and_seed_free(self):
+        rows = [
+            constants_to_csv(
+                [assemble_constants(THREE_LINES, LINF, L1, K, seed=seed) for K in range(3)]
+            )
+            for seed in (1, 2)
+        ]
+        assert rows[0] == rows[1]
+        header, *lines = (line.split(",") for line in rows[0].splitlines())
+        for cells in lines:
+            errors = [c for name, c in zip(header, cells) if name.endswith("ci") and c]
+            assert errors and all(float(c) == 0.0 for c in errors)
 
 
 class TestCylinderConstant:
@@ -141,7 +337,8 @@ class TestCylinderConstant:
     def test_box_fidelity_with_l1_data_on_the_diagonal(self):
         diag = orthonormal_basis([[1.0, 1.0]])
         est = cylinder_constant(LINF, L1, diag, n_samples=100_000)
-        assert abs(est.value - 4.0) <= 4.0 * est.std_err  # 2 sqrt(2) * sqrt(2)
+        assert est.std_err == 0.0
+        assert est.value == pytest.approx(4.0, rel=1e-15)  # 2 sqrt(2) * sqrt(2)
 
 
 class TestOverlapConstant:
@@ -367,9 +564,11 @@ class TestBoundReports:
                     assert rep.lower <= rep.upper
 
     def test_monte_carlo_uncertainty_propagates(self):
-        # The diagonal atom's l1-ball slice is strictly inside its sampling
-        # box, so this constant set carries real Monte Carlo error.
-        noisy = assemble_constants(THREE_LINES, L2, L1, 1, n_samples=4000)
+        # Slices of a weighted l3 ball have no exact value, and the diagonal
+        # atom's slice is strictly inside its sampling box, so this
+        # constant set carries real Monte Carlo error.
+        wl3 = NormSpec.weighted_lp(3.0, [1.0, 2.0])
+        noisy = assemble_constants(THREE_LINES, L2, wl3, 1, n_samples=4000)
         assert noisy.c_total.std_err > 0.0
         rep = bound_report(Quantity.MEASURE_LEQ, 0.02, 1.0, noisy)
         assert rep.upper_std_err > 0.0

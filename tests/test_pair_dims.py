@@ -191,12 +191,15 @@ class TestOverlapTotals:
             expected = per_pair_q_totals(consts.family, L2, L1, 64, seed)
             assert consts.q_totals == expected
 
-    def test_l1_data_with_monte_carlo_slices(self):
+    def test_weighted_lp_data_with_monte_carlo_slices(self):
+        # Weighted lp slices with p > 1 are the ones still priced by Monte
+        # Carlo, one stream per distinct pair.
         rng = np.random.default_rng(3)
         atoms = rng.standard_normal((6, 4))
         dictionary = Dictionary.from_vectors(np.vstack([atoms, atoms[0] + atoms[1]]))
-        consts = assemble_constants(dictionary, L2, L1, 3, n_samples=64, seed=5)
-        assert consts.q_totals == per_pair_q_totals(consts.family, L2, L1, 64, 5)
+        wl3 = NormSpec.weighted_lp(3.0, [1.0, 2.0, 0.5, 1.5])
+        consts = assemble_constants(dictionary, L2, wl3, 3, n_samples=64, seed=5)
+        assert consts.q_totals == per_pair_q_totals(consts.family, L2, wl3, 64, 5)
         assert consts.q_totals[2].std_err > 0.0  # some slices were Monte Carlo
 
     @settings(max_examples=30, deadline=None)
