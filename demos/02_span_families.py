@@ -40,12 +40,12 @@ print()
 # full space for a spanning dictionary.
 
 # Distinct spans of equal size meet in a lower-dimensional subspace.  For
-# planes in R^3 the only possibility is a line; the pair listing returns
-# ordered pairs, so each unordered pair appears twice.
+# planes in R^3 the only possibility is a line; the pair listing is a
+# (P, 2) array of ordered pairs, so each unordered pair appears twice.
 family2 = enumerate_spans(dictionary, 2)
 pairs = enumerate_pairs(family2, 1)
 print(f"plane pairs meeting in a line: {len(pairs)} ordered pairs")
-a, b = pairs[0]
+a, b = pairs[0].tolist()
 meet = intersection_dim(family2.members[a], family2.members[b])
 print(f"example: spans {family2.members[a].provenance} and "
       f"{family2.members[b].provenance} meet in dimension {meet}")

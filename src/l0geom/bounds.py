@@ -76,6 +76,9 @@ _KEY_SCALE = 2.0**46
 # Subspaces priced per batch; it bounds the stacked vertex and facet arrays.
 _PRICE_BATCH = 1024
 
+# Terms per block of a sequential sum over the pairs of a level.
+_SUM_BLOCK = 1 << 16
+
 # Two-sided 95% normal quantile: a 95% half width is Z95 standard errors.
 Z95 = 1.959963984540054
 
@@ -337,6 +340,16 @@ def overlap_constant(
     return _overlap(_overlap_factor(fidelity, data, first.ambient_dim, meet.dim), inner)
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum: the bits of a Python ``+=`` loop from 0.0,
+    which ``np.sum``, summing pairwise, does not keep.  It runs in blocks of
+    ``_SUM_BLOCK`` terms, so a broadcast array costs no more memory."""
+    total = 0.0
+    for lo in range(0, len(values), _SUM_BLOCK):
+        total = np.add.accumulate(np.append(total, values[lo : lo + _SUM_BLOCK]))[-1]
+    return float(total)
+
+
 def _closed_slice(data: NormSpec, k: int) -> VolumeEstimate | None:
     """Slice volume of the data ball through any k-dimensional subspace, when
     it depends on k alone: the point for k = 0, the Euclidean ball for l2 data."""
@@ -444,14 +457,16 @@ def assemble_constants(
     The family comes from ``span_family``, so it is the one the dictionary's
     solvers use, and its tolerance decides every intersection.  Q_k sums
     the overlap constants of the ordered pairs that ``enumerate_pairs``
-    lists at k.  When the intersection's slice volume depends on k alone
-    (k = 0, or l2 data) the pair value is priced once per k.  Every other
-    unordered pair is priced once, as ``overlap_constant`` prices it, but a
-    level's intersections come from one stacked SVD at the dimension the
-    pair pass gives: their slices are priced exactly, in one batch, through
-    the dictionary's memo of volumes, which every level shares; or by Monte
-    Carlo (weighted lp data with p > 1), with subid counting the distinct
-    pairs met so far.  The member volumes of a level are one batch too.
+    lists at k, left to right over the array of their values in that
+    order (``_sequential_sum``).  When the intersection's slice volume
+    depends on k alone (k = 0, or l2 data) the pair value is priced once per
+    k.  Every other unordered pair is priced once, as ``overlap_constant``
+    prices it, but a level's intersections come from one stacked SVD at the
+    dimension the pair pass gives: their slices are priced exactly, in one
+    batch, through the dictionary's memo of volumes, which every level
+    shares; or by Monte Carlo (weighted lp data with p > 1), with subid
+    counting the distinct pairs met so far.  The member volumes of a level
+    are one batch too.
     """
     n = dictionary.n_dim
     if not 0 <= K <= n:
@@ -461,9 +476,10 @@ def assemble_constants(
     family = span_family(dictionary, K)
 
     members, volumes = family.members, dictionary._volumes
+    bases = np.stack([member.matrix for member in members])
     for kind, norm in (("slice", data), ("shadow", fidelity)):
         if norm.polyhedral and 0 < K < n:
-            _price_exact(kind, norm, np.stack([member.matrix for member in members]), volumes)
+            _price_exact(kind, norm, bases, volumes)
     c_members = tuple(
         cylinder_constant(fidelity, data, member, n_samples, seed, subid=i, volumes=volumes)
         for i, member in enumerate(members)
@@ -474,37 +490,38 @@ def assemble_constants(
 
     k_min = max(0, 2 * K - n)
     q_totals: dict[int, VolumeEstimate] = {}
-    pair_cache: dict[tuple[int, int], VolumeEstimate] = {}
+    met = 0  # distinct pairs of the levels below, which number the Monte Carlo streams
     for k in range(k_min, K):
         listed = enumerate_pairs(family, k)
         factor = _overlap_factor(fidelity, data, n, k)
         inner = _closed_slice(data, k)
-        closed = None if inner is None else _overlap(factor, inner)
-        fresh = [] if closed is not None else [(i, j) for i, j in listed if i < j]
-        if fresh:
-            meets = meet_matrices(
-                np.stack([members[i].matrix for i, _ in fresh]),
-                np.stack([members[j].matrix for _, j in fresh]),
-                k,
-            )
-            if data.polyhedral:
-                inners = _price_exact("slice", data, meets, volumes)
-            else:
-                base = len(pair_cache)
-                inners = [
-                    slice_volume(data, SubspaceBasis(meet), n_samples, seed, subid=base + t)
-                    for t, meet in enumerate(meets)
-                ]
-            pair_cache.update((key, _overlap(factor, inner)) for key, inner in zip(fresh, inners))
-        value = 0.0
-        err = 0.0
-        for i, j in listed:
-            key = (min(i, j), max(i, j))
-            if key not in pair_cache:
-                pair_cache[key] = closed
-            value += pair_cache[key].value
-            err += pair_cache[key].std_err
-        q_totals[k] = VolumeEstimate(value, err)
+        if inner is not None:
+            closed = _overlap(factor, inner)
+            values = np.broadcast_to(closed.value, len(listed))
+            errs = np.broadcast_to(closed.std_err, len(listed))
+        else:
+            first, second = listed.T
+            fresh = listed[first < second]
+            inners = []
+            if len(fresh):
+                meets = meet_matrices(bases[fresh[:, 0]], bases[fresh[:, 1]], k)
+                if data.polyhedral:
+                    inners = _price_exact("slice", data, meets, volumes)
+                else:
+                    inners = [
+                        slice_volume(data, SubspaceBasis(meet), n_samples, seed, subid=met + t)
+                        for t, meet in enumerate(meets)
+                    ]
+            # Each ordered pair (i, j) takes the price of (min, max), found
+            # among the row-major keys i * M + j of the unordered pairs.
+            low, high = np.minimum(first, second), np.maximum(first, second)
+            size = len(members)
+            which = np.searchsorted(fresh[:, 0] * size + fresh[:, 1], low * size + high)
+            priced = [_overlap(factor, each) for each in inners]
+            values = np.array([pair.value for pair in priced])[which]
+            errs = np.array([pair.std_err for pair in priced])[which]
+        q_totals[k] = VolumeEstimate(_sequential_sum(values), _sequential_sum(errs))
+        met += len(listed) // 2
 
     delta_hat, pair_factor, delta_gate = gate_factors(fidelity, data, n, K)
     return ConstantSet(

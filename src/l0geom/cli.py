@@ -34,7 +34,7 @@ from .montecarlo import (
     validation_cells,
 )
 from .solver import L0Solver, span_family
-from .subspaces import enumerate_pairs
+from .subspaces import check_family_sizes, enumerate_pairs
 
 ENV_SEED = "L0GEOM_SEED"
 ENV_THREADS = "L0GEOM_THREADS"
@@ -148,7 +148,7 @@ def _cmd_spans(config: ExperimentConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"--level must lie in [0, {n}], got {args.level}")
     family = span_family(config.dictionary, args.level)
     pairs = {
-        str(k): [list(pair) for pair in enumerate_pairs(family, k)]
+        str(k): enumerate_pairs(family, k).tolist()
         for k in range(max(0, 2 * args.level - n), args.level)
     }
     _emit(
@@ -169,6 +169,7 @@ def _cmd_spans(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    check_family_sizes(config.dictionary, config.K_list)
     vol_samples = config.constants_samples or config.n_samples
     sets = [
         assemble_constants(

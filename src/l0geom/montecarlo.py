@@ -33,7 +33,7 @@ from .solver import (
     member_distances,
     values_from_profiles,
 )
-from .subspaces import Dictionary, SubspaceBasis
+from .subspaces import Dictionary, SubspaceBasis, check_family_sizes
 
 
 def wilson_half_width(p_hat: float, n: int) -> float:
@@ -72,7 +72,9 @@ class LevelSetExperiment:
     Sampling and profile computation happen lazily on first use and are
     reused afterwards, and so are the values at each tau, which every cell
     at that tau shares as one read-only array; ``estimate`` prices any
-    (quantity, K, tau) cell from them.  ``workers`` splits the chunked
+    (quantity, K, tau) cell from them; the profiles need every level below
+    N, and a span family too large to enumerate at any of them is refused
+    before sampling starts.  ``workers`` splits the chunked
     sampling and profile work without changing any result.  The
     tolerances are read from ``solver`` and the dictionary it searches.
     """
@@ -122,6 +124,7 @@ class LevelSetExperiment:
     @property
     def profiles(self) -> np.ndarray:
         if self._profiles is None:
+            check_family_sizes(self.dictionary, range(self.dictionary.n_dim))
             self._profiles = self.solver.distance_profiles(self.points, self.workers)
         return self._profiles
 
@@ -353,7 +356,9 @@ def validate_bounds(
     3 standard errors of slack, pooling the estimate's uncertainty with
     the bound's own Monte Carlo uncertainty.  Cells outside the validity
     region are flagged with passed = None.  ``workers`` splits sampling and
-    distance profiles; the volume constants run in the calling thread.
+    distance profiles; the volume constants run in the calling thread.  A
+    span family too large to enumerate, at any level the bounds or the
+    distance profiles need, is refused before any work.
     """
     quantities = tuple(Quantity(q) for q in quantities)
     tau_grid = tuple(float(t) for t in tau_grid)
@@ -365,6 +370,9 @@ def validate_bounds(
         if not 0 <= k <= n:
             raise ValueError(f"K must lie in [0, {n}], got {k}")
 
+    # The distance profiles need every level below N, and so cover every
+    # capped level the bounds need.
+    check_family_sizes(dictionary, range(n))
     vol_samples = constants_samples if constants_samples is not None else n_samples
     consts: dict[int, ConstantSet] = {
         k: assemble_constants(dictionary, fidelity, data, k, n_samples=vol_samples, seed=seed)

@@ -8,12 +8,14 @@ the lexicographically smallest index subset of each.  One rank rule,
 atom lies in a span's flat, and two K-spans coincide, when the stacked
 columns keep rank K.  Pairs of distinct members are indexed by the
 dimension of their intersection, which drives the overlap corrections;
-``pair_dims`` finds them all in one batched rank pass per family.
+``pair_dims`` finds them all by ranking each distinct union of two
+members' atoms once.
 
 Enumeration refuses, before it starts, families with 0 < K < N whose
 C(m, K) subset count exceeds ``MAX_SPAN_SUBSETS``: the pair pass grows
-with the square of the family size.  The K = N family is the whole space
-and is not capped.
+with the square of the family size.  ``check_family_sizes`` applies the
+same rule to every level a computation will need before it starts.  The
+K = N family is the whole space and is not capped.
 """
 
 from __future__ import annotations
@@ -21,15 +23,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_SPAN_TOL = 1e-9
 
 # Largest C(m, K) that enumerate_spans accepts.  It guards the quadratic
-# pair pass alone: N=8, m=16, K=4 has 1,820 members and takes about 17 s.
+# pair layer: at N=8, m=16 the pair pass takes about 0.7 s at K=4 (1,820
+# members) and 2 s at K=5 (4,368), and the l2 constants of K=5 peak near
+# 440 MB, most of it the 16.4 M ordered pairs that meet in dimension 2.
 MAX_SPAN_SUBSETS = 5_000
+
+# Upper-triangle entries per row block of the pair pass, and unit atoms
+# per stacked SVD of its union ranks: they bound the arrays held at once.
+_PAIR_BLOCK = 1 << 18
+
+# Largest |G - I| entry, for G the Gram matrix of a basis's columns.
+_ORTHONORMAL_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,9 +62,7 @@ class SubspaceBasis:
             raise ValueError(f"basis matrix must be 2-d, got shape {m.shape}")
         if m.shape[1] > m.shape[0]:
             raise ValueError(f"basis has more columns than ambient dimensions: {m.shape}")
-        gram = m.T @ m
-        if gram.size and not np.allclose(gram, np.eye(m.shape[1]), atol=1e-10):
-            raise ValueError("basis columns are not orthonormal within 1e-10")
+        _check_orthonormal(m[None])
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "provenance", tuple(int(i) for i in self.provenance))
 
@@ -75,6 +84,27 @@ class SubspaceBasis:
             return SubspaceBasis(np.eye(n))
         u, _ = _left_singular(self.matrix, full_matrices=True)
         return SubspaceBasis(u[:, k:])
+
+
+def _check_orthonormal(stack: np.ndarray) -> None:
+    """Raise unless every (N, k) matrix of the stack has orthonormal columns
+    within ``_ORTHONORMAL_ATOL``: one batched Gram comparison."""
+    gram = stack.transpose(0, 2, 1) @ stack
+    if gram.size and not np.allclose(gram, np.eye(stack.shape[2]), atol=_ORTHONORMAL_ATOL):
+        raise ValueError(f"basis columns are not orthonormal within {_ORTHONORMAL_ATOL}")
+
+
+def _bases(matrices: np.ndarray, provenances: np.ndarray) -> tuple[SubspaceBasis, ...]:
+    """One ``SubspaceBasis`` per (N, k) matrix of a stack, with its row of
+    ``provenances``; the stack is checked once, not member by member."""
+    _check_orthonormal(matrices)
+    bases = []
+    for matrix, provenance in zip(matrices, provenances.tolist()):
+        basis = object.__new__(SubspaceBasis)
+        object.__setattr__(basis, "matrix", matrix)
+        object.__setattr__(basis, "provenance", tuple(provenance))
+        bases.append(basis)
+    return tuple(bases)
 
 
 def _left_singular(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -242,17 +272,33 @@ class SpanFamily:
     Members are ordered by their provenance subsets (lexicographically);
     each provenance is the smallest index subset generating that span.
     ``span_tol`` is the tolerance of the dictionary the family came from,
-    and ``_pair_dims`` memoises its ``pair_dims`` matrix.
+    ``unit_atoms`` that dictionary's atoms scaled to unit length, one per
+    row, and ``_pair_dims`` memoises the family's ``pair_dims`` matrix.
     """
 
     K: int
     ambient_dim: int
     span_tol: float
+    unit_atoms: np.ndarray
     members: tuple[SubspaceBasis, ...] = field(default_factory=tuple)
     _pair_dims: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def check_family_sizes(dictionary: Dictionary, levels: Iterable[int]) -> None:
+    """Refuse, before any work, the smallest level 0 < K < N among ``levels``
+    whose C(n_atoms, K) subsets exceed ``MAX_SPAN_SUBSETS``, with the
+    ValueError that ``enumerate_spans`` would raise on reaching it."""
+    n, m = dictionary.n_dim, dictionary.n_atoms
+    for K in sorted(set(levels)):
+        count = math.comb(m, K)
+        if 0 < K < n and count > MAX_SPAN_SUBSETS:
+            raise ValueError(
+                f"span family of m={m} atoms at K={K} needs C({m}, {K}) = {count} "
+                f"subsets, above the cap of {MAX_SPAN_SUBSETS} (subspaces.MAX_SPAN_SUBSETS)"
+            )
 
 
 def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
@@ -270,26 +316,22 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
     n, tol = dictionary.n_dim, dictionary.span_tol
     if not 0 <= K <= n:
         raise ValueError(f"K must lie in [0, {n}], got {K}")
+    unit = (dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)).T
+    fields = dict(K=K, ambient_dim=n, span_tol=tol, unit_atoms=unit)
     if K == 0:
-        return SpanFamily(K=0, ambient_dim=n, span_tol=tol, members=(empty_basis(n),))
+        return SpanFamily(**fields, members=(empty_basis(n),))
     if K == n:
         for subset in combinations(range(dictionary.n_atoms), n):
             basis = orthonormal_basis(dictionary.subset(subset).T, tol=tol, provenance=subset)
             if basis.dim == n:
-                return SpanFamily(K=n, ambient_dim=n, span_tol=tol, members=(basis,))
-        return SpanFamily(K=n, ambient_dim=n, span_tol=tol)
+                return SpanFamily(**fields, members=(basis,))
+        return SpanFamily(**fields)
+    check_family_sizes(dictionary, (K,))
     m = dictionary.n_atoms
-    count = math.comb(m, K)
-    if count > MAX_SPAN_SUBSETS:
-        raise ValueError(
-            f"span family of m={m} atoms at K={K} needs C({m}, {K}) = {count} "
-            f"subsets, above the cap of {MAX_SPAN_SUBSETS}"
-        )
     subsets = np.array(list(combinations(range(m), K)))
     u, s = _left_singular(np.moveaxis(dictionary.atoms[:, subsets], 1, 0), full_matrices=False)
     full = _rank(s, tol) == K
     bases, subsets = u[full], subsets[full]
-    unit = (dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)).T
     block = max(1, (1 << 16) // (m * n * (K + 1)))  # 512 KiB stacks of [U_S | a]
     closures = []
     for chunk in np.split(bases, range(block, len(bases), block)):
@@ -297,55 +339,133 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
         stacked[..., :K], stacked[..., K] = chunk[:, None], unit
         closures.append(_rank(np.linalg.svd(stacked, compute_uv=False), tol) == K)
     _, first = np.unique(np.concatenate(closures), axis=0, return_index=True)
-    members = tuple(SubspaceBasis(bases[i], provenance=subsets[i]) for i in np.sort(first))
-    return SpanFamily(K=K, ambient_dim=n, span_tol=tol, members=members)
+    kept = np.sort(first)
+    return SpanFamily(**fields, members=_bases(bases[kept], subsets[kept]))
+
+
+def _atom_words(subsets: np.ndarray, n_atoms: int) -> np.ndarray:
+    """(len(subsets), W) little-endian uint64 words, W = ceil(n_atoms / 64),
+    holding each index subset as a bitmask: bit a is set when atom a is in it."""
+    marks = np.zeros((len(subsets), 64 * -(-n_atoms // 64)), dtype=bool)
+    marks[np.arange(len(subsets))[:, None], subsets] = True
+    return np.packbits(marks, axis=1, bitorder="little").view("<u8")
+
+
+def _upper_blocks(words: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The strict upper triangle of the (M, M) pair matrix in row blocks of
+    about ``_PAIR_BLOCK`` entries, in row-major order.  Each block is
+    (lo, upper, unions): rows lo:lo + len(upper) against columns lo:,
+    ``upper`` marking the entries with j > i, and the OR of the two
+    members' ``words`` at each marked entry."""
+    size = len(words)
+    lo = 0
+    while lo < size - 1:
+        hi = min(size, lo + max(1, _PAIR_BLOCK // (size - lo)))
+        upper = np.triu(np.ones((hi - lo, size - lo), dtype=bool), 1)
+        yield lo, upper, (words[lo:hi, None] | words[None, lo:])[upper]
+        lo = hi
+
+
+def _keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per row of (P, W) bitmask words: the word itself when
+    W = 1, else the row's bytes."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _union_ranks(unit_atoms: np.ndarray, keys: np.ndarray, tol: float) -> np.ndarray:
+    """Rank of the unit atoms of each union, given by its ``_keys`` key, by
+    the ``_rank`` rule at tol, in one stacked SVD per union size (split into
+    stacks of at most ``_PAIR_BLOCK`` entries)."""
+    n_atoms, n = unit_atoms.shape
+    words = keys.view("<u8").reshape(len(keys), -1)
+    marks = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n_atoms]
+    sizes = marks.sum(axis=1)
+    ranks = np.empty(len(words), dtype=np.int16)
+    for size in _distinct(sizes):
+        rows = np.flatnonzero(sizes == size)
+        atoms = np.nonzero(marks[rows])[1].reshape(-1, size)
+        step = max(1, _PAIR_BLOCK // (size * n))
+        for lo in range(0, len(rows), step):
+            s = np.linalg.svd(unit_atoms[atoms[lo : lo + step]], compute_uv=False)
+            ranks[rows[lo : lo + step]] = _rank(s, tol)
+    return ranks
 
 
 def pair_dims(family: SpanFamily) -> np.ndarray:
     """(M, M) matrix of intersection dimensions between the family's members.
 
-    Entry (i, j) equals ``intersection_dim(members[i], members[j],
-    family.span_tol)``; the diagonal holds K.  Row i stacks member i against
-    every later member and takes all their singular values in one batched
-    SVD, with the rank rule of ``intersection_dim``, so memory stays
-    O(M N K) rather than O(M^2 N K).  The read-only matrix is computed once
-    and memoised on the family.  Two members meeting in dimension K are one
-    span counted twice: a ValueError names both provenances.
+    The diagonal holds K.  Off it, entry (i, j) is 2K - rank(S_i u S_j),
+    for S_i and S_j the two members' provenance subsets: their spans V_i and
+    V_j have the sum V_i + V_j = span(S_i u S_j), of dimension
+    2K - dim(V_i n V_j).  Each member is keyed by the bitmask of its
+    provenance and each pair by the OR of the two, and each distinct union
+    is ranked once, over the family's unit atoms at its span_tol by the
+    ``_rank`` rule (``_union_ranks``).  The upper triangle is walked in row
+    blocks twice, to collect the distinct unions and then to scatter their
+    dimensions, so that beyond the int16 matrix the memory is
+    O(``_PAIR_BLOCK``) plus the distinct unions.  The read-only matrix is
+    computed once and memoised on the family.  Two members meeting in
+    dimension K are one span counted twice: a ValueError names both
+    provenances.
     """
     if family._pair_dims is None:
         size, k = len(family.members), family.K
         dims = np.full((size, size), k, dtype=np.int16)
         if k > 0 and size > 1:
-            bases = np.stack([member.matrix for member in family.members])
-            for i in range(size - 1):
-                later = bases[i + 1 :]
-                stacked = np.concatenate(
-                    [np.broadcast_to(bases[i], later.shape), later], axis=2
-                )
-                rank = _rank(np.linalg.svd(stacked, compute_uv=False), family.span_tol)
-                same = np.flatnonzero(rank == k)
+            subsets = np.array([member.provenance for member in family.members])
+            words = _atom_words(subsets, len(family.unit_atoms))
+            seen = [_distinct(_keys(unions)) for _, _, unions in _upper_blocks(words)]
+            distinct = _distinct(np.concatenate(seen))
+            ranks = _union_ranks(family.unit_atoms, distinct, family.span_tol)
+            for lo, upper, unions in _upper_blocks(words):
+                rank = ranks[np.searchsorted(distinct, _keys(unions))]
+                same = np.flatnonzero(rank <= k)
                 if same.size:
+                    rows, cols = np.nonzero(upper)
+                    first, second = (family.members[lo + at[same[0]]] for at in (rows, cols))
                     raise ValueError(
-                        f"members {family.members[i].provenance} and "
-                        f"{family.members[i + 1 + same[0]].provenance} have one span "
+                        f"members {first.provenance} and {second.provenance} have one span "
                         f"at span_tol {family.span_tol}"
                     )
-                dims[i, i + 1 :] = dims[i + 1 :, i] = 2 * k - rank
+                block = np.full(upper.shape, k, dtype=np.int16)
+                block[upper] = 2 * k - rank
+                hi = lo + len(block)
+                dims[lo:hi, lo:] = block
+                np.minimum(dims[lo:, lo:hi], block.T, out=dims[lo:, lo:hi])
         dims.flags.writeable = False
         object.__setattr__(family, "_pair_dims", dims)
     return family._pair_dims
 
 
-def enumerate_pairs(family: SpanFamily, k: int) -> tuple[tuple[int, int], ...]:
-    """Ordered pairs (i, j), i != j, of members whose spans meet in dimension k.
+def enumerate_pairs(family: SpanFamily, k: int) -> np.ndarray:
+    """(P, 2) array of the ordered pairs (i, j), i != j, of members whose
+    spans meet in dimension k.
 
-    Pairs come in row-major order.  Empty whenever k is not attainable, in
-    particular for any k below max(0, 2K - N) and for families with fewer
-    than two members.  The dimensions come from the family's memoised
-    ``pair_dims`` matrix, so calls at every k share one rank pass.
+    Pairs come in row-major order.  Empty, of shape (0, 2), whenever k is
+    not attainable, in particular for k = K, for any k below
+    max(0, 2K - N) and for families with fewer than two members.  The
+    dimensions come from the family's memoised ``pair_dims`` matrix, so
+    calls at every k share one rank pass; the array is filled in row
+    blocks, so that it is the only O(P) memory.
     """
     if not 0 <= k <= family.K:
         raise ValueError(f"k must lie in [0, {family.K}], got {k}")
+    if k == family.K:  # off the diagonal, pair_dims holds dimensions below K
+        return np.empty((0, 2), dtype=np.intp)
     hits = pair_dims(family) == k
-    np.fill_diagonal(hits, False)
-    return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(hits)))
+    pairs = np.empty((np.count_nonzero(hits), 2), dtype=np.intp)
+    step = max(1, _PAIR_BLOCK // max(1, len(hits)))
+    end = 0
+    for lo in range(0, len(hits), step):
+        rows, cols = np.nonzero(hits[lo : lo + step])
+        start, end = end, end + len(rows)
+        pairs[start:end, 0], pairs[start:end, 1] = lo + rows, cols
+    return pairs

@@ -193,6 +193,20 @@ class TestConstantsCommand:
         assert float(rows["1"][1]) == pytest.approx(8.0, rel=1e-12)
         assert float(rows["0"][1]) == pytest.approx(3.141592653589793)
 
+    def test_a_level_above_the_span_cap_is_refused_before_any_constant(
+        self, config_path, capsys, monkeypatch
+    ):
+        from l0geom import cli, subspaces
+
+        entered = []
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 2)
+        monkeypatch.setattr(cli, "assemble_constants", lambda *a, **k: entered.append(a))
+        path = config_path(minimal(dictionary=THREE, K_list=[0, 1]))
+        assert main(["constants", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "C(3, 1) = 3 subsets, above the cap of 2 (subspaces.MAX_SPAN_SUBSETS)" in err
+        assert entered == []
+
 
 class TestEstimateCommand:
     def test_row_layout(self, config_path, capsys):

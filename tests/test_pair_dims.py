@@ -1,14 +1,15 @@
-"""Closure-keyed families, batched pair dimensions, memoised families and
-closed-form overlap sums.
+"""Closure-keyed families, union-ranked pair dimensions, memoised families
+and closed-form overlap sums.
 
 Property tests on small dictionaries with repeated, parallel and dependent
 atoms check the closure-keyed families against the original projector
-dedup, the batched rank pass against the per-pair rank oracle, the pair
-lists against the original double loop, and every Q_k against the
-per-pair sum of ``overlap_constant``.
+dedup, the union-ranked pair pass against the per-row SVD pass it replaced
+and against the per-pair rank oracle, the pair arrays against the original
+double loop, and every Q_k against the per-pair sum of ``overlap_constant``.
 """
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from l0geom import (
     orthonormal_basis,
     overlap_constant,
 )
+from l0geom import subspaces
+from l0geom.bounds import _sequential_sum
 from l0geom.solver import span_family
-from l0geom.subspaces import pair_dims
+from l0geom.subspaces import _rank, pair_dims
 
 L1, L2 = NormSpec.l1(), NormSpec.l2()
 
@@ -83,6 +86,22 @@ def projector_dedup_members(dictionary, K):
         members.append(basis)
         projectors.append(proj)
     return members
+
+
+def per_row_pair_dims(family):
+    """The pair pass that union ranks replaced, kept as the oracle: row i
+    stacks member i's basis against every later member's, [U_i | U_j], and
+    ranks each stack by the ``_rank`` rule at the family's span_tol."""
+    size, k = len(family.members), family.K
+    dims = np.full((size, size), k, dtype=np.int16)
+    if k > 0 and size > 1:
+        bases = np.stack([member.matrix for member in family.members])
+        for i in range(size - 1):
+            later = bases[i + 1 :]
+            stacked = np.concatenate([np.broadcast_to(bases[i], later.shape), later], axis=2)
+            rank = _rank(np.linalg.svd(stacked, compute_uv=False), family.span_tol)
+            dims[i, i + 1 :] = dims[i + 1 :, i] = 2 * k - rank
+    return dims
 
 
 def double_loop_pairs(family, k, tol=1e-9):
@@ -147,13 +166,44 @@ class TestPairDims:
                     if i != j:
                         assert dims[i, j] == intersection_dim(first, second)
 
+    @settings(max_examples=200, deadline=None)
+    @given(structured_dictionaries())
+    def test_union_ranks_match_the_per_row_oracle(self, dictionary):
+        for K in range(dictionary.n_dim + 1):
+            family = enumerate_spans(dictionary, K)
+            np.testing.assert_array_equal(pair_dims(family), per_row_pair_dims(family))
+
+    def test_unions_of_more_than_64_atoms(self):
+        # Sixty copies of e1 ahead of six directions put provenance indices
+        # above 63, so a union's bitmask takes two words.
+        rng = np.random.default_rng(11)
+        atoms = np.vstack([np.outer(rng.uniform(0.5, 2.0, 60), [1.0, 0.0, 0.0]),
+                           rng.standard_normal((6, 3))])
+        dictionary = Dictionary.from_vectors(atoms)
+        for K in (1, 2):
+            family = enumerate_spans(dictionary, K)
+            assert max(max(m.provenance) for m in family.members) >= 64
+            np.testing.assert_array_equal(pair_dims(family), per_row_pair_dims(family))
+
+    def test_row_blocks_give_the_whole_matrix(self):
+        rng = np.random.default_rng(4)
+        dictionary = Dictionary.from_vectors(rng.standard_normal((9, 4)))
+        family = enumerate_spans(dictionary, 2)
+        with mock.patch.object(subspaces, "_PAIR_BLOCK", 7):
+            dims = pair_dims(enumerate_spans(dictionary, 2))
+        np.testing.assert_array_equal(dims, per_row_pair_dims(family))
+        np.testing.assert_array_equal(dims, pair_dims(family))
+
     @settings(max_examples=120, deadline=None)
     @given(structured_dictionaries())
     def test_enumerate_pairs_matches_the_double_loop(self, dictionary):
         for K in range(dictionary.n_dim + 1):
             family = enumerate_spans(dictionary, K)
             for k in range(K + 1):
-                assert enumerate_pairs(family, k) == double_loop_pairs(family, k)
+                pairs = enumerate_pairs(family, k)
+                assert pairs.shape[1:] == (2,) and pairs.dtype.kind == "i"
+                expected = np.array(double_loop_pairs(family, k), dtype=int).reshape(-1, 2)
+                np.testing.assert_array_equal(pairs, expected)
 
     def test_memoised_per_family_and_read_only(self):
         vectors = [[1, 0], [0, 1], [1, 1]]
@@ -172,6 +222,24 @@ class TestPairDims:
         dictionary = Dictionary.from_vectors([[1, 0], [0, 1], [1, 1]])
         assert pair_dims(enumerate_spans(dictionary, 0)).tolist() == [[0]]
         assert pair_dims(enumerate_spans(dictionary, 2)).tolist() == [[2]]
+
+
+class TestSequentialSum:
+    @pytest.mark.parametrize("terms", [7, 23_080, 1_000_003])
+    def test_matches_the_python_loop_bit_for_bit(self, terms):
+        rng = np.random.default_rng(terms)
+        for values in (rng.uniform(0.0, 3.0, terms), np.full(terms, 4.0 * np.pi / 3.0)):
+            total = 0.0
+            for value in values.tolist():
+                total += value
+            assert _sequential_sum(values) == total
+        if terms > 7:
+            # Neither shortcut keeps those bits for a closed-form level's
+            # repeated pair value.
+            assert total != terms * values[0] and total != float(np.sum(values))
+
+    def test_empty_is_zero(self):
+        assert _sequential_sum(np.array([])) == 0.0
 
 
 class TestOverlapTotals:

@@ -229,6 +229,25 @@ class TestSpanFamilies:
         monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 3)
         assert len(enumerate_spans(THREE_LINES, 1)) == 3
 
+    def test_validate_refuses_every_level_before_any_work(self, monkeypatch):
+        # The bounds of K_list [1] need levels 0 and 1 only, but the distance
+        # profiles need level 2 too, whose C(5, 2) = 10 subsets exceed the cap.
+        from l0geom import montecarlo, solver
+
+        d = Dictionary.from_vectors(np.vstack([np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]]))
+        l2 = NormSpec.l2()
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 9)
+        entered = []
+        for name in ("assemble_constants", "sample_levelset_batch"):
+            monkeypatch.setattr(montecarlo, name, lambda *a, name=name, **k: entered.append(name))
+        monkeypatch.setattr(solver, "enumerate_spans", lambda *a: entered.append("spans"))
+        cap = r"m=5 atoms at K=2 .*C\(5, 2\) = 10 .*cap of 9 \(subspaces.MAX_SPAN_SUBSETS\)"
+        with pytest.raises(ValueError, match=cap):
+            validate_bounds(d, l2, l2, [0.1], 1.0, [1], quantities=["prob_leq"], n_samples=50)
+        with pytest.raises(ValueError, match=cap):
+            LevelSetExperiment(d, l2, l2, 1.0, 50, 0).estimate("prob_leq", 1, 0.1)
+        assert entered == []
+
     def test_whole_space_is_not_capped(self, monkeypatch):
         # C(6, 2) = 15 is above the cap, but the K = N family is one span:
         # the first full-rank subset, here (0, 2) since (0, 1) is parallel.
@@ -289,12 +308,12 @@ class TestPairEnumeration:
     def test_three_lines_all_ordered_pairs(self):
         fam = enumerate_spans(THREE_LINES, 1)
         pairs = enumerate_pairs(fam, 0)
-        assert pairs == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+        assert pairs.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
 
     def test_full_level_has_no_pairs(self):
         fam = enumerate_spans(THREE_LINES, 2)
-        assert enumerate_pairs(fam, 0) == ()
-        assert enumerate_pairs(fam, 1) == ()
+        assert enumerate_pairs(fam, 0).shape == (0, 2)
+        assert enumerate_pairs(fam, 1).shape == (0, 2)
 
     def test_planes_in_r3_never_meet_in_a_point(self):
         rng = np.random.default_rng(5)
@@ -302,7 +321,7 @@ class TestPairEnumeration:
         fam = enumerate_spans(d, 2)
         assert len(fam) == 6
         # Two distinct planes through the origin share at least a line.
-        assert enumerate_pairs(fam, 0) == ()
+        assert enumerate_pairs(fam, 0).shape == (0, 2)
         assert len(enumerate_pairs(fam, 1)) == 30
 
     def test_level_guard(self):
@@ -363,8 +382,8 @@ class TestNearTolerance:
         )
         family = enumerate_spans(d, 1)
         assert [m.provenance for m in family.members] == [(0,), (2,)]
-        assert enumerate_pairs(family, 0) == ((0, 1), (1, 0))
-        assert enumerate_pairs(family, 1) == ()
+        assert enumerate_pairs(family, 0).tolist() == [[0, 1], [1, 0]]
+        assert enumerate_pairs(family, 1).shape == (0, 2)
         l2 = NormSpec.l2()
         consts = assemble_constants(d, l2, l2, 1)
         pair = overlap_constant(l2, l2, *family.members)
