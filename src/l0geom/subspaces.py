@@ -8,8 +8,8 @@ the lexicographically smallest index subset of each.  One rank rule,
 atom lies in a span's flat, and two K-spans coincide, when the stacked
 columns keep rank K.  Pairs of distinct members are indexed by the
 dimension of their intersection, which drives the overlap corrections;
-``pair_dims`` finds them all by ranking each distinct union of two
-members' atoms once.
+``pair_dims`` finds them all with one rank per distinct union of two
+members' atoms.
 
 Enumeration refuses, before it starts, families with 0 < K < N whose
 C(m, K) subset count exceeds ``MAX_SPAN_SUBSETS``: the pair pass grows
@@ -30,13 +30,13 @@ import numpy as np
 DEFAULT_SPAN_TOL = 1e-9
 
 # Largest C(m, K) that enumerate_spans accepts.  It guards the quadratic
-# pair layer: at N=8, m=16 the pair pass takes about 0.7 s at K=4 (1,820
-# members) and 2 s at K=5 (4,368), and the l2 constants of K=5 peak near
-# 440 MB, most of it the 16.4 M ordered pairs that meet in dimension 2.
+# pair layer: at N=8, m=16 the pair pass takes about 1 s at K=4 (1,820
+# members) and 3.3 s at K=5 (4,368), and the l2 constants of K=5 peak near
+# 400 MB, most of it the 16.4 M ordered pairs that meet in dimension 2.
 MAX_SPAN_SUBSETS = 5_000
 
-# Upper-triangle entries per row block of the pair pass, and unit atoms
-# per stacked SVD of its union ranks: they bound the arrays held at once.
+# Upper-triangle entries per row block of the pair pass, and entries per
+# stacked SVD of its union ranks: they bound the arrays held at once.
 _PAIR_BLOCK = 1 << 18
 
 # Largest |G - I| entry, for G the Gram matrix of a basis's columns.
@@ -272,14 +272,12 @@ class SpanFamily:
     Members are ordered by their provenance subsets (lexicographically);
     each provenance is the smallest index subset generating that span.
     ``span_tol`` is the tolerance of the dictionary the family came from,
-    ``unit_atoms`` that dictionary's atoms scaled to unit length, one per
-    row, and ``_pair_dims`` memoises the family's ``pair_dims`` matrix.
+    and ``_pair_dims`` memoises its ``pair_dims`` matrix.
     """
 
     K: int
     ambient_dim: int
     span_tol: float
-    unit_atoms: np.ndarray
     members: tuple[SubspaceBasis, ...] = field(default_factory=tuple)
     _pair_dims: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -316,8 +314,7 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
     n, tol = dictionary.n_dim, dictionary.span_tol
     if not 0 <= K <= n:
         raise ValueError(f"K must lie in [0, {n}], got {K}")
-    unit = (dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)).T
-    fields = dict(K=K, ambient_dim=n, span_tol=tol, unit_atoms=unit)
+    fields = dict(K=K, ambient_dim=n, span_tol=tol)
     if K == 0:
         return SpanFamily(**fields, members=(empty_basis(n),))
     if K == n:
@@ -332,6 +329,7 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
     u, s = _left_singular(np.moveaxis(dictionary.atoms[:, subsets], 1, 0), full_matrices=False)
     full = _rank(s, tol) == K
     bases, subsets = u[full], subsets[full]
+    unit = (dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)).T
     block = max(1, (1 << 16) // (m * n * (K + 1)))  # 512 KiB stacks of [U_S | a]
     closures = []
     for chunk in np.split(bases, range(block, len(bases), block)):
@@ -367,49 +365,41 @@ def _upper_blocks(words: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarr
 
 
 def _keys(words: np.ndarray) -> np.ndarray:
-    """One sortable key per row of (P, W) bitmask words: the word itself when
-    W = 1, else the row's bytes."""
-    if words.shape[1] == 1:
-        return words[:, 0]
+    """One sortable key per row of (P, W) bitmask words: the row's bytes."""
     return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct keys, sorted."""
-    keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-
-
-def _union_ranks(unit_atoms: np.ndarray, keys: np.ndarray, tol: float) -> np.ndarray:
-    """Rank of the unit atoms of each union, given by its ``_keys`` key, by
-    the ``_rank`` rule at tol, in one stacked SVD per union size (split into
-    stacks of at most ``_PAIR_BLOCK`` entries)."""
-    n_atoms, n = unit_atoms.shape
-    words = keys.view("<u8").reshape(len(keys), -1)
-    marks = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n_atoms]
-    sizes = marks.sum(axis=1)
-    ranks = np.empty(len(words), dtype=np.int16)
-    for size in _distinct(sizes):
-        rows = np.flatnonzero(sizes == size)
-        atoms = np.nonzero(marks[rows])[1].reshape(-1, size)
-        step = max(1, _PAIR_BLOCK // (size * n))
-        for lo in range(0, len(rows), step):
-            s = np.linalg.svd(unit_atoms[atoms[lo : lo + step]], compute_uv=False)
-            ranks[rows[lo : lo + step]] = _rank(s, tol)
+def _pair_ranks(bases: np.ndarray, pairs: np.ndarray, tol: float) -> np.ndarray:
+    """Rank of [U_i | U_j] for each row (i, j) of ``pairs``, U the (M, N, K)
+    stack of member bases, by the ``_rank`` rule at tol, in stacked SVDs of
+    at most ``_PAIR_BLOCK`` entries."""
+    n, k = bases.shape[1:]
+    ranks = np.empty(len(pairs), dtype=np.int16)
+    step = max(1, _PAIR_BLOCK // (2 * n * k))
+    for lo in range(0, len(pairs), step):
+        first, second = pairs[lo : lo + step].T
+        stacked = np.concatenate([bases[first], bases[second]], axis=2)
+        ranks[lo : lo + step] = _rank(np.linalg.svd(stacked, compute_uv=False), tol)
     return ranks
 
 
 def pair_dims(family: SpanFamily) -> np.ndarray:
     """(M, M) matrix of intersection dimensions between the family's members.
 
-    The diagonal holds K.  Off it, entry (i, j) is 2K - rank(S_i u S_j),
-    for S_i and S_j the two members' provenance subsets: their spans V_i and
-    V_j have the sum V_i + V_j = span(S_i u S_j), of dimension
-    2K - dim(V_i n V_j).  Each member is keyed by the bitmask of its
-    provenance and each pair by the OR of the two, and each distinct union
-    is ranked once, over the family's unit atoms at its span_tol by the
-    ``_rank`` rule (``_union_ranks``).  The upper triangle is walked in row
-    blocks twice, to collect the distinct unions and then to scatter their
+    The diagonal holds K.  Off it, entry (i, j) is 2K - rank [U_i | U_j],
+    by the ``_rank`` rule at the family's span_tol, for U_i and U_j the two
+    members' bases, as in ``intersection_dim``.  That rank is the dimension
+    of V_i + V_j = span(S_i u S_j), for S_i and S_j the members' provenance
+    subsets, so it is taken once per distinct union: each member is keyed
+    by the bitmask of its provenance, each pair by the OR of the two, and
+    each distinct union is ranked at its first pair in row-major order
+    (``_pair_ranks``).  A pair that shares its union with an earlier one
+    takes that pair's rank.  In exact arithmetic the two ranks agree; in
+    floating point they differ when one pair's smallest nonzero singular
+    value falls under span_tol and the other's does not, as for planes
+    whose atoms are 1e-5 radians apart at span_tol 1e-9, where products
+    of two such angles appear.  The upper triangle is walked in row blocks
+    twice, to collect the distinct unions and then to scatter their
     dimensions, so that beyond the int16 matrix the memory is
     O(``_PAIR_BLOCK``) plus the distinct unions.  The read-only matrix is
     computed once and memoised on the family.  Two members meeting in
@@ -421,16 +411,22 @@ def pair_dims(family: SpanFamily) -> np.ndarray:
         dims = np.full((size, size), k, dtype=np.int16)
         if k > 0 and size > 1:
             subsets = np.array([member.provenance for member in family.members])
-            words = _atom_words(subsets, len(family.unit_atoms))
-            seen = [_distinct(_keys(unions)) for _, _, unions in _upper_blocks(words)]
-            distinct = _distinct(np.concatenate(seen))
-            ranks = _union_ranks(family.unit_atoms, distinct, family.span_tol)
+            words = _atom_words(subsets, int(subsets.max()) + 1)
+            keys, firsts = [], []
+            for lo, upper, unions in _upper_blocks(words):
+                block_keys, at = np.unique(_keys(unions), return_index=True)
+                rows, cols = np.nonzero(upper)
+                keys.append(block_keys)
+                firsts.append(np.column_stack([lo + rows[at], lo + cols[at]]))
+            distinct, at = np.unique(np.concatenate(keys), return_index=True)
+            bases = np.stack([member.matrix for member in family.members])
+            ranks = _pair_ranks(bases, np.concatenate(firsts)[at], family.span_tol)
             for lo, upper, unions in _upper_blocks(words):
                 rank = ranks[np.searchsorted(distinct, _keys(unions))]
                 same = np.flatnonzero(rank <= k)
                 if same.size:
                     rows, cols = np.nonzero(upper)
-                    first, second = (family.members[lo + at[same[0]]] for at in (rows, cols))
+                    first, second = (family.members[lo + axis[same[0]]] for axis in (rows, cols))
                     raise ValueError(
                         f"members {first.provenance} and {second.provenance} have one span "
                         f"at span_tol {family.span_tol}"

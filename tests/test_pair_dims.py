@@ -3,7 +3,7 @@ and closed-form overlap sums.
 
 Property tests on small dictionaries with repeated, parallel and dependent
 atoms check the closure-keyed families against the original projector
-dedup, the union-ranked pair pass against the per-row SVD pass it replaced
+dedup, the union-keyed pair pass against the per-row SVD pass it replaced
 and against the per-pair rank oracle, the pair arrays against the original
 double loop, and every Q_k against the per-pair sum of ``overlap_constant``.
 """
@@ -68,6 +68,29 @@ def structured_dictionaries(draw):
         q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
         atoms = atoms @ (q * np.sign(np.diag(r))).T
     return Dictionary.from_vectors(atoms)
+
+
+@st.composite
+def near_parallel_dictionaries(draw):
+    """Gaussian atoms in R^n, 3 <= n <= 4, plus a chain of near-copies:
+    atom a_i turned towards a_j, a_j towards a_k, and so on, each by 1e-4
+    to 1e-6 radians.  A union holding two links can be conditioned like
+    the product of their angles, under span_tol, while some pairs of
+    members that span it see one angle only.  The atoms are shuffled, so
+    that a copy can come before its original and generate a member's
+    span."""
+    n = draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((draw(st.integers(n, n + 2)), n))
+    chain = draw(st.permutations(range(len(base))))[: draw(st.integers(2, 4))]
+    copies = []
+    for i, j in zip(chain, chain[1:]):
+        atom, turn = base[i], base[j] - (base[j] @ base[i]) / (base[i] @ base[i]) * base[i]
+        angle = 10.0 ** -draw(st.integers(4, 6))
+        copies.append(np.cos(angle) * atom + np.sin(angle) * np.linalg.norm(atom) * turn
+                      / np.linalg.norm(turn))
+    atoms = np.vstack([base, copies])
+    return Dictionary.from_vectors(atoms[draw(st.permutations(range(len(atoms))))])
 
 
 def projector_dedup_members(dictionary, K):
@@ -222,6 +245,64 @@ class TestPairDims:
         dictionary = Dictionary.from_vectors([[1, 0], [0, 1], [1, 1]])
         assert pair_dims(enumerate_spans(dictionary, 0)).tolist() == [[0]]
         assert pair_dims(enumerate_spans(dictionary, 2)).tolist() == [[2]]
+
+
+class TestIllConditionedAtoms:
+    """Atoms 1e-5 radians apart, 10^4 times span_tol: a union of them is
+    badly conditioned as a matrix, yet each union is ranked by the bases of
+    a pair that spans it, as the oracle ranks every pair."""
+
+    c, s = np.cos(1e-5), np.sin(1e-5)
+
+    def test_planes_that_meet_only_in_zero(self):
+        c, s = self.c, self.s
+        atoms = [[1, 0, 0, 0], [c, s, 0, 0], [0, 0, 1, 0], [0, c, 0, s], [0, 1, 0, 0], [0, 0, 0, 1]]
+        family = enumerate_spans(Dictionary.from_vectors(atoms), 2)
+        index = {member.provenance: i for i, member in enumerate(family.members)}
+        dims, oracle = pair_dims(family), per_row_pair_dims(family)
+        first, second = index[(0, 1)], index[(2, 3)]
+        assert dims[first, second] == oracle[first, second] == 0
+        # (0, 3) and (1, 2) span the same union {0, 1, 2, 3} and take the
+        # rank of (0, 1) and (2, 3), its first pair; their own [U | U] has a
+        # smallest singular value of 7.1e-11, under span_tol, so the oracle
+        # alone gives them dimension 1.  This is the one difference.
+        third, fourth = index[(0, 3)], index[(1, 2)]
+        assert dims[third, fourth] == 0 and oracle[third, fourth] == 1
+        assert sorted(map(tuple, np.argwhere(dims != oracle).tolist())) == [
+            (third, fourth), (fourth, third)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_parallel_dictionaries())
+    def test_each_union_takes_the_oracle_rank_of_its_first_pair(self, dictionary):
+        for K in range(1, dictionary.n_dim):
+            family = enumerate_spans(dictionary, K)
+            oracle = per_row_pair_dims(family)
+            atoms = [set(member.provenance) for member in family.members]
+            first = {}
+            for i, j in combinations(range(len(atoms)), 2):
+                first.setdefault(frozenset(atoms[i] | atoms[j]), (i, j))
+            try:
+                dims = pair_dims(family)
+            except ValueError as error:
+                named = [pair for pair in first.values() if oracle[pair] == K]
+                assert named and str(error).startswith(
+                    f"members {family.members[named[0][0]].provenance} and "
+                    f"{family.members[named[0][1]].provenance} have one span"
+                )
+                continue
+            for i, j in combinations(range(len(atoms)), 2):
+                assert dims[i, j] == dims[j, i] == oracle[first[frozenset(atoms[i] | atoms[j])]]
+
+    def test_planes_that_meet_in_a_line(self):
+        c, s = self.c, self.s
+        family = enumerate_spans(
+            Dictionary.from_vectors([[1, 0, 0], [c, s, 0], [0, c, s], [0, 0, 1]]), 2
+        )
+        index = {member.provenance: i for i, member in enumerate(family.members)}
+        dims = pair_dims(family)
+        np.testing.assert_array_equal(dims, per_row_pair_dims(family))
+        assert dims[index[(0, 1)], index[(0, 2)]] == 1
 
 
 class TestSequentialSum:
