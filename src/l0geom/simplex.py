@@ -6,10 +6,11 @@ tiny (tens of variables), which keeps a dense tableau both simple and
 fast.  On top of it sit the two projection programs for the closest
 point of a subspace in the l1 and linf norms.
 
-Distances alone never come from here: they are row maxima against the
-dual vertex tables of ``solver.dual_vertices``.  These programs serve only
-the closest point of a solve's winning span, and the tests, which use
-them as the oracle for the vertex tables.
+Neither distances nor, as a rule, closest points come from here: distances
+are row maxima against the dual vertex tables of ``solver.dual_vertices``,
+and a closest point is read off the maximising vertex by complementary
+slackness.  These programs are the fallback for a closest point that
+reading misses, and the oracle the tests check both against.
 """
 
 from __future__ import annotations

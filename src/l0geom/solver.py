@@ -18,6 +18,14 @@ matrix product.  Weighted lp with p > 1 has no finite table: its
 distances come from one damped Newton fit over the basis coefficients,
 run for every (row, member) pair at once and stopped by ``dist_tol``.
 
+The closest point of a polyhedral distance comes from the dual vertex z
+that attains it, by complementary slackness: every closest residual r has
+<z, r> = ||r||, which pins r_i = dist * sign(z_i) where z_i != 0 for linf,
+and r_i = 0 where |z_i| < w_i for l1 and weighted l1.  The coefficients
+are solved from those rows directly (``_closest_coefficients``); a point
+that misses the distance falls back to the small linear programs of
+``simplex``.
+
 ``L0Solver`` prices each level k >= 1 of a span family through one level
 table, built in the calling thread before any worker starts; level 0 is
 the norm itself.  For l2 fidelity the table holds, per member, the upper
@@ -61,6 +69,18 @@ _RIDGE = 1e-12
 # Box-vertex candidates whose dual norm exceeds 1 by more than this are
 # dropped as infeasible; the rest are scaled onto the dual unit sphere.
 _VERTEX_SLACK = 1e-6
+
+# A dual vertex entry within this relative slack of zero (linf) or of its
+# bound w_i (l1 and weighted l1) counts as on it when complementary
+# slackness picks the rows that pin a closest point; singular values below
+# _PIN_RANK_RTOL times the largest count as zero in those rows' solve.
+_ACTIVE_SLACK = 1e-9
+_PIN_RANK_RTOL = 1e-10
+
+# A closest point read off a dual vertex is kept when its residual norm is
+# at most dist * (1 + _FIT_RTOL) + _FIT_ATOL; otherwise the simplex runs.
+_FIT_RTOL = 1e-9
+_FIT_ATOL = 1e-14
 
 # Largest C(N, N - K) * 2^(N - K) candidate count that an l1 or weighted-l1
 # dual vertex table is built from; see dual_vertices.
@@ -167,12 +187,13 @@ def subspace_distance(
 ) -> tuple[float, np.ndarray]:
     """Distance from d to the subspace in the fidelity norm, with a closest point.
 
-    Euclidean distances are orthogonal projections; l1, linf and weighted
-    l1 are solved as small linear programs over the basis coefficients;
-    weighted lp with p > 1 is the Newton fit of ``member_distances`` on one
-    row and one member.  The programs are what make the closest point
-    available: a search that needs only distances goes through the level
-    tables instead, and a solve runs this once, on its winning span.
+    Euclidean distances are orthogonal projections.  l1, linf and weighted
+    l1 distances are the row maximum of the span's ``dual_vertices``, and
+    the closest point is read off the maximising vertex by
+    ``_closest_coefficients``, the routine a solve runs on its winning
+    span.  Weighted lp with p > 1 is the Newton fit of ``member_distances``
+    on one row and one member.  A search that needs only distances goes
+    through the level tables instead.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (basis.ambient_dim,):
@@ -186,19 +207,98 @@ def subspace_distance(
     if not fidelity.polyhedral:
         dist, coeffs = _PowerLevel(fidelity, (basis,), dist_tol).fit(d[None, :])
         return float(dist[0, 0]), bm @ coeffs[0, 0]
+    table = dual_vertices(fidelity, basis)
+    scores = table @ d
+    best = int(np.argmax(scores))
+    dist = float(scores[best])
+    return dist, bm @ _closest_coefficients(fidelity, basis, bm, d, dist, table[best])
+
+
+def _pinned_fit(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solution of a c = b, and an orthonormal
+    basis (columns) of the null space of a, at rank tolerance _PIN_RANK_RTOL."""
+    if not a.shape[0]:
+        return np.zeros(a.shape[1]), np.eye(a.shape[1])
+    u, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > _PIN_RANK_RTOL * s[0]))
+    return vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank]), vt[rank:].T
+
+
+def _certified_fit(
+    fidelity: NormSpec, matrix: np.ndarray, d: np.ndarray, dist: float, z: np.ndarray
+) -> np.ndarray | None:
+    """Coefficients c with ||d - matrix c|| within the fit slack of dist, or None.
+
+    z is a dual vertex with <z, d> = dist, and every closest residual
+    r = d - matrix c meets it with equality in Hölder's inequality:
+
+    * linf: r_i = dist * sign(z_i) on supp(z).  Those rows are solved for
+      c, and any freedom left goes to least squares on the other rows.
+    * l1 and weighted l1: r_i = 0 where |z_i| < w_i.  When those rows pin
+      fewer than K coefficients, they are completed to rank K with rows
+      where |z_i| = w_i, and the first completion in lexicographic order
+      whose interpolant attains dist is taken.
+
+    None means no such point passed the check ``dist * (1 + _FIT_RTOL) +
+    _FIT_ATOL``, which happens when the pinned rows leave freedom that
+    least squares spends badly, or the vertex is not optimal.
+    """
+
+    def attains(c: np.ndarray) -> bool:
+        return norm_eval(fidelity, d - matrix @ c) <= dist * (1.0 + _FIT_RTOL) + _FIT_ATOL
+
+    size = np.abs(z)
+    if fidelity.kind == "linf":
+        pinned = size > _ACTIVE_SLACK * size.max()
+        c, free_dirs = _pinned_fit(matrix[pinned], d[pinned] - dist * np.sign(z[pinned]))
+        if free_dirs.shape[1]:
+            free = ~pinned
+            c = c + free_dirs @ np.linalg.lstsq(
+                matrix[free] @ free_dirs, d[free] - matrix[free] @ c, rcond=None
+            )[0]
+        return c if attains(c) else None
+    w = np.ones(d.size) if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
+    interior = size < (1.0 - _ACTIVE_SLACK) * w
+    c, free_dirs = _pinned_fit(matrix[interior], d[interior])
+    if not free_dirs.shape[1]:
+        return c if attains(c) else None
+    for extra in combinations(np.flatnonzero(~interior), free_dirs.shape[1]):
+        rows = interior.copy()
+        rows[list(extra)] = True
+        c, left = _pinned_fit(matrix[rows], d[rows])
+        if not left.shape[1] and attains(c):
+            return c
+    return None
+
+
+def _closest_coefficients(
+    fidelity: NormSpec,
+    basis: SubspaceBasis,
+    matrix: np.ndarray,
+    d: np.ndarray,
+    dist: float,
+    z: np.ndarray,
+) -> np.ndarray:
+    """Coefficients over the columns of matrix, which span basis, of a
+    polyhedral closest point to d, given the dual vertex z attaining dist.
+
+    ``_certified_fit`` reads the point off z; where it finds none, the
+    simplex projection program for the fidelity runs on matrix instead.
+    """
+    coeffs = _certified_fit(fidelity, matrix, d, dist, z)
+    if coeffs is not None:
+        return coeffs
     try:
         if fidelity.kind == "l1":
-            coeffs, dist = simplex.l1_projection(bm, d)
-        elif fidelity.kind == "linf":
-            coeffs, dist = simplex.linf_projection(bm, d)
-        else:
-            w = np.asarray(fidelity.weights, dtype=float)
-            coeffs, dist = simplex.l1_projection(bm * w[:, None], d * w)
+            return simplex.l1_projection(matrix, d)[0]
+        if fidelity.kind == "linf":
+            return simplex.linf_projection(matrix, d)[0]
+        w = np.asarray(fidelity.weights, dtype=float)
+        return simplex.l1_projection(matrix * w[:, None], d * w)[0]
     except simplex.SimplexError as err:
         raise simplex.SimplexError(
             f"projection program failed for basis {basis.provenance or basis.matrix.shape}: {err}"
         ) from err
-    return float(dist), bm @ coeffs
 
 
 def member_distances(
@@ -264,7 +364,17 @@ class _DualLevel:
         self.width = self.vertices.shape[1]
 
     def distances(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(x @ self.vertices, self.offsets, axis=-1)
+        return self.maxima(x @ self.vertices)
+
+    def maxima(self, scores: np.ndarray) -> np.ndarray:
+        """Segment maxima of products x @ vertices: each member's distance."""
+        return np.maximum.reduceat(scores, self.offsets, axis=-1)
+
+    def certificate(self, scores: np.ndarray, m: int) -> tuple[float, np.ndarray]:
+        """Member m's distance from one vector's scores, and the dual vertex attaining it."""
+        end = self.offsets[m + 1] if m + 1 < len(self.offsets) else self.width
+        best = self.offsets[m] + int(np.argmax(scores[self.offsets[m] : end]))
+        return float(scores[best]), self.vertices[:, best]
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         return np.min(self.distances(rows), axis=1)
@@ -530,32 +640,55 @@ class L0Solver:
             raise ValueError(f"tau must be > 0, got {tau}")
         return d
 
-    def _first_feasible(self, k: int, d: np.ndarray, thresh: float) -> SubspaceBasis | None:
-        """The size-k member of smallest provenance within thresh of d, if any.
+    def _first_feasible(
+        self, k: int, d: np.ndarray, thresh: float
+    ) -> tuple[SubspaceBasis, tuple[float, np.ndarray] | None] | None:
+        """The size-k member of smallest provenance within thresh of d, if
+        any, with its dual certificate.
 
         Members are in provenance order, so the first member the level
-        table puts within thresh is the answer.  No linear program runs.
+        table puts within thresh is the answer.  At a polyhedral level
+        k >= 1 the certificate is that member's distance and the dual
+        vertex attaining it, read from the same product d @ vertices that
+        priced every member; elsewhere it is None.  No linear program runs.
         """
         members = self.family(k).members
-        dists = self.level_table(k).distances(d) if k else norm_eval(self.fidelity, d[None, :])
+        table = self.level_table(k) if k else None
+        scores = d @ table.vertices if isinstance(table, _DualLevel) else None
+        if scores is not None:
+            dists = table.maxima(scores)
+        elif k:
+            dists = table.distances(d)
+        else:
+            dists = norm_eval(self.fidelity, d[None, :])
         hits = np.flatnonzero(dists <= thresh)
-        return members[hits[0]] if hits.size else None
+        if not hits.size:
+            return None
+        first = int(hits[0])
+        return members[first], None if scores is None else table.certificate(scores, first)
 
     def solve(self, d: np.ndarray, tau: float) -> SolveResult:
         """Smallest support within tau of d, and its lexicographically first witness.
 
-        Only the winning span gets a closest point, from one
-        ``subspace_distance`` call.
+        Only the winning span gets a closest point.  A polyhedral winner at
+        k >= 1 takes it from its dual certificate, through
+        ``_closest_coefficients`` in atom coordinates; any other takes it
+        from one ``subspace_distance`` call, mapped onto the atoms by
+        least squares.
         """
         d = self._check_data(d, tau)
         thresh = tau * (1.0 + self.feas_tol)
         for k in range(self.dictionary.n_dim + 1):
-            winner = self._first_feasible(k, d, thresh)
-            if winner is None:
+            found = self._first_feasible(k, d, thresh)
+            if found is None:
                 continue
-            _, point = subspace_distance(self.fidelity, winner, d, self.dist_tol)
+            winner, certificate = found
             atoms = self.dictionary.subset(winner.provenance)
-            coeffs = np.linalg.lstsq(atoms, point, rcond=None)[0]
+            if certificate is None:
+                _, point = subspace_distance(self.fidelity, winner, d, self.dist_tol)
+                coeffs = np.linalg.lstsq(atoms, point, rcond=None)[0]
+            else:
+                coeffs = _closest_coefficients(self.fidelity, winner, atoms, d, *certificate)
             return SolveResult(
                 value=k,
                 support=winner.provenance,

@@ -24,6 +24,7 @@ from l0geom import (
 )
 from l0geom import simplex, solver
 from l0geom.subspaces import empty_basis, enumerate_spans
+from test_pair_dims import structured_dictionaries
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 THREE_LINES = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -295,16 +296,21 @@ def spans_and_points(draw):
     return basis, points, weights
 
 
+def lp_projection(spec, matrix, d):
+    """Coefficients over the columns of matrix and the distance, from the simplex programs."""
+    if spec.kind == "l1":
+        return simplex.l1_projection(matrix, d)
+    if spec.kind == "linf":
+        return simplex.linf_projection(matrix, d)
+    w = np.asarray(spec.weights)
+    return simplex.l1_projection(matrix * w[:, None], d * w)
+
+
 def lp_distances(spec, basis, points):
     """Distances from the simplex projection programs, one LP per point."""
     if basis.dim == 0:
         return np.asarray(norm_eval(spec, points))
-    if spec.kind == "l1":
-        return np.array([simplex.l1_projection(basis.matrix, x)[1] for x in points])
-    if spec.kind == "linf":
-        return np.array([simplex.linf_projection(basis.matrix, x)[1] for x in points])
-    w = np.asarray(spec.weights)
-    return np.array([simplex.l1_projection(basis.matrix * w[:, None], x * w)[1] for x in points])
+    return np.array([lp_projection(spec, basis.matrix, x)[1] for x in points])
 
 
 class TestDualVertices:
@@ -354,14 +360,18 @@ class TestDualVertices:
 
 
 def member_scan(spec, dictionary, d, tau, feas_tol=1e-10):
-    """Value and support by one ``subspace_distance`` per family member, in provenance order.
+    """Value and support by one distance per family member, in provenance order.
 
     Polyhedral fidelities solve one simplex LP per member; l2 projects.
     """
     thresh = tau * (1.0 + feas_tol)
     for k in range(dictionary.n_dim + 1):
         for member in enumerate_spans(dictionary, k).members:
-            if subspace_distance(spec, member, d)[0] <= thresh:
+            if spec.polyhedral:
+                dist = lp_distances(spec, member, d[None, :])[0]
+            else:
+                dist = subspace_distance(spec, member, d)[0]
+            if dist <= thresh:
                 return k, member.provenance
     raise AssertionError("the full space is always feasible")
 
@@ -416,6 +426,134 @@ class TestPolyhedralSolve:
         ]
         scale = 1.0 + np.abs(points).sum(axis=1)
         assert np.all(np.abs(profiles[:, 1] - nearest) <= 1e-12 * scale)
+
+
+@st.composite
+def sign_dictionaries(draw):
+    """Atoms with entries in {-1, 0, 1} spanning R^n, 3 <= n <= 6, at most 10 of them.
+
+    Their spans put many dual vertices in degenerate position, and the
+    closest points of many data vectors are not unique.
+    """
+    n = draw(st.integers(3, 6))
+    entry = st.sampled_from([-1.0, 0.0, 1.0])
+    atom = st.lists(entry, min_size=n, max_size=n).filter(any)
+    atoms = np.array(draw(st.lists(atom, min_size=n, max_size=min(10, n + 3))))
+    assume(np.linalg.matrix_rank(atoms) == n)
+    return Dictionary.from_vectors(atoms)
+
+
+@st.composite
+def certificate_cases(draw):
+    """A dictionary, a polyhedral fidelity, data vectors, and tau as a share of their norm."""
+    dictionary = draw(st.one_of(structured_dictionaries(), sign_dictionaries()))
+    n = dictionary.n_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["l1", "linf", "weighted"]))
+    spec = NormSpec.weighted_lp(1.0, rng.uniform(0.2, 5.0, n)) if kind == "weighted" else NormSpec(kind)
+    # Gaussian data, and half-integer data whose closest points tie often.
+    points = np.vstack([rng.standard_normal((2, n)), rng.integers(-2, 3, (2, n)) / 2.0])
+    return dictionary, spec, points, float(rng.uniform(0.05, 1.0))
+
+
+class TestDualCertificate:
+    """Closest points read off the dual vertex against the simplex programs."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(certificate_cases(), st.integers(0, 2**16))
+    def test_subspace_distance_matches_the_simplex(self, case, pick):
+        dictionary, spec, points, _ = case
+        for k in range(1, dictionary.n_dim + 1):
+            members = solver.span_family(dictionary, k).members
+            member = members[pick % len(members)]
+            for d in points:
+                tol = 1e-12 * (1.0 + np.abs(d).sum())
+                dist, point = subspace_distance(spec, member, d)
+                lp_dist = lp_projection(spec, member.matrix, d)[1]
+                assert abs(dist - lp_dist) <= tol, (k, spec)
+                assert abs(float(norm_eval(spec, d - point)) - lp_dist) <= tol, (k, spec)
+
+    @settings(max_examples=120, deadline=None)
+    @given(certificate_cases())
+    def test_solve_attains_the_simplex_optimum(self, case):
+        dictionary, spec, points, tau_scale = case
+        l0 = L0Solver(dictionary, spec)
+        for d in points:
+            tol = 1e-12 * (1.0 + np.abs(d).sum())
+            tau = tau_scale * float(norm_eval(spec, d)) + 1e-3
+            res = l0.solve(d, tau)
+            assert res.value == values_from_profiles(l0.distance_profiles(d[None, :]), tau)[0]
+            assert len(res.support) == res.value
+            assert res.residual <= tau * (1.0 + 1e-9)
+            atoms = dictionary.subset(res.support)
+            if not res.value:
+                assert res.residual == float(norm_eval(spec, d))
+                continue
+            lp_coeffs, lp_dist = lp_projection(spec, atoms, d)
+            assert abs(res.residual - lp_dist) <= tol
+            if np.max(np.abs(res.coefficients - lp_coeffs)) > 1e-9:
+                # Another closest point: both must attain the optimum.
+                assert abs(float(norm_eval(spec, d - atoms @ lp_coeffs)) - lp_dist) <= tol
+                assert abs(float(norm_eval(spec, d - atoms @ res.coefficients)) - lp_dist) <= tol
+
+
+DICT3 = Dictionary.from_vectors(
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]
+)
+
+
+class TestCertificateFallback:
+    @pytest.mark.parametrize(
+        "spec", [LINF, L1, NormSpec.weighted_lp(1.0, [1.0, 2.0, 0.5])], ids=["linf", "l1", "wl1"]
+    )
+    def test_no_linear_program_runs_on_dict3(self, spec, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simplex program ran")
+
+        monkeypatch.setattr(simplex, "solve_standard_form", refuse)
+        l0 = L0Solver(DICT3, spec)
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-1.0, 1.0, (300, 3)) * rng.uniform(0.0, 1.0, (300, 1))
+        values = values_from_profiles(l0.distance_profiles(points), 0.05)
+        for d, value in zip(points, values):
+            res = l0.solve(d, 0.05)
+            assert res.value == value
+            assert res.residual <= 0.05 * (1.0 + 1e-10)
+        for member in l0.family(2).members:
+            dist, point = subspace_distance(spec, member, points[0])
+            assert float(norm_eval(spec, points[0] - point)) == pytest.approx(dist, abs=1e-12)
+
+    def test_a_pinned_point_outside_the_box_falls_back_to_the_simplex(self, monkeypatch):
+        """The line of (0, 1, 1, 1) is 0.16 from d in linf, certified by z = e1.
+
+        The atom is zero on the one pinned row, so its coefficient is free,
+        and least squares over the other rows (0, 0, 0.3) puts it at 0.1,
+        where the residual 0.2 exceeds 0.16.  Any coefficient in
+        [0.14, 0.16] attains 0.16, and the solve returns the simplex's.
+        """
+        dictionary = Dictionary.from_vectors(
+            [[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+             [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        )
+        d = np.array([0.16, 0.0, 0.0, 0.3])
+        z = np.array([1.0, 0.0, 0.0, 0.0])
+        assert solver._certified_fit(LINF, dictionary.subset((0,)), d, 0.16, z) is None
+        programs = []
+        run = simplex.solve_standard_form
+
+        def counted(*args, **kwargs):
+            programs.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "solve_standard_form", counted)
+        res = L0Solver(dictionary, LINF).solve(d, 0.2)
+        assert (res.value, res.support) == (1, (0,))
+        assert len(programs) == 1
+        lp_coeffs, lp_dist = simplex.linf_projection(dictionary.subset((0,)), d)
+        np.testing.assert_array_equal(res.coefficients, lp_coeffs)
+        assert lp_dist == pytest.approx(0.16, abs=1e-15)
+        assert 0.14 - 1e-12 <= res.coefficients[0] <= 0.16 + 1e-12
+        assert res.residual == pytest.approx(0.16, abs=1e-15)
 
 
 @st.composite
