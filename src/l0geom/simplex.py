@@ -6,11 +6,10 @@ tiny (tens of variables), which keeps a dense tableau both simple and
 fast.  On top of it sit the two projection programs for the closest
 point of a subspace in the l1 and linf norms.
 
-Neither distances nor, as a rule, closest points come from here: distances
-are row maxima against the dual vertex tables of ``solver.dual_vertices``,
-and a closest point is read off the maximising vertex by complementary
-slackness.  These programs are the fallback for a closest point that
-reading misses, and the oracle the tests check both against.
+No runtime path uses these programs.  Distances are row maxima against
+the dual vertex tables of ``solver.dual_vertices``, and closest points are
+completions of the maximising vertex (``solver._closest_coefficients``).  This
+module is the independent oracle the tests check both against.
 """
 
 from __future__ import annotations

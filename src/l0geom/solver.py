@@ -21,10 +21,10 @@ run for every (row, member) pair at once and stopped by ``dist_tol``.
 The closest point of a polyhedral distance comes from the dual vertex z
 that attains it, by complementary slackness: every closest residual r has
 <z, r> = ||r||, which pins r_i = dist * sign(z_i) where z_i != 0 for linf,
-and r_i = 0 where |z_i| < w_i for l1 and weighted l1.  The coefficients
-are solved from those rows directly (``_closest_coefficients``); a point
-that misses the distance falls back to the small linear programs of
-``simplex``.
+and r_i = 0 where |z_i| < w_i for l1 and weighted l1.  The closest points
+form a bounded polytope, so when those rows leave freedom, holding more
+rows at a bound reaches one of its vertices (``_closest_coefficients``).
+No linear program runs.
 
 ``L0Solver`` prices each level k >= 1 of a span family through one level
 table, built in the calling thread before any worker starts; level 0 is
@@ -46,7 +46,6 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import simplex
 from .norms import NormSpec, norm_eval, scaled_magnitudes
 from .streams import map_chunks
 from .subspaces import Dictionary, SpanFamily, SubspaceBasis, enumerate_spans
@@ -72,15 +71,20 @@ _VERTEX_SLACK = 1e-6
 
 # A dual vertex entry within this relative slack of zero (linf) or of its
 # bound w_i (l1 and weighted l1) counts as on it when complementary
-# slackness picks the rows that pin a closest point; singular values below
-# _PIN_RANK_RTOL times the largest count as zero in those rows' solve.
+# slackness picks the rows that pin a closest point.  In the solves for that
+# point, singular values below _PIN_RANK_RTOL times the Frobenius norm of the
+# whole atom matrix count as zero, so rows of rounding noise pin nothing.
 _ACTIVE_SLACK = 1e-9
 _PIN_RANK_RTOL = 1e-10
 
-# A closest point read off a dual vertex is kept when its residual norm is
-# at most dist * (1 + _FIT_RTOL) + _FIT_ATOL; otherwise the simplex runs.
-_FIT_RTOL = 1e-9
-_FIT_ATOL = 1e-14
+# A candidate closest point c is kept when ||d - A c|| <= dist plus
+# _FIT_ULPS * eps * ||(|d| + |A| |c|)||, a bound on the rounding of the
+# residual and of the certificate's dist alike.  Over 1,500 derandomised
+# examples of each dual-certificate test (28k closest points), the first
+# attaining candidate exceeded dist by at most 44 such units, and every
+# rejected candidate by at least 3e11, so 4096 sits well inside that gap.
+_FIT_ULPS = 4096.0
+_FIT_SLACK = _FIT_ULPS * np.finfo(float).eps
 
 # Largest C(N, N - K) * 2^(N - K) candidate count that an l1 or weighted-l1
 # dual vertex table is built from; see dual_vertices.
@@ -211,64 +215,7 @@ def subspace_distance(
     scores = table @ d
     best = int(np.argmax(scores))
     dist = float(scores[best])
-    return dist, bm @ _closest_coefficients(fidelity, basis, bm, d, dist, table[best])
-
-
-def _pinned_fit(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm least-squares solution of a c = b, and an orthonormal
-    basis (columns) of the null space of a, at rank tolerance _PIN_RANK_RTOL."""
-    if not a.shape[0]:
-        return np.zeros(a.shape[1]), np.eye(a.shape[1])
-    u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > _PIN_RANK_RTOL * s[0]))
-    return vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank]), vt[rank:].T
-
-
-def _certified_fit(
-    fidelity: NormSpec, matrix: np.ndarray, d: np.ndarray, dist: float, z: np.ndarray
-) -> np.ndarray | None:
-    """Coefficients c with ||d - matrix c|| within the fit slack of dist, or None.
-
-    z is a dual vertex with <z, d> = dist, and every closest residual
-    r = d - matrix c meets it with equality in Hölder's inequality:
-
-    * linf: r_i = dist * sign(z_i) on supp(z).  Those rows are solved for
-      c, and any freedom left goes to least squares on the other rows.
-    * l1 and weighted l1: r_i = 0 where |z_i| < w_i.  When those rows pin
-      fewer than K coefficients, they are completed to rank K with rows
-      where |z_i| = w_i, and the first completion in lexicographic order
-      whose interpolant attains dist is taken.
-
-    None means no such point passed the check ``dist * (1 + _FIT_RTOL) +
-    _FIT_ATOL``, which happens when the pinned rows leave freedom that
-    least squares spends badly, or the vertex is not optimal.
-    """
-
-    def attains(c: np.ndarray) -> bool:
-        return norm_eval(fidelity, d - matrix @ c) <= dist * (1.0 + _FIT_RTOL) + _FIT_ATOL
-
-    size = np.abs(z)
-    if fidelity.kind == "linf":
-        pinned = size > _ACTIVE_SLACK * size.max()
-        c, free_dirs = _pinned_fit(matrix[pinned], d[pinned] - dist * np.sign(z[pinned]))
-        if free_dirs.shape[1]:
-            free = ~pinned
-            c = c + free_dirs @ np.linalg.lstsq(
-                matrix[free] @ free_dirs, d[free] - matrix[free] @ c, rcond=None
-            )[0]
-        return c if attains(c) else None
-    w = np.ones(d.size) if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
-    interior = size < (1.0 - _ACTIVE_SLACK) * w
-    c, free_dirs = _pinned_fit(matrix[interior], d[interior])
-    if not free_dirs.shape[1]:
-        return c if attains(c) else None
-    for extra in combinations(np.flatnonzero(~interior), free_dirs.shape[1]):
-        rows = interior.copy()
-        rows[list(extra)] = True
-        c, left = _pinned_fit(matrix[rows], d[rows])
-        if not left.shape[1] and attains(c):
-            return c
-    return None
+    return dist, bm @ _closest_coefficients(fidelity, basis, bm, d, dist, table[best])[0]
 
 
 def _closest_coefficients(
@@ -278,27 +225,70 @@ def _closest_coefficients(
     d: np.ndarray,
     dist: float,
     z: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Coefficients over the columns of matrix, which span basis, of a
-    polyhedral closest point to d, given the dual vertex z attaining dist.
+    polyhedral closest point to d, given the dual vertex z attaining dist,
+    and the residual norm they reach.
 
-    ``_certified_fit`` reads the point off z; where it finds none, the
-    simplex projection program for the fidelity runs on matrix instead.
+    Every closest residual r = d - matrix c meets z with equality in
+    Hölder's inequality, which pins r_i = dist * sign(z_i) on supp(z) for
+    linf (every row, at 0, when dist = 0), and r_i = 0 where |z_i| < w_i
+    for l1 and weighted l1.  The pinned rows give c = c0 + F y, F spanning
+    the f directions they leave free; singular values at or below
+    _PIN_RANK_RTOL times the Frobenius norm of matrix count as zero.
+    The closest points form a bounded polytope, each of whose vertices holds
+    f more rows at a bound (+-dist for linf, 0 for l1), so those completions
+    are the candidates, in lexicographic order of their rows, then of their
+    bounds, each an f x f solve for y.  The first candidate within the
+    rounding slack ``_FIT_ULPS`` of dist is returned; RuntimeError, naming
+    the basis, means there was none, so z does not certify dist.
     """
-    coeffs = _certified_fit(fidelity, matrix, d, dist, z)
-    if coeffs is not None:
-        return coeffs
-    try:
-        if fidelity.kind == "l1":
-            return simplex.l1_projection(matrix, d)[0]
-        if fidelity.kind == "linf":
-            return simplex.linf_projection(matrix, d)[0]
-        w = np.asarray(fidelity.weights, dtype=float)
-        return simplex.l1_projection(matrix * w[:, None], d * w)[0]
-    except simplex.SimplexError as err:
-        raise simplex.SimplexError(
-            f"projection program failed for basis {basis.provenance or basis.matrix.shape}: {err}"
-        ) from err
+    size = np.abs(z)
+    if fidelity.kind == "linf":
+        # At dist = 0 every row has |r_i| <= 0, so all of them pin r_i = 0.
+        pinned = size > _ACTIVE_SLACK * size.max() if dist > 0.0 else np.full(d.size, True)
+        target, bounds = d - dist * np.sign(z), (dist, -dist)
+    else:
+        w = 1.0 if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
+        pinned = size < (1.0 - _ACTIVE_SLACK) * w
+        target, bounds = d, (0.0,)
+    floor, pinned_rows = _PIN_RANK_RTOL * np.linalg.norm(matrix), matrix[pinned]
+    # Rows within floor in Frobenius norm have every singular value there too: they pin nothing.
+    if np.linalg.norm(pinned_rows) > floor:
+        u, s, vt = np.linalg.svd(pinned_rows)
+        rank = np.count_nonzero(s > floor)
+        c0, free_dirs = vt[:rank].T @ ((u[:, :rank] / s[:rank]).T @ target[pinned]), vt[rank:].T
+        free_atoms, rest = matrix @ free_dirs, d - matrix @ c0
+    else:
+        c0, free_dirs, free_atoms, rest = 0.0, np.eye(matrix.shape[1]), matrix, d
+    f = free_dirs.shape[1]
+    if not f:
+        coeffs = c0[None]
+    else:
+        spare = (~pinned).nonzero()[0]
+        rows = spare[_indices(spare.size, f)]
+        blocks = free_atoms[rows]
+        rhs = rest[rows][:, None] - np.array(list(product(bounds, repeat=f)))
+        if f == 1:  # 1 x 1 blocks are their own singular values
+            keep = np.abs(blocks[:, 0, 0]) > floor
+            y = rhs[keep] / blocks[keep]
+        else:
+            u, s, vt = np.linalg.svd(blocks)
+            keep = s[:, -1] > floor
+            y = rhs[keep] @ u[keep] / s[keep, None] @ vt[keep]
+        coeffs = c0 + y.reshape(-1, f) @ free_dirs.T
+    norms = norm_eval(fidelity, d - coeffs @ matrix.T)
+    # A first candidate that reaches dist itself is within any slack.
+    if norms.size and norms[0] <= dist:
+        return coeffs[0], float(norms[0])
+    rounding = norm_eval(fidelity, np.abs(d) + np.abs(coeffs) @ np.abs(matrix).T)
+    hits = (norms - dist <= _FIT_SLACK * rounding).nonzero()[0]
+    if not hits.size:
+        raise RuntimeError(
+            f"no vertex completion of the dual certificate attains distance {dist:.17g} "
+            f"for basis {basis.provenance or basis.matrix.shape}"
+        )
+    return coeffs[hits[0]], float(norms[hits[0]])
 
 
 def member_distances(
@@ -653,19 +643,17 @@ class L0Solver:
         priced every member; elsewhere it is None.  No linear program runs.
         """
         members = self.family(k).members
-        table = self.level_table(k) if k else None
+        if not k:
+            return (members[0], None) if norm_eval(self.fidelity, d) <= thresh else None
+        table = self.level_table(k)
         scores = d @ table.vertices if isinstance(table, _DualLevel) else None
-        if scores is not None:
-            dists = table.maxima(scores)
-        elif k:
-            dists = table.distances(d)
-        else:
-            dists = norm_eval(self.fidelity, d[None, :])
-        hits = np.flatnonzero(dists <= thresh)
-        if not hits.size:
+        dists = table.distances(d) if scores is None else table.maxima(scores)
+        feasible = dists <= thresh
+        first = int(feasible.argmax())
+        if not feasible[first]:
             return None
-        first = int(hits[0])
-        return members[first], None if scores is None else table.certificate(scores, first)
+        certificate = None if scores is None else table.certificate(scores, first)
+        return members[first], certificate
 
     def solve(self, d: np.ndarray, tau: float) -> SolveResult:
         """Smallest support within tau of d, and its lexicographically first witness.
@@ -687,13 +675,16 @@ class L0Solver:
             if certificate is None:
                 _, point = subspace_distance(self.fidelity, winner, d, self.dist_tol)
                 coeffs = np.linalg.lstsq(atoms, point, rcond=None)[0]
+                residual = float(norm_eval(self.fidelity, atoms @ coeffs - d))
             else:
-                coeffs = _closest_coefficients(self.fidelity, winner, atoms, d, *certificate)
+                coeffs, residual = _closest_coefficients(
+                    self.fidelity, winner, atoms, d, *certificate
+                )
             return SolveResult(
                 value=k,
                 support=winner.provenance,
                 coefficients=coeffs,
-                residual=float(norm_eval(self.fidelity, atoms @ coeffs - d)),
+                residual=residual,
             )
         raise AssertionError("unreachable: the full-space span is always feasible")
 

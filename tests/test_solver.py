@@ -1,5 +1,6 @@
 """Exact smallest-support solver against a brute-force subset oracle."""
 
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
@@ -306,6 +307,18 @@ def lp_projection(spec, matrix, d):
     return simplex.l1_projection(matrix * w[:, None], d * w)
 
 
+@contextmanager
+def simplex_refused():
+    """A block inside which any simplex program raises."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simplex program ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "solve_standard_form", refuse)
+        yield
+
+
 def lp_distances(spec, basis, points):
     """Distances from the simplex projection programs, one LP per point."""
     if basis.dim == 0:
@@ -457,7 +470,8 @@ def certificate_cases(draw):
 
 
 class TestDualCertificate:
-    """Closest points read off the dual vertex against the simplex programs."""
+    """Closest points read off the dual vertex against the simplex programs,
+    which run only as the oracle: inside the solver they are refused."""
 
     @settings(max_examples=120, deadline=None)
     @given(certificate_cases(), st.integers(0, 2**16))
@@ -468,8 +482,9 @@ class TestDualCertificate:
             member = members[pick % len(members)]
             for d in points:
                 tol = 1e-12 * (1.0 + np.abs(d).sum())
-                dist, point = subspace_distance(spec, member, d)
                 lp_dist = lp_projection(spec, member.matrix, d)[1]
+                with simplex_refused():
+                    dist, point = subspace_distance(spec, member, d)
                 assert abs(dist - lp_dist) <= tol, (k, spec)
                 assert abs(float(norm_eval(spec, d - point)) - lp_dist) <= tol, (k, spec)
 
@@ -481,8 +496,10 @@ class TestDualCertificate:
         for d in points:
             tol = 1e-12 * (1.0 + np.abs(d).sum())
             tau = tau_scale * float(norm_eval(spec, d)) + 1e-3
-            res = l0.solve(d, tau)
-            assert res.value == values_from_profiles(l0.distance_profiles(d[None, :]), tau)[0]
+            value = values_from_profiles(l0.distance_profiles(d[None, :]), tau)[0]
+            with simplex_refused():
+                res = l0.solve(d, tau)
+            assert res.value == value
             assert len(res.support) == res.value
             assert res.residual <= tau * (1.0 + 1e-9)
             atoms = dictionary.subset(res.support)
@@ -503,57 +520,100 @@ DICT3 = Dictionary.from_vectors(
 
 
 class TestCertificateFallback:
+    """Certificates whose pinned rows leave free directions: the closest point
+    is a vertex completion, and no simplex program runs."""
+
     @pytest.mark.parametrize(
         "spec", [LINF, L1, NormSpec.weighted_lp(1.0, [1.0, 2.0, 0.5])], ids=["linf", "l1", "wl1"]
     )
-    def test_no_linear_program_runs_on_dict3(self, spec, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a simplex program ran")
-
-        monkeypatch.setattr(simplex, "solve_standard_form", refuse)
+    def test_no_linear_program_runs_on_dict3(self, spec):
         l0 = L0Solver(DICT3, spec)
         rng = np.random.default_rng(3)
         points = rng.uniform(-1.0, 1.0, (300, 3)) * rng.uniform(0.0, 1.0, (300, 1))
         values = values_from_profiles(l0.distance_profiles(points), 0.05)
-        for d, value in zip(points, values):
-            res = l0.solve(d, 0.05)
-            assert res.value == value
-            assert res.residual <= 0.05 * (1.0 + 1e-10)
-        for member in l0.family(2).members:
-            dist, point = subspace_distance(spec, member, points[0])
-            assert float(norm_eval(spec, points[0] - point)) == pytest.approx(dist, abs=1e-12)
+        with simplex_refused():
+            for d, value in zip(points, values):
+                res = l0.solve(d, 0.05)
+                assert res.value == value
+                assert res.residual <= 0.05 * (1.0 + 1e-10)
+            for member in l0.family(2).members:
+                dist, point = subspace_distance(spec, member, points[0])
+                assert float(norm_eval(spec, points[0] - point)) == pytest.approx(dist, abs=1e-12)
 
-    def test_a_pinned_point_outside_the_box_falls_back_to_the_simplex(self, monkeypatch):
+    def test_a_pinned_point_outside_the_box_needs_no_simplex(self):
         """The line of (0, 1, 1, 1) is 0.16 from d in linf, certified by z = e1.
 
-        The atom is zero on the one pinned row, so its coefficient is free,
-        and least squares over the other rows (0, 0, 0.3) puts it at 0.1,
-        where the residual 0.2 exceeds 0.16.  Any coefficient in
-        [0.14, 0.16] attains 0.16, and the solve returns the simplex's.
+        The atom is zero on the one pinned row, so its coefficient is free.
+        Least squares over the other rows (0, 0, 0.3) would put it at 0.1,
+        where the residual 0.2 exceeds 0.16; any coefficient in [0.14, 0.16]
+        attains 0.16, and holding one more row at +-0.16 reaches one.
         """
         dictionary = Dictionary.from_vectors(
             [[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
              [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
         )
         d = np.array([0.16, 0.0, 0.0, 0.3])
-        z = np.array([1.0, 0.0, 0.0, 0.0])
-        assert solver._certified_fit(LINF, dictionary.subset((0,)), d, 0.16, z) is None
-        programs = []
-        run = simplex.solve_standard_form
-
-        def counted(*args, **kwargs):
-            programs.append(args)
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(simplex, "solve_standard_form", counted)
-        res = L0Solver(dictionary, LINF).solve(d, 0.2)
+        with simplex_refused():
+            res = L0Solver(dictionary, LINF).solve(d, 0.2)
         assert (res.value, res.support) == (1, (0,))
-        assert len(programs) == 1
-        lp_coeffs, lp_dist = simplex.linf_projection(dictionary.subset((0,)), d)
-        np.testing.assert_array_equal(res.coefficients, lp_coeffs)
-        assert lp_dist == pytest.approx(0.16, abs=1e-15)
         assert 0.14 - 1e-12 <= res.coefficients[0] <= 0.16 + 1e-12
         assert res.residual == pytest.approx(0.16, abs=1e-15)
+
+    def test_pinned_rows_of_rounding_noise_pin_nothing(self):
+        """An SVD basis of e3-perp in R^5 has entries near 1e-16 in row 3.
+
+        z = e3 pins that row alone.  Measured against its own scale the row
+        has rank 1, and its solve puts coefficients near 1e16; measured
+        against the basis it has rank 0, and four completed rows pin c.
+        """
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            vectors = rng.standard_normal((4, 5))
+            vectors[:, 2] = 0.0
+            basis = orthonormal_basis(vectors)
+            d = rng.standard_normal(5)
+            with simplex_refused():
+                dist, point = subspace_distance(LINF, basis, d)
+            assert dist == pytest.approx(abs(d[2]), abs=1e-15)
+            assert float(norm_eval(LINF, d - point)) == pytest.approx(dist, abs=1e-14)
+        assert 0.0 < np.abs(basis.matrix[2]).max() < 1e-15  # seed 11: about 7e-17
+
+    @pytest.mark.parametrize("n,m", [(6, 10), (5, 9), (4, 8)])
+    def test_sign_atoms_solve_without_the_simplex(self, n, m):
+        """Random {-1, 0, 1} atoms put many linf certificates in degenerate position."""
+        rng = np.random.default_rng(n)
+        while True:
+            atoms = rng.integers(-1, 2, (m, n)).astype(float)
+            if np.all(np.any(atoms, axis=1)) and np.linalg.matrix_rank(atoms) == n:
+                break
+        l0 = L0Solver(Dictionary.from_vectors(atoms), LINF)
+        points = rng.standard_normal((150, n))
+        taus = 0.3 * np.asarray(norm_eval(LINF, points))
+        profiles = l0.distance_profiles(points)
+        values = [values_from_profiles(row[None, :], tau)[0] for row, tau in zip(profiles, taus)]
+        with simplex_refused():
+            for d, tau, value in zip(points, taus, values):
+                res = l0.solve(d, tau)
+                assert res.value == value
+                assert res.residual <= tau * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LINF, L1, NormSpec.weighted_lp(1.0, [1.0, 2.0, 0.5, 3.0])],
+        ids=["linf", "l1", "wl1"],
+    )
+    def test_a_distance_below_the_true_one_is_refused(self, spec):
+        """No candidate attains a dist below the distance, so none is returned."""
+        basis = orthonormal_basis([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 1.0, 1.0]], provenance=(3, 5))
+        d = np.array([0.3, -1.2, 0.7, 0.4])
+        table = dual_vertices(spec, basis)
+        best = int(np.argmax(table @ d))
+        dist = float(table[best] @ d)
+        coeffs, residual = solver._closest_coefficients(spec, basis, basis.matrix, d, dist, table[best])
+        assert residual == pytest.approx(dist, abs=1e-14)
+        assert float(norm_eval(spec, d - basis.matrix @ coeffs)) == pytest.approx(dist, abs=1e-14)
+        with pytest.raises(RuntimeError, match=r"attains distance .* for basis \(3, 5\)"):
+            solver._closest_coefficients(spec, basis, basis.matrix, d, 0.9 * dist, table[best])
 
 
 @st.composite
