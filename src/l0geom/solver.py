@@ -26,21 +26,27 @@ form a bounded polytope, so when those rows leave freedom, holding more
 rows at a bound reaches one of its vertices (``_closest_coefficients``).
 No linear program runs.
 
-``L0Solver`` prices each level k >= 1 of a span family through one level
-table, built in the calling thread before any worker starts; level 0 is
-the norm itself.  For l2 fidelity the table holds, per member, the upper
+``L0Solver`` holds one stacked table over the members of levels 1..L of
+the span families, in (level, provenance) order, for the fidelity's norm
+family; level 0 is the norm itself and level N, the whole space, holds
+every vector.  For l2 fidelity the table holds, per member, the upper
 triangle of I - P (so a sample's squared distances are one product with
-its pair products x_i x_j) and the stacked bases, which single-vector
+its pair products x_i x_j) and the zero-padded bases, which single-vector
 scans use in residual form ||d - U U^T d||, as accurate as one
 projection.  For polyhedral fidelities it is the members' dual vertex
-tables stacked into one matrix with segment offsets.  For weighted lp
-with p > 1 it is the stacked bases that the Newton fit runs on.
-``member_distances`` is the level table of a single member.
+tables side by side, with member and level offsets.  So a profile block
+prices every level with one product, and a solve finds its first member
+within tau, by level and then provenance, with one product over every
+built level.  Weighted lp with p > 1 keeps one Newton fit per level
+behind the same interface.  The stack grows by one level only when a
+solve finds no built member within tau, in the calling thread.
+``member_distances`` is the table of a single member.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -299,7 +305,7 @@ def member_distances(
 ) -> np.ndarray:
     """Fidelity distance from each row to the subspace, without closest points.
 
-    This is the level table of the one member: a product with the
+    This is a level table holding the one member: a product with the
     projector's upper triangle for l2, one product with the span's
     ``dual_vertices`` for polyhedral norms, and one batched Newton fit over
     every row for weighted lp with p > 1.  A zero-dimensional span is
@@ -310,64 +316,142 @@ def member_distances(
         raise ValueError(f"expected (n, {basis.ambient_dim}) rows, got {rows.shape}")
     if basis.dim == 0:
         return np.asarray(norm_eval(fidelity, rows))
-    return _level_table(fidelity, (basis,), dist_tol).nearest(rows)
+    table = _level_stack(fidelity, basis.ambient_dim, dist_tol)
+    table.append((basis,))
+    return table.nearest(rows)[:, 0]
 
 
-class _QuadraticLevel:
-    """l2 level table: every member's distance from one product.
+class _LevelStack:
+    """The members of levels 1..L side by side, in (level, provenance) order.
+
+    ``members`` lists them, and ``starts[l - 1]`` is the index of the first
+    member of level l.  A dictionary spanning R^N has a member at every
+    level, so no level is empty.  ``append`` adds the next level, and each
+    subclass prices the whole stack at once:
+
+    * ``nearest(rows)``: each row's distance to the nearest member of every
+      level, an (n, L) matrix;
+    * ``first_within(d, thresh, lo)``: the first member within thresh of d
+      at levels lo..L, by level and then provenance, as (level, member,
+      certificate), or None; the certificate is a polyhedral winner's
+      distance and the dual vertex attaining it, None for other norms.
+
+    ``width`` is the number of table cells per row that ``nearest`` holds
+    at once.
+    """
+
+    def __init__(self) -> None:
+        self.members: list[SubspaceBasis] = []
+        self.starts: list[int] = []
+        self.width = 0
+
+    @property
+    def levels(self) -> int:
+        return len(self.starts)
+
+    def append(self, members: tuple[SubspaceBasis, ...]) -> None:
+        self._append(members)
+        self.starts.append(len(self.members))
+        self.members.extend(members)
+
+    def _level(self, m: int) -> int:
+        """The level of member m."""
+        return bisect_right(self.starts, m)
+
+
+class _QuadraticStack(_LevelStack):
+    """l2 stacked table: every member's distance from one product.
 
     Column m of ``gram`` is the upper triangle of I - P_m with doubled
     off-diagonal entries, so a row's pair products x_i x_j (i <= j) times
-    ``gram`` are its squared distances <x x^T, I - P_m>.  ``bases`` is the
-    (M, N, k) stack of member bases for single-vector residual scans.
+    ``gram`` are its squared distances <x x^T, I - P_m>.  ``columns`` is
+    the (N, M, N - 1) stack of member bases, zero-padded, with the ambient
+    axis first, so that one product gives every member's coordinates of a
+    vector; single-vector scans use it in residual form ||d - U U^T d||,
+    as accurate as one projection.
     """
 
-    def __init__(self, members: tuple[SubspaceBasis, ...]) -> None:
-        n = members[0].ambient_dim
-        self.upper = i, j = np.triu_indices(n)
-        self.bases = np.stack([member.matrix for member in members])
-        residual = np.eye(n) - self.bases @ self.bases.transpose(0, 2, 1)
-        self.gram = np.ascontiguousarray((residual[:, i, j] * np.where(i == j, 1.0, 2.0)).T)
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.upper = np.triu_indices(n)
+        self.gram = np.zeros((len(self.upper[0]), 0))
+        self.columns = np.zeros((n, 0, max(n - 1, 0)))
+
+    def _append(self, members: tuple[SubspaceBasis, ...]) -> None:
+        i, j = self.upper
+        bases = np.stack([member.matrix for member in members])
+        residual = np.eye(bases.shape[1]) - bases @ bases.transpose(0, 2, 1)
+        gram = (residual[:, i, j] * np.where(i == j, 1.0, 2.0)).T
+        self.gram = np.ascontiguousarray(np.hstack([self.gram, gram]))
+        padded = np.zeros((bases.shape[1], len(members), self.columns.shape[2]))
+        padded[:, :, : bases.shape[2]] = bases.transpose(1, 0, 2)
+        self.columns = np.concatenate([self.columns, padded], axis=1)
         self.width = self.gram.shape[1]
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         i, j = self.upper
-        squared = np.min((rows[:, i] * rows[:, j]) @ self.gram, axis=1)
+        squared = np.minimum.reduceat((rows[:, i] * rows[:, j]) @ self.gram, self.starts, axis=1)
         return np.sqrt(np.maximum(squared, 0.0))
 
-    def distances(self, d: np.ndarray) -> np.ndarray:
-        residual = d - (self.bases @ (d @ self.bases)[:, :, None])[:, :, 0]
-        return np.sqrt(np.einsum("mn,mn->m", residual, residual))
+    def first_within(
+        self, d: np.ndarray, thresh: float, lo: int
+    ) -> tuple[int, SubspaceBasis, None] | None:
+        start = self.starts[lo - 1]
+        columns = self.columns[:, start:]
+        coords = (d @ columns.reshape(len(d), -1)).reshape(columns.shape[1:])
+        residual = d[:, None] - np.einsum("nmc,mc->nm", columns, coords)
+        feasible = np.sqrt(np.einsum("nm,nm->m", residual, residual)) <= thresh
+        first = int(feasible.argmax())
+        if not feasible[first]:
+            return None
+        return self._level(start + first), self.members[start + first], None
 
 
-class _DualLevel:
-    """Polyhedral level table: the members' dual vertex tables side by side.
+class _DualStack(_LevelStack):
+    """Polyhedral stacked table: the members' dual vertex tables side by side.
 
-    ``vertices`` is (N, V); member m owns the columns from ``offsets[m]`` to
-    the next offset, so its distances are the maxima over that segment.
+    ``vertices`` is (N, V).  Member m owns the columns from ``bounds[m]`` to
+    ``bounds[m + 1]``, so its distances are the maxima over that segment,
+    and level l owns those of its members, from ``bounds[starts[l - 1]]``.
     """
 
-    def __init__(self, fidelity: NormSpec, members: tuple[SubspaceBasis, ...]) -> None:
-        tables = [dual_vertices(fidelity, member) for member in members]
-        self.offsets = np.cumsum([0] + [t.shape[0] for t in tables[:-1]])
-        self.vertices = np.ascontiguousarray(np.vstack(tables).T)
+    def __init__(self, fidelity: NormSpec, n: int) -> None:
+        super().__init__()
+        self.fidelity = fidelity
+        self.vertices = np.zeros((n, 0))
+        self.bounds = np.zeros(1, dtype=np.intp)
+
+    def _append(self, members: tuple[SubspaceBasis, ...]) -> None:
+        tables = [dual_vertices(self.fidelity, member) for member in members]
+        sizes = np.cumsum([t.shape[0] for t in tables])
+        self.bounds = np.concatenate([self.bounds, self.width + sizes])
+        self.vertices = np.ascontiguousarray(np.hstack([self.vertices, np.vstack(tables).T]))
         self.width = self.vertices.shape[1]
 
-    def distances(self, x: np.ndarray) -> np.ndarray:
-        return self.maxima(x @ self.vertices)
-
-    def maxima(self, scores: np.ndarray) -> np.ndarray:
-        """Segment maxima of products x @ vertices: each member's distance."""
-        return np.maximum.reduceat(scores, self.offsets, axis=-1)
-
-    def certificate(self, scores: np.ndarray, m: int) -> tuple[float, np.ndarray]:
-        """Member m's distance from one vector's scores, and the dual vertex attaining it."""
-        end = self.offsets[m + 1] if m + 1 < len(self.offsets) else self.width
-        best = self.offsets[m] + int(np.argmax(scores[self.offsets[m] : end]))
-        return float(scores[best]), self.vertices[:, best]
-
     def nearest(self, rows: np.ndarray) -> np.ndarray:
-        return np.min(self.distances(rows), axis=1)
+        distances = np.maximum.reduceat(rows @ self.vertices, self.bounds[:-1], axis=1)
+        return np.minimum.reduceat(distances, self.starts, axis=1)
+
+    def first_within(
+        self, d: np.ndarray, thresh: float, lo: int
+    ) -> tuple[int, SubspaceBasis, tuple[float, np.ndarray]] | None:
+        start = self.starts[lo - 1]
+        left = self.bounds[start]
+        scores = d @ self.vertices[:, left:]
+        offsets = self.bounds[start:-1] - left if left else self.bounds[:-1]
+        feasible = np.maximum.reduceat(scores, offsets) <= thresh
+        first = int(feasible.argmax())
+        if not feasible[first]:
+            return None
+        # The certificate comes from the product with the winner's level
+        # alone, which has the bits that level's table gives on its own.
+        m = start + first
+        level = self._level(m)
+        end = self.starts[level] if level < self.levels else len(self.members)
+        left, right = self.bounds[self.starts[level - 1]], self.bounds[end]
+        scores = d @ self.vertices[:, left:right]
+        best = self.bounds[m] + int(scores[self.bounds[m] - left : self.bounds[m + 1] - left].argmax())
+        return level, self.members[m], (float(scores[best - left]), self.vertices[:, best])
 
 
 def _curvature(w: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
@@ -532,15 +616,44 @@ class _PowerLevel:
         return np.min(self.fit(rows)[0], axis=1)
 
 
-def _level_table(
-    fidelity: NormSpec, members: tuple[SubspaceBasis, ...], dist_tol: float
-) -> _QuadraticLevel | _DualLevel | _PowerLevel:
-    """The level table of the fidelity's norm family for members of one dimension k >= 1."""
+class _PowerStack(_LevelStack):
+    """Weighted-lp stacked table (p > 1): one ``_PowerLevel`` fit per level.
+
+    Each level is its own Newton fit, so a scan fits one level at a time
+    and stops at the first level holding a member within thresh; a profile
+    block fits each level in turn.
+    """
+
+    def __init__(self, fidelity: NormSpec, dist_tol: float) -> None:
+        super().__init__()
+        self.fidelity, self.dist_tol = fidelity, dist_tol
+        self.tables: list[_PowerLevel] = []
+
+    def _append(self, members: tuple[SubspaceBasis, ...]) -> None:
+        self.tables.append(_PowerLevel(self.fidelity, members, self.dist_tol))
+        self.width = max(self.width, self.tables[-1].width)
+
+    def nearest(self, rows: np.ndarray) -> np.ndarray:
+        return np.column_stack([table.nearest(rows) for table in self.tables])
+
+    def first_within(
+        self, d: np.ndarray, thresh: float, lo: int
+    ) -> tuple[int, SubspaceBasis, None] | None:
+        for level in range(lo, self.levels + 1):
+            feasible = self.tables[level - 1].distances(d) <= thresh
+            first = int(feasible.argmax())
+            if feasible[first]:
+                return level, self.tables[level - 1].members[first], None
+        return None
+
+
+def _level_stack(fidelity: NormSpec, n: int, dist_tol: float) -> _LevelStack:
+    """An empty stacked table of the fidelity's norm family in R^n."""
     if fidelity.kind == "l2":
-        return _QuadraticLevel(members)
+        return _QuadraticStack(n)
     if fidelity.polyhedral:
-        return _DualLevel(fidelity, members)
-    return _PowerLevel(fidelity, members, dist_tol)
+        return _DualStack(fidelity, n)
+    return _PowerStack(fidelity, dist_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,15 +691,20 @@ class L0Solver:
     per dictionary, at the dictionary's own tolerance; a ``span_tol``
     argument other than that one raises ValueError.  The solver owns the
     relative slack on tau, ``feas_tol``, and the stopping tolerance of the
-    weighted-lp Newton fit, ``dist_tol``.  Each level k of 1..N gets one
-    level table for the fidelity's norm family (``level_table``), whatever
-    the fidelity, which prices every size-k member at once: a profile block
-    takes each row's nearest member from it, and a solve takes the first
-    member within tau from it.  Level 0 is priced by the norm itself.
-    Tables are built on first use in the calling thread, and
-    ``distance_profiles`` builds all it needs before any worker starts;
-    afterwards the solver is only read, so distinct data vectors may be
-    solved concurrently.
+    weighted-lp Newton fit, ``dist_tol``.
+
+    The solver holds one stacked table over the members of levels 1..L
+    for the fidelity's norm family (``level_stack``), whatever the
+    fidelity.  A profile block prices every level of it with one product,
+    and a solve takes the first member within tau, by level and then
+    provenance, from one product over every built level.  Level 0 is
+    priced by the norm itself, and level N, the whole space, holds every
+    vector.  The stack grows one level at a time, only when a solve finds
+    no built member within tau, so a solve enumerates no family above its
+    answer; ``distance_profiles`` grows it to level N - 1.  Growth happens
+    in the calling thread, so concurrent solves need ``distance_profiles``
+    or a dense solve first; afterwards the solver is only read, and
+    distinct data vectors may be solved concurrently.
     """
 
     def __init__(
@@ -605,18 +723,19 @@ class L0Solver:
         self.fidelity = fidelity
         self.feas_tol = feas_tol
         self.dist_tol = dist_tol
-        self._levels: dict[int, _QuadraticLevel | _DualLevel | _PowerLevel] = {}
+        self._stack = _level_stack(fidelity, dictionary.n_dim, dist_tol)
 
     def family(self, k: int) -> SpanFamily:
         return span_family(self.dictionary, k)
 
-    def level_table(self, k: int) -> _QuadraticLevel | _DualLevel | _PowerLevel:
-        """The level table of the size-k members, k = 1..N, memoised on the solver."""
-        if not 1 <= k <= self.dictionary.n_dim:
-            raise ValueError(f"level tables cover k = 1..{self.dictionary.n_dim}, got {k}")
-        if k not in self._levels:
-            self._levels[k] = _level_table(self.fidelity, self.family(k).members, self.dist_tol)
-        return self._levels[k]
+    def level_stack(self, top: int) -> _LevelStack:
+        """The stacked table, grown through level top (0 <= top < N) if it
+        does not reach it yet."""
+        if not 0 <= top < self.dictionary.n_dim:
+            raise ValueError(f"the stack covers levels 1..{self.dictionary.n_dim - 1}, got {top}")
+        while self._stack.levels < top:
+            self._stack.append(self.family(self._stack.levels + 1).members)
+        return self._stack
 
     def _check_data(self, d: np.ndarray, tau: float) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -630,30 +749,32 @@ class L0Solver:
             raise ValueError(f"tau must be > 0, got {tau}")
         return d
 
-    def _first_feasible(
-        self, k: int, d: np.ndarray, thresh: float
-    ) -> tuple[SubspaceBasis, tuple[float, np.ndarray] | None] | None:
-        """The size-k member of smallest provenance within thresh of d, if
-        any, with its dual certificate.
+    def _first_within(
+        self, d: np.ndarray, thresh: float, top: int
+    ) -> tuple[int, SubspaceBasis, tuple[float, np.ndarray] | None] | None:
+        """The first member within thresh of d at levels 0..top, by level
+        and then provenance, as (level, member, certificate); None if there
+        is none.
 
-        Members are in provenance order, so the first member the level
-        table puts within thresh is the answer.  At a polyhedral level
-        k >= 1 the certificate is that member's distance and the dual
-        vertex attaining it, read from the same product d @ vertices that
-        priced every member; elsewhere it is None.  No linear program runs.
+        Every built level is scanned at once; the stack grows by one level
+        only when none of them holds such a member.  A polyhedral member at
+        level k >= 1 comes with its certificate, its distance and the dual
+        vertex attaining it (at level N, 0 and the zero vector); any other
+        with None.  No linear program runs.
         """
-        members = self.family(k).members
-        if not k:
-            return (members[0], None) if norm_eval(self.fidelity, d) <= thresh else None
-        table = self.level_table(k)
-        scores = d @ table.vertices if isinstance(table, _DualLevel) else None
-        dists = table.distances(d) if scores is None else table.maxima(scores)
-        feasible = dists <= thresh
-        first = int(feasible.argmax())
-        if not feasible[first]:
+        n, origin = self.dictionary.n_dim, self.family(0).members[0]
+        if norm_eval(self.fidelity, d) <= thresh:
+            return 0, origin, None
+        level = 1
+        while level <= min(top, n - 1):
+            found = self.level_stack(level).first_within(d, thresh, level)
+            if found is not None:
+                return found if found[0] <= top else None
+            level = self._stack.levels + 1
+        if top < n:
             return None
-        certificate = None if scores is None else table.certificate(scores, first)
-        return members[first], certificate
+        certificate = (0.0, np.zeros(n)) if self.fidelity.polyhedral else None
+        return n, self.family(n).members[0], certificate
 
     def solve(self, d: np.ndarray, tau: float) -> SolveResult:
         """Smallest support within tau of d, and its lexicographically first witness.
@@ -665,28 +786,17 @@ class L0Solver:
         least squares.
         """
         d = self._check_data(d, tau)
-        thresh = tau * (1.0 + self.feas_tol)
-        for k in range(self.dictionary.n_dim + 1):
-            found = self._first_feasible(k, d, thresh)
-            if found is None:
-                continue
-            winner, certificate = found
-            atoms = self.dictionary.subset(winner.provenance)
-            if certificate is None:
-                _, point = subspace_distance(self.fidelity, winner, d, self.dist_tol)
-                coeffs = np.linalg.lstsq(atoms, point, rcond=None)[0]
-                residual = float(norm_eval(self.fidelity, atoms @ coeffs - d))
-            else:
-                coeffs, residual = _closest_coefficients(
-                    self.fidelity, winner, atoms, d, *certificate
-                )
-            return SolveResult(
-                value=k,
-                support=winner.provenance,
-                coefficients=coeffs,
-                residual=residual,
-            )
-        raise AssertionError("unreachable: the full-space span is always feasible")
+        k, winner, certificate = self._first_within(
+            d, tau * (1.0 + self.feas_tol), self.dictionary.n_dim
+        )
+        atoms = self.dictionary.subset(winner.provenance)
+        if certificate is None:
+            _, point = subspace_distance(self.fidelity, winner, d, self.dist_tol)
+            coeffs = np.linalg.lstsq(atoms, point, rcond=None)[0]
+            residual = float(norm_eval(self.fidelity, atoms @ coeffs - d))
+        else:
+            coeffs, residual = _closest_coefficients(self.fidelity, winner, atoms, d, *certificate)
+        return SolveResult(value=k, support=winner.provenance, coefficients=coeffs, residual=residual)
 
     def value(self, d: np.ndarray, tau: float) -> int:
         return self.solve(d, tau).value
@@ -694,13 +804,14 @@ class L0Solver:
     def value_leq(self, d: np.ndarray, tau: float, K: int) -> bool:
         """True when some K atoms approximate d within tau.
 
-        Only the size-K spans need checking: every smaller feasible span is
-        contained in a size-K one, which is then feasible too.
+        This is the search of ``solve`` stopped after level K, without a
+        closest point: a feasible span of fewer atoms lies in a size-K one,
+        which is then feasible too.
         """
         d = self._check_data(d, tau)
         if not 0 <= K <= self.dictionary.n_dim:
             raise ValueError(f"K must lie in [0, {self.dictionary.n_dim}], got {K}")
-        return self._first_feasible(K, d, tau * (1.0 + self.feas_tol)) is not None
+        return self._first_within(d, tau * (1.0 + self.feas_tol), K) is not None
 
     def value_eq(self, d: np.ndarray, tau: float, K: int) -> bool:
         if K == 0:
@@ -714,16 +825,15 @@ class L0Solver:
         member of the size-k family; column N is identically zero.  The
         value of a solve is the first column whose entry is within the
         feasibility threshold, so one profile matrix serves every tau.
-        Level tables are built here, before any worker starts, and each
-        block of rows prices a level with one call of its table.
+        The stack is grown to level N - 1 here, before any worker starts,
+        and each block of rows prices every level with one call of it.
         """
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != self.dictionary.n_dim:
             raise ValueError(f"expected (n, {self.dictionary.n_dim}) data, got {data.shape}")
         n_dim = self.dictionary.n_dim
-        tables = {k: self.level_table(k) for k in range(1, n_dim)}
-        widest = max((t.width for t in tables.values()), default=1)
-        block = max(1, _PROFILE_CELLS // widest)
+        stack = self.level_stack(n_dim - 1)
+        block = max(1, _PROFILE_CELLS // max(1, stack.width))
         n_blocks = max(1, -(-data.shape[0] // block))
 
         def profile_block(b: int) -> np.ndarray:
@@ -731,8 +841,8 @@ class L0Solver:
             out = np.empty((rows.shape[0], n_dim + 1))
             out[:, 0] = np.asarray(norm_eval(self.fidelity, rows))
             out[:, n_dim] = 0.0
-            for k, table in tables.items():
-                out[:, k] = table.nearest(rows)
+            if stack.levels:
+                out[:, 1:n_dim] = stack.nearest(rows)
             return out
 
         return np.vstack(map_chunks(profile_block, n_blocks, workers))

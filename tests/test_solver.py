@@ -700,7 +700,7 @@ class TestLevelTables:
              [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0], [1.0, -1.0, 1.0, 2.0]]
         )
         first = L0Solver(dictionary, spec)
-        block = solver._PROFILE_CELLS // max(first.level_table(k).width for k in range(1, 4))
+        block = solver._PROFILE_CELLS // first.level_stack(3).width
         assert block > 17
         points = np.random.default_rng(17).uniform(-1.0, 1.0, (3 * block + 17, 4))
         one = first.distance_profiles(points, workers=1)
@@ -824,14 +824,15 @@ class TestWeightedLpFit:
         fitted = L0Solver(dictionary, spec)
         for k in range(1, 4):
             members = fitted.family(k).members
-            level = fitted.level_table(k).fit(points)[0]
+            table = solver._PowerLevel(spec, members, fitted.dist_tol)
+            level = table.fit(points)[0]
             for m, member in enumerate(members):
                 np.testing.assert_array_equal(member_distances(spec, member, points), level[:, m])
                 for i in (0, 17, 39):
                     alone = subspace_distance(spec, member, points[i])[0]
                     assert alone == level[i, m]
             for i in (0, 17, 39):
-                np.testing.assert_array_equal(fitted.level_table(k).distances(points[i]), level[i])
+                np.testing.assert_array_equal(table.distances(points[i]), level[i])
 
     @pytest.mark.parametrize("p", [1.3, 3.0])
     def test_solve_values_match_the_profiles(self, p):
