@@ -19,11 +19,14 @@ Optional, with defaults:
     feas_tol           1e-10              relative slack on tau in feasibility tests
     dist_tol           1e-9               stopping tolerance of the Newton fit that
                                           prices every level of a wlp fidelity
-                                          with p > 1 (one level table per level,
-                                          as for every fidelity)
+                                          with p > 1 (one fit per level, inside
+                                          the solver's one stacked table)
     threads            1                  worker threads for sampling and distance
-                                          profiles (never affects results); volume
-                                          constants run in the calling thread
+                                          profiles (never affects results; the
+                                          solver's stacked table grows only in the
+                                          calling thread, before any worker
+                                          starts); volume constants run in the
+                                          calling thread
 
 Estimates and validation rows both come in cell order: quantity, then K,
 then tau.

@@ -305,7 +305,7 @@ def member_distances(
 ) -> np.ndarray:
     """Fidelity distance from each row to the subspace, without closest points.
 
-    This is a level table holding the one member: a product with the
+    This is the stacked table of the one member: a product with the
     projector's upper triangle for l2, one product with the span's
     ``dual_vertices`` for polyhedral norms, and one batched Newton fit over
     every row for weighted lp with p > 1.  A zero-dimensional span is
@@ -375,7 +375,7 @@ class _QuadraticStack(_LevelStack):
         super().__init__()
         self.upper = np.triu_indices(n)
         self.gram = np.zeros((len(self.upper[0]), 0))
-        self.columns = np.zeros((n, 0, max(n - 1, 0)))
+        self.columns = np.zeros((n, 0, n - 1))
 
     def _append(self, members: tuple[SubspaceBasis, ...]) -> None:
         i, j = self.upper
@@ -438,8 +438,7 @@ class _DualStack(_LevelStack):
         start = self.starts[lo - 1]
         left = self.bounds[start]
         scores = d @ self.vertices[:, left:]
-        offsets = self.bounds[start:-1] - left if left else self.bounds[:-1]
-        feasible = np.maximum.reduceat(scores, offsets) <= thresh
+        feasible = np.maximum.reduceat(scores, self.bounds[start:-1] - left) <= thresh
         first = int(feasible.argmax())
         if not feasible[first]:
             return None
@@ -643,7 +642,7 @@ class _PowerStack(_LevelStack):
             feasible = self.tables[level - 1].distances(d) <= thresh
             first = int(feasible.argmax())
             if feasible[first]:
-                return level, self.tables[level - 1].members[first], None
+                return level, self.members[self.starts[level - 1] + first], None
         return None
 
 

@@ -23,7 +23,7 @@ from l0geom import (
     subspace_distance,
     values_from_profiles,
 )
-from l0geom import simplex, solver
+from l0geom import simplex, solver, subspaces
 from l0geom.subspaces import empty_basis, enumerate_spans
 from test_pair_dims import structured_dictionaries
 
@@ -389,27 +389,73 @@ def member_scan(spec, dictionary, d, tau, feas_tol=1e-10):
     raise AssertionError("the full space is always feasible")
 
 
+@st.composite
+def dependent_dictionaries(draw):
+    """A dictionary in R^n, n <= 6, with repeated, parallel and summed atoms, plus points.
+
+    Some points are exact sparse combinations of the atoms, where the
+    distance to a containing span is zero.
+    """
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = list(rng.standard_normal((n, n)))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.integers(len(atoms), size=2)
+        kind = draw(st.sampled_from(["repeat", "parallel", "sum"]))
+        if kind == "repeat":
+            atoms.append(atoms[i].copy())
+        elif kind == "parallel":
+            atoms.append(atoms[i] * draw(st.sampled_from([-3.0, -1.0, 0.5, 2.0])))
+        else:
+            atoms.append(atoms[i] + atoms[j])
+        assume(np.any(atoms[-1] != 0.0))
+    atoms = np.array(atoms)[rng.permutation(len(atoms))]
+    points = rng.standard_normal((30, n)) * draw(st.sampled_from([0.01, 1.0, 100.0]))
+    for i in range(min(n, 4)):
+        support = rng.choice(len(atoms), i + 1, replace=False)
+        points[i] = rng.standard_normal(i + 1) @ atoms[support]
+    return Dictionary.from_vectors(atoms), points
+
+
+@st.composite
+def gaussian_dictionaries(draw):
+    """n + extra Gaussian atoms in R^n, 2 <= n <= 4 and extra <= 3, plus points."""
+    n, extra = draw(st.integers(2, 4)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        try:
+            dictionary = Dictionary.from_vectors(rng.standard_normal((n + extra, n)))
+            break
+        except ValueError:
+            continue
+    return dictionary, rng.standard_normal((4, n))
+
+
+def fidelity(kind, n):
+    """The fidelity norm named kind in R^n; weighted norms take weights 0.5..3."""
+    weights = np.linspace(0.5, 3.0, n)
+    if kind == "weighted":
+        return NormSpec.weighted_lp(1.0, weights)
+    if kind == "wlp3":
+        return NormSpec.weighted_lp(3.0, weights)
+    return NormSpec(kind)
+
+
 class TestPolyhedralSolve:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
+        st.one_of(gaussian_dictionaries(), dependent_dictionaries()),
+        st.sampled_from(["l1", "linf", "weighted"]),
         st.integers(0, 2**32 - 1),
-        st.integers(2, 4),
-        st.integers(0, 3),
-        st.sampled_from(["l1", "linf"]),
     )
-    def test_matches_a_per_member_lp_scan(self, seed, n, extra, kind):
-        spec = NormSpec(kind)
-        rng = np.random.default_rng(seed)
-        while True:
-            try:
-                dictionary = Dictionary.from_vectors(rng.standard_normal((n + extra, n)))
-                break
-            except ValueError:
-                continue
+    def test_matches_a_per_member_lp_scan(self, case, kind, seed):
+        dictionary, points = case
+        n = dictionary.n_dim
+        spec = fidelity(kind, n)
         fast = L0Solver(dictionary, spec)
-        for _ in range(4):
-            d = rng.standard_normal(n)
-            tau = float(rng.uniform(0.02, 1.0))
+        rng = np.random.default_rng(seed)
+        for d in points[:4]:
+            tau = float(rng.uniform(0.02, 1.0)) * float(norm_eval(spec, d) + 1e-3)
             res = fast.solve(d, tau)
             assert (res.value, res.support) == member_scan(spec, dictionary, d, tau)
             assert res.residual <= tau * (1.0 + 1e-9)
@@ -616,34 +662,6 @@ class TestCertificateFallback:
             solver._closest_coefficients(spec, basis, basis.matrix, d, 0.9 * dist, table[best])
 
 
-@st.composite
-def dependent_dictionaries(draw):
-    """A dictionary in R^n, n <= 6, with repeated, parallel and summed atoms, plus points.
-
-    Some points are exact sparse combinations of the atoms, where the
-    distance to a containing span is zero.
-    """
-    n = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    atoms = list(rng.standard_normal((n, n)))
-    for _ in range(draw(st.integers(0, 3))):
-        i, j = rng.integers(len(atoms), size=2)
-        kind = draw(st.sampled_from(["repeat", "parallel", "sum"]))
-        if kind == "repeat":
-            atoms.append(atoms[i].copy())
-        elif kind == "parallel":
-            atoms.append(atoms[i] * draw(st.sampled_from([-3.0, -1.0, 0.5, 2.0])))
-        else:
-            atoms.append(atoms[i] + atoms[j])
-        assume(np.any(atoms[-1] != 0.0))
-    atoms = np.array(atoms)[rng.permutation(len(atoms))]
-    points = rng.standard_normal((30, n)) * draw(st.sampled_from([0.01, 1.0, 100.0]))
-    for i in range(min(n, 4)):
-        support = rng.choice(len(atoms), i + 1, replace=False)
-        points[i] = rng.standard_normal(i + 1) @ atoms[support]
-    return Dictionary.from_vectors(atoms), points
-
-
 class TestLevelTables:
     @settings(max_examples=60, deadline=None)
     @given(dependent_dictionaries())
@@ -720,6 +738,84 @@ class TestLevelTables:
                 d = rng.standard_normal(K) @ atoms[support]
                 assert solver.solve(d, 1e-12).value <= K
                 assert solver.value_leq(d, 1e-12, K)
+
+
+def result_bits(res):
+    return res.value, res.support, res.coefficients.tobytes(), np.float64(res.residual).tobytes()
+
+
+FIDELITIES = ["l2", "l1", "linf", "weighted", "wlp3"]
+
+
+class TestStackGrowth:
+    """The solver's stacked table grows one level at a time, only as far as a
+    solve needs, and what it holds never changes an answer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dependent_dictionaries(), st.sampled_from(FIDELITIES), st.integers(0, 2**32 - 1))
+    def test_a_grown_stack_gives_the_bits_of_a_fresh_one(self, case, kind, seed):
+        dictionary, points = case
+        n = dictionary.n_dim
+        spec = fidelity(kind, n)
+        rng = np.random.default_rng(seed)
+        grown = L0Solver(dictionary, spec)
+        dense = np.random.default_rng([seed, 1]).standard_normal(n)
+        assert grown.solve(dense, 1e-9 * float(norm_eval(spec, dense))).value == n
+        assert grown.level_stack(0).levels == n - 1
+        for d in points[::3]:
+            tau = float(rng.uniform(0.02, 1.0)) * float(norm_eval(spec, d) + 1e-3)
+            fresh = L0Solver(dictionary, spec).solve(d, tau)
+            assert result_bits(grown.solve(d, tau)) == result_bits(fresh)
+
+    @pytest.mark.parametrize("kind", ["l1", "linf"])
+    def test_polyhedral_certificates_do_not_depend_on_the_stack(self, kind):
+        # A product over every built level can differ in its last bits from
+        # the winning level's own product, and the certificate must not.
+        dictionary = Dictionary.from_vectors(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]
+        )
+        grown = L0Solver(dictionary, NormSpec(kind))
+        points = sample_levelset_batch(NormSpec.l1(), 1.0, 3, 400, seed=13)
+        grown.distance_profiles(points)
+        for d in points:
+            fresh = L0Solver(dictionary, NormSpec(kind)).solve(d, 0.05)
+            assert result_bits(grown.solve(d, 0.05)) == result_bits(fresh)
+
+    @pytest.mark.parametrize("kind", FIDELITIES)
+    @pytest.mark.parametrize(
+        "atoms", [[[2.0], [-0.5]], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]], ids=["N1", "N2"]
+    )
+    def test_one_and_two_dimensions(self, atoms, kind):
+        dictionary = Dictionary.from_vectors(atoms)
+        n = dictionary.n_dim
+        spec = fidelity(kind, n)
+        grown = L0Solver(dictionary, spec)
+        assert grown.solve(np.linspace(0.7, 0.2, n), 1e-6).value == n
+        assert grown.level_stack(0).levels == n - 1
+        points = np.vstack([np.random.default_rng(3).standard_normal((12, n)),
+                            0.4 * np.array(atoms), np.zeros((1, n))])
+        profiles = grown.distance_profiles(points)
+        for tau in (0.05, 0.5):
+            values = values_from_profiles(profiles, tau)
+            for d, value in zip(points, values):
+                fresh = L0Solver(dictionary, spec).solve(d, tau)
+                assert result_bits(grown.solve(d, tau)) == result_bits(fresh)
+                assert fresh.value == value
+
+    @pytest.mark.parametrize("kind", FIDELITIES)
+    def test_a_solve_enumerates_no_level_above_its_answer(self, monkeypatch, kind):
+        atoms = np.random.default_rng(5).standard_normal((7, 4))
+        dictionary = Dictionary.from_vectors(atoms)
+        solver = L0Solver(dictionary, fidelity(kind, 4))
+        # Levels 1 and 2 need C(7, 1) = 7 and C(7, 2) = 21 subsets; level 3 needs 35.
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 21)
+        res = solver.solve(0.5 * atoms[0] + 0.3 * atoms[1], 0.05)
+        assert (res.value, res.support) == (2, (0, 1))
+        assert max(dictionary._families) == 2
+        assert solver.value_leq(0.5 * atoms[2] - atoms[6], 0.05, 2)
+        assert max(dictionary._families) == 2
+        with pytest.raises(ValueError, match=r"C\(7, 3\) = 35 .*MAX_SPAN_SUBSETS"):
+            solver.solve(np.array([1.0, -2.0, 0.5, 3.0]), 1e-3)
 
 
 class TestWeightedLpConvergence:
