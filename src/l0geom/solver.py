@@ -321,23 +321,21 @@ def member_distances(
     return table.nearest(rows)[:, 0]
 
 
+# A scan's answer: the level, the member, and a polyhedral member's certificate.
+_Found = tuple[int, SubspaceBasis, tuple[float, np.ndarray] | None]
+
+
 class _LevelStack:
     """The members of levels 1..L side by side, in (level, provenance) order.
 
     ``members`` lists them, and ``starts[l - 1]`` is the index of the first
     member of level l.  A dictionary spanning R^N has a member at every
-    level, so no level is empty.  ``append`` adds the next level, and each
-    subclass prices the whole stack at once:
-
-    * ``nearest(rows)``: each row's distance to the nearest member of every
-      level, an (n, L) matrix;
-    * ``first_within(d, thresh, lo)``: the first member within thresh of d
-      at levels lo..L, by level and then provenance, as (level, member,
-      certificate), or None; the certificate is a polyhedral winner's
-      distance and the dual vertex attaining it, None for other norms.
-
-    ``width`` is the number of table cells per row that ``nearest`` holds
-    at once.
+    level, so no level is empty.  ``append`` adds the next level.  Each
+    subclass prices the whole stack at once: ``nearest(rows)`` gives each
+    row's distance to the nearest member of every level, an (n, L) matrix,
+    and ``_distances(d, start)`` gives the distance from d to every member
+    from index start on.  ``width`` is the number of table cells per row
+    that ``nearest`` holds at once.
     """
 
     def __init__(self) -> None:
@@ -354,9 +352,22 @@ class _LevelStack:
         self.starts.append(len(self.members))
         self.members.extend(members)
 
-    def _level(self, m: int) -> int:
-        """The level of member m."""
-        return bisect_right(self.starts, m)
+    def first_within(self, d: np.ndarray, thresh: float, lo: int) -> _Found | None:
+        """The first member within thresh of d at levels lo..L, by level and
+        then provenance, as (level, member, certificate), or None.  The
+        certificate is a polyhedral member's distance and the dual vertex
+        attaining it, None for other norms."""
+        start = self.starts[lo - 1]
+        feasible = self._distances(d, start) <= thresh
+        first = int(feasible.argmax())
+        if not feasible[first]:
+            return None
+        m = start + first
+        level = bisect_right(self.starts, m)
+        return level, self.members[m], self._certificate(d, m, level)
+
+    def _certificate(self, d: np.ndarray, m: int, level: int) -> None:
+        return None
 
 
 class _QuadraticStack(_LevelStack):
@@ -393,18 +404,11 @@ class _QuadraticStack(_LevelStack):
         squared = np.minimum.reduceat((rows[:, i] * rows[:, j]) @ self.gram, self.starts, axis=1)
         return np.sqrt(np.maximum(squared, 0.0))
 
-    def first_within(
-        self, d: np.ndarray, thresh: float, lo: int
-    ) -> tuple[int, SubspaceBasis, None] | None:
-        start = self.starts[lo - 1]
+    def _distances(self, d: np.ndarray, start: int) -> np.ndarray:
         columns = self.columns[:, start:]
         coords = (d @ columns.reshape(len(d), -1)).reshape(columns.shape[1:])
         residual = d[:, None] - np.einsum("nmc,mc->nm", columns, coords)
-        feasible = np.sqrt(np.einsum("nm,nm->m", residual, residual)) <= thresh
-        first = int(feasible.argmax())
-        if not feasible[first]:
-            return None
-        return self._level(start + first), self.members[start + first], None
+        return np.sqrt(np.einsum("nm,nm->m", residual, residual))
 
 
 class _DualStack(_LevelStack):
@@ -432,25 +436,19 @@ class _DualStack(_LevelStack):
         distances = np.maximum.reduceat(rows @ self.vertices, self.bounds[:-1], axis=1)
         return np.minimum.reduceat(distances, self.starts, axis=1)
 
-    def first_within(
-        self, d: np.ndarray, thresh: float, lo: int
-    ) -> tuple[int, SubspaceBasis, tuple[float, np.ndarray]] | None:
-        start = self.starts[lo - 1]
+    def _distances(self, d: np.ndarray, start: int) -> np.ndarray:
         left = self.bounds[start]
-        scores = d @ self.vertices[:, left:]
-        feasible = np.maximum.reduceat(scores, self.bounds[start:-1] - left) <= thresh
-        first = int(feasible.argmax())
-        if not feasible[first]:
-            return None
-        # The certificate comes from the product with the winner's level
-        # alone, which has the bits that level's table gives on its own.
-        m = start + first
-        level = self._level(m)
+        return np.maximum.reduceat(d @ self.vertices[:, left:], self.bounds[start:-1] - left)
+
+    def _certificate(self, d: np.ndarray, m: int, level: int) -> tuple[float, np.ndarray]:
+        # Taken from the product with the member's level alone, which has
+        # the bits that level's table gives on its own, whatever else the
+        # stack holds.
         end = self.starts[level] if level < self.levels else len(self.members)
         left, right = self.bounds[self.starts[level - 1]], self.bounds[end]
         scores = d @ self.vertices[:, left:right]
         best = self.bounds[m] + int(scores[self.bounds[m] - left : self.bounds[m + 1] - left].argmax())
-        return level, self.members[m], (float(scores[best - left]), self.vertices[:, best])
+        return float(scores[best - left]), self.vertices[:, best]
 
 
 def _curvature(w: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
@@ -635,14 +633,11 @@ class _PowerStack(_LevelStack):
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         return np.column_stack([table.nearest(rows) for table in self.tables])
 
-    def first_within(
-        self, d: np.ndarray, thresh: float, lo: int
-    ) -> tuple[int, SubspaceBasis, None] | None:
+    def first_within(self, d: np.ndarray, thresh: float, lo: int) -> _Found | None:
         for level in range(lo, self.levels + 1):
             feasible = self.tables[level - 1].distances(d) <= thresh
-            first = int(feasible.argmax())
-            if feasible[first]:
-                return level, self.members[self.starts[level - 1] + first], None
+            if feasible.any():
+                return level, self.members[self.starts[level - 1] + int(feasible.argmax())], None
         return None
 
 
@@ -748,9 +743,7 @@ class L0Solver:
             raise ValueError(f"tau must be > 0, got {tau}")
         return d
 
-    def _first_within(
-        self, d: np.ndarray, thresh: float, top: int
-    ) -> tuple[int, SubspaceBasis, tuple[float, np.ndarray] | None] | None:
+    def _first_within(self, d: np.ndarray, thresh: float, top: int) -> _Found | None:
         """The first member within thresh of d at levels 0..top, by level
         and then provenance, as (level, member, certificate); None if there
         is none.
