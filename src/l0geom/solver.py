@@ -36,11 +36,13 @@ scans use in residual form ||d - U U^T d||, as accurate as one
 projection.  For polyhedral fidelities it is the members' dual vertex
 tables side by side, with member and level offsets.  So a profile block
 prices every level with one product, and a solve finds its first member
-within tau, by level and then provenance, with one product over every
-built level.  Weighted lp with p > 1 keeps one Newton fit per level
-behind the same interface.  The stack grows by one level only when a
-solve finds no built member within tau, in the calling thread.
-``member_distances`` is the table of a single member.
+within tau, by level and then provenance, pricing consecutive built
+levels with one product while their cells stay within ``_SCAN_CELLS``
+and stopping at the first such group that holds one.  Weighted lp with
+p > 1 keeps one Newton fit per level behind the same interface.  The
+stack grows by one level only when a solve finds no built member within
+tau, in the calling thread.  ``member_distances`` is the table of a
+single member.
 """
 
 from __future__ import annotations
@@ -100,6 +102,12 @@ MAX_DUAL_CANDIDATES = 250_000
 # Small blocks keep each worker's transient arrays near 256 KB; larger ones
 # run no faster and leave more memory behind in the allocator.
 _PROFILE_CELLS = 1 << 15
+
+# Largest number of table cells one single-vector scan of a solve reads in
+# one product.  A scan costs about 15 us (l2) or 7 us (polyhedral) per
+# product plus 2.2 or 0.6 ns per cell (N = 7, m = 14, one core), so a group
+# of levels within this budget costs at most about twice one product.
+_SCAN_CELLS = 1 << 13
 
 
 class ConvergenceError(RuntimeError):
@@ -309,13 +317,15 @@ def member_distances(
     projector's upper triangle for l2, one product with the span's
     ``dual_vertices`` for polyhedral norms, and one batched Newton fit over
     every row for weighted lp with p > 1.  A zero-dimensional span is
-    priced by the norm itself.
+    priced by the norm itself, and the whole space is at distance zero.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != basis.ambient_dim:
         raise ValueError(f"expected (n, {basis.ambient_dim}) rows, got {rows.shape}")
     if basis.dim == 0:
         return np.asarray(norm_eval(fidelity, rows))
+    if basis.dim == basis.ambient_dim:
+        return np.zeros(rows.shape[0])
     table = _level_stack(fidelity, basis.ambient_dim, dist_tol)
     table.append((basis,))
     return table.nearest(rows)[:, 0]
@@ -333,14 +343,17 @@ class _LevelStack:
     level, so no level is empty.  ``append`` adds the next level.  Each
     subclass prices the whole stack at once: ``nearest(rows)`` gives each
     row's distance to the nearest member of every level, an (n, L) matrix,
-    and ``_distances(d, start)`` gives the distance from d to every member
-    from index start on.  ``width`` is the number of table cells per row
-    that ``nearest`` holds at once.
+    and ``_distances(d, start, stop)`` gives the distance from d to the
+    members from index start to stop, with the product it took them from
+    (None where no certificate reads it).  ``width`` is the number of table
+    cells per row that ``nearest`` holds at once, and ``cells[l - 1]`` the
+    number a single-vector scan of level l reads.
     """
 
     def __init__(self) -> None:
         self.members: list[SubspaceBasis] = []
         self.starts: list[int] = []
+        self.cells: list[int] = []
         self.width = 0
 
     @property
@@ -348,25 +361,44 @@ class _LevelStack:
         return len(self.starts)
 
     def append(self, members: tuple[SubspaceBasis, ...]) -> None:
-        self._append(members)
+        self.cells.append(self._append(members))
         self.starts.append(len(self.members))
         self.members.extend(members)
 
-    def first_within(self, d: np.ndarray, thresh: float, lo: int) -> _Found | None:
-        """The first member within thresh of d at levels lo..L, by level and
+    def _start(self, level: int) -> int:
+        """Index of the first member of level (L + 1 for the end of the stack)."""
+        return self.starts[level - 1] if level <= self.levels else len(self.members)
+
+    def first_within(self, d: np.ndarray, thresh: float, lo: int, hi: int) -> _Found | None:
+        """The first member within thresh of d at levels lo..hi, by level and
         then provenance, as (level, member, certificate), or None.  The
         certificate is a polyhedral member's distance and the dual vertex
-        attaining it, None for other norms."""
-        start = self.starts[lo - 1]
-        feasible = self._distances(d, start) <= thresh
-        first = int(feasible.argmax())
-        if not feasible[first]:
-            return None
-        m = start + first
-        level = bisect_right(self.starts, m)
-        return level, self.members[m], self._certificate(d, m, level)
+        attaining it, None for other norms.
 
-    def _certificate(self, d: np.ndarray, m: int, level: int) -> None:
+        Consecutive levels are priced with one product while their cells
+        stay within ``_SCAN_CELLS``, and the scan stops at the first such
+        group holding a member within thresh, so large levels above the
+        answer are never read.
+        """
+        while lo <= hi:
+            top, cells = lo, self.cells[lo - 1]
+            while top < hi and cells + self.cells[top] <= _SCAN_CELLS:
+                cells += self.cells[top]
+                top += 1
+            start = self.starts[lo - 1]
+            distances, product = self._distances(d, start, self._start(top + 1))
+            feasible = distances <= thresh
+            first = int(feasible.argmax())
+            if feasible[first]:
+                m = start + first
+                level = bisect_right(self.starts, m)
+                # A group of one level took the product of that level alone.
+                own = product if top == lo else None
+                return level, self.members[m], self._certificate(d, m, level, own)
+            lo = top + 1
+        return None
+
+    def _certificate(self, d: np.ndarray, m: int, level: int, product: None) -> None:
         return None
 
 
@@ -388,7 +420,7 @@ class _QuadraticStack(_LevelStack):
         self.gram = np.zeros((len(self.upper[0]), 0))
         self.columns = np.zeros((n, 0, n - 1))
 
-    def _append(self, members: tuple[SubspaceBasis, ...]) -> None:
+    def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
         i, j = self.upper
         bases = np.stack([member.matrix for member in members])
         residual = np.eye(bases.shape[1]) - bases @ bases.transpose(0, 2, 1)
@@ -398,17 +430,18 @@ class _QuadraticStack(_LevelStack):
         padded[:, :, : bases.shape[2]] = bases.transpose(1, 0, 2)
         self.columns = np.concatenate([self.columns, padded], axis=1)
         self.width = self.gram.shape[1]
+        return padded.size
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         i, j = self.upper
         squared = np.minimum.reduceat((rows[:, i] * rows[:, j]) @ self.gram, self.starts, axis=1)
         return np.sqrt(np.maximum(squared, 0.0))
 
-    def _distances(self, d: np.ndarray, start: int) -> np.ndarray:
-        columns = self.columns[:, start:]
+    def _distances(self, d: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, None]:
+        columns = self.columns[:, start:stop]
         coords = (d @ columns.reshape(len(d), -1)).reshape(columns.shape[1:])
         residual = d[:, None] - np.einsum("nmc,mc->nm", columns, coords)
-        return np.sqrt(np.einsum("nm,nm->m", residual, residual))
+        return np.sqrt(np.einsum("nm,nm->m", residual, residual)), None
 
 
 class _DualStack(_LevelStack):
@@ -425,28 +458,32 @@ class _DualStack(_LevelStack):
         self.vertices = np.zeros((n, 0))
         self.bounds = np.zeros(1, dtype=np.intp)
 
-    def _append(self, members: tuple[SubspaceBasis, ...]) -> None:
+    def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
         tables = [dual_vertices(self.fidelity, member) for member in members]
         sizes = np.cumsum([t.shape[0] for t in tables])
         self.bounds = np.concatenate([self.bounds, self.width + sizes])
         self.vertices = np.ascontiguousarray(np.hstack([self.vertices, np.vstack(tables).T]))
         self.width = self.vertices.shape[1]
+        return self.vertices.shape[0] * int(sizes[-1])
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         distances = np.maximum.reduceat(rows @ self.vertices, self.bounds[:-1], axis=1)
         return np.minimum.reduceat(distances, self.starts, axis=1)
 
-    def _distances(self, d: np.ndarray, start: int) -> np.ndarray:
-        left = self.bounds[start]
-        return np.maximum.reduceat(d @ self.vertices[:, left:], self.bounds[start:-1] - left)
+    def _distances(self, d: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        left, right = self.bounds[start], self.bounds[stop]
+        scores = d @ self.vertices[:, left:right]
+        return np.maximum.reduceat(scores, self.bounds[start:stop] - left), scores
 
-    def _certificate(self, d: np.ndarray, m: int, level: int) -> tuple[float, np.ndarray]:
+    def _certificate(
+        self, d: np.ndarray, m: int, level: int, scores: np.ndarray | None
+    ) -> tuple[float, np.ndarray]:
         # Taken from the product with the member's level alone, which has
         # the bits that level's table gives on its own, whatever else the
         # stack holds.
-        end = self.starts[level] if level < self.levels else len(self.members)
-        left, right = self.bounds[self.starts[level - 1]], self.bounds[end]
-        scores = d @ self.vertices[:, left:right]
+        left = self.bounds[self.starts[level - 1]]
+        if scores is None:
+            scores = d @ self.vertices[:, left : self.bounds[self._start(level + 1)]]
         best = self.bounds[m] + int(scores[self.bounds[m] - left : self.bounds[m + 1] - left].argmax())
         return float(scores[best - left]), self.vertices[:, best]
 
@@ -626,15 +663,16 @@ class _PowerStack(_LevelStack):
         self.fidelity, self.dist_tol = fidelity, dist_tol
         self.tables: list[_PowerLevel] = []
 
-    def _append(self, members: tuple[SubspaceBasis, ...]) -> None:
+    def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
         self.tables.append(_PowerLevel(self.fidelity, members, self.dist_tol))
         self.width = max(self.width, self.tables[-1].width)
+        return self.tables[-1].width
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         return np.column_stack([table.nearest(rows) for table in self.tables])
 
-    def first_within(self, d: np.ndarray, thresh: float, lo: int) -> _Found | None:
-        for level in range(lo, self.levels + 1):
+    def first_within(self, d: np.ndarray, thresh: float, lo: int, hi: int) -> _Found | None:
+        for level in range(lo, hi + 1):
             feasible = self.tables[level - 1].distances(d) <= thresh
             if feasible.any():
                 return level, self.members[self.starts[level - 1] + int(feasible.argmax())], None
@@ -691,14 +729,16 @@ class L0Solver:
     for the fidelity's norm family (``level_stack``), whatever the
     fidelity.  A profile block prices every level of it with one product,
     and a solve takes the first member within tau, by level and then
-    provenance, from one product over every built level.  Level 0 is
-    priced by the norm itself, and level N, the whole space, holds every
-    vector.  The stack grows one level at a time, only when a solve finds
-    no built member within tau, so a solve enumerates no family above its
-    answer; ``distance_profiles`` grows it to level N - 1.  Growth happens
-    in the calling thread, so concurrent solves need ``distance_profiles``
-    or a dense solve first; afterwards the solver is only read, and
-    distinct data vectors may be solved concurrently.
+    provenance, from one product per group of built levels whose cells
+    stay within ``_SCAN_CELLS``.  Level 0 is priced by the norm itself,
+    and level N, the whole space, holds every vector.  The stack grows one
+    level at a time, only when a solve finds no built member within tau,
+    so a solve enumerates no family above its answer; ``distance_profiles``
+    grows it to level N - 1, and ``value_leq`` reads a level it has not
+    built from a table of that level alone.  Growth happens in the calling
+    thread, so concurrent solves need ``distance_profiles`` or a dense
+    solve first; afterwards the solver is only read, and distinct data
+    vectors may be solved concurrently.
     """
 
     def __init__(
@@ -743,12 +783,11 @@ class L0Solver:
             raise ValueError(f"tau must be > 0, got {tau}")
         return d
 
-    def _first_within(self, d: np.ndarray, thresh: float, top: int) -> _Found | None:
-        """The first member within thresh of d at levels 0..top, by level
-        and then provenance, as (level, member, certificate); None if there
-        is none.
+    def _first_within(self, d: np.ndarray, thresh: float) -> _Found:
+        """The first member within thresh of d, by level and then
+        provenance, as (level, member, certificate).
 
-        Every built level is scanned at once; the stack grows by one level
+        The built levels are scanned first; the stack grows by one level
         only when none of them holds such a member.  A polyhedral member at
         level k >= 1 comes with its certificate, its distance and the dual
         vertex attaining it (at level N, 0 and the zero vector); any other
@@ -758,13 +797,12 @@ class L0Solver:
         if norm_eval(self.fidelity, d) <= thresh:
             return 0, origin, None
         level = 1
-        while level <= min(top, n - 1):
-            found = self.level_stack(level).first_within(d, thresh, level)
+        while level < n:
+            stack = self.level_stack(level)
+            found = stack.first_within(d, thresh, level, stack.levels)
             if found is not None:
-                return found if found[0] <= top else None
-            level = self._stack.levels + 1
-        if top < n:
-            return None
+                return found
+            level = stack.levels + 1
         certificate = (0.0, np.zeros(n)) if self.fidelity.polyhedral else None
         return n, self.family(n).members[0], certificate
 
@@ -778,9 +816,7 @@ class L0Solver:
         least squares.
         """
         d = self._check_data(d, tau)
-        k, winner, certificate = self._first_within(
-            d, tau * (1.0 + self.feas_tol), self.dictionary.n_dim
-        )
+        k, winner, certificate = self._first_within(d, tau * (1.0 + self.feas_tol))
         atoms = self.dictionary.subset(winner.provenance)
         if certificate is None:
             _, point = subspace_distance(self.fidelity, winner, d, self.dist_tol)
@@ -796,14 +832,25 @@ class L0Solver:
     def value_leq(self, d: np.ndarray, tau: float, K: int) -> bool:
         """True when some K atoms approximate d within tau.
 
-        This is the search of ``solve`` stopped after level K, without a
-        closest point: a feasible span of fewer atoms lies in a size-K one,
-        which is then feasible too.
+        Only the size-K spans need checking: every smaller feasible span is
+        contained in a size-K one, which is then feasible too.  Level K is
+        read from the stack when the stack holds it, and is otherwise priced
+        on a table of its own, so no other family is enumerated.
         """
         d = self._check_data(d, tau)
-        if not 0 <= K <= self.dictionary.n_dim:
-            raise ValueError(f"K must lie in [0, {self.dictionary.n_dim}], got {K}")
-        return self._first_within(d, tau * (1.0 + self.feas_tol), K) is not None
+        n = self.dictionary.n_dim
+        if not 0 <= K <= n:
+            raise ValueError(f"K must lie in [0, {n}], got {K}")
+        thresh = tau * (1.0 + self.feas_tol)
+        if K == 0:
+            return bool(norm_eval(self.fidelity, d) <= thresh)
+        if K == n:
+            return True
+        if self._stack.levels >= K:
+            return self._stack.first_within(d, thresh, K, K) is not None
+        table = _level_stack(self.fidelity, n, self.dist_tol)
+        table.append(self.family(K).members)
+        return table.first_within(d, thresh, 1, 1) is not None
 
     def value_eq(self, d: np.ndarray, tau: float, K: int) -> bool:
         if K == 0:

@@ -365,13 +365,6 @@ def _upper_blocks(words: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarr
 
 
 def _keys(words: np.ndarray) -> np.ndarray:
-    """One sortable key per row of (P, W) bitmask words: the word itself
-    when W = 1 (at most 64 atoms), which sorts and searches faster than
-    bytes, and the row's bytes otherwise."""
-    return words[:, 0] if words.shape[1] == 1 else _byte_keys(words)
-
-
-def _byte_keys(words: np.ndarray) -> np.ndarray:
     """One sortable key per row of (P, W) bitmask words: the row's bytes."""
     return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
 

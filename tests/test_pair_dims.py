@@ -208,14 +208,6 @@ class TestPairDims:
             assert max(max(m.provenance) for m in family.members) >= 64
             np.testing.assert_array_equal(pair_dims(family), per_row_pair_dims(family))
 
-    @settings(max_examples=120, deadline=None)
-    @given(structured_dictionaries())
-    def test_word_keys_match_the_byte_keys(self, dictionary):
-        for K in range(1, dictionary.n_dim + 1):
-            dims = pair_dims(enumerate_spans(dictionary, K))
-            with mock.patch.object(subspaces, "_keys", subspaces._byte_keys):
-                np.testing.assert_array_equal(pair_dims(enumerate_spans(dictionary, K)), dims)
-
     def test_row_blocks_give_the_whole_matrix(self):
         rng = np.random.default_rng(4)
         dictionary = Dictionary.from_vectors(rng.standard_normal((9, 4)))

@@ -234,6 +234,12 @@ class TestSolveProperties:
         slow = [subspace_distance(L2, basis, row)[0] for row in rows]
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["l2", "l1", "linf", "wlp3"])
+    def test_member_distances_of_the_whole_space_are_zero(self, kind):
+        members = solver.span_family(Dictionary.from_vectors(np.eye(3)), 3).members
+        rows = np.random.default_rng(5).standard_normal((6, 3))
+        np.testing.assert_array_equal(member_distances(fidelity(kind, 3), members[0], rows), 0.0)
+
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("spec_index,spec", list(enumerate([L2, L1, LINF])))
@@ -816,6 +822,36 @@ class TestStackGrowth:
         assert max(dictionary._families) == 2
         with pytest.raises(ValueError, match=r"C\(7, 3\) = 35 .*MAX_SPAN_SUBSETS"):
             solver.solve(np.array([1.0, -2.0, 0.5, 3.0]), 1e-3)
+
+    @pytest.mark.parametrize("kind", FIDELITIES)
+    def test_value_leq_enumerates_level_k_alone(self, monkeypatch, kind):
+        atoms = np.random.default_rng(8).standard_normal((7, 6))
+        dictionary = Dictionary.from_vectors(atoms)
+        solver = L0Solver(dictionary, fidelity(kind, 6))
+        # Level 5 needs C(7, 5) = 21 subsets; levels 3 and 4 need 35 each.
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 21)
+        assert solver.value_leq(atoms[:5].sum(axis=0), 1e-6, 5)
+        assert not solver.value_leq(np.arange(1.0, 7.0), 1e-6, 5)
+        assert sorted(dictionary._families) == [5]
+
+    def test_a_scan_stops_at_the_first_group_holding_a_member(self, monkeypatch):
+        atoms = np.random.default_rng(9).standard_normal((8, 5))
+        grown = L0Solver(Dictionary.from_vectors(atoms), L2)
+        stack = grown.level_stack(4)
+        # Levels 1 and 2 fit one product; levels 3 and 4 need one each.
+        monkeypatch.setattr(solver, "_SCAN_CELLS", stack.cells[0] + stack.cells[1])
+        scans = []
+        distances = stack._distances
+        monkeypatch.setattr(stack, "_distances", lambda *a: scans.append(a[1:]) or distances(*a))
+        d = 0.5 * atoms[3] + 0.2 * atoms[6]
+        fresh = L0Solver(Dictionary.from_vectors(atoms), L2).solve(d, 0.05)
+        assert result_bits(grown.solve(d, 0.05)) == result_bits(fresh)
+        assert fresh.value == 2
+        assert scans == [(0, stack.starts[2])]
+        scans.clear()
+        assert grown.solve(np.arange(1.0, 6.0), 1e-9).value == 5
+        assert scans == [(0, stack.starts[2]), (stack.starts[2], stack.starts[3]),
+                         (stack.starts[3], len(stack.members))]
 
 
 class TestWeightedLpConvergence:
