@@ -129,8 +129,6 @@ class LevelSetExperiment:
         return self._profiles
 
     def values(self, tau: float) -> np.ndarray:
-        if not tau > 0.0:
-            raise ValueError(f"tau must be > 0, got {tau}")
         tau = float(tau)
         if tau not in self._values:
             vals = values_from_profiles(self.profiles, tau, self.solver.feas_tol)

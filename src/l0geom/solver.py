@@ -18,14 +18,6 @@ matrix product.  Weighted lp with p > 1 has no finite table: its
 distances come from one damped Newton fit over the basis coefficients,
 run for every (row, member) pair at once and stopped by ``dist_tol``.
 
-The closest point of a polyhedral distance comes from the dual vertex z
-that attains it, by complementary slackness: every closest residual r has
-<z, r> = ||r||, which pins r_i = dist * sign(z_i) where z_i != 0 for linf,
-and r_i = 0 where |z_i| < w_i for l1 and weighted l1.  The closest points
-form a bounded polytope, so when those rows leave freedom, holding more
-rows at a bound reaches one of its vertices (``_closest_coefficients``).
-No linear program runs.
-
 ``L0Solver`` holds one stacked table over the members of levels 1..L of
 the span families, in (level, provenance) order, for the fidelity's norm
 family; level 0 is the norm itself and level N, the whole space, holds
@@ -43,6 +35,20 @@ p > 1 keeps one Newton fit per level behind the same interface.  The
 stack grows by one level only when a solve finds no built member within
 tau, in the calling thread.  ``member_distances`` is the table of a
 single member.
+
+A scan only names its winner, and one closest-point rule per norm family
+gives the winner's coefficients over its atoms, from that member alone:
+least squares for l2; for weighted lp with p > 1 the Newton fit's closest
+point, mapped onto the atoms by least squares; and for polyhedral
+fidelities the dual vertex of the member's own table that attains the
+distance.  By complementary slackness every closest residual r then has
+<z, r> = ||r||, which pins r_i = dist * sign(z_i) where z_i != 0 for linf,
+and r_i = 0 where |z_i| < w_i for l1 and weighted l1.  The closest points
+form a bounded polytope, so when those rows leave freedom, holding more
+rows at a bound reaches one of its vertices (``_closest_coefficients``).
+No linear program runs.  A solve at level 0 has the empty support, and
+one at level N interpolates d on the first full-rank subset, whatever the
+norm.
 """
 
 from __future__ import annotations
@@ -197,6 +203,13 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     return np.vstack([np.zeros((1, n)), z[np.sort(first)]])
 
 
+def _check_finite(data: np.ndarray) -> None:
+    """ValueError unless a data vector, or each row of a data matrix, is finite."""
+    if not np.isfinite(data).all():
+        row = data if data.ndim == 1 else data[~np.isfinite(data).all(axis=1)][0]
+        raise ValueError(f"data must be finite, got {row.tolist()}")
+
+
 def subspace_distance(
     fidelity: NormSpec,
     basis: SubspaceBasis,
@@ -216,6 +229,7 @@ def subspace_distance(
     d = np.asarray(d, dtype=float)
     if d.shape != (basis.ambient_dim,):
         raise ValueError(f"data has shape {d.shape}, ambient dimension is {basis.ambient_dim}")
+    _check_finite(d)
     if basis.dim == 0:
         return float(norm_eval(fidelity, d)), np.zeros_like(d)
     bm = basis.matrix
@@ -322,6 +336,7 @@ def member_distances(
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != basis.ambient_dim:
         raise ValueError(f"expected (n, {basis.ambient_dim}) rows, got {rows.shape}")
+    _check_finite(rows)
     if basis.dim == 0:
         return np.asarray(norm_eval(fidelity, rows))
     if basis.dim == basis.ambient_dim:
@@ -331,8 +346,8 @@ def member_distances(
     return table.nearest(rows)[:, 0]
 
 
-# A scan's answer: the level, the member, and a polyhedral member's certificate.
-_Found = tuple[int, SubspaceBasis, tuple[float, np.ndarray] | None]
+# A scan's answer: the winner's level and its index in the stack.
+_Found = tuple[int, int]
 
 
 class _LevelStack:
@@ -343,14 +358,17 @@ class _LevelStack:
     level, so no level is empty.  ``append`` adds the next level.  Each
     subclass prices the whole stack at once: ``nearest(rows)`` gives each
     row's distance to the nearest member of every level, an (n, L) matrix,
-    and ``_distances(d, start, stop)`` gives the distance from d to the
-    members from index start to stop, with the product it took them from
-    (None where no certificate reads it).  ``width`` is the number of table
+    and ``_distances(d, start, stop)`` the distances from d to the members
+    from index start to stop.  A scan only names its winner;
+    ``closest(d, m, atoms)`` then gives the coefficients over atoms, whose
+    columns span member m, of a closest point to d, and the residual norm
+    they reach, from member m alone.  ``width`` is the number of table
     cells per row that ``nearest`` holds at once, and ``cells[l - 1]`` the
     number a single-vector scan of level l reads.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, fidelity: NormSpec) -> None:
+        self.fidelity = fidelity
         self.members: list[SubspaceBasis] = []
         self.starts: list[int] = []
         self.cells: list[int] = []
@@ -365,15 +383,9 @@ class _LevelStack:
         self.starts.append(len(self.members))
         self.members.extend(members)
 
-    def _start(self, level: int) -> int:
-        """Index of the first member of level (L + 1 for the end of the stack)."""
-        return self.starts[level - 1] if level <= self.levels else len(self.members)
-
     def first_within(self, d: np.ndarray, thresh: float, lo: int, hi: int) -> _Found | None:
         """The first member within thresh of d at levels lo..hi, by level and
-        then provenance, as (level, member, certificate), or None.  The
-        certificate is a polyhedral member's distance and the dual vertex
-        attaining it, None for other norms.
+        then provenance, as (level, index in the stack), or None.
 
         Consecutive levels are priced with one product while their cells
         stay within ``_SCAN_CELLS``, and the scan stops at the first such
@@ -386,19 +398,12 @@ class _LevelStack:
                 cells += self.cells[top]
                 top += 1
             start = self.starts[lo - 1]
-            distances, product = self._distances(d, start, self._start(top + 1))
-            feasible = distances <= thresh
+            stop = self.starts[top] if top < self.levels else len(self.members)
+            feasible = self._distances(d, start, stop) <= thresh
             first = int(feasible.argmax())
             if feasible[first]:
-                m = start + first
-                level = bisect_right(self.starts, m)
-                # A group of one level took the product of that level alone.
-                own = product if top == lo else None
-                return level, self.members[m], self._certificate(d, m, level, own)
+                return bisect_right(self.starts, start + first), start + first
             lo = top + 1
-        return None
-
-    def _certificate(self, d: np.ndarray, m: int, level: int, product: None) -> None:
         return None
 
 
@@ -414,8 +419,8 @@ class _QuadraticStack(_LevelStack):
     as accurate as one projection.
     """
 
-    def __init__(self, n: int) -> None:
-        super().__init__()
+    def __init__(self, fidelity: NormSpec, n: int) -> None:
+        super().__init__(fidelity)
         self.upper = np.triu_indices(n)
         self.gram = np.zeros((len(self.upper[0]), 0))
         self.columns = np.zeros((n, 0, n - 1))
@@ -437,11 +442,15 @@ class _QuadraticStack(_LevelStack):
         squared = np.minimum.reduceat((rows[:, i] * rows[:, j]) @ self.gram, self.starts, axis=1)
         return np.sqrt(np.maximum(squared, 0.0))
 
-    def _distances(self, d: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, None]:
+    def _distances(self, d: np.ndarray, start: int, stop: int) -> np.ndarray:
         columns = self.columns[:, start:stop]
         coords = (d @ columns.reshape(len(d), -1)).reshape(columns.shape[1:])
         residual = d[:, None] - np.einsum("nmc,mc->nm", columns, coords)
-        return np.sqrt(np.einsum("nm,nm->m", residual, residual)), None
+        return np.sqrt(np.einsum("nm,nm->m", residual, residual))
+
+    def closest(self, d: np.ndarray, m: int, atoms: np.ndarray) -> tuple[np.ndarray, float]:
+        coeffs = np.linalg.lstsq(atoms, d, rcond=None)[0]
+        return coeffs, float(norm_eval(self.fidelity, atoms @ coeffs - d))
 
 
 class _DualStack(_LevelStack):
@@ -453,8 +462,7 @@ class _DualStack(_LevelStack):
     """
 
     def __init__(self, fidelity: NormSpec, n: int) -> None:
-        super().__init__()
-        self.fidelity = fidelity
+        super().__init__(fidelity)
         self.vertices = np.zeros((n, 0))
         self.bounds = np.zeros(1, dtype=np.intp)
 
@@ -470,22 +478,19 @@ class _DualStack(_LevelStack):
         distances = np.maximum.reduceat(rows @ self.vertices, self.bounds[:-1], axis=1)
         return np.minimum.reduceat(distances, self.starts, axis=1)
 
-    def _distances(self, d: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def _distances(self, d: np.ndarray, start: int, stop: int) -> np.ndarray:
         left, right = self.bounds[start], self.bounds[stop]
-        scores = d @ self.vertices[:, left:right]
-        return np.maximum.reduceat(scores, self.bounds[start:stop] - left), scores
+        return np.maximum.reduceat(d @ self.vertices[:, left:right], self.bounds[start:stop] - left)
 
-    def _certificate(
-        self, d: np.ndarray, m: int, level: int, scores: np.ndarray | None
-    ) -> tuple[float, np.ndarray]:
-        # Taken from the product with the member's level alone, which has
-        # the bits that level's table gives on its own, whatever else the
-        # stack holds.
-        left = self.bounds[self.starts[level - 1]]
-        if scores is None:
-            scores = d @ self.vertices[:, left : self.bounds[self._start(level + 1)]]
-        best = self.bounds[m] + int(scores[self.bounds[m] - left : self.bounds[m + 1] - left].argmax())
-        return float(scores[best - left]), self.vertices[:, best]
+    def closest(self, d: np.ndarray, m: int, atoms: np.ndarray) -> tuple[np.ndarray, float]:
+        # The certificate comes from member m's own columns, so its bits do
+        # not depend on what else the stack holds.
+        table = self.vertices[:, self.bounds[m] : self.bounds[m + 1]]
+        scores = d @ table
+        best = int(scores.argmax())
+        return _closest_coefficients(
+            self.fidelity, self.members[m], atoms, d, float(scores[best]), table[:, best]
+        )
 
 
 def _curvature(w: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
@@ -659,8 +664,8 @@ class _PowerStack(_LevelStack):
     """
 
     def __init__(self, fidelity: NormSpec, dist_tol: float) -> None:
-        super().__init__()
-        self.fidelity, self.dist_tol = fidelity, dist_tol
+        super().__init__(fidelity)
+        self.dist_tol = dist_tol
         self.tables: list[_PowerLevel] = []
 
     def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
@@ -675,14 +680,19 @@ class _PowerStack(_LevelStack):
         for level in range(lo, hi + 1):
             feasible = self.tables[level - 1].distances(d) <= thresh
             if feasible.any():
-                return level, self.members[self.starts[level - 1] + int(feasible.argmax())], None
+                return level, self.starts[level - 1] + int(feasible.argmax())
         return None
+
+    def closest(self, d: np.ndarray, m: int, atoms: np.ndarray) -> tuple[np.ndarray, float]:
+        _, point = subspace_distance(self.fidelity, self.members[m], d, self.dist_tol)
+        coeffs = np.linalg.lstsq(atoms, point, rcond=None)[0]
+        return coeffs, float(norm_eval(self.fidelity, atoms @ coeffs - d))
 
 
 def _level_stack(fidelity: NormSpec, n: int, dist_tol: float) -> _LevelStack:
     """An empty stacked table of the fidelity's norm family in R^n."""
     if fidelity.kind == "l2":
-        return _QuadraticStack(n)
+        return _QuadraticStack(fidelity, n)
     if fidelity.polyhedral:
         return _DualStack(fidelity, n)
     return _PowerStack(fidelity, dist_tol)
@@ -725,17 +735,14 @@ class L0Solver:
     relative slack on tau, ``feas_tol``, and the stopping tolerance of the
     weighted-lp Newton fit, ``dist_tol``.
 
-    The solver holds one stacked table over the members of levels 1..L
-    for the fidelity's norm family (``level_stack``), whatever the
-    fidelity.  A profile block prices every level of it with one product,
-    and a solve takes the first member within tau, by level and then
-    provenance, from one product per group of built levels whose cells
-    stay within ``_SCAN_CELLS``.  Level 0 is priced by the norm itself,
-    and level N, the whole space, holds every vector.  The stack grows one
-    level at a time, only when a solve finds no built member within tau,
-    so a solve enumerates no family above its answer; ``distance_profiles``
-    grows it to level N - 1, and ``value_leq`` reads a level it has not
-    built from a table of that level alone.  Growth happens in the calling
+    The solver holds the stacked table of the fidelity's norm family
+    (``level_stack``).  A solve's scan names the first member within tau,
+    and the ``closest`` method of the stack gives that member's
+    coefficients.  The stack grows one level at a time, only when a solve
+    finds no built member within tau, so a solve enumerates no family
+    above its answer, nor the level-0 family; ``distance_profiles`` grows
+    it to level N - 1, and ``value_leq`` reads a level it has not built
+    from a table of that level alone.  Growth happens in the calling
     thread, so concurrent solves need ``distance_profiles`` or a dense
     solve first; afterwards the solver is only read, and distinct data
     vectors may be solved concurrently.
@@ -777,54 +784,40 @@ class L0Solver:
             raise ValueError(
                 f"data has shape {d.shape}, expected ({self.dictionary.n_dim},)"
             )
-        if not np.isfinite(d).all():
-            raise ValueError(f"data must be finite, got {d.tolist()}")
+        _check_finite(d)
         if not tau > 0.0:
             raise ValueError(f"tau must be > 0, got {tau}")
         return d
 
-    def _first_within(self, d: np.ndarray, thresh: float) -> _Found:
-        """The first member within thresh of d, by level and then
-        provenance, as (level, member, certificate).
+    def solve(self, d: np.ndarray, tau: float) -> SolveResult:
+        """Smallest support within tau of d, and its lexicographically first witness.
 
-        The built levels are scanned first; the stack grows by one level
-        only when none of them holds such a member.  A polyhedral member at
-        level k >= 1 comes with its certificate, its distance and the dual
-        vertex attaining it (at level N, 0 and the zero vector); any other
-        with None.  No linear program runs.
+        Level 0 is priced by the norm itself, and the built levels are
+        scanned next; the stack grows by one level only when none of them
+        holds a member within tau.  The winner's coefficients come from the
+        stack's ``closest`` rule, and at level N from interpolating d on
+        the first full-rank subset.
         """
-        n, origin = self.dictionary.n_dim, self.family(0).members[0]
-        if norm_eval(self.fidelity, d) <= thresh:
-            return 0, origin, None
+        d = self._check_data(d, tau)
+        n, thresh = self.dictionary.n_dim, tau * (1.0 + self.feas_tol)
+        residual = float(norm_eval(self.fidelity, d))
+        if residual <= thresh:
+            return SolveResult(value=0, support=(), coefficients=np.zeros(0), residual=residual)
         level = 1
         while level < n:
             stack = self.level_stack(level)
             found = stack.first_within(d, thresh, level, stack.levels)
             if found is not None:
-                return found
+                k, m = found
+                support = stack.members[m].provenance
+                coeffs, residual = stack.closest(d, m, self.dictionary.subset(support))
+                return SolveResult(value=k, support=support, coefficients=coeffs, residual=residual)
             level = stack.levels + 1
-        certificate = (0.0, np.zeros(n)) if self.fidelity.polyhedral else None
-        return n, self.family(n).members[0], certificate
-
-    def solve(self, d: np.ndarray, tau: float) -> SolveResult:
-        """Smallest support within tau of d, and its lexicographically first witness.
-
-        Only the winning span gets a closest point.  A polyhedral winner at
-        k >= 1 takes it from its dual certificate, through
-        ``_closest_coefficients`` in atom coordinates; any other takes it
-        from one ``subspace_distance`` call, mapped onto the atoms by
-        least squares.
-        """
-        d = self._check_data(d, tau)
-        k, winner, certificate = self._first_within(d, tau * (1.0 + self.feas_tol))
-        atoms = self.dictionary.subset(winner.provenance)
-        if certificate is None:
-            _, point = subspace_distance(self.fidelity, winner, d, self.dist_tol)
-            coeffs = np.linalg.lstsq(atoms, point, rcond=None)[0]
-            residual = float(norm_eval(self.fidelity, atoms @ coeffs - d))
-        else:
-            coeffs, residual = _closest_coefficients(self.fidelity, winner, atoms, d, *certificate)
-        return SolveResult(value=k, support=winner.provenance, coefficients=coeffs, residual=residual)
+        support = self.family(n).members[0].provenance
+        atoms = self.dictionary.subset(support)
+        coeffs = np.linalg.solve(atoms, d)
+        residual = float(norm_eval(self.fidelity, atoms @ coeffs - d))
+        return SolveResult(value=n, support=support, coefficients=coeffs, residual=residual)
 
     def value(self, d: np.ndarray, tau: float) -> int:
         return self.solve(d, tau).value
@@ -870,6 +863,7 @@ class L0Solver:
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != self.dictionary.n_dim:
             raise ValueError(f"expected (n, {self.dictionary.n_dim}) data, got {data.shape}")
+        _check_finite(data)
         n_dim = self.dictionary.n_dim
         stack = self.level_stack(n_dim - 1)
         block = max(1, _PROFILE_CELLS // max(1, stack.width))
@@ -890,7 +884,9 @@ class L0Solver:
 def values_from_profiles(
     profiles: np.ndarray, tau: float, feas_tol: float = DEFAULT_FEAS_TOL
 ) -> np.ndarray:
-    """Smallest-support values for every profile row at tolerance tau."""
+    """Smallest-support values for every profile row at tolerance tau > 0."""
+    if not tau > 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
     thresh = tau * (1.0 + feas_tol)
     return np.argmax(profiles <= thresh, axis=1)
 

@@ -181,6 +181,43 @@ class TestSolveExamples:
             solve_l0(THREE_LINES, spec, np.array([bad, 0.5]), 0.1)
 
 
+class TestInvalidInput:
+    """Every entry point refuses non-finite data and a tau that is not positive."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+    KINDS = ["l2", "linf", "wlp3"]
+
+    @staticmethod
+    def rows(bad):
+        return np.array([[0.2, 0.1], [bad, 0.5], [0.3, -0.4]])
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_profiles_reject_a_non_finite_row(self, bad, kind):
+        with pytest.raises(ValueError, match=r"finite, got \[.*, 0\.5\]"):
+            L0Solver(THREE_LINES, fidelity(kind, 2)).distance_profiles(self.rows(bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_member_distances_reject_a_non_finite_row(self, bad, kind):
+        line = orthonormal_basis([[1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"finite, got \[.*, 0\.5\]"):
+            member_distances(fidelity(kind, 2), line, self.rows(bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_subspace_distance_rejects_non_finite_data(self, bad, kind):
+        line = orthonormal_basis([[1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"finite, got \[.*, 0\.5\]"):
+            subspace_distance(fidelity(kind, 2), line, self.rows(bad)[1])
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, -np.inf])
+    def test_values_need_a_positive_tau(self, tau):
+        profiles = L0Solver(THREE_LINES, L2).distance_profiles(np.array([[0.2, 0.1], [1.0, 0.3]]))
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            values_from_profiles(profiles, tau)
+
+
 class TestSolveProperties:
     def test_monotone_in_tau_and_scale_covariant(self):
         rng = np.random.default_rng(41)
@@ -776,7 +813,7 @@ class TestStackGrowth:
     @pytest.mark.parametrize("kind", ["l1", "linf"])
     def test_polyhedral_certificates_do_not_depend_on_the_stack(self, kind):
         # A product over every built level can differ in its last bits from
-        # the winning level's own product, and the certificate must not.
+        # the winning member's own product, which alone gives the certificate.
         dictionary = Dictionary.from_vectors(
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]
         )
@@ -852,6 +889,83 @@ class TestStackGrowth:
         assert grown.solve(np.arange(1.0, 6.0), 1e-9).value == 5
         assert scans == [(0, stack.starts[2]), (stack.starts[2], stack.starts[3]),
                          (stack.starts[3], len(stack.members))]
+
+
+class TestClosestPoint:
+    """The scan names the winning member, and the closest method of the
+    stack gives its coefficients from that member alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dependent_dictionaries(), st.sampled_from(["l2", "wlp3"]), st.integers(0, 2**32 - 1))
+    def test_smooth_coefficients_fit_the_projected_point(self, case, kind, seed):
+        dictionary, points = case
+        spec = fidelity(kind, dictionary.n_dim)
+        l0 = L0Solver(dictionary, spec)
+        rng = np.random.default_rng(seed)
+        for d in points[::3]:
+            tau = float(rng.uniform(0.02, 1.0)) * float(norm_eval(spec, d) + 1e-3)
+            res = l0.solve(d, tau)
+            assert (res.value, res.support) == member_scan(spec, dictionary, d, tau)
+            if not 0 < res.value < dictionary.n_dim:
+                continue
+            member = next(m for m in l0.family(res.value).members if m.provenance == res.support)
+            atoms = dictionary.subset(res.support)
+            point = subspace_distance(spec, member, d)[1]
+            reference = np.linalg.lstsq(atoms, point, rcond=None)[0]
+            scale = 1.0 + np.abs(d).sum() + np.abs(reference).sum()
+            assert np.max(np.abs(res.coefficients - reference)) <= 1e-12 * scale
+            assert res.residual <= tau * (1.0 + 1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dependent_dictionaries(),
+        st.sampled_from(["l1", "linf", "weighted"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_certificate_is_the_winner_own_table_maximum(self, case, kind, seed):
+        dictionary, points = case
+        spec = fidelity(kind, dictionary.n_dim)
+        l0 = L0Solver(dictionary, spec)
+        rng = np.random.default_rng(seed)
+        certified = []
+        original = solver._closest_coefficients
+
+        def recording(norm, basis, matrix, d, dist, z):
+            certified.append((basis, dist))
+            return original(norm, basis, matrix, d, dist, z)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_closest_coefficients", recording)
+            for d in points[::3]:
+                tau = float(rng.uniform(0.02, 1.0)) * float(norm_eval(spec, d) + 1e-3)
+                certified.clear()
+                res = l0.solve(d, tau)
+                if not 0 < res.value < dictionary.n_dim:
+                    assert not certified
+                    continue
+                ((member, dist),) = certified
+                assert member.provenance == res.support
+                scale = 1.0 + np.abs(d).sum()
+                assert abs(dist - np.max(dual_vertices(spec, member) @ d)) <= 1e-12 * scale
+                assert res.residual <= tau * (1.0 + 1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dependent_dictionaries(), st.sampled_from(FIDELITIES))
+    def test_level_n_interpolates_the_data(self, case, kind):
+        dictionary, points = case
+        n = dictionary.n_dim
+        spec = fidelity(kind, n)
+        l0 = L0Solver(dictionary, spec)
+        for d in points[n:][::5]:
+            tau = 1e-9 * float(norm_eval(spec, d))
+            if l0.value_leq(d, tau, n - 1):
+                continue
+            res = l0.solve(d, tau)
+            assert (res.value, res.support) == (n, l0.family(n).members[0].provenance)
+            atoms = dictionary.subset(res.support)
+            scale = 1.0 + np.abs(d).sum()
+            np.testing.assert_allclose(atoms @ res.coefficients, d, rtol=0.0, atol=1e-12 * scale)
+            assert res.residual <= tau * (1.0 + 1e-10)
 
 
 class TestWeightedLpConvergence:
