@@ -2,19 +2,20 @@
 
 The measure of the set of data vectors solvable with K atoms at tolerance
 tau, inside a data-norm ball of radius theta, is squeezed between two
-explicit polynomials in tau and theta.  Their shared leading constant is a
-sum over the size-K span family of per-subspace cylinder constants: the
-volume of the fidelity ball's shadow on the subspace's orthogonal
-complement times the volume of the data ball's slice through the
-subspace.  Pairwise overlaps between family members enter the lower bound
-through correction constants indexed by intersection dimension.
+explicit polynomials in tau and theta.  Their shared leading constant C_K
+sums over the size-K span family each member's fidelity-ball shadow volume
+(on its orthogonal complement) times its data-ball slice volume.  Overlap
+constants Q_k, which sum over the pairs of members meeting in dimension k
+the slice volume of their intersection, enter the lower bound.
 
-Every shadow and slice of an l2 ball has a closed form.  Those of l1,
-linf and weighted-l1 balls are polytopes, priced exactly by
-``norms.polytope_volume`` (the linf shadow by the zonotope formula), once
-per distinct subspace and dictionary.  Only weighted lp balls with p > 1
-fall back to hit-or-miss Monte Carlo, whose uncertainty propagates into
-the one-standard-error fields; every other constant has standard error 0.
+One rule, ``_volumes``, prices every shadow and slice, a stack at a time:
+a closed form where the volume depends on its dimension alone (the point,
+the Euclidean ball, the whole ball); else, for the polytope balls of l1,
+linf and weighted l1, an exact polytope volume, once per distinct subspace
+and dictionary; else, for weighted lp with p > 1, hit-or-miss Monte Carlo,
+whose uncertainty propagates into the one-standard-error fields.  Every
+other constant has standard error 0.  Pairs whose slice has a closed form
+are counted, never listed.
 
 All bounds here are rigorous only when theta is large enough relative to
 tau; each report carries that validity flag.
@@ -38,8 +39,8 @@ from .norms import (
     check_candidates,
     compute_equiv_constants,
     euclid_ball_volume,
+    equivalence_constant,
     hit_or_miss_volume,
-    norm_eval,
     polytope_volumes,
 )
 # subspace_distance and enumerate_spans are no longer called here but stay
@@ -59,10 +60,12 @@ from .subspaces import (  # noqa: F401
     Dictionary,
     SpanFamily,
     SubspaceBasis,
+    empty_basis,
     enumerate_pairs,
     enumerate_spans,
     intersection_basis,
     meet_matrices,
+    pair_dims,
     spans_equal,
 )
 
@@ -197,55 +200,81 @@ def _price_exact(
     return [volumes[key] for key in keys]
 
 
+def _closed_volume(norm: NormSpec, n: int, dim: int) -> VolumeEstimate | None:
+    """Volume of any dim-dimensional shadow or slice of the norm's unit ball
+    in R^n, when it depends on dim alone: the point for dim 0, the
+    Euclidean ball for l2, the whole ball for dim = n; otherwise None."""
+    if dim == 0:
+        return VolumeEstimate(1.0)
+    if norm.kind == "l2":
+        return VolumeEstimate(euclid_ball_volume(dim))
+    if dim == n:
+        return ball_volume(norm, n)
+    return None
+
+
+def _volumes(
+    kind: str,
+    norm: NormSpec,
+    bases: np.ndarray,
+    n_samples: int,
+    seed: int,
+    subid: int,
+    memo: dict,
+) -> list[VolumeEstimate]:
+    """Volumes of the norm's unit ball's "slice" through, or "shadow" on the
+    orthogonal complement of, the span of each (N, k) orthonormal matrix of
+    a stack: the one rule behind every shadow and slice.
+
+    ``_closed_volume`` first; then, for l1, linf and weighted l1, the exact
+    polytope volume (``_price_exact``, kept in ``memo``); and for weighted
+    lp with p > 1 hit-or-miss Monte Carlo over the box |y_i| <= delta, for
+    ||x||_2 <= delta norm(x), in frame coordinates.  A point y lies in the
+    body exactly when member_distances(norm, against, y frame^T) <= 1, with
+    (frame, against) = (U, {0}) for a slice and (C, U) for a shadow, C an
+    orthonormal basis of the complement.  Entry t of the stack draws
+    n_samples points from stream subid + t of its kind.
+    """
+    n, k = bases.shape[1:]
+    dim = k if kind == "slice" else n - k
+    closed = _closed_volume(norm, n, dim)
+    if closed is not None:
+        return [closed] * len(bases)
+    if norm.polyhedral:
+        return _price_exact(kind, norm, bases, memo)
+    half_widths = np.full(dim, equivalence_constant(NormSpec.l2(), norm, n))
+    purpose = PURPOSE_SLICE if kind == "slice" else PURPOSE_PROJECTED
+    estimates = []
+    for t, matrix in enumerate(bases):
+        basis = SubspaceBasis(matrix)
+        frame, against = (basis, empty_basis(n)) if kind == "slice" else (basis.complement(), basis)
+        estimates.append(
+            hit_or_miss_volume(
+                lambda y: member_distances(norm, against, y @ frame.matrix.T) <= 1.0,
+                half_widths,
+                n_samples,
+                seed,
+                stream_id(purpose, subid + t),
+            )
+        )
+    return estimates
+
+
 def projected_ball_volume(
     fidelity: NormSpec,
     basis: SubspaceBasis,
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
-    method: str = "auto",
     subid: int = 0,
-    *,
-    volumes: dict | None = None,
 ) -> VolumeEstimate:
     """Volume of the fidelity unit ball's shadow on the orthogonal complement.
 
     Measured in (N - K) dimensions, where K is the subspace dimension; by
-    convention the K = N shadow is the single point 0 with volume 1.  With
-    method "auto" it is exact, with standard error 0, for every fidelity
-    but weighted lp with p > 1: a closed form for l2 and for K = 0, and a
-    polytope volume for l1, linf and weighted l1 (``volumes``, a
-    dictionary's memo, keeps it).  Weighted lp with p > 1, and method "mc"
-    for any norm, use hit-or-miss Monte Carlo over the box |y_i| <= delta2:
-    a point y of the complement lies in the shadow exactly when its
-    fidelity distance to the subspace is at most 1, which
-    ``member_distances`` gives for a whole chunk at once.
+    convention the K = N shadow is the single point 0 with volume 1.  It is
+    exact, with standard error 0, for every fidelity but weighted lp with
+    p > 1, which ``_volumes`` estimates from stream ``subid``.
     """
-    if method not in ("auto", "mc"):
-        raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
-    n, k = basis.ambient_dim, basis.dim
-    if k == n:
-        return VolumeEstimate(1.0)
-    if method == "auto":
-        if fidelity.kind == "l2":
-            return VolumeEstimate(euclid_ball_volume(n - k))
-        if k == 0:
-            return ball_volume(fidelity, n)
-        if fidelity.polyhedral:
-            memo = {} if volumes is None else volumes
-            return _price_exact("shadow", fidelity, basis.matrix[None], memo)[0]
-    complement = basis.complement()
-    delta2 = compute_equiv_constants(fidelity, fidelity, n).delta2
-
-    def member(points: np.ndarray) -> np.ndarray:
-        return member_distances(fidelity, basis, points @ complement.matrix.T) <= 1.0
-
-    return hit_or_miss_volume(
-        member,
-        np.full(n - k, delta2),
-        n_samples,
-        seed,
-        stream_id(PURPOSE_PROJECTED, subid),
-    )
+    return _volumes("shadow", fidelity, basis.matrix[None], n_samples, seed, subid, {})[0]
 
 
 def slice_volume(
@@ -253,46 +282,15 @@ def slice_volume(
     basis: SubspaceBasis,
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
-    method: str = "auto",
     subid: int = 0,
-    *,
-    volumes: dict | None = None,
 ) -> VolumeEstimate:
     """K-dimensional volume of the data unit ball's slice through the subspace.
 
-    The K = 0 slice is the single point 0 with volume 1.  With method
-    "auto" it is exact, with standard error 0, for every data norm but
-    weighted lp with p > 1: a closed form for l2 and for full-dimensional
-    slices, and a polytope volume for l1, linf and weighted l1 (``volumes``,
-    a dictionary's memo, keeps it).  Weighted lp with p > 1, and method
-    "mc" for any norm, use hit-or-miss Monte Carlo over |y_i| <= delta3 in
-    subspace coordinates.
+    The K = 0 slice is the single point 0 with volume 1.  It is exact, with
+    standard error 0, for every data norm but weighted lp with p > 1, which
+    ``_volumes`` estimates from stream ``subid``.
     """
-    if method not in ("auto", "mc"):
-        raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
-    n, k = basis.ambient_dim, basis.dim
-    if method == "auto" or k == 0:
-        closed = _closed_slice(data, k)
-        if closed is not None:
-            return closed
-    if method == "auto":
-        if k == n:
-            return ball_volume(data, n)
-        if data.polyhedral:
-            memo = {} if volumes is None else volumes
-            return _price_exact("slice", data, basis.matrix[None], memo)[0]
-    delta3 = compute_equiv_constants(data, data, n).delta3
-
-    def member(points: np.ndarray) -> np.ndarray:
-        return np.asarray(norm_eval(data, points @ basis.matrix.T)) <= 1.0
-
-    return hit_or_miss_volume(
-        member,
-        np.full(k, delta3),
-        n_samples,
-        seed,
-        stream_id(PURPOSE_SLICE, subid),
-    )
+    return _volumes("slice", data, basis.matrix[None], n_samples, seed, subid, {})[0]
 
 
 def _product(a: VolumeEstimate, b: VolumeEstimate) -> VolumeEstimate:
@@ -307,13 +305,10 @@ def cylinder_constant(
     n_samples: int = DEFAULT_VOLUME_SAMPLES,
     seed: int = 0,
     subid: int = 0,
-    *,
-    volumes: dict | None = None,
 ) -> VolumeEstimate:
     """Leading constant of one subspace: shadow volume times slice volume."""
-    shadow = projected_ball_volume(fidelity, basis, n_samples, seed, subid=subid, volumes=volumes)
-    inner = slice_volume(data, basis, n_samples, seed, subid=subid, volumes=volumes)
-    return _product(shadow, inner)
+    shadow = projected_ball_volume(fidelity, basis, n_samples, seed, subid)
+    return _product(shadow, slice_volume(data, basis, n_samples, seed, subid))
 
 
 def overlap_constant(
@@ -348,16 +343,6 @@ def _sequential_sum(values: np.ndarray) -> float:
     for lo in range(0, len(values), _SUM_BLOCK):
         total = np.add.accumulate(np.append(total, values[lo : lo + _SUM_BLOCK]))[-1]
     return float(total)
-
-
-def _closed_slice(data: NormSpec, k: int) -> VolumeEstimate | None:
-    """Slice volume of the data ball through any k-dimensional subspace, when
-    it depends on k alone: the point for k = 0, the Euclidean ball for l2 data."""
-    if k == 0:
-        return VolumeEstimate(1.0)
-    if data.kind == "l2":
-        return VolumeEstimate(euclid_ball_volume(k))
-    return None
 
 
 def _overlap_factor(fidelity: NormSpec, data: NormSpec, n: int, k: int) -> float:
@@ -452,21 +437,19 @@ def assemble_constants(
 ) -> ConstantSet:
     """Compute the full constant set for sparsity level K.
 
-    Euclidean fidelity and data norms short-circuit every volume to closed
-    form; ``gate_factors`` gives the width factors and the validity gate.
     The family comes from ``span_family``, so it is the one the dictionary's
-    solvers use, and its tolerance decides every intersection.  Q_k sums
-    the overlap constants of the ordered pairs that ``enumerate_pairs``
-    lists at k, left to right over the array of their values in that
-    order (``_sequential_sum``).  When the intersection's slice volume
-    depends on k alone (k = 0, or l2 data) the pair value is priced once per
-    k.  Every other unordered pair is priced once, as ``overlap_constant``
-    prices it, but a level's intersections come from one stacked SVD at the
-    dimension the pair pass gives: their slices are priced exactly, in one
-    batch, through the dictionary's memo of volumes, which every level
-    shares; or by Monte Carlo (weighted lp data with p > 1), with subid
-    counting the distinct pairs met so far.  The member volumes of a level
-    are one batch too.
+    solvers use, and its tolerance decides every intersection;
+    ``gate_factors`` gives the width factors and the validity gate.
+    ``_volumes`` prices the members' shadows and slices with one call each
+    (Monte Carlo stream i for member i), and the slices of each k's distinct
+    pair intersections, from one stacked SVD, with one more (streams
+    numbered by the distinct pairs met so far), all through the
+    dictionary's memo of exact volumes.  Q_k sums the overlap constants of
+    the ordered pairs meeting in dimension k, each unordered pair priced
+    once as ``overlap_constant`` prices it, left to right in the row-major
+    order of ``enumerate_pairs`` (``_sequential_sum``).  Where that slice
+    has a closed form (k = 0, or l2 data), the pairs at k are counted from
+    ``pair_dims``, never listed.
     """
     n = dictionary.n_dim
     if not 0 <= K <= n:
@@ -475,15 +458,11 @@ def assemble_constants(
     euclidean = fidelity.kind == "l2" and data.kind == "l2"
     family = span_family(dictionary, K)
 
-    members, volumes = family.members, dictionary._volumes
+    members, memo = family.members, dictionary._volumes
     bases = np.stack([member.matrix for member in members])
-    for kind, norm in (("slice", data), ("shadow", fidelity)):
-        if norm.polyhedral and 0 < K < n:
-            _price_exact(kind, norm, bases, volumes)
-    c_members = tuple(
-        cylinder_constant(fidelity, data, member, n_samples, seed, subid=i, volumes=volumes)
-        for i, member in enumerate(members)
-    )
+    slices = _volumes("slice", data, bases, n_samples, seed, 0, memo)
+    shadows = _volumes("shadow", fidelity, bases, n_samples, seed, 0, memo)
+    c_members = tuple(map(_product, shadows, slices))
     c_total = VolumeEstimate(
         sum(c.value for c in c_members), sum(c.std_err for c in c_members)
     )
@@ -492,26 +471,22 @@ def assemble_constants(
     q_totals: dict[int, VolumeEstimate] = {}
     met = 0  # distinct pairs of the levels below, which number the Monte Carlo streams
     for k in range(k_min, K):
-        listed = enumerate_pairs(family, k)
         factor = _overlap_factor(fidelity, data, n, k)
-        inner = _closed_slice(data, k)
-        if inner is not None:
-            closed = _overlap(factor, inner)
-            values = np.broadcast_to(closed.value, len(listed))
-            errs = np.broadcast_to(closed.std_err, len(listed))
+        closed = _closed_volume(data, n, k)
+        if closed is not None:
+            count = int(np.count_nonzero(pair_dims(family) == k))
+            pair = _overlap(factor, closed)
+            values = np.broadcast_to(pair.value, count)
+            errs = np.broadcast_to(pair.std_err, count)
         else:
+            listed = enumerate_pairs(family, k)
+            count = len(listed)
             first, second = listed.T
             fresh = listed[first < second]
             inners = []
             if len(fresh):
                 meets = meet_matrices(bases[fresh[:, 0]], bases[fresh[:, 1]], k)
-                if data.polyhedral:
-                    inners = _price_exact("slice", data, meets, volumes)
-                else:
-                    inners = [
-                        slice_volume(data, SubspaceBasis(meet), n_samples, seed, subid=met + t)
-                        for t, meet in enumerate(meets)
-                    ]
+                inners = _volumes("slice", data, meets, n_samples, seed, met, memo)
             # Each ordered pair (i, j) takes the price of (min, max), found
             # among the row-major keys i * M + j of the unordered pairs.
             low, high = np.minimum(first, second), np.maximum(first, second)
@@ -521,7 +496,7 @@ def assemble_constants(
             values = np.array([pair.value for pair in priced])[which]
             errs = np.array([pair.std_err for pair in priced])[which]
         q_totals[k] = VolumeEstimate(_sequential_sum(values), _sequential_sum(errs))
-        met += len(listed) // 2
+        met += count // 2
 
     delta_hat, pair_factor, delta_gate = gate_factors(fidelity, data, n, K)
     return ConstantSet(

@@ -240,9 +240,8 @@ def hit_or_miss_volume(
     """Monte Carlo volume of a set enclosed in the box prod_i [-h_i, h_i].
 
     Used only where no exact volume exists, the shadows and slices of wlp
-    balls with p > 1, and by the test-only ``method="mc"`` of
-    ``bounds.projected_ball_volume`` and ``bounds.slice_volume``.
-    ``indicator`` maps an (m, d) array of points to an (m,) boolean array.
+    balls with p > 1 (``bounds._volumes``).  ``indicator`` maps an (m, d)
+    array of points to an (m,) boolean array.
     The draws run chunk by chunk in the calling thread; chunked
     counter-based draws keep the estimate identical for any interleaving
     with other computations.

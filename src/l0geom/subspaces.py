@@ -31,8 +31,8 @@ DEFAULT_SPAN_TOL = 1e-9
 
 # Largest C(m, K) that enumerate_spans accepts.  It guards the quadratic
 # pair layer: at N=8, m=16 the pair pass takes about 1 s at K=4 (1,820
-# members) and 3.3 s at K=5 (4,368), and the l2 constants of K=5 peak near
-# 400 MB, most of it the 16.4 M ordered pairs that meet in dimension 2.
+# members) and 3.3 s at K=5 (4,368), and the l2 constants of K=5, which
+# count their pairs without listing them, peak near 115 MB resident.
 MAX_SPAN_SUBSETS = 5_000
 
 # Upper-triangle entries per row block of the pair pass, and entries per

@@ -27,15 +27,14 @@ from l0geom import (
     fit_asymptote,
     norm_eval,
     orthonormal_basis,
-    projected_ball_volume,
     report_to_csv,
-    slice_volume,
     solve_l0,
     spans_equal,
     validate_bounds,
 )
 from l0geom.bounds import euclid_ck
 from l0geom.subspaces import enumerate_spans
+from test_bounds import monte_carlo_volume
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 AXES2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
@@ -155,12 +154,12 @@ def build_artifacts(workers):
         plane3 = orthonormal_basis([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
         full2 = orthonormal_basis(np.eye(2))
         cells = [
-            ("shadow_line_r2", projected_ball_volume(L2, line2, SAMPLES, SEED, "mc", 0), 2.0),
-            ("shadow_line_r3", projected_ball_volume(L2, line3, SAMPLES, SEED, "mc", 1), math.pi),
-            ("shadow_plane_r3", projected_ball_volume(L2, plane3, SAMPLES, SEED, "mc", 2), 2.0),
-            ("slice_line_r3", slice_volume(L2, line3, SAMPLES, SEED, "mc", 3), 2.0),
-            ("slice_plane_r3", slice_volume(L2, plane3, SAMPLES, SEED, "mc", 4), math.pi),
-            ("slice_full_r2", slice_volume(L2, full2, SAMPLES, SEED, "mc", 5), math.pi),
+            ("shadow_line_r2", monte_carlo_volume("shadow", L2, line2, SAMPLES, SEED, 0), 2.0),
+            ("shadow_line_r3", monte_carlo_volume("shadow", L2, line3, SAMPLES, SEED, 1), math.pi),
+            ("shadow_plane_r3", monte_carlo_volume("shadow", L2, plane3, SAMPLES, SEED, 2), 2.0),
+            ("slice_line_r3", monte_carlo_volume("slice", L2, line3, SAMPLES, SEED, 3), 2.0),
+            ("slice_plane_r3", monte_carlo_volume("slice", L2, plane3, SAMPLES, SEED, 4), math.pi),
+            ("slice_full_r2", monte_carlo_volume("slice", L2, full2, SAMPLES, SEED, 5), math.pi),
         ]
         lines = ["name,estimate,target"]
         lines += [f"{name},{est.value!r},{target!r}" for name, est, target in cells]

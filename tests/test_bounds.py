@@ -6,8 +6,9 @@ Oracles used here:
   * Hand-computed shadows and slices for axis and diagonal lines.
   * scipy's ConvexHull and HalfspaceIntersection for the exact polytope
     volumes of l1, linf and weighted-l1 shadows and slices, the
-    coordinate-section closed forms 2^k / k! and 2^k, and forced Monte
-    Carlo for the zonotope shadows of the linf ball.
+    coordinate-section closed forms 2^k / k! and 2^k, and hit-or-miss
+    Monte Carlo (``monte_carlo_volume``) for the zonotope shadows of the
+    linf ball.
   * The area of a union of two perpendicular strips inside the unit disk,
     4 (tau sqrt(1 - tau^2) + asin tau) - 4 tau^2, for the exact level-set
     measure of the two-axis dictionary.
@@ -43,13 +44,43 @@ from l0geom import (
     projected_ball_volume,
     slice_volume,
 )
-from l0geom import bounds, norms
-from l0geom.norms import polytope_volume
+from l0geom import bounds, norms, streams
+from l0geom.norms import norm_eval, polytope_volume
+from l0geom.solver import member_distances
 from l0geom.subspaces import SubspaceBasis, empty_basis
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 AXES2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
 THREE_LINES = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+NORMS3 = {
+    "l2": L2,
+    "l1": L1,
+    "linf": LINF,
+    "wl1": NormSpec.weighted_lp(1.0, [1.0, 2.0, 0.5]),
+    "wl3": NormSpec.weighted_lp(3.0, [1.0, 2.0, 0.5]),
+}
+# A sum atom (e1 + e2) and a parallel one (-2 e1) among six in R^3.
+DEPENDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 1], [-2, 0, 0]]
+
+
+def monte_carlo_volume(kind, norm, basis, n_samples, seed, subid=0):
+    """Hit-or-miss estimate of the norm's unit-ball "slice" through, or
+    "shadow" on the complement of, the span of basis: draws from the box
+    |y_i| <= delta, ||x||_2 <= delta norm(x), in coordinates of the span
+    (slice) or of its complement (shadow), on the stream of that kind."""
+    if kind == "slice":
+        frame, inside = basis, lambda x: np.asarray(norm_eval(norm, x)) <= 1.0
+    else:
+        frame, inside = basis.complement(), lambda x: member_distances(norm, basis, x) <= 1.0
+    purpose = streams.PURPOSE_SLICE if kind == "slice" else streams.PURPOSE_PROJECTED
+    return norms.hit_or_miss_volume(
+        lambda y: inside(y @ frame.matrix.T),
+        np.full(frame.dim, compute_equiv_constants(norm, norm, basis.ambient_dim).delta2),
+        n_samples,
+        seed,
+        streams.stream_id(purpose, subid),
+    )
+
 
 # Area of {x : min(|x_1|, |x_2|) <= tau} inside the unit disk: two chord
 # strips minus their shared 2tau x 2tau square.
@@ -105,13 +136,9 @@ class TestShadowVolume:
 
     def test_forced_monte_carlo_agrees_with_closed_form(self):
         line = orthonormal_basis([[0.0, 0.0, 1.0]])
-        est = projected_ball_volume(L2, line, n_samples=50_000, method="mc")
+        est = monte_carlo_volume("shadow", L2, line, 50_000, 0)
         assert est.std_err > 0.0
-        assert abs(est.value - math.pi) <= 4.0 * est.std_err
-
-    def test_method_guard(self):
-        with pytest.raises(ValueError):
-            projected_ball_volume(L2, empty_basis(2), method="exact")
+        assert abs(est.value - projected_ball_volume(L2, line).value) <= 4.0 * est.std_err
 
 
 class TestSliceVolume:
@@ -137,8 +164,8 @@ class TestSliceVolume:
 
     def test_forced_monte_carlo_agrees_with_closed_form(self):
         plane = orthonormal_basis([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        est = slice_volume(L2, plane, n_samples=50_000, method="mc")
-        assert abs(est.value - math.pi) <= 4.0 * est.std_err
+        est = monte_carlo_volume("slice", L2, plane, 50_000, 0)
+        assert abs(est.value - slice_volume(L2, plane).value) <= 4.0 * est.std_err
 
 
 def _random_basis(rng, n, k):
@@ -228,7 +255,7 @@ class TestExactVolumes:
         for n, k in ((3, 1), (4, 2), (5, 2)):
             basis = _random_basis(rng, n, k)
             exact = projected_ball_volume(LINF, basis)
-            mc = projected_ball_volume(LINF, basis, n_samples=200_000, seed=3, method="mc")
+            mc = monte_carlo_volume("shadow", LINF, basis, 200_000, 3)
             assert mc.std_err > 0.0
             assert abs(exact.value - mc.value) <= 3.0 * mc.std_err
 
@@ -340,6 +367,16 @@ class TestCylinderConstant:
         assert est.std_err == 0.0
         assert est.value == pytest.approx(4.0, rel=1e-15)  # 2 sqrt(2) * sqrt(2)
 
+    def test_weighted_lp_estimates_are_the_reference_draws(self):
+        wl3 = NORMS3["wl3"]
+        plane = orthonormal_basis([[1.0, 0.0, 1.0], [0.0, 1.0, 2.0]])
+        for subid in (0, 5):
+            shadow = projected_ball_volume(wl3, plane, 4000, 9, subid)
+            inner = slice_volume(wl3, plane, 4000, 9, subid)
+            assert shadow.std_err > 0.0 and inner.std_err > 0.0
+            assert shadow == monte_carlo_volume("shadow", wl3, plane, 4000, 9, subid)
+            assert inner == monte_carlo_volume("slice", wl3, plane, 4000, 9, subid)
+
 
 class TestOverlapConstant:
     def test_orthogonal_lines_meet_at_the_origin(self):
@@ -436,6 +473,39 @@ class TestAssembleConstants:
     def test_level_guard(self):
         with pytest.raises(ValueError):
             assemble_constants(AXES2, L2, L2, 3)
+
+    @pytest.mark.parametrize("data", NORMS3)
+    @pytest.mark.parametrize("fidelity", NORMS3)
+    def test_member_constants_are_the_one_basis_constants(self, fidelity, data):
+        # One dictionary for every level, so the later levels price through
+        # a memo that the earlier levels' members and meets filled.
+        dictionary = Dictionary.from_vectors(DEPENDENT3)
+        f, d = NORMS3[fidelity], NORMS3[data]
+        for K in range(4):
+            c = assemble_constants(dictionary, f, d, K, n_samples=500, seed=3)
+            assert c.c_members == tuple(
+                cylinder_constant(f, d, member, 500, 3, subid=i)
+                for i, member in enumerate(c.family.members)
+            )
+
+    def test_closed_form_pair_levels_list_no_pairs(self, monkeypatch):
+        listed = []
+        original = bounds.enumerate_pairs
+
+        def spy(family, k):
+            listed.append((family.K, k))
+            return original(family, k)
+
+        monkeypatch.setattr(bounds, "enumerate_pairs", spy)
+        dictionary = Dictionary.from_vectors(np.random.default_rng(2).standard_normal((7, 4)))
+        for fidelity in (L2, L1):
+            for K in range(5):
+                assemble_constants(dictionary, fidelity, L2, K)
+        assert listed == []
+        for K in range(5):
+            assemble_constants(dictionary, L2, L1, K)
+        # l1 data lists its pairs at k = 1 (K = 2) and k = 2 (K = 3) only.
+        assert listed == [(2, 1), (3, 2)]
 
 
 class TestOverlapBudget:

@@ -256,6 +256,18 @@ class TestSolveProperties:
             for i in (0, 57, 123, 299):
                 assert vals[i] == solver.value(points[i], tau)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="l2 profiles price a squared distance as <xx^T, I - P>, whose rounding "
+        "(about 1e-8 here) exceeds a tau of 1e-9 for data lying in a span",
+    )
+    def test_profiles_match_solve_on_exactly_sparse_data_at_small_tau(self):
+        atoms = np.random.default_rng(5).standard_normal((12, 6))
+        solver = L0Solver(Dictionary.from_vectors(atoms), L2)
+        d = 0.7 * atoms[0] - 0.4 * atoms[3] + 0.2 * atoms[5]
+        profile = values_from_profiles(solver.distance_profiles(d[None, :]), 1e-9)[0]
+        assert (solver.value(d, 1e-9), profile) == (3, 3)
+
     def test_profiles_worker_invariance(self):
         solver = L0Solver(THREE_LINES, L2)
         points = sample_levelset_batch(L2, 1.0, 2, 9000, seed=8)
