@@ -8,7 +8,7 @@ point of a subspace in the l1 and linf norms.
 
 No runtime path uses these programs.  Distances are row maxima against
 the dual vertex tables of ``solver.dual_vertices``, and closest points are
-completions of the maximising vertex (``solver._closest_coefficients``).  This
+completions of the maximising vertex (``solver._Certificate``).  This
 module is the independent oracle the tests check both against.
 """
 

@@ -38,17 +38,22 @@ single member.
 
 A scan only names its winner, and one closest-point rule per norm family
 gives the winner's coefficients over its atoms, from that member alone:
-least squares for l2; for weighted lp with p > 1 the Newton fit's closest
-point, mapped onto the atoms by least squares; and for polyhedral
-fidelities the dual vertex of the member's own table that attains the
-distance.  By complementary slackness every closest residual r then has
-<z, r> = ||r||, which pins r_i = dist * sign(z_i) where z_i != 0 for linf,
-and r_i = 0 where |z_i| < w_i for l1 and weighted l1.  The closest points
-form a bounded polytope, so when those rows leave freedom, holding more
-rows at a bound reaches one of its vertices (``_closest_coefficients``).
-No linear program runs.  A solve at level 0 has the empty support, and
-one at level N interpolates d on the first full-rank subset, whatever the
-norm.
+the atoms' pseudo-inverse applied to d for l2; for weighted lp with p > 1
+the same pseudo-inverse applied to the Newton fit's closest point; and for
+polyhedral fidelities the dual vertex of the member's own table that
+attains the distance.  By complementary slackness every closest residual
+r then has <z, r> = ||r||, which pins r_i = dist * sign(z_i) where
+z_i != 0 for linf, and r_i = 0 where |z_i| < w_i for l1 and weighted l1.
+The closest points form a bounded polytope, so when those rows leave
+freedom, holding more rows at a bound reaches one of its vertices
+(``_Certificate``).  No linear program runs.  Each rule's factors depend
+on the member, and on the attaining vertex, but not on d, so the stack
+builds them the first time a solve needs them and keeps them: at most one
+entry per member (l2, weighted lp with p > 1) or per dual vertex column
+(polyhedral).  Concurrent solves may build one entry twice, and
+``dict.setdefault`` keeps the first; both give the same bits.  A solve at
+level 0 has the empty support, and one at level N interpolates d on the
+first full-rank subset, whatever the norm.
 """
 
 from __future__ import annotations
@@ -220,10 +225,10 @@ def subspace_distance(
 
     Euclidean distances are orthogonal projections.  l1, linf and weighted
     l1 distances are the row maximum of the span's ``dual_vertices``, and
-    the closest point is read off the maximising vertex by
-    ``_closest_coefficients``, the routine a solve runs on its winning
-    span.  Weighted lp with p > 1 is the Newton fit of ``member_distances``
-    on one row and one member.  A search that needs only distances goes
+    the closest point is read off the maximising vertex by a
+    ``_Certificate``, the rule a solve runs on its winning span, here
+    built for this one call.  Weighted lp with p > 1 is the Newton fit of
+    ``member_distances`` on one row and one member.  A search that needs only distances goes
     through the level tables instead.
     """
     d = np.asarray(d, dtype=float)
@@ -243,80 +248,109 @@ def subspace_distance(
     scores = table @ d
     best = int(np.argmax(scores))
     dist = float(scores[best])
-    return dist, bm @ _closest_coefficients(fidelity, basis, bm, d, dist, table[best])[0]
+    return dist, bm @ _Certificate(fidelity, basis, bm, table[best]).closest(d, dist)[0]
 
 
-def _closest_coefficients(
-    fidelity: NormSpec,
-    basis: SubspaceBasis,
-    matrix: np.ndarray,
-    d: np.ndarray,
-    dist: float,
-    z: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Coefficients over the columns of matrix, which span basis, of a
-    polyhedral closest point to d, given the dual vertex z attaining dist,
-    and the residual norm they reach.
+class _Certificate:
+    """A polyhedral closest-point rule over the columns of matrix, which span
+    basis, for the data whose distance the dual vertex z attains.
 
     Every closest residual r = d - matrix c meets z with equality in
     Hölder's inequality, which pins r_i = dist * sign(z_i) on supp(z) for
-    linf (every row, at 0, when dist = 0), and r_i = 0 where |z_i| < w_i
-    for l1 and weighted l1.  The pinned rows give c = c0 + F y, F spanning
-    the f directions they leave free; singular values at or below
-    _PIN_RANK_RTOL times the Frobenius norm of matrix count as zero.
-    The closest points form a bounded polytope, each of whose vertices holds
-    f more rows at a bound (+-dist for linf, 0 for l1), so those completions
-    are the candidates, in lexicographic order of their rows, then of their
-    bounds, each an f x f solve for y.  The first candidate within the
-    rounding slack ``_FIT_ULPS`` of dist is returned; RuntimeError, naming
-    the basis, means there was none, so z does not certify dist.
+    linf, and r_i = 0 where |z_i| < w_i for l1 and weighted l1.  The zero
+    vertex, the first row of every dual vertex table, is the one that
+    attains dist = 0, where every row has |r_i| <= 0 and so all of them pin
+    r_i = 0.  The pinned rows give c = c0 + F y, F spanning the f directions
+    they leave free; singular values at or below _PIN_RANK_RTOL times the
+    Frobenius norm of matrix count as zero.  The closest points form a
+    bounded polytope, each of whose vertices holds f more rows at a bound
+    (+-dist for linf, 0 for l1), so those completions are the candidates,
+    in lexicographic order of their rows, then of their bounds, each an
+    f x f solve for y.
+
+    Everything but dist and d is fixed by (matrix, z): the pinned rows and
+    the map from their targets to c0, F, the completion rows and the SVDs of
+    their blocks, and the bounds as dist times a sign table.  The
+    constructor factors them once, and ``closest`` applies them to one d
+    with the floating-point operations of a single pass, in its order.
     """
-    size = np.abs(z)
-    if fidelity.kind == "linf":
-        # At dist = 0 every row has |r_i| <= 0, so all of them pin r_i = 0.
-        pinned = size > _ACTIVE_SLACK * size.max() if dist > 0.0 else np.full(d.size, True)
-        target, bounds = d - dist * np.sign(z), (dist, -dist)
-    else:
-        w = 1.0 if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
-        pinned = size < (1.0 - _ACTIVE_SLACK) * w
-        target, bounds = d, (0.0,)
-    floor, pinned_rows = _PIN_RANK_RTOL * np.linalg.norm(matrix), matrix[pinned]
-    # Rows within floor in Frobenius norm have every singular value there too: they pin nothing.
-    if np.linalg.norm(pinned_rows) > floor:
-        u, s, vt = np.linalg.svd(pinned_rows)
-        rank = np.count_nonzero(s > floor)
-        c0, free_dirs = vt[:rank].T @ ((u[:, :rank] / s[:rank]).T @ target[pinned]), vt[rank:].T
-        free_atoms, rest = matrix @ free_dirs, d - matrix @ c0
-    else:
-        c0, free_dirs, free_atoms, rest = 0.0, np.eye(matrix.shape[1]), matrix, d
-    f = free_dirs.shape[1]
-    if not f:
-        coeffs = c0[None]
-    else:
-        spare = (~pinned).nonzero()[0]
-        rows = spare[_indices(spare.size, f)]
-        blocks = free_atoms[rows]
-        rhs = rest[rows][:, None] - np.array(list(product(bounds, repeat=f)))
-        if f == 1:  # 1 x 1 blocks are their own singular values
-            keep = np.abs(blocks[:, 0, 0]) > floor
-            y = rhs[keep] / blocks[keep]
+
+    def __init__(
+        self, fidelity: NormSpec, basis: SubspaceBasis, matrix: np.ndarray, z: np.ndarray
+    ) -> None:
+        self.fidelity, self.basis, self.matrix = fidelity, basis, matrix
+        size = np.abs(z)
+        if fidelity.kind == "linf":
+            top = size.max()
+            self.pinned = size > _ACTIVE_SLACK * top if top > 0.0 else np.full(z.size, True)
+            self.shift, signs = np.sign(z)[self.pinned], (1.0, -1.0)
         else:
-            u, s, vt = np.linalg.svd(blocks)
-            keep = s[:, -1] > floor
-            y = rhs[keep] @ u[keep] / s[keep, None] @ vt[keep]
-        coeffs = c0 + y.reshape(-1, f) @ free_dirs.T
-    norms = norm_eval(fidelity, d - coeffs @ matrix.T)
-    # A first candidate that reaches dist itself is within any slack.
-    if norms.size and norms[0] <= dist:
-        return coeffs[0], float(norms[0])
-    rounding = norm_eval(fidelity, np.abs(d) + np.abs(coeffs) @ np.abs(matrix).T)
-    hits = (norms - dist <= _FIT_SLACK * rounding).nonzero()[0]
-    if not hits.size:
-        raise RuntimeError(
-            f"no vertex completion of the dual certificate attains distance {dist:.17g} "
-            f"for basis {basis.provenance or basis.matrix.shape}"
-        )
-    return coeffs[hits[0]], float(norms[hits[0]])
+            w = 1.0 if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
+            self.pinned = size < (1.0 - _ACTIVE_SLACK) * w
+            self.shift, signs = np.zeros(np.count_nonzero(self.pinned)), (0.0,)
+        floor, pinned_rows = _PIN_RANK_RTOL * np.linalg.norm(matrix), matrix[self.pinned]
+        # Rows within floor in Frobenius norm have every singular value there too: they pin nothing.
+        self.to_c0: tuple[np.ndarray, np.ndarray] | None = None
+        if np.linalg.norm(pinned_rows) > floor:
+            u, s, vt = np.linalg.svd(pinned_rows)
+            rank = np.count_nonzero(s > floor)
+            self.to_c0 = vt[:rank].T, (u[:, :rank] / s[:rank]).T
+            self.free_dirs = vt[rank:].T
+            free_atoms = matrix @ self.free_dirs
+        else:
+            self.free_dirs, free_atoms = np.eye(matrix.shape[1]), matrix
+        f = self.free_dirs.shape[1]
+        if f:
+            spare = (~self.pinned).nonzero()[0]
+            rows = spare[_indices(spare.size, f)]
+            blocks = free_atoms[rows]
+            self.bounds = np.array(list(product(signs, repeat=f)))
+            if f == 1:  # 1 x 1 blocks are their own singular values
+                keep = np.abs(blocks[:, 0, 0]) > floor
+                self.blocks = blocks[keep]
+            else:
+                u, s, vt = np.linalg.svd(blocks)
+                keep = s[:, -1] > floor
+                self.blocks = u[keep], s[keep, None], vt[keep]
+            self.rows = rows[keep]
+
+    def closest(self, d: np.ndarray, dist: float) -> tuple[np.ndarray, float]:
+        """Coefficients of a closest point to d, which z certifies to lie at
+        distance dist, and the residual norm they reach.
+
+        The first candidate within the rounding slack ``_FIT_ULPS`` of dist
+        is returned; RuntimeError, naming the basis, means there was none,
+        so z does not certify dist.
+        """
+        matrix, f = self.matrix, self.free_dirs.shape[1]
+        if self.to_c0 is None:
+            c0, rest = 0.0, d
+        else:
+            right, left = self.to_c0
+            c0 = right @ (left @ (d[self.pinned] - dist * self.shift))
+            rest = d - matrix @ c0
+        if not f:
+            coeffs = c0[None]
+        else:
+            rhs = rest[self.rows][:, None] - dist * self.bounds
+            if f == 1:
+                y = rhs / self.blocks
+            else:
+                u, s, vt = self.blocks
+                y = rhs @ u / s @ vt
+            coeffs = c0 + y.reshape(-1, f) @ self.free_dirs.T
+        norms = norm_eval(self.fidelity, d - coeffs @ matrix.T)
+        # A first candidate that reaches dist itself is within any slack.
+        if norms.size and norms[0] <= dist:
+            return coeffs[0], float(norms[0])
+        rounding = norm_eval(self.fidelity, np.abs(d) + np.abs(coeffs) @ np.abs(matrix).T)
+        hits = (norms - dist <= _FIT_SLACK * rounding).nonzero()[0]
+        if not hits.size:
+            raise RuntimeError(
+                f"no vertex completion of the dual certificate attains distance {dist:.17g} "
+                f"for basis {self.basis.provenance or self.basis.matrix.shape}"
+            )
+        return coeffs[hits[0]], float(norms[hits[0]])
 
 
 def member_distances(
@@ -360,11 +394,15 @@ class _LevelStack:
     row's distance to the nearest member of every level, an (n, L) matrix,
     and ``_distances(d, start, stop)`` the distances from d to the members
     from index start to stop.  A scan only names its winner;
-    ``closest(d, m, atoms)`` then gives the coefficients over atoms, whose
-    columns span member m, of a closest point to d, and the residual norm
-    they reach, from member m alone.  ``width`` is the number of table
-    cells per row that ``nearest`` holds at once, and ``cells[l - 1]`` the
-    number a single-vector scan of level l reads.
+    ``closest(d, m, dictionary)`` then gives the coefficients over member
+    m's atoms of a closest point to d, and the residual norm they reach,
+    from member m alone.  Its factors are fixed by the member (and, for a
+    polyhedral norm, the attaining dual vertex), so they are built the
+    first time a solve needs them and kept in ``factors``, one entry per
+    member or per vertex column at most; ``dict.setdefault`` keeps the
+    first entry when concurrent solves build one twice.  ``width`` is the
+    number of table cells per row that ``nearest`` holds at once, and
+    ``cells[l - 1]`` the number a single-vector scan of level l reads.
     """
 
     def __init__(self, fidelity: NormSpec) -> None:
@@ -373,6 +411,7 @@ class _LevelStack:
         self.starts: list[int] = []
         self.cells: list[int] = []
         self.width = 0
+        self.factors: dict[int, tuple[np.ndarray, np.ndarray] | _Certificate] = {}
 
     @property
     def levels(self) -> int:
@@ -405,6 +444,19 @@ class _LevelStack:
                 return bisect_right(self.starts, start + first), start + first
             lo = top + 1
         return None
+
+    def _pseudo_inverse(self, m: int, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
+        """Member m's atoms and their pseudo-inverse, built the first time m wins.
+
+        A member's atoms have full column rank, so no singular value is cut,
+        and the inverse is the SVD's V S^-1 U^T, twice as fast as ``pinv``.
+        """
+        factors = self.factors.get(m)
+        if factors is None:
+            atoms = dictionary.subset(self.members[m].provenance)
+            u, s, vt = np.linalg.svd(atoms, full_matrices=False)
+            factors = self.factors.setdefault(m, (atoms, vt.T @ (u.T / s[:, None])))
+        return factors
 
 
 class _QuadraticStack(_LevelStack):
@@ -448,8 +500,9 @@ class _QuadraticStack(_LevelStack):
         residual = d[:, None] - np.einsum("nmc,mc->nm", columns, coords)
         return np.sqrt(np.einsum("nm,nm->m", residual, residual))
 
-    def closest(self, d: np.ndarray, m: int, atoms: np.ndarray) -> tuple[np.ndarray, float]:
-        coeffs = np.linalg.lstsq(atoms, d, rcond=None)[0]
+    def closest(self, d: np.ndarray, m: int, dictionary: Dictionary) -> tuple[np.ndarray, float]:
+        atoms, inverse = self._pseudo_inverse(m, dictionary)
+        coeffs = inverse @ d
         return coeffs, float(norm_eval(self.fidelity, atoms @ coeffs - d))
 
 
@@ -482,15 +535,19 @@ class _DualStack(_LevelStack):
         left, right = self.bounds[start], self.bounds[stop]
         return np.maximum.reduceat(d @ self.vertices[:, left:right], self.bounds[start:stop] - left)
 
-    def closest(self, d: np.ndarray, m: int, atoms: np.ndarray) -> tuple[np.ndarray, float]:
+    def closest(self, d: np.ndarray, m: int, dictionary: Dictionary) -> tuple[np.ndarray, float]:
         # The certificate comes from member m's own columns, so its bits do
         # not depend on what else the stack holds.
-        table = self.vertices[:, self.bounds[m] : self.bounds[m + 1]]
-        scores = d @ table
+        scores = d @ self.vertices[:, self.bounds[m] : self.bounds[m + 1]]
         best = int(scores.argmax())
-        return _closest_coefficients(
-            self.fidelity, self.members[m], atoms, d, float(scores[best]), table[:, best]
-        )
+        column = int(self.bounds[m]) + best
+        certificate = self.factors.get(column)
+        if certificate is None:
+            member = self.members[m]
+            atoms = dictionary.subset(member.provenance)
+            certificate = _Certificate(self.fidelity, member, atoms, self.vertices[:, column])
+            certificate = self.factors.setdefault(column, certificate)
+        return certificate.closest(d, float(scores[best]))
 
 
 def _curvature(w: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
@@ -683,9 +740,10 @@ class _PowerStack(_LevelStack):
                 return level, self.starts[level - 1] + int(feasible.argmax())
         return None
 
-    def closest(self, d: np.ndarray, m: int, atoms: np.ndarray) -> tuple[np.ndarray, float]:
+    def closest(self, d: np.ndarray, m: int, dictionary: Dictionary) -> tuple[np.ndarray, float]:
         _, point = subspace_distance(self.fidelity, self.members[m], d, self.dist_tol)
-        coeffs = np.linalg.lstsq(atoms, point, rcond=None)[0]
+        atoms, inverse = self._pseudo_inverse(m, dictionary)
+        coeffs = inverse @ point
         return coeffs, float(norm_eval(self.fidelity, atoms @ coeffs - d))
 
 
@@ -738,14 +796,16 @@ class L0Solver:
     The solver holds the stacked table of the fidelity's norm family
     (``level_stack``).  A solve's scan names the first member within tau,
     and the ``closest`` method of the stack gives that member's
-    coefficients.  The stack grows one level at a time, only when a solve
-    finds no built member within tau, so a solve enumerates no family
-    above its answer, nor the level-0 family; ``distance_profiles`` grows
-    it to level N - 1, and ``value_leq`` reads a level it has not built
-    from a table of that level alone.  Growth happens in the calling
-    thread, so concurrent solves need ``distance_profiles`` or a dense
-    solve first; afterwards the solver is only read, and distinct data
-    vectors may be solved concurrently.
+    coefficients, from factors the stack keeps once built.  The stack grows
+    one level at a time, only when a solve finds no built member within
+    tau, so a solve enumerates no family above its answer, nor the level-0
+    family; ``distance_profiles`` grows it to level N - 1, and
+    ``value_leq`` reads a level it has not built from a table of that
+    level alone, kept until the stack reaches it.  Growth happens in the
+    calling thread, so concurrent solves need ``distance_profiles`` or a
+    dense solve first; afterwards the levels are only read, the kept
+    factors only gain entries (the first one built wins), and data vectors
+    may be solved concurrently.
     """
 
     def __init__(
@@ -765,6 +825,8 @@ class L0Solver:
         self.feas_tol = feas_tol
         self.dist_tol = dist_tol
         self._stack = _level_stack(fidelity, dictionary.n_dim, dist_tol)
+        # value_leq's tables of single levels the stack does not reach yet.
+        self._levels: dict[int, _LevelStack] = {}
 
     def family(self, k: int) -> SpanFamily:
         return span_family(self.dictionary, k)
@@ -776,6 +838,7 @@ class L0Solver:
             raise ValueError(f"the stack covers levels 1..{self.dictionary.n_dim - 1}, got {top}")
         while self._stack.levels < top:
             self._stack.append(self.family(self._stack.levels + 1).members)
+            self._levels.pop(self._stack.levels, None)
         return self._stack
 
     def _check_data(self, d: np.ndarray, tau: float) -> np.ndarray:
@@ -810,7 +873,7 @@ class L0Solver:
             if found is not None:
                 k, m = found
                 support = stack.members[m].provenance
-                coeffs, residual = stack.closest(d, m, self.dictionary.subset(support))
+                coeffs, residual = stack.closest(d, m, self.dictionary)
                 return SolveResult(value=k, support=support, coefficients=coeffs, residual=residual)
             level = stack.levels + 1
         support = self.family(n).members[0].provenance
@@ -828,7 +891,8 @@ class L0Solver:
         Only the size-K spans need checking: every smaller feasible span is
         contained in a size-K one, which is then feasible too.  Level K is
         read from the stack when the stack holds it, and is otherwise priced
-        on a table of its own, so no other family is enumerated.
+        on a table of its own, built once and kept until the stack reaches
+        level K, so no other family is enumerated.
         """
         d = self._check_data(d, tau)
         n = self.dictionary.n_dim
@@ -841,8 +905,11 @@ class L0Solver:
             return True
         if self._stack.levels >= K:
             return self._stack.first_within(d, thresh, K, K) is not None
-        table = _level_stack(self.fidelity, n, self.dist_tol)
-        table.append(self.family(K).members)
+        table = self._levels.get(K)
+        if table is None:
+            table = _level_stack(self.fidelity, n, self.dist_tol)
+            table.append(self.family(K).members)
+            table = self._levels.setdefault(K, table)
         return table.first_within(d, thresh, 1, 1) is not None
 
     def value_eq(self, d: np.ndarray, tau: float, K: int) -> bool:

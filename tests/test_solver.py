@@ -1,5 +1,6 @@
 """Exact smallest-support solver against a brute-force subset oracle."""
 
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -710,11 +711,12 @@ class TestCertificateFallback:
         table = dual_vertices(spec, basis)
         best = int(np.argmax(table @ d))
         dist = float(table[best] @ d)
-        coeffs, residual = solver._closest_coefficients(spec, basis, basis.matrix, d, dist, table[best])
+        certificate = solver._Certificate(spec, basis, basis.matrix, table[best])
+        coeffs, residual = certificate.closest(d, dist)
         assert residual == pytest.approx(dist, abs=1e-14)
         assert float(norm_eval(spec, d - basis.matrix @ coeffs)) == pytest.approx(dist, abs=1e-14)
         with pytest.raises(RuntimeError, match=r"attains distance .* for basis \(3, 5\)"):
-            solver._closest_coefficients(spec, basis, basis.matrix, d, 0.9 * dist, table[best])
+            certificate.closest(d, 0.9 * dist)
 
 
 class TestLevelTables:
@@ -883,6 +885,25 @@ class TestStackGrowth:
         assert not solver.value_leq(np.arange(1.0, 7.0), 1e-6, 5)
         assert sorted(dictionary._families) == [5]
 
+    @pytest.mark.parametrize("kind", FIDELITIES)
+    def test_value_leq_builds_a_level_table_once(self, monkeypatch, kind):
+        atoms = np.random.default_rng(8).standard_normal((7, 6))
+        dictionary = Dictionary.from_vectors(atoms)
+        spec = fidelity(kind, 6)
+        l0 = L0Solver(dictionary, spec)
+        built = []
+        level_stack = solver._level_stack
+        monkeypatch.setattr(solver, "_level_stack", lambda *a: built.append(a) or level_stack(*a))
+        points = np.vstack([atoms[:3].sum(axis=0), atoms[1] - atoms[4], np.arange(1.0, 7.0)])
+        answers = [l0.value_leq(d, 1e-6, 3) for d in np.vstack([points, points])]
+        assert answers == [True, True, False] * 2
+        assert len(built) == 1
+        # Once the stack holds level 3, value_leq reads it and the lone table is dropped.
+        l0.level_stack(3)
+        assert not l0._levels
+        assert [l0.value_leq(d, 1e-6, 3) for d in points] == answers[:3]
+        assert len(built) == 1
+
     def test_a_scan_stops_at_the_first_group_holding_a_member(self, monkeypatch):
         atoms = np.random.default_rng(9).standard_normal((8, 5))
         grown = L0Solver(Dictionary.from_vectors(atoms), L2)
@@ -940,14 +961,14 @@ class TestClosestPoint:
         l0 = L0Solver(dictionary, spec)
         rng = np.random.default_rng(seed)
         certified = []
-        original = solver._closest_coefficients
+        original = solver._Certificate.closest
 
-        def recording(norm, basis, matrix, d, dist, z):
-            certified.append((basis, dist))
-            return original(norm, basis, matrix, d, dist, z)
+        def recording(certificate, d, dist):
+            certified.append((certificate.basis, dist))
+            return original(certificate, d, dist)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "_closest_coefficients", recording)
+            patch.setattr(solver._Certificate, "closest", recording)
             for d in points[::3]:
                 tau = float(rng.uniform(0.02, 1.0)) * float(norm_eval(spec, d) + 1e-3)
                 certified.clear()
@@ -960,6 +981,55 @@ class TestClosestPoint:
                 scale = 1.0 + np.abs(d).sum()
                 assert abs(dist - np.max(dual_vertices(spec, member) @ d)) <= 1e-12 * scale
                 assert res.residual <= tau * (1.0 + 1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dependent_dictionaries(),
+        st.sampled_from(["l1", "linf", "weighted"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_warm_memo_gives_the_bits_of_a_fresh_solver(self, case, kind, axes, seed):
+        """Certificates kept from earlier solves give the bits a fresh solver computes."""
+        dictionary, points = case
+        n = dictionary.n_dim
+        if axes:
+            # Exactly sparse points on coordinate atoms lie at distance exactly 0,
+            # which only the zero vertex attains.
+            dictionary = Dictionary.from_vectors(np.vstack([np.eye(n), dictionary.atoms.T]))
+            points = np.vstack([0.7 * np.eye(n), np.eye(n)[:-1] - 2.0 * np.eye(n)[1:], points])
+        spec = fidelity(kind, n)
+        rng = np.random.default_rng(seed)
+        scales = np.asarray(norm_eval(spec, points)) + 1e-3
+        cases = [(d, 1e-12 * s) for d, s in zip(points[:8], scales)]
+        cases += [(d, float(rng.uniform(0.02, 1.0)) * s) for d, s in zip(points[::3], scales[::3])]
+        warm = L0Solver(dictionary, spec)
+        for d, tau in cases:
+            warm.solve(d, tau)
+        stack = warm.level_stack(0)
+        if axes and n > 1:
+            assert any(column in stack.factors for column in stack.bounds[:-1].tolist())
+        for d, tau in cases:
+            fresh = L0Solver(dictionary, spec).solve(d, tau)
+            assert result_bits(warm.solve(d, tau)) == result_bits(fresh)
+
+    @pytest.mark.parametrize("kind", ["l2", "linf", "wlp3"])
+    def test_concurrent_solves_give_the_serial_bits(self, kind):
+        """Two threads solving the same vectors fill one memo and read the bits of serial solves."""
+        rng = np.random.default_rng(23)
+        atoms = rng.standard_normal((8, 4))
+        dictionary = Dictionary.from_vectors(atoms)
+        spec = fidelity(kind, 4)
+        points = np.vstack([rng.standard_normal((40, 4)), rng.standard_normal((20, 2)) @ atoms[:2],
+                            rng.standard_normal((10, 1)) * atoms[3]])
+        grown = L0Solver(dictionary, spec)
+        grown.distance_profiles(points)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda d: grown.solve(d, 0.05), np.vstack([points, points])))
+        serial = L0Solver(dictionary, spec)
+        expected = [result_bits(serial.solve(d, 0.05)) for d in points]
+        assert [result_bits(res) for res in threaded] == expected * 2
+        assert {res.value for res in threaded} >= {1, 2, 3}
 
     @settings(max_examples=30, deadline=None)
     @given(dependent_dictionaries(), st.sampled_from(FIDELITIES))
