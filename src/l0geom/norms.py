@@ -133,15 +133,16 @@ def norm_eval(spec: NormSpec, x: np.ndarray) -> np.ndarray | float:
             f"dimension mismatch: vector has {x.shape[-1]} entries, "
             f"wlp norm has {len(spec.weights)} weights"
         )
+    # The ufuncs' own reductions: the bits of np.sum and np.max, without their wrappers.
     if spec.kind == "l1":
-        out = np.sum(np.abs(x), axis=-1)
+        out = np.add.reduce(np.abs(x), axis=-1)
     elif spec.kind == "l2":
-        out = np.sqrt(np.sum(x * x, axis=-1))
+        out = np.sqrt(np.add.reduce(x * x, axis=-1))
     elif spec.kind == "linf":
-        out = np.max(np.abs(x), axis=-1)
+        out = np.maximum.reduce(np.abs(x), axis=-1)
     else:
         peak, scaled = scaled_magnitudes(np.asarray(spec.weights, dtype=float) * np.abs(x))
-        out = peak * np.sum(scaled**spec.p, axis=-1) ** (1.0 / spec.p)
+        out = peak * np.add.reduce(scaled**spec.p, axis=-1) ** (1.0 / spec.p)
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,7 +153,7 @@ def scaled_magnitudes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [0, 1] and the largest is 1, so the sum neither overflows nor
     underflows to zero at large p.
     """
-    peak = np.max(y, axis=-1)
+    peak = np.maximum.reduce(y, axis=-1)
     return peak, y / np.where((peak > 0.0) & (peak < np.inf), peak, 1.0)[..., None]
 
 

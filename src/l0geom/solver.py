@@ -23,18 +23,21 @@ the span families, in (level, provenance) order, for the fidelity's norm
 family; level 0 is the norm itself and level N, the whole space, holds
 every vector.  For l2 fidelity the table holds, per member, the upper
 triangle of I - P (so a sample's squared distances are one product with
-its pair products x_i x_j) and the zero-padded bases, which single-vector
-scans use in residual form ||d - U U^T d||, as accurate as one
-projection.  For polyhedral fidelities it is the members' dual vertex
-tables side by side, with member and level offsets.  So a profile block
-prices every level with one product, and a solve finds its first member
-within tau, by level and then provenance, pricing consecutive built
-levels with one product while their cells stay within ``_SCAN_CELLS``
-and stopping at the first such group that holds one.  Weighted lp with
-p > 1 keeps one Newton fit per level behind the same interface.  The
-stack grows by one level only when a solve finds no built member within
-tau, in the calling thread.  ``member_distances`` is the table of a
-single member.
+its pair products x_i x_j) and the zero-padded bases, which give the
+residual form ||d - U U^T d||, as accurate as one projection.  For
+polyhedral fidelities it is the members' dual vertex tables side by side,
+with member and level offsets.  So a profile block prices every level
+with one product, and a solve finds its first member within tau, by level
+and then provenance, pricing consecutive built levels with one product
+while their cells stay within ``_SCAN_CELLS`` and stopping at the first
+such group that holds one.  An l2 scan's product is the gram one, and it
+only screens: a member whose squared gram distance lies within a proven
+rounding width (``_SCREEN_ULPS``) of tau^2 is re-priced alone in residual
+form, so the scan names the member that pricing every member alone in
+residual form names, at a fraction of its cost.  Weighted lp with p > 1 keeps one Newton fit per
+level behind the same interface.  The stack grows by one level only when
+a solve finds no built member within tau, in the calling thread.
+``member_distances`` is the table of a single member.
 
 A scan only names its winner, and one closest-point rule per norm family
 gives the winner's coefficients over its atoms, from that member alone:
@@ -53,7 +56,8 @@ entry per member (l2, weighted lp with p > 1) or per dual vertex column
 (polyhedral).  Concurrent solves may build one entry twice, and
 ``dict.setdefault`` keeps the first; both give the same bits.  A solve at
 level 0 has the empty support, and one at level N interpolates d on the
-first full-rank subset, whatever the norm.
+first full-rank subset, whatever the norm; the solver keeps that subset
+and its atoms once a solve has needed them.
 """
 
 from __future__ import annotations
@@ -115,10 +119,34 @@ MAX_DUAL_CANDIDATES = 250_000
 _PROFILE_CELLS = 1 << 15
 
 # Largest number of table cells one single-vector scan of a solve reads in
-# one product.  A scan costs about 15 us (l2) or 7 us (polyhedral) per
-# product plus 2.2 or 0.6 ns per cell (N = 7, m = 14, one core), so a group
-# of levels within this budget costs at most about twice one product.
+# one product.  A scan costs about 6.5 us per product, for the l2 screen
+# and the polyhedral table alike, plus 0.14 ns per gram cell (N (N + 1) / 2
+# per l2 member) or 0.33 ns per vertex cell (N = 7, m = 14, one core), so a
+# group of levels within this budget costs at most about 1.4 times one
+# product.
 _SCAN_CELLS = 1 << 13
+
+# Width of the l2 scan's screen, in eps * N^3 * ||d||^2.  With u = eps / 2,
+# a member of dimension K <= N - 1 with stored basis U, P = U U^T and
+# defect delta = max |U^T U - I| (Higham, Accuracy and Stability of
+# Numerical Algorithms, sec. 3.1, for every dot product below, in any order):
+# * The gram form targets d^T (I - P) d and the residual form
+#   ||(I - P) d||^2, which exceeds it by d^T U (U^T U - I) U^T d, at most
+#   K delta (1 + K delta) ||d||^2: the defect term of ``slack``.
+# * Each gram entry, weight 1 or 2 and at most its weight in size, is off by
+#   (K + 2) u times its weight, and the sum of weight |d_i d_j| over i <= j
+#   is ||d||_1^2 <= N ||d||^2; the product over N (N + 1) / 2 pairs adds
+#   N (N (N + 1) / 2 + 1) u ||d||^2.
+# * In residual form the coordinates, the point and the residual are off
+#   by at most u ||d|| (K N + sqrt(K) (N - 1) + 1) in norm, and the sum of
+#   squares adds N u ||d||^2.
+# Together the two forms differ by at most (N^3 / 2 + 3.5 N^2 + 2 N^1.5 +
+# 3 N + 2) u ||d||^2 <= 8 N^3 eps ||d||^2 beyond the defect term.  Squaring
+# thresh, placing the band's edges and the residual's square root round by
+# a few eps of max(thresh^2, ||d||^2); where thresh^2 is the larger by
+# more, every member is far inside thresh.  16 covers both, and the N u
+# rounding of the measured defect, with room.
+_SCREEN_ULPS = 16.0
 
 
 class ConvergenceError(RuntimeError):
@@ -403,6 +431,8 @@ class _LevelStack:
     first entry when concurrent solves build one twice.  ``width`` is the
     number of table cells per row that ``nearest`` holds at once, and
     ``cells[l - 1]`` the number a single-vector scan of level l reads.
+    ``_first(d, thresh, start, stop)`` is the scan of one group of levels;
+    by default it compares every ``_distances`` with thresh.
     """
 
     def __init__(self, fidelity: NormSpec) -> None:
@@ -438,12 +468,18 @@ class _LevelStack:
                 top += 1
             start = self.starts[lo - 1]
             stop = self.starts[top] if top < self.levels else len(self.members)
-            feasible = self._distances(d, start, stop) <= thresh
-            first = int(feasible.argmax())
-            if feasible[first]:
-                return bisect_right(self.starts, start + first), start + first
+            first = self._first(d, thresh, start, stop)
+            if first is not None:
+                return bisect_right(self.starts, first), first
             lo = top + 1
         return None
+
+    def _first(self, d: np.ndarray, thresh: float, start: int, stop: int) -> int | None:
+        """Index in the stack of the first member from start to stop within
+        thresh of d, or None."""
+        feasible = self._distances(d, start, stop) <= thresh
+        first = int(feasible.argmax())
+        return start + first if feasible[first] else None
 
     def _pseudo_inverse(self, m: int, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
         """Member m's atoms and their pseudo-inverse, built the first time m wins.
@@ -467,8 +503,19 @@ class _QuadraticStack(_LevelStack):
     ``gram`` are its squared distances <x x^T, I - P_m>.  ``columns`` is
     the (N, M, N - 1) stack of member bases, zero-padded, with the ambient
     axis first, so that one product gives every member's coordinates of a
-    vector; single-vector scans use it in residual form ||d - U U^T d||,
-    as accurate as one projection.
+    vector in residual form ||d - U U^T d||, as accurate as one projection.
+
+    A single-vector scan screens its group with the gram product and
+    re-prices in residual form only the members it cannot settle.  The two
+    forms of a member's squared distance differ by at most ``slack`` times
+    ||d||^2 (see ``_SCREEN_ULPS``), so a member whose gram value is at most
+    thresh^2 - slack ||d||^2 is within thresh in residual form too, and one
+    above thresh^2 + slack ||d||^2 is not.  The members in between are
+    priced one at a time by ``_distances``, in scan order, until one
+    passes, so the scan names the member that a scan pricing every member
+    alone in residual form names, whatever the grouping.  ``slack`` grows
+    with the largest orthonormality defect max |U^T U - I| of any member,
+    measured as each level is appended.
     """
 
     def __init__(self, fidelity: NormSpec, n: int) -> None:
@@ -476,18 +523,23 @@ class _QuadraticStack(_LevelStack):
         self.upper = np.triu_indices(n)
         self.gram = np.zeros((len(self.upper[0]), 0))
         self.columns = np.zeros((n, 0, n - 1))
+        self.slack = 0.0
 
     def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
         i, j = self.upper
         bases = np.stack([member.matrix for member in members])
-        residual = np.eye(bases.shape[1]) - bases @ bases.transpose(0, 2, 1)
+        n, k = bases.shape[1:]
+        residual = np.eye(n) - bases @ bases.transpose(0, 2, 1)
         gram = (residual[:, i, j] * np.where(i == j, 1.0, 2.0)).T
         self.gram = np.ascontiguousarray(np.hstack([self.gram, gram]))
-        padded = np.zeros((bases.shape[1], len(members), self.columns.shape[2]))
-        padded[:, :, : bases.shape[2]] = bases.transpose(1, 0, 2)
+        padded = np.zeros((n, len(members), self.columns.shape[2]))
+        padded[:, :, :k] = bases.transpose(1, 0, 2)
         self.columns = np.concatenate([self.columns, padded], axis=1)
         self.width = self.gram.shape[1]
-        return padded.size
+        spread = (n - 1) * float(np.abs(bases.transpose(0, 2, 1) @ bases - np.eye(k)).max())
+        rounding = _SCREEN_ULPS * n**3 * np.finfo(float).eps
+        self.slack = max(self.slack, rounding + spread * (1.0 + spread))
+        return gram.size
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         i, j = self.upper
@@ -499,6 +551,17 @@ class _QuadraticStack(_LevelStack):
         coords = (d @ columns.reshape(len(d), -1)).reshape(columns.shape[1:])
         residual = d[:, None] - np.einsum("nmc,mc->nm", columns, coords)
         return np.sqrt(np.einsum("nm,nm->m", residual, residual))
+
+    def _first(self, d: np.ndarray, thresh: float, start: int, stop: int) -> int | None:
+        i, j = self.upper
+        squared = (d[i] * d[j]) @ self.gram[:, start:stop]
+        square, slack = thresh * thresh, self.slack * float(d @ d)
+        # Written as "not above" so that a NaN product is re-priced, never dropped.
+        for m in (~(squared > square + slack)).nonzero()[0]:
+            member = start + int(m)
+            if squared[m] <= square - slack or self._distances(d, member, member + 1)[0] <= thresh:
+                return member
+        return None
 
     def closest(self, d: np.ndarray, m: int, dictionary: Dictionary) -> tuple[np.ndarray, float]:
         atoms, inverse = self._pseudo_inverse(m, dictionary)
@@ -827,6 +890,8 @@ class L0Solver:
         self._stack = _level_stack(fidelity, dictionary.n_dim, dist_tol)
         # value_leq's tables of single levels the stack does not reach yet.
         self._levels: dict[int, _LevelStack] = {}
+        # The first full-rank subset and its atoms, once a solve reaches level N.
+        self._dense: tuple[tuple[int, ...], np.ndarray] | None = None
 
     def family(self, k: int) -> SpanFamily:
         return span_family(self.dictionary, k)
@@ -876,8 +941,10 @@ class L0Solver:
                 coeffs, residual = stack.closest(d, m, self.dictionary)
                 return SolveResult(value=k, support=support, coefficients=coeffs, residual=residual)
             level = stack.levels + 1
-        support = self.family(n).members[0].provenance
-        atoms = self.dictionary.subset(support)
+        if self._dense is None:
+            support = self.family(n).members[0].provenance
+            self._dense = support, self.dictionary.subset(support)
+        support, atoms = self._dense
         coeffs = np.linalg.solve(atoms, d)
         residual = float(norm_eval(self.fidelity, atoms @ coeffs - d))
         return SolveResult(value=n, support=support, coefficients=coeffs, residual=residual)

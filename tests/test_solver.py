@@ -911,8 +911,8 @@ class TestStackGrowth:
         # Levels 1 and 2 fit one product; levels 3 and 4 need one each.
         monkeypatch.setattr(solver, "_SCAN_CELLS", stack.cells[0] + stack.cells[1])
         scans = []
-        distances = stack._distances
-        monkeypatch.setattr(stack, "_distances", lambda *a: scans.append(a[1:]) or distances(*a))
+        first = stack._first
+        monkeypatch.setattr(stack, "_first", lambda *a: scans.append(a[2:]) or first(*a))
         d = 0.5 * atoms[3] + 0.2 * atoms[6]
         fresh = L0Solver(Dictionary.from_vectors(atoms), L2).solve(d, 0.05)
         assert result_bits(grown.solve(d, 0.05)) == result_bits(fresh)
@@ -922,6 +922,52 @@ class TestStackGrowth:
         assert grown.solve(np.arange(1.0, 6.0), 1e-9).value == 5
         assert scans == [(0, stack.starts[2]), (stack.starts[2], stack.starts[3]),
                          (stack.starts[3], len(stack.members))]
+
+
+class TestScreenedScan:
+    """An l2 scan screens each group of levels with the gram product and
+    re-prices in residual form, one member at a time, only the members whose
+    gram value lies within the screen's width of tau."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dependent_dictionaries(), st.integers(0, 2**32 - 1))
+    def test_the_screen_names_the_residual_scan_winner(self, case, seed):
+        dictionary, points = case
+        n = dictionary.n_dim
+        assume(n >= 2)
+        rng = np.random.default_rng(seed)
+        screened, reference = L0Solver(dictionary, L2), L0Solver(dictionary, L2)
+        stack, ref_stack = screened.level_stack(n - 1), reference.level_stack(n - 1)
+        # The reference prices every member alone in residual form.
+        ref_stack._first = lambda d, thresh, start, stop: next(
+            (m for m in range(start, stop) if ref_stack._distances(d, m, m + 1)[0] <= thresh), None
+        )
+        repriced = []
+        distances = stack._distances
+        stack._distances = lambda d, start, stop: repriced.append(stop - start) or distances(
+            d, start, stop
+        )
+        # Exactly k-sparse points at small tau, and points at thresh * (1 +- 1e-12)
+        # from a member of each level.
+        cases = [(d, tau) for d in points[: min(n, 4)] for tau in (1e-12, 1e-9, 1e-6)]
+        for k in range(1, n):
+            family = screened.family(k).members
+            member = family[int(rng.integers(len(family)))]
+            near = member.matrix @ rng.standard_normal(k)
+            away = member.complement().matrix @ rng.standard_normal(n - k)
+            for tau in (1e-12, 1e-9, 1e-6):
+                thresh = tau * (1.0 + screened.feas_tol)
+                for scale in (1.0 - 1e-12, 1.0 + 1e-12):
+                    cases.append((near + away * (thresh * scale / np.linalg.norm(away)), tau))
+        for d, tau in cases:
+            thresh = tau * (1.0 + screened.feas_tol)
+            found = stack.first_within(d, thresh, 1, n - 1)
+            assert found == ref_stack.first_within(d, thresh, 1, n - 1)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "_SCAN_CELLS", 1)  # every level its own group
+                assert stack.first_within(d, thresh, 1, n - 1) == found
+            assert result_bits(screened.solve(d, tau)) == result_bits(reference.solve(d, tau))
+        assert repriced and set(repriced) == {1}
 
 
 class TestClosestPoint:
