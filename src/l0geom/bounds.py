@@ -17,6 +17,11 @@ whose uncertainty propagates into the one-standard-error fields.  Every
 other constant has standard error 0.  Pairs whose slice has a closed form
 are counted, never listed.
 
+Every reported quantity is interval arithmetic on the per-level
+sandwiches of one rule, ``_sandwich``: level K - 1's interval subtracted
+from level K's gives exactly K non-zeros, and N minus the levels'
+probabilities the expected number of non-zeros.
+
 All bounds here are rigorous only when theta is large enough relative to
 tau; each report carries that validity flag.
 """
@@ -609,20 +614,21 @@ class BoundReport:
     eps_terms: dict[str, float] = field(default_factory=dict)
 
 
-def _measure_leq_parts(
+def _sandwich(
     constants: ConstantSet, tau: float, theta: float
 ) -> tuple[float, float, float, float, float, float]:
-    """(lower, upper, lower_err, upper_err, eps0_scaled, eps0_err_scaled)."""
+    """Level K's (floor, ceiling, floor_err, ceiling_err, overlap, overlap_err)
+    at (tau, theta): C_K tau^(N - K) (theta -+ delta_hat tau)^K, and the
+    ``overlap_budget`` scaled by theta^N, not yet taken from the floor."""
     n, K = constants.n_dim, constants.K
     eps0, eps0_err = overlap_budget(constants, tau, theta)
-    scale = theta**n
-    down = constants.c_total.value * tau ** (n - K) * (theta - constants.delta_hat * tau) ** K
-    up = constants.c_total.value * tau ** (n - K) * (theta + constants.delta_hat * tau) ** K
-    down_err = constants.c_total.std_err * tau ** (n - K) * abs(
-        theta - constants.delta_hat * tau
-    ) ** K + scale * eps0_err
-    up_err = constants.c_total.std_err * tau ** (n - K) * (theta + constants.delta_hat * tau) ** K
-    return down - scale * eps0, up, down_err, up_err, scale * eps0, scale * eps0_err
+    c, tail = constants.c_total, tau ** (n - K)
+    down, up = theta - constants.delta_hat * tau, theta + constants.delta_hat * tau
+    return (
+        c.value * tail * down**K, c.value * tail * up**K,
+        c.std_err * tail * abs(down) ** K, c.std_err * tail * up**K,
+        theta**n * eps0, theta**n * eps0_err,
+    )
 
 
 def bound_report(
@@ -635,6 +641,11 @@ def bound_report(
     data_ball_vol: VolumeEstimate | None = None,
 ) -> BoundReport:
     """Analytic sandwich for one quantity.
+
+    Every quantity is interval arithmetic on ``_sandwich``, errors added:
+    measure_leq is level K's [floor - overlap, ceiling], measure_eq that
+    less level K - 1's; probabilities divide by the data ball's measure,
+    and expect is N less the prob_leq of levels 0 .. N - 1, in level order.
 
     Required inputs by quantity:
       measure_leq:            constants (level K)
@@ -685,48 +696,31 @@ def bound_report(
             raise ValueError(
                 f"constants_prev is for level {constants_prev.K}, expected {K - 1}"
             )
+    else:
+        constants_prev = None  # the <= bounds read level K alone
 
-    gate = constants.delta_gate
-    if constants_prev is not None and quantity in (Quantity.MEASURE_EQ, Quantity.PROB_EQ):
-        gate = max(gate, constants_prev.delta_gate)
+    gate = max(c.delta_gate for c in (constants, constants_prev) if c is not None)
     if theta < gate * tau:
         return BoundReport(quantity, K, tau, theta, None, None, valid=False)
 
-    lower, upper, lower_err, upper_err, eps0s, eps0s_err = _measure_leq_parts(
-        constants, tau, theta
-    )
-    eps_terms = {"overlap": eps0s}
+    floor, upper, floor_err, upper_err, overlap, overlap_err = _sandwich(constants, tau, theta)
+    lower, lower_err = floor - overlap, floor_err + overlap_err
+    eps_terms = {"overlap": overlap}
 
-    if quantity in (Quantity.MEASURE_EQ, Quantity.PROB_EQ) and K >= 1:
-        prev = constants_prev
-        prev_down = (
-            prev.c_total.value
-            * tau ** (n - K + 1)
-            * (theta - prev.delta_hat * tau) ** (K - 1)
+    if constants_prev is not None:
+        # The lower bound drops by level K - 1's ceiling, the upper by its
+        # floor less its overlap, which may take it below the plain level-K
+        # one; it is not clamped.
+        floor, ceiling, floor_err, ceiling_err, overlap, overlap_err = _sandwich(
+            constants_prev, tau, theta
         )
-        prev_up = (
-            prev.c_total.value
-            * tau ** (n - K + 1)
-            * (theta + prev.delta_hat * tau) ** (K - 1)
-        )
-        prev_eps0, prev_eps0_err = overlap_budget(prev, tau, theta)
-        scale = theta**n
-        # Remove at least the certified part of the previous level, and at
-        # most its certified ceiling; the second correction may tighten the
-        # upper bound below the plain level-K one and is not clamped.
-        lower -= prev_up
-        upper += scale * prev_eps0 - prev_down
-        lower_err += (
-            prev.c_total.std_err
-            * tau ** (n - K + 1)
-            * (theta + prev.delta_hat * tau) ** (K - 1)
-        )
-        upper_err += scale * prev_eps0_err + prev.c_total.std_err * tau ** (
-            n - K + 1
-        ) * abs(theta - prev.delta_hat * tau) ** (K - 1)
-        eps_terms["previous_ceiling"] = prev_up
-        eps_terms["previous_floor"] = prev_down
-        eps_terms["previous_overlap"] = scale * prev_eps0
+        lower -= ceiling
+        upper += overlap - floor
+        lower_err += ceiling_err
+        upper_err += overlap_err + floor_err
+        eps_terms["previous_ceiling"] = ceiling
+        eps_terms["previous_floor"] = floor
+        eps_terms["previous_overlap"] = overlap
 
     if quantity in (Quantity.MEASURE_LEQ, Quantity.MEASURE_EQ):
         return BoundReport(

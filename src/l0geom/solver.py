@@ -21,10 +21,10 @@ run for every (row, member) pair at once and stopped by ``dist_tol``.
 ``L0Solver`` holds one stacked table over the members of levels 1..L of
 the span families, in (level, provenance) order, for the fidelity's norm
 family; level 0 is the norm itself and level N, the whole space, holds
-every vector.  For l2 fidelity the table holds, per member, the upper
-triangle of I - P (so a sample's squared distances are one product with
-its pair products x_i x_j) and the zero-padded bases, which give the
-residual form ||d - U U^T d||, as accurate as one projection.  For
+every vector.  For l2 fidelity the table is one column per member, the
+upper triangle of I - P, so a sample's squared distances are one product
+with its pair products x_i x_j; a member's own basis U gives the residual
+form ||d - U U^T d||, as accurate as one projection.  For
 polyhedral fidelities it is the members' dual vertex tables side by side,
 with member and level offsets.  So a profile block prices every level
 with one product, and a solve finds its first member within tau, by level
@@ -256,8 +256,9 @@ def subspace_distance(
     the closest point is read off the maximising vertex by a
     ``_Certificate``, the rule a solve runs on its winning span, here
     built for this one call.  Weighted lp with p > 1 is the Newton fit of
-    ``member_distances`` on one row and one member.  A search that needs only distances goes
-    through the level tables instead.
+    ``member_distances`` on one row and one member.  No solve calls it: a
+    search goes through the level tables, and this is the reference the
+    tests check them against.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (basis.ambient_dim,):
@@ -498,12 +499,11 @@ class _LevelStack:
 class _QuadraticStack(_LevelStack):
     """l2 stacked table: every member's distance from one product.
 
-    Column m of ``gram`` is the upper triangle of I - P_m with doubled
-    off-diagonal entries, so a row's pair products x_i x_j (i <= j) times
-    ``gram`` are its squared distances <x x^T, I - P_m>.  ``columns`` is
-    the (N, M, N - 1) stack of member bases, zero-padded, with the ambient
-    axis first, so that one product gives every member's coordinates of a
-    vector in residual form ||d - U U^T d||, as accurate as one projection.
+    The one table is ``gram``: its column m is the upper triangle of
+    I - P_m with doubled off-diagonal entries, so a row's pair products
+    x_i x_j (i <= j) times ``gram`` are its squared distances
+    <x x^T, I - P_m>.  ``_distances`` prices members from their own bases
+    U in residual form ||d - U U^T d||, as accurate as one projection.
 
     A single-vector scan screens its group with the gram product and
     re-prices in residual form only the members it cannot settle.  The two
@@ -522,7 +522,6 @@ class _QuadraticStack(_LevelStack):
         super().__init__(fidelity)
         self.upper = np.triu_indices(n)
         self.gram = np.zeros((len(self.upper[0]), 0))
-        self.columns = np.zeros((n, 0, n - 1))
         self.slack = 0.0
 
     def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
@@ -532,9 +531,6 @@ class _QuadraticStack(_LevelStack):
         residual = np.eye(n) - bases @ bases.transpose(0, 2, 1)
         gram = (residual[:, i, j] * np.where(i == j, 1.0, 2.0)).T
         self.gram = np.ascontiguousarray(np.hstack([self.gram, gram]))
-        padded = np.zeros((n, len(members), self.columns.shape[2]))
-        padded[:, :, :k] = bases.transpose(1, 0, 2)
-        self.columns = np.concatenate([self.columns, padded], axis=1)
         self.width = self.gram.shape[1]
         spread = (n - 1) * float(np.abs(bases.transpose(0, 2, 1) @ bases - np.eye(k)).max())
         rounding = _SCREEN_ULPS * n**3 * np.finfo(float).eps
@@ -547,10 +543,8 @@ class _QuadraticStack(_LevelStack):
         return np.sqrt(np.maximum(squared, 0.0))
 
     def _distances(self, d: np.ndarray, start: int, stop: int) -> np.ndarray:
-        columns = self.columns[:, start:stop]
-        coords = (d @ columns.reshape(len(d), -1)).reshape(columns.shape[1:])
-        residual = d[:, None] - np.einsum("nmc,mc->nm", columns, coords)
-        return np.sqrt(np.einsum("nm,nm->m", residual, residual))
+        residuals = [d - b.matrix @ (d @ b.matrix) for b in self.members[start:stop]]
+        return np.sqrt([r @ r for r in residuals])
 
     def _first(self, d: np.ndarray, thresh: float, start: int, stop: int) -> int | None:
         i, j = self.upper
@@ -804,9 +798,10 @@ class _PowerStack(_LevelStack):
         return None
 
     def closest(self, d: np.ndarray, m: int, dictionary: Dictionary) -> tuple[np.ndarray, float]:
-        _, point = subspace_distance(self.fidelity, self.members[m], d, self.dist_tol)
+        member = self.members[m]
+        fit = _PowerLevel(self.fidelity, (member,), self.dist_tol).fit(d[None, :])[1][0, 0]
         atoms, inverse = self._pseudo_inverse(m, dictionary)
-        coeffs = inverse @ point
+        coeffs = inverse @ (member.matrix @ fit)
         return coeffs, float(norm_eval(self.fidelity, atoms @ coeffs - d))
 
 

@@ -15,6 +15,8 @@ Oracles used here:
 """
 
 import math
+import operator
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -632,6 +634,41 @@ class TestBoundReports:
                         )
                     assert rep.valid
                     assert rep.lower <= rep.upper
+
+    @pytest.mark.parametrize(
+        "fid, data", [(L2, L2), (LINF, L1), (L2, NORMS3["wl3"])], ids=["l2-l2", "linf-l1", "l2-wl3"]
+    )
+    def test_every_quantity_composes_the_per_level_sandwiches(self, fid, data):
+        # wl3 data carries Monte Carlo standard errors, so the error sums are not all 0 + 0.
+        levels = [
+            assemble_constants(Dictionary.from_vectors(DEPENDENT3), fid, data, K, n_samples=4000)
+            for K in range(4)
+        ]
+        ball = ball_volume(data, 3)
+        for tau, theta in ((0.01, 1.0), (0.02, 0.5), (0.005, 2.0), (0.03, 1.5)):
+            leq = [bound_report(Quantity.MEASURE_LEQ, tau, theta, c) for c in levels]
+            for K in range(1, 4):
+                eq = bound_report(Quantity.MEASURE_EQ, tau, theta, levels[K], levels[K - 1])
+                assert eq.valid
+                assert eq.lower == leq[K].lower - leq[K - 1].upper
+                assert eq.upper == leq[K].upper - leq[K - 1].lower
+                assert eq.lower_std_err == leq[K].lower_std_err + leq[K - 1].upper_std_err
+                assert eq.upper_std_err == leq[K].upper_std_err + leq[K - 1].lower_std_err
+                assert eq.eps_terms["overlap"] == leq[K].eps_terms["overlap"]
+                assert eq.eps_terms["previous_ceiling"] == leq[K - 1].upper
+                assert eq.eps_terms["previous_overlap"] == leq[K - 1].eps_terms["overlap"]
+            assert any(r.lower_std_err for r in leq) == (data.kind == "wlp")
+            probs = [
+                bound_report(Quantity.PROB_LEQ, tau, theta, c, data_ball_vol=ball)
+                for c in levels[:3]
+            ]
+            expect = bound_report(
+                Quantity.EXPECT, tau, theta, all_constants=tuple(levels[:3]), data_ball_vol=ball
+            )
+            assert expect.lower == reduce(operator.sub, [p.upper for p in probs], 3.0)
+            assert expect.upper == reduce(operator.sub, [p.lower for p in probs], 3.0)
+            assert expect.lower_std_err == reduce(operator.add, [p.upper_std_err for p in probs])
+            assert expect.upper_std_err == reduce(operator.add, [p.lower_std_err for p in probs])
 
     def test_monte_carlo_uncertainty_propagates(self):
         # Slices of a weighted l3 ball have no exact value, and the diagonal
