@@ -24,8 +24,9 @@ from l0geom import (
 dictionary = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
 l2 = NormSpec.l2()
 
-# One constant set per sparsity level.  With Euclidean norms everything
-# here is closed form: no sampling, no uncertainty.
+# One constant set per sparsity level, in a tuple from level 0; a bound
+# at level K reads the levels bounds.report_levels names.  With Euclidean
+# norms everything here is closed form: no sampling, no uncertainty.
 constants = tuple(assemble_constants(dictionary, l2, l2, K) for K in range(3))
 print(constants_to_csv(constants))
 
@@ -46,7 +47,7 @@ def exact_measure(tau):
 print("measure of the one-atom-solvable set, bounds vs exact area")
 print("tau      lower      exact      upper")
 for tau in (0.01, 0.02, 0.05, 0.1):
-    report = bound_report(Quantity.MEASURE_LEQ, tau, theta, constants[1])
+    report = bound_report(Quantity.MEASURE_LEQ, 1, tau, theta, constants)
     print(f"{tau:<8} {report.lower:<10.6f} {exact_measure(tau):<10.6f} {report.upper:.6f}")
 print()
 
@@ -56,14 +57,12 @@ print()
 print("expected atoms needed, bounds vs exact value")
 print("tau      lower      exact      upper")
 for tau in (0.01, 0.02, 0.05):
-    report = bound_report(
-        Quantity.EXPECT, tau, theta, all_constants=constants[:2], data_ball_vol=disk
-    )
+    report = bound_report(Quantity.EXPECT, None, tau, theta, constants, disk)
     exact = 2.0 - tau * tau - exact_measure(tau) / math.pi
     print(f"{tau:<8} {report.lower:<10.6f} {exact:<10.6f} {report.upper:.6f}")
 print()
 
 # Outside the validity region the report refuses to guess.
-report = bound_report(Quantity.MEASURE_LEQ, 0.6, theta, constants[1])
+report = bound_report(Quantity.MEASURE_LEQ, 1, 0.6, theta, constants)
 print(f"tau = 0.6 at theta = 1: valid = {report.valid}, bounds = "
       f"({report.lower}, {report.upper})")

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -337,7 +337,8 @@ def overlap_constant(
         raise ValueError("overlap constants are defined for distinct spans only")
     meet = intersection_basis(first, second, span_tol)
     inner = slice_volume(data, meet, n_samples, seed, subid=subid)
-    return _overlap(_overlap_factor(fidelity, data, first.ambient_dim, meet.dim), inner)
+    delta2 = compute_equiv_constants(fidelity, data, first.ambient_dim).delta2
+    return _overlap(_overlap_factor(delta2, first.ambient_dim, meet.dim), inner)
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -350,9 +351,8 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(total)
 
 
-def _overlap_factor(fidelity: NormSpec, data: NormSpec, n: int, k: int) -> float:
+def _overlap_factor(delta2: float, n: int, k: int) -> float:
     """alpha(N - k) (2 delta2)^(N - k), the overlap constant per unit slice volume."""
-    delta2 = compute_equiv_constants(fidelity, data, n).delta2
     return _alpha(n - k) * (2.0 * delta2) ** (n - k)
 
 
@@ -389,7 +389,7 @@ class ConstantSet:
     c_total sums the per-member cylinder constants; q_totals[k] sums the
     overlap constants over ordered pairs meeting in dimension k, for k
     from k_min = max(0, 2K - N) to K - 1.  delta_hat widens the sandwich,
-    delta_pair[k] widens the overlap corrections, and reports built from
+    delta_pair widens the overlap corrections, and reports built from
     this set are valid when theta >= delta_gate * tau.  Standard errors are
     combined conservatively (linearly) everywhere.
     """
@@ -401,11 +401,9 @@ class ConstantSet:
     c_total: VolumeEstimate
     q_totals: dict[int, VolumeEstimate]
     delta_hat: float
-    delta_pair: dict[int, float]
+    delta_pair: float
     delta_gate: float
     k_min: int
-    equiv: EquivConstants
-    euclidean: bool
 
 
 def gate_factors(
@@ -459,8 +457,7 @@ def assemble_constants(
     n = dictionary.n_dim
     if not 0 <= K <= n:
         raise ValueError(f"K must lie in [0, {n}], got {K}")
-    equiv = compute_equiv_constants(fidelity, data, n)
-    euclidean = fidelity.kind == "l2" and data.kind == "l2"
+    delta2 = compute_equiv_constants(fidelity, data, n).delta2
     family = span_family(dictionary, K)
 
     members, memo = family.members, dictionary._volumes
@@ -476,7 +473,7 @@ def assemble_constants(
     q_totals: dict[int, VolumeEstimate] = {}
     met = 0  # distinct pairs of the levels below, which number the Monte Carlo streams
     for k in range(k_min, K):
-        factor = _overlap_factor(fidelity, data, n, k)
+        factor = _overlap_factor(delta2, n, k)
         closed = _closed_volume(data, n, k)
         if closed is not None:
             count = int(np.count_nonzero(pair_dims(family) == k))
@@ -503,7 +500,7 @@ def assemble_constants(
         q_totals[k] = VolumeEstimate(_sequential_sum(values), _sequential_sum(errs))
         met += count // 2
 
-    delta_hat, pair_factor, delta_gate = gate_factors(fidelity, data, n, K)
+    delta_hat, delta_pair, delta_gate = gate_factors(fidelity, data, n, K)
     return ConstantSet(
         K=K,
         n_dim=n,
@@ -512,11 +509,9 @@ def assemble_constants(
         c_total=c_total,
         q_totals=q_totals,
         delta_hat=delta_hat,
-        delta_pair={k: pair_factor for k in q_totals},
+        delta_pair=delta_pair,
         delta_gate=delta_gate,
         k_min=k_min,
-        equiv=equiv,
-        euclidean=euclidean,
     )
 
 
@@ -526,7 +521,7 @@ def overlap_budget(
     """Total overlap correction at (tau, theta), with its standard error.
 
     Zero by definition at the extreme levels K = 0 and K = N; otherwise
-    sum_k Q_k (tau/theta)^(N-k) (1 + delta_pair_k tau/theta)^k, the
+    sum_k Q_k (tau/theta)^(N-k) (1 + delta_pair tau/theta)^k, the
     normalized overspill of pairwise tube intersections.
     """
     if not (tau > 0.0 and theta > 0.0):
@@ -537,7 +532,7 @@ def overlap_budget(
     total = 0.0
     err = 0.0
     for k, q in constants.q_totals.items():
-        factor = r ** (constants.n_dim - k) * (1.0 + constants.delta_pair[k] * r) ** k
+        factor = r ** (constants.n_dim - k) * (1.0 + constants.delta_pair * r) ** k
         total += q.value * factor
         err += q.std_err * factor
     return total, err
@@ -562,7 +557,6 @@ def constants_to_csv(sets: list[ConstantSet] | tuple[ConstantSet, ...]) -> str:
     header += [f"Q_{k}_ci" for k in range(n)]
     lines = [",".join(header)]
     for c in sorted(sets, key=lambda s: s.K):
-        prime = next(iter(c.delta_pair.values()), None)
         cells = [str(c.K), repr(c.c_total.value), str(c.k_min)]
         qs = [c.q_totals.get(k) for k in range(n)]
         cells += ["" if q is None else repr(q.value) for q in qs]
@@ -570,7 +564,7 @@ def constants_to_csv(sets: list[ConstantSet] | tuple[ConstantSet, ...]) -> str:
             repr(c.delta_hat),
             repr(c.delta_gate),
             repr(Z95 * c.c_total.std_err),
-            "" if prime is None else repr(prime),
+            repr(c.delta_pair) if c.q_totals else "",
         ]
         cells += ["" if q is None else repr(Z95 * q.std_err) for q in qs]
         lines.append(",".join(cells))
@@ -631,52 +625,89 @@ def _sandwich(
     )
 
 
+def report_levels(quantity: Quantity | str, K: int | None, n_dim: int) -> tuple[int, ...]:
+    """The levels whose constant sets the bound of one cell reads: (K,) for
+    the <= quantities, (K - 1, K) for the == quantities at K >= 1 and (0,)
+    at K = 0, and 0 .. N - 1 for expect, which takes K = None."""
+    quantity = Quantity(quantity)
+    if quantity is Quantity.EXPECT:
+        if K is not None:
+            raise ValueError(f"expect takes K = None, got {K}")
+        return tuple(range(n_dim))
+    if K is None or not 0 <= K <= n_dim:
+        raise ValueError(f"K must lie in [0, {n_dim}], got {K}")
+    if quantity in (Quantity.MEASURE_EQ, Quantity.PROB_EQ) and K >= 1:
+        return (K - 1, K)
+    return (K,)
+
+
+def bound_levels(
+    quantities: Iterable[Quantity | str], K_list: Iterable[int], n_dim: int
+) -> tuple[int, ...]:
+    """Sorted union of ``report_levels`` over the cells of the requested
+    quantities at the levels of K_list (expect once, at K = None)."""
+    K_list = tuple(K_list)
+    levels: set[int] = set()
+    for q in map(Quantity, quantities):
+        for K in (None,) if q is Quantity.EXPECT else K_list:
+            levels.update(report_levels(q, K, n_dim))
+    return tuple(sorted(levels))
+
+
+def _level(
+    levels: Mapping[int, ConstantSet] | Sequence[ConstantSet], k: int
+) -> ConstantSet:
+    """Level k's constant set, refusing a missing one or one stored under another level."""
+    try:
+        constants = levels[k]
+    except (KeyError, IndexError):
+        raise ValueError(f"no constant set for level {k}") from None
+    if constants.K != k:
+        raise ValueError(f"the constant set for level {k} is level {constants.K}'s")
+    return constants
+
+
 def bound_report(
     quantity: Quantity | str,
+    K: int | None,
     tau: float,
     theta: float,
-    constants: ConstantSet | None = None,
-    constants_prev: ConstantSet | None = None,
-    all_constants: tuple[ConstantSet, ...] | None = None,
+    levels: Mapping[int, ConstantSet] | Sequence[ConstantSet],
     data_ball_vol: VolumeEstimate | None = None,
 ) -> BoundReport:
-    """Analytic sandwich for one quantity.
+    """Analytic sandwich for one quantity at level K (None for expect).
+
+    ``levels[k]`` is level k's constant set, in a dict by level or a tuple
+    from level 0; the report reads exactly the levels ``report_levels``
+    names, and probabilities and expect also need ``data_ball_vol``.
 
     Every quantity is interval arithmetic on ``_sandwich``, errors added:
     measure_leq is level K's [floor - overlap, ceiling], measure_eq that
     less level K - 1's; probabilities divide by the data ball's measure,
     and expect is N less the prob_leq of levels 0 .. N - 1, in level order.
 
-    Required inputs by quantity:
-      measure_leq:            constants (level K)
-      measure_eq:             constants, plus constants_prev (level K - 1) when K >= 1
-      prob_leq / prob_eq:     as above, plus data_ball_vol
-      expect:                 all_constants (levels 0 .. N - 1, in order) and
-                              data_ball_vol; constants is ignored
-
-    Bounds are None (with valid=False) when theta < delta_gate * tau.
+    Bounds are None (with valid=False) when theta < delta_gate * tau on
+    any level read.
     """
     quantity = Quantity(quantity)
     if not (tau > 0.0 and theta > 0.0):
         raise ValueError("tau and theta must be positive")
+    n = _level(levels, 0 if K is None else K).n_dim
+    sets = [_level(levels, k) for k in report_levels(quantity, K, n)]
+    if quantity not in (Quantity.MEASURE_LEQ, Quantity.MEASURE_EQ) and data_ball_vol is None:
+        raise ValueError(f"{quantity.value} bounds need data_ball_vol")
+
+    gate = max(c.delta_gate for c in sets)
+    if theta < gate * tau:
+        return BoundReport(quantity, K, tau, theta, None, None, valid=False)
 
     if quantity is Quantity.EXPECT:
-        if all_constants is None or data_ball_vol is None:
-            raise ValueError("expect bounds need all_constants and data_ball_vol")
-        n = all_constants[0].n_dim
-        if tuple(c.K for c in all_constants) != tuple(range(n)):
-            raise ValueError("all_constants must cover K = 0 .. N - 1 in order")
-        gate = max(c.delta_gate for c in all_constants)
-        if theta < gate * tau:
-            return BoundReport(quantity, None, tau, theta, None, None, valid=False)
         lower = float(n)
         upper = float(n)
         lower_err = 0.0
         upper_err = 0.0
-        for c in all_constants:
-            sub = bound_report(
-                Quantity.PROB_LEQ, tau, theta, constants=c, data_ball_vol=data_ball_vol
-            )
+        for k in range(n):
+            sub = bound_report(Quantity.PROB_LEQ, k, tau, theta, levels, data_ball_vol)
             upper -= sub.lower
             lower -= sub.upper
             upper_err += sub.lower_std_err
@@ -685,34 +716,16 @@ def bound_report(
             quantity, None, tau, theta, lower, upper, lower_err, upper_err, True
         )
 
-    if constants is None:
-        raise ValueError(f"{quantity.value} bounds need a constant set")
-    n, K = constants.n_dim, constants.K
-
-    if quantity in (Quantity.MEASURE_EQ, Quantity.PROB_EQ):
-        if K >= 1 and constants_prev is None:
-            raise ValueError("level-K == bounds need the level K - 1 constant set")
-        if constants_prev is not None and constants_prev.K != K - 1:
-            raise ValueError(
-                f"constants_prev is for level {constants_prev.K}, expected {K - 1}"
-            )
-    else:
-        constants_prev = None  # the <= bounds read level K alone
-
-    gate = max(c.delta_gate for c in (constants, constants_prev) if c is not None)
-    if theta < gate * tau:
-        return BoundReport(quantity, K, tau, theta, None, None, valid=False)
-
-    floor, upper, floor_err, upper_err, overlap, overlap_err = _sandwich(constants, tau, theta)
+    floor, upper, floor_err, upper_err, overlap, overlap_err = _sandwich(sets[-1], tau, theta)
     lower, lower_err = floor - overlap, floor_err + overlap_err
     eps_terms = {"overlap": overlap}
 
-    if constants_prev is not None:
+    if len(sets) == 2:
         # The lower bound drops by level K - 1's ceiling, the upper by its
         # floor less its overlap, which may take it below the plain level-K
         # one; it is not clamped.
         floor, ceiling, floor_err, ceiling_err, overlap, overlap_err = _sandwich(
-            constants_prev, tau, theta
+            sets[0], tau, theta
         )
         lower -= ceiling
         upper += overlap - floor
@@ -727,8 +740,6 @@ def bound_report(
             quantity, K, tau, theta, lower, upper, lower_err, upper_err, True, eps_terms
         )
 
-    if data_ball_vol is None:
-        raise ValueError(f"{quantity.value} bounds need data_ball_vol")
     denom = data_ball_vol.value * theta**n
     if denom <= 0.0:
         raise ValueError("data ball volume must be positive")

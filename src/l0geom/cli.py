@@ -23,11 +23,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import assemble_constants, constants_to_csv, gate_factors
+from .bounds import assemble_constants, bound_levels, constants_to_csv, gate_factors
 from .config import ConfigError, ExperimentConfig, load_config
 from .montecarlo import (
     LevelSetExperiment,
-    bound_levels,
     estimates_to_csv,
     report_to_csv,
     validate_bounds,

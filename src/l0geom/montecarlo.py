@@ -22,6 +22,7 @@ from .bounds import (
     ConstantSet,
     Quantity,
     assemble_constants,
+    bound_levels,
     bound_report,
 )
 from .norms import NormSpec, VolumeEstimate, ball_volume
@@ -299,26 +300,6 @@ def _row_from(
     )
 
 
-def bound_levels(
-    quantities: Iterable[Quantity], K_list: Iterable[int], n_dim: int
-) -> tuple[int, ...]:
-    """Sorted levels whose constant sets the requested cells need.
-
-    Every quantity but expect needs the levels in K_list; the == quantities
-    also need K - 1 for each K >= 1, and expect needs all of 0..N-1.
-    """
-    K_list = tuple(K_list)
-    levels: set[int] = set()
-    for q in quantities:
-        if q is Quantity.EXPECT:
-            levels.update(range(n_dim))
-        else:
-            levels.update(K_list)
-            if q in (Quantity.MEASURE_EQ, Quantity.PROB_EQ):
-                levels.update(k - 1 for k in K_list if k >= 1)
-    return tuple(sorted(levels))
-
-
 def validation_cells(
     quantities: Iterable[Quantity], K_list: Sequence[int], tau_grid: Sequence[float]
 ) -> Iterator[tuple[Quantity, int | None, float]]:
@@ -376,9 +357,6 @@ def validate_bounds(
         k: assemble_constants(dictionary, fidelity, data, k, n_samples=vol_samples, seed=seed)
         for k in bound_levels(quantities, K_list, n)
     }
-    all_consts = (
-        tuple(consts[k] for k in range(n)) if Quantity.EXPECT in quantities else None
-    )
     data_ball_vol = ball_volume(data, n)
     experiment = LevelSetExperiment(
         dictionary, fidelity, data, theta, n_samples, seed,
@@ -395,11 +373,7 @@ def validate_bounds(
 
     rows: list[ValidationRow] = []
     for q, K, tau in validation_cells(quantities, K_list, tau_grid):
-        bound = bound_report(
-            q, tau, theta, consts.get(K),
-            constants_prev=consts.get(K - 1) if K else None,
-            all_constants=all_consts, data_ball_vol=data_ball_vol,
-        )
+        bound = bound_report(q, K, tau, theta, consts, data_ball_vol)
         rows.append(_row_from(experiment.estimate(q, K, tau), bound, leading_for(q, K, tau)))
     return ValidationReport(
         rows=tuple(rows), theta=float(theta), n_samples=int(n_samples), seed=int(seed)

@@ -241,26 +241,19 @@ def intersection_dim(a: SubspaceBasis, b: SubspaceBasis, tol: float = DEFAULT_SP
 def intersection_basis(
     a: SubspaceBasis, b: SubspaceBasis, tol: float = DEFAULT_SPAN_TOL
 ) -> SubspaceBasis:
-    """Orthonormal basis of the intersection of the two spans.
-
-    The dimension always matches ``intersection_dim``; the basis is
-    ``meet_basis`` at that dimension.
+    """Orthonormal basis of the intersection of the two spans: the k
+    principal directions of span a closest to span b, k = ``intersection_dim``.
     """
-    return meet_basis(a, b, intersection_dim(a, b, tol))
-
-
-def meet_basis(a: SubspaceBasis, b: SubspaceBasis, k: int) -> SubspaceBasis:
-    """Orthonormal basis of the intersection of two spans known to meet in
-    dimension k: the k principal directions of span a closest to span b."""
+    k = intersection_dim(a, b, tol)
     if k == 0:
         return empty_basis(a.ambient_dim)
     return SubspaceBasis(meet_matrices(a.matrix[None], b.matrix[None], k)[0])
 
 
 def meet_matrices(first: np.ndarray, second: np.ndarray, k: int) -> np.ndarray:
-    """``meet_basis`` for stacks of (N, K) basis matrices known to meet in
-    dimension k >= 1, from one stacked SVD; each (N, k) result has the bits
-    that ``meet_basis`` gives its pair alone."""
+    """Intersection bases of stacks of (N, K) basis matrices known to meet
+    in dimension k >= 1, from one stacked SVD; each (N, k) result has the
+    bits that ``intersection_basis`` gives its pair alone."""
     u = np.linalg.svd(first.transpose(0, 2, 1) @ second)[0]
     return first @ u[:, :, :k]
 

@@ -47,6 +47,7 @@ from l0geom import (
     slice_volume,
 )
 from l0geom import bounds, norms, streams
+from l0geom.montecarlo import validation_cells
 from l0geom.norms import norm_eval, polytope_volume
 from l0geom.solver import member_distances
 from l0geom.subspaces import SubspaceBasis, empty_basis
@@ -454,8 +455,8 @@ class TestAssembleConstants:
         assert c0.q_totals == {} and c2.q_totals == {}
         assert c1.q_totals[0].value == pytest.approx(8.0 * math.pi)
         assert (c0.delta_gate, c1.delta_gate, c2.delta_gate) == (1.0, 2.0, 2.0)
-        assert c1.delta_hat == 1.0 and c1.delta_pair == {0: 2.0}
-        assert c1.euclidean and c1.k_min == 0
+        assert c1.delta_hat == 1.0 and c1.delta_pair == 2.0
+        assert c1.k_min == 0
         assert len(c1.c_members) == 2
 
     def test_three_line_dictionary(self):
@@ -467,9 +468,8 @@ class TestAssembleConstants:
         c1 = assemble_constants(AXES2, L2, L1, 1, n_samples=2000)
         bar = compute_equiv_constants(L2, L1, 2).delta_bar
         assert bar == pytest.approx(math.sqrt(2.0))
-        assert not c1.euclidean
         assert c1.delta_hat == pytest.approx(bar)
-        assert c1.delta_pair[0] == pytest.approx(3.0 * bar)
+        assert c1.delta_pair == pytest.approx(3.0 * bar)
         assert c1.delta_gate == pytest.approx(3.0 * bar)
 
     def test_level_guard(self):
@@ -540,7 +540,7 @@ DISK = VolumeEstimate(math.pi)
 class TestBoundReports:
     def test_measure_sandwich_contains_the_exact_strip_area(self, axes_constants):
         for tau in (0.01, 0.02, 0.05, 0.1):
-            rep = bound_report(Quantity.MEASURE_LEQ, tau, 1.0, axes_constants[1])
+            rep = bound_report(Quantity.MEASURE_LEQ, 1, tau, 1.0, axes_constants)
             truth = two_strip_area(tau)
             assert rep.valid
             assert rep.lower <= truth <= rep.upper
@@ -552,16 +552,13 @@ class TestBoundReports:
 
     def test_measure_point_mass_at_level_zero(self, axes_constants):
         tau = 0.07
-        rep = bound_report(Quantity.MEASURE_EQ, tau, 1.0, axes_constants[0])
+        rep = bound_report(Quantity.MEASURE_EQ, 0, tau, 1.0, axes_constants)
         assert rep.lower == pytest.approx(math.pi * tau * tau, rel=1e-12)
         assert rep.upper == pytest.approx(math.pi * tau * tau, rel=1e-12)
 
     def test_shell_sandwich_contains_the_exact_shell_area(self, axes_constants):
         for tau in (0.02, 0.05):
-            rep = bound_report(
-                Quantity.MEASURE_EQ, tau, 1.0, axes_constants[1],
-                constants_prev=axes_constants[0],
-            )
+            rep = bound_report(Quantity.MEASURE_EQ, 1, tau, 1.0, axes_constants)
             truth = two_strip_area(tau) - math.pi * tau * tau
             assert rep.lower <= truth <= rep.upper
             assert set(rep.eps_terms) == {
@@ -570,26 +567,19 @@ class TestBoundReports:
 
     def test_probability_versions_divide_by_the_ball(self, axes_constants):
         tau = 0.05
-        meas = bound_report(Quantity.MEASURE_LEQ, tau, 1.0, axes_constants[1])
-        prob = bound_report(
-            Quantity.PROB_LEQ, tau, 1.0, axes_constants[1], data_ball_vol=DISK
-        )
+        meas = bound_report(Quantity.MEASURE_LEQ, 1, tau, 1.0, axes_constants)
+        prob = bound_report(Quantity.PROB_LEQ, 1, tau, 1.0, axes_constants, DISK)
         assert prob.lower == pytest.approx(meas.lower / math.pi, rel=1e-12)
         assert prob.upper == pytest.approx(meas.upper / math.pi, rel=1e-12)
         assert prob.lower <= two_strip_area(tau) / math.pi <= prob.upper
 
     def test_saturated_level_contains_probability_one(self, axes_constants):
-        rep = bound_report(
-            Quantity.PROB_LEQ, 0.1, 1.0, axes_constants[2], data_ball_vol=DISK
-        )
+        rep = bound_report(Quantity.PROB_LEQ, 2, 0.1, 1.0, axes_constants, DISK)
         assert rep.lower <= 1.0 <= rep.upper
 
     def test_expectation_sandwich(self, axes_constants):
         tau = 0.02
-        rep = bound_report(
-            Quantity.EXPECT, tau, 1.0,
-            all_constants=axes_constants[:2], data_ball_vol=DISK,
-        )
+        rep = bound_report(Quantity.EXPECT, None, tau, 1.0, axes_constants[:2], DISK)
         truth = 2.0 - tau * tau - two_strip_area(tau) / math.pi
         assert rep.valid
         assert rep.lower <= truth <= rep.upper
@@ -597,22 +587,17 @@ class TestBoundReports:
 
     def test_bounds_collapse_as_tau_shrinks(self, axes_constants):
         def spread(tau):
-            rep = bound_report(
-                Quantity.PROB_LEQ, tau, 1.0, axes_constants[1], data_ball_vol=DISK
-            )
+            rep = bound_report(Quantity.PROB_LEQ, 1, tau, 1.0, axes_constants, DISK)
             return rep.upper / rep.lower
 
         assert spread(1e-3) < spread(1e-2) < spread(5e-2)
         assert spread(1e-3) < 1.02
 
     def test_validity_gate(self, axes_constants):
-        rep = bound_report(Quantity.MEASURE_LEQ, 0.51, 1.0, axes_constants[1])
+        rep = bound_report(Quantity.MEASURE_LEQ, 1, 0.51, 1.0, axes_constants)
         assert rep.valid is False
         assert rep.lower is None and rep.upper is None
-        exp = bound_report(
-            Quantity.EXPECT, 0.51, 1.0,
-            all_constants=axes_constants[:2], data_ball_vol=DISK,
-        )
+        exp = bound_report(Quantity.EXPECT, None, 0.51, 1.0, axes_constants[:2], DISK)
         assert exp.valid is False
 
     def test_sandwich_orders_correctly_at_random_valid_points(self, axes_constants):
@@ -620,18 +605,10 @@ class TestBoundReports:
         for _ in range(50):
             theta = float(rng.uniform(0.5, 3.0))
             tau = float(rng.uniform(0.001, theta / 2.001))
-            for K, c in enumerate(axes_constants):
-                prev = axes_constants[K - 1] if K >= 1 else None
+            for K in range(len(axes_constants)):
                 for q in Quantity:
-                    if q is Quantity.EXPECT:
-                        rep = bound_report(
-                            q, tau, theta,
-                            all_constants=axes_constants[:2], data_ball_vol=DISK,
-                        )
-                    else:
-                        rep = bound_report(
-                            q, tau, theta, c, constants_prev=prev, data_ball_vol=DISK
-                        )
+                    level = None if q is Quantity.EXPECT else K
+                    rep = bound_report(q, level, tau, theta, axes_constants, DISK)
                     assert rep.valid
                     assert rep.lower <= rep.upper
 
@@ -646,9 +623,9 @@ class TestBoundReports:
         ]
         ball = ball_volume(data, 3)
         for tau, theta in ((0.01, 1.0), (0.02, 0.5), (0.005, 2.0), (0.03, 1.5)):
-            leq = [bound_report(Quantity.MEASURE_LEQ, tau, theta, c) for c in levels]
+            leq = [bound_report(Quantity.MEASURE_LEQ, K, tau, theta, levels) for K in range(4)]
             for K in range(1, 4):
-                eq = bound_report(Quantity.MEASURE_EQ, tau, theta, levels[K], levels[K - 1])
+                eq = bound_report(Quantity.MEASURE_EQ, K, tau, theta, levels)
                 assert eq.valid
                 assert eq.lower == leq[K].lower - leq[K - 1].upper
                 assert eq.upper == leq[K].upper - leq[K - 1].lower
@@ -658,13 +635,8 @@ class TestBoundReports:
                 assert eq.eps_terms["previous_ceiling"] == leq[K - 1].upper
                 assert eq.eps_terms["previous_overlap"] == leq[K - 1].eps_terms["overlap"]
             assert any(r.lower_std_err for r in leq) == (data.kind == "wlp")
-            probs = [
-                bound_report(Quantity.PROB_LEQ, tau, theta, c, data_ball_vol=ball)
-                for c in levels[:3]
-            ]
-            expect = bound_report(
-                Quantity.EXPECT, tau, theta, all_constants=tuple(levels[:3]), data_ball_vol=ball
-            )
+            probs = [bound_report(Quantity.PROB_LEQ, K, tau, theta, levels, ball) for K in range(3)]
+            expect = bound_report(Quantity.EXPECT, None, tau, theta, levels, ball)
             assert expect.lower == reduce(operator.sub, [p.upper for p in probs], 3.0)
             assert expect.upper == reduce(operator.sub, [p.lower for p in probs], 3.0)
             assert expect.lower_std_err == reduce(operator.add, [p.upper_std_err for p in probs])
@@ -677,37 +649,93 @@ class TestBoundReports:
         wl3 = NormSpec.weighted_lp(3.0, [1.0, 2.0])
         noisy = assemble_constants(THREE_LINES, L2, wl3, 1, n_samples=4000)
         assert noisy.c_total.std_err > 0.0
-        rep = bound_report(Quantity.MEASURE_LEQ, 0.02, 1.0, noisy)
+        rep = bound_report(Quantity.MEASURE_LEQ, 1, 0.02, 1.0, {1: noisy})
         assert rep.upper_std_err > 0.0
         assert rep.lower_std_err > 0.0
 
     def test_required_input_errors(self, axes_constants):
-        with pytest.raises(ValueError):
-            bound_report(Quantity.MEASURE_LEQ, 0.05, 1.0)
-        with pytest.raises(ValueError):
-            bound_report(Quantity.MEASURE_EQ, 0.05, 1.0, axes_constants[1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="level 1"):
+            bound_report(Quantity.MEASURE_LEQ, 1, 0.05, 1.0, {})
+        with pytest.raises(ValueError, match="level 0"):
+            bound_report(Quantity.MEASURE_EQ, 1, 0.05, 1.0, {1: axes_constants[1]})
+        with pytest.raises(ValueError, match="level 1"):
             bound_report(
-                Quantity.MEASURE_EQ, 0.05, 1.0, axes_constants[2],
-                constants_prev=axes_constants[0],
+                Quantity.MEASURE_EQ, 2, 0.05, 1.0,
+                {1: axes_constants[0], 2: axes_constants[2]},
             )
+        with pytest.raises(ValueError, match="data_ball_vol"):
+            bound_report(Quantity.PROB_LEQ, 1, 0.05, 1.0, axes_constants)
+        with pytest.raises(ValueError, match="data_ball_vol"):
+            bound_report(Quantity.EXPECT, None, 0.05, 1.0, axes_constants[:2])
+        with pytest.raises(ValueError, match="level 0"):
+            bound_report(Quantity.EXPECT, None, 0.05, 1.0, axes_constants[1:], DISK)
         with pytest.raises(ValueError):
-            bound_report(Quantity.PROB_LEQ, 0.05, 1.0, axes_constants[1])
+            bound_report(Quantity.MEASURE_LEQ, 1, -0.05, 1.0, axes_constants)
         with pytest.raises(ValueError):
-            bound_report(Quantity.EXPECT, 0.05, 1.0, all_constants=axes_constants[:2])
-        with pytest.raises(ValueError):
-            bound_report(
-                Quantity.EXPECT, 0.05, 1.0,
-                all_constants=axes_constants[1:], data_ball_vol=DISK,
-            )
-        with pytest.raises(ValueError):
-            bound_report(Quantity.MEASURE_LEQ, -0.05, 1.0, axes_constants[1])
-        with pytest.raises(ValueError):
-            bound_report("bogus", 0.05, 1.0, axes_constants[1])
+            bound_report("bogus", 1, 0.05, 1.0, axes_constants)
 
     def test_quantity_round_trip(self):
         assert Quantity("prob_leq") is Quantity.PROB_LEQ
         assert Quantity.EXPECT.value == "expect"
+
+
+@pytest.fixture(scope="module", params=[(L2, L2), (LINF, L1)], ids=["l2-l2", "linf-l1"])
+def dependent_levels(request):
+    fid, data = request.param
+    dictionary = Dictionary.from_vectors(DEPENDENT3)
+    levels = tuple(assemble_constants(dictionary, fid, data, K) for K in range(4))
+    return levels, ball_volume(data, 3)
+
+
+class TestReportLevels:
+    def test_the_rule_for_every_quantity_and_level(self):
+        n = 3
+        for q, K, _ in validation_cells(Quantity, range(n + 1), (0.01,)):
+            if q is Quantity.EXPECT:
+                expected = (0, 1, 2)
+            elif q in (Quantity.MEASURE_EQ, Quantity.PROB_EQ) and K >= 1:
+                expected = (K - 1, K)
+            else:
+                expected = (K,)
+            assert bounds.report_levels(q, K, n) == expected
+            assert bounds.report_levels(q.value, K, n) == expected
+
+    def test_guards(self):
+        for q in Quantity:
+            if q is not Quantity.EXPECT:
+                for K in (-1, 4, None):
+                    with pytest.raises(ValueError):
+                        bounds.report_levels(q, K, 3)
+        for K in (0, 2):
+            with pytest.raises(ValueError):
+                bounds.report_levels(Quantity.EXPECT, K, 3)
+
+    def test_a_report_reads_only_the_levels_the_rule_names(self, dependent_levels):
+        levels, ball = dependent_levels
+        for theta in (1.0, 0.5):
+            for q, K, tau in validation_cells(Quantity, range(4), (0.01, 0.05, 0.2)):
+                full = bound_report(q, K, tau, theta, levels, ball)
+                read = bounds.report_levels(q, K, 3)
+                only = {k: levels[k] for k in read}
+                assert bound_report(q, K, tau, theta, only, ball) == full
+                for k in read:
+                    missing = {j: c for j, c in only.items() if j != k}
+                    with pytest.raises(ValueError, match=f"level {k}"):
+                        bound_report(q, K, tau, theta, missing, ball)
+                    moved = {**only, k: levels[(k + 1) % 4]}
+                    with pytest.raises(ValueError, match=f"level {k}"):
+                        bound_report(q, K, tau, theta, moved, ball)
+
+    @pytest.mark.parametrize("K_list", [(0,), (2,), (0, 3), (1, 2, 3), (0, 1, 2, 3)])
+    def test_bound_levels_is_the_union_over_the_cells(self, K_list):
+        for size in range(1, len(Quantity) + 1):
+            for quantities in combinations(Quantity, size):
+                union = {
+                    k
+                    for q, K, _ in validation_cells(quantities, K_list, (0.01, 0.05))
+                    for k in bounds.report_levels(q, K, 3)
+                }
+                assert bounds.bound_levels(quantities, K_list, 3) == tuple(sorted(union))
 
 
 class TestConstantsCsv:

@@ -205,7 +205,7 @@ class TestValidation:
         )
         tau = 0.05
         est = experiment.estimate(Quantity.MEASURE_LEQ, 1, tau)
-        bound = bound_report(Quantity.MEASURE_LEQ, tau, 1.0, crooked)
+        bound = bound_report(Quantity.MEASURE_LEQ, 1, tau, 1.0, {1: crooked})
         assert est.mean > bound.upper + 3.0 * (est.std_err + bound.upper_std_err)
 
     def test_input_guards(self):
