@@ -24,6 +24,7 @@ from .bounds import (
     assemble_constants,
     bound_levels,
     bound_report,
+    report_levels,
 )
 from .norms import NormSpec, VolumeEstimate, ball_volume
 from .sampling import sample_levelset_batch
@@ -150,16 +151,13 @@ class LevelSetExperiment:
         """
         quantity = Quantity(quantity)
         vals = self.values(tau)
+        report_levels(quantity, K, self.dictionary.n_dim)
         if quantity is Quantity.EXPECT:
-            if K is not None:
-                raise ValueError(f"expect takes K = None, got {K}")
             spread = float(vals.std(ddof=1)) if self.n_samples > 1 else 0.0
             return MCEstimate(
                 quantity, None, tau, self.theta, float(vals.mean()),
                 Z95 * spread / math.sqrt(self.n_samples), self.n_samples, self.seed,
             )
-        if K is None or not 0 <= K <= self.dictionary.n_dim:
-            raise ValueError(f"K must lie in [0, {self.dictionary.n_dim}], got {K}")
         if quantity in (Quantity.MEASURE_LEQ, Quantity.PROB_LEQ):
             hits = int(np.count_nonzero(vals <= K))
         else:
@@ -345,9 +343,7 @@ def validate_bounds(
     if not tau_grid or any(t <= 0 for t in tau_grid):
         raise ValueError("tau_grid must be nonempty and positive")
     n = dictionary.n_dim
-    for k in K_list:
-        if not 0 <= k <= n:
-            raise ValueError(f"K must lie in [0, {n}], got {k}")
+    levels = bound_levels(quantities, K_list, n)
 
     # The distance profiles need every level below N, and so cover every
     # capped level the bounds need.
@@ -355,7 +351,7 @@ def validate_bounds(
     vol_samples = constants_samples if constants_samples is not None else n_samples
     consts: dict[int, ConstantSet] = {
         k: assemble_constants(dictionary, fidelity, data, k, n_samples=vol_samples, seed=seed)
-        for k in bound_levels(quantities, K_list, n)
+        for k in levels
     }
     data_ball_vol = ball_volume(data, n)
     experiment = LevelSetExperiment(

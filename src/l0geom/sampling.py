@@ -70,11 +70,15 @@ def sample_levelset_batch(
 ) -> np.ndarray:
     """(n_samples, dim) array of points uniform on the ball norm <= theta."""
     _check_args(spec, theta, dim)
-    total = streams.n_chunks_for(n_samples)
-    chunks = streams.map_chunks(
-        lambda i: _levelset_chunk(spec, theta, dim, seed, i), total, workers
-    )
-    return np.vstack(chunks)[:n_samples]
+    out = np.empty((n_samples, dim))
+    size = streams.CHUNK
+
+    def fill(i: int) -> None:
+        rows = out[i * size : (i + 1) * size]
+        rows[:] = _levelset_chunk(spec, theta, dim, seed, i)[: len(rows)]
+
+    streams.map_chunks(fill, streams.n_chunks_for(n_samples), workers)
+    return out
 
 
 def sample_levelset(

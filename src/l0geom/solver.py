@@ -997,17 +997,17 @@ class L0Solver:
         stack = self.level_stack(n_dim - 1)
         block = max(1, _PROFILE_CELLS // max(1, stack.width))
         n_blocks = max(1, -(-data.shape[0] // block))
+        profiles = np.empty((data.shape[0], n_dim + 1))
 
-        def profile_block(b: int) -> np.ndarray:
-            rows = data[b * block : (b + 1) * block]
-            out = np.empty((rows.shape[0], n_dim + 1))
+        def profile_block(b: int) -> None:
+            rows, out = data[b * block : (b + 1) * block], profiles[b * block : (b + 1) * block]
             out[:, 0] = np.asarray(norm_eval(self.fidelity, rows))
             out[:, n_dim] = 0.0
             if stack.levels:
                 out[:, 1:n_dim] = stack.nearest(rows)
-            return out
 
-        return np.vstack(map_chunks(profile_block, n_blocks, workers))
+        map_chunks(profile_block, n_blocks, workers)
+        return profiles
 
 
 def values_from_profiles(

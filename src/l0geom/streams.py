@@ -58,15 +58,19 @@ def map_chunks(
 ) -> list[_T]:
     """Evaluate ``fn(0), ..., fn(n_chunks - 1)`` and return results in order.
 
-    ``workers`` only controls how the loop is executed; each call is pure in
-    its chunk index, so the result list is identical for any worker count.
+    ``workers`` only controls how the loop is executed: each worker takes
+    one task, a contiguous run of chunk indices.  Each call is pure in its
+    chunk index, so the result list is identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or n_chunks <= 1:
+    workers = min(workers, n_chunks)
+    if workers <= 1:
         return [fn(i) for i in range(n_chunks)]
+    ends = [n_chunks * w // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+        runs = pool.map(lambda w: [fn(i) for i in range(ends[w], ends[w + 1])], range(workers))
+        return [result for run in runs for result in run]
 
 
 def n_chunks_for(n_samples: int) -> int:

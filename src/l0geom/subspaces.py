@@ -11,6 +11,14 @@ dimension of their intersection, which drives the overlap corrections;
 ``pair_dims`` finds them all with one rank per distinct union of two
 members' atoms.
 
+Every span question stacks two orthonormal bases A and B, and [A | B]
+has the singular values sqrt(1 +- c_l) for c_l the cosines of their
+principal angles, plus ones (Bjorck & Golub, Math. Comp. 27, 1973).  So
+``_joint_rank`` applies ``_rank`` to those values, through the sines, with
+no SVD of [A | B]; the sines come from one projection product (an atom's
+residual off a span, or C^T B for C the complement of A).  ``_rank`` on
+computed singular values remains only where a basis is built.
+
 Enumeration refuses, before it starts, families with 0 < K < N whose
 C(m, K) subset count exceeds ``MAX_SPAN_SUBSETS``: the pair pass grows
 with the square of the family size.  ``check_family_sizes`` applies the
@@ -30,13 +38,15 @@ import numpy as np
 DEFAULT_SPAN_TOL = 1e-9
 
 # Largest C(m, K) that enumerate_spans accepts.  It guards the quadratic
-# pair layer: at N=8, m=16 the pair pass takes about 1 s at K=4 (1,820
-# members) and 3.3 s at K=5 (4,368), and the l2 constants of K=5, which
-# count their pairs without listing them, peak near 115 MB resident.
+# pair layer: at N=8, m=16 (Gaussian atoms) the pair pass takes about
+# 0.8 s at K=4 (1,820 members) and 4.4 s at K=5 (4,368), most of it
+# sorting and looking up union keys, and the l2 constants of K=5, which
+# count their pairs without listing them, take about 4.3 s and peak near
+# 112 MB resident.
 MAX_SPAN_SUBSETS = 5_000
 
 # Upper-triangle entries per row block of the pair pass, and entries per
-# stacked SVD of its union ranks: they bound the arrays held at once.
+# block of its union ranks' products: they bound the arrays held at once.
 _PAIR_BLOCK = 1 << 18
 
 # Largest |G - I| entry, for G the Gram matrix of a basis's columns.
@@ -126,6 +136,42 @@ def _rank(s: np.ndarray, tol: float) -> np.ndarray:
     """Numerical rank from singular values sorted in descending order along
     the last axis: how many exceed tol times the largest."""
     return np.sum(s > tol * s[..., :1], axis=-1)
+
+
+def _joint_rank(sines: np.ndarray, extra: int, tol: float) -> np.ndarray:
+    """rank [A | B] by the ``_rank`` rule at tol, with no SVD of [A | B].
+
+    A and B have orthonormal columns; ``sines`` (..., p) holds the sines of
+    their p = min(dim A, dim B) principal angles, and ``extra`` is
+    |dim A - dim B|.  With c_l the cosines, [A | B] has the singular values
+    sqrt(1 + c_l), sqrt(1 - c_l) and ``extra`` ones (Bjorck & Golub, Math.
+    Comp. 27, 1973), the largest sqrt(1 + c_max).  sqrt(1 - c_l) is
+    sin_l / sqrt(1 + c_l), so the small ones are tested as
+    sin_l > tol * sqrt((1 + c_l)(1 + c_max)): as accurate as the sines,
+    with no cancellation in 1 - c_l.  In exact arithmetic this is ``_rank``
+    of the singular values of [A | B].
+    """
+    cosines = np.sqrt(1.0 - np.minimum(sines, 1.0) ** 2)
+    cut = tol * np.sqrt(1.0 + cosines.max(axis=-1, initial=0.0))
+    grow = np.sqrt(1.0 + cosines)
+    return (
+        np.sum(grow > cut[..., None], axis=-1)
+        + np.sum(sines > cut[..., None] * grow, axis=-1)
+        + extra * (cut < 1.0)
+    )
+
+
+def _sines(complement: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Sines of the principal angles between span A and span B, dim A >= dim B,
+    along the last axis: the singular values of C^T B for C an orthonormal
+    complement of A, padded with zeros to dim B (the angles of the
+    intersection that C^T B, with fewer rows than dim B, leaves out)."""
+    product = complement.swapaxes(-1, -2) @ other
+    sines = np.zeros(product.shape[:-2] + other.shape[-1:])
+    q = min(product.shape[-2:])
+    if q:
+        sines[..., :q] = np.linalg.svd(product, compute_uv=False)
+    return sines
 
 
 def empty_basis(ambient_dim: int) -> SubspaceBasis:
@@ -229,13 +275,20 @@ def spans_equal(a: SubspaceBasis, b: SubspaceBasis, tol: float = DEFAULT_SPAN_TO
 
 
 def intersection_dim(a: SubspaceBasis, b: SubspaceBasis, tol: float = DEFAULT_SPAN_TOL) -> int:
-    """dim(span a  intersect  span b) = dim a + dim b - rank [A | B]."""
+    """dim(span a  intersect  span b) = dim a + dim b - rank [A | B].
+
+    The rank is the ``_rank`` rule at tol in its projection form,
+    ``_joint_rank`` of the sines of C^T B, C the complement of the larger
+    span.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("bases live in different ambient dimensions")
     if a.dim == 0 or b.dim == 0:
         return 0
-    stacked = np.hstack([a.matrix, b.matrix])
-    return a.dim + b.dim - int(_rank(np.linalg.svd(stacked, compute_uv=False), tol))
+    if a.dim < b.dim:
+        a, b = b, a
+    sines = _sines(a.complement().matrix, b.matrix)
+    return a.dim + b.dim - int(_joint_rank(sines, a.dim - b.dim, tol))
 
 
 def intersection_basis(
@@ -292,6 +345,22 @@ def check_family_sizes(dictionary: Dictionary, levels: Iterable[int]) -> None:
             )
 
 
+def _closures(bases: np.ndarray, unit: np.ndarray, tol: float) -> np.ndarray:
+    """(S, m) closure marks of an (S, N, K) stack of bases against the unit
+    atoms, the columns of ``unit``: rank [U | a] = K by ``_joint_rank`` at
+    tol, whose one sine is the residual |a - U U^T a|.  One projection
+    product per block of subsets, 512 KiB of residuals."""
+    n, K = bases.shape[1:]
+    block = max(1, (1 << 16) // (unit.shape[1] * n))
+    closures = np.empty((len(bases), unit.shape[1]), dtype=bool)
+    for lo in range(0, len(bases), block):
+        chunk = bases[lo : lo + block]
+        residual = unit - chunk @ (chunk.transpose(0, 2, 1) @ unit)
+        sines = np.sqrt(np.sum(residual * residual, axis=1))
+        closures[lo : lo + block] = _joint_rank(sines[..., None], K - 1, tol) == K
+    return closures
+
+
 def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
     """Distinct spans of K-element dictionary subsets, at the dictionary's span_tol.
 
@@ -301,8 +370,13 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
     For 0 < K < N one stacked SVD gives every subset's basis and rank; a
     full-rank subset S is keyed by its closure, the atoms a with
     rank [U_S | a/|a|] = K, and the first subset of each closure is kept,
-    the lexicographically smallest basis of its flat.  A ValueError is
-    raised up front when C(n_atoms, K) exceeds ``MAX_SPAN_SUBSETS``.
+    the lexicographically smallest basis of its flat.  The closure ranks
+    come from projections (``_closures``), not from SVDs of [U_S | a]: the
+    residual r of a/|a| off span U_S and c = |U_S^T a|/|a| give
+    [U_S | a/|a|] the singular values sqrt(1 + c), sqrt(1 - c) and K - 1
+    ones, so the ``_rank`` rule keeps rank K exactly when
+    r <= span_tol * (1 + c).  A ValueError is raised up front when
+    C(n_atoms, K) exceeds ``MAX_SPAN_SUBSETS``.
     """
     n, tol = dictionary.n_dim, dictionary.span_tol
     if not 0 <= K <= n:
@@ -317,20 +391,13 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
                 return SpanFamily(**fields, members=(basis,))
         return SpanFamily(**fields)
     check_family_sizes(dictionary, (K,))
-    m = dictionary.n_atoms
-    subsets = np.array(list(combinations(range(m), K)))
+    subsets = np.array(list(combinations(range(dictionary.n_atoms), K)))
     u, s = _left_singular(np.moveaxis(dictionary.atoms[:, subsets], 1, 0), full_matrices=False)
     full = _rank(s, tol) == K
     bases, subsets = u[full], subsets[full]
-    unit = (dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)).T
-    block = max(1, (1 << 16) // (m * n * (K + 1)))  # 512 KiB stacks of [U_S | a]
-    closures = []
-    for chunk in np.split(bases, range(block, len(bases), block)):
-        stacked = np.empty((len(chunk), m, n, K + 1))
-        stacked[..., :K], stacked[..., K] = chunk[:, None], unit
-        closures.append(_rank(np.linalg.svd(stacked, compute_uv=False), tol) == K)
-    _, first = np.unique(np.concatenate(closures), axis=0, return_index=True)
-    kept = np.sort(first)
+    unit = dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)
+    closures = np.packbits(_closures(bases, unit, tol), axis=1)
+    kept = np.sort(np.unique(closures, axis=0, return_index=True)[1])
     return SpanFamily(**fields, members=_bases(bases[kept], subsets[kept]))
 
 
@@ -364,15 +431,17 @@ def _keys(words: np.ndarray) -> np.ndarray:
 
 def _pair_ranks(bases: np.ndarray, pairs: np.ndarray, tol: float) -> np.ndarray:
     """Rank of [U_i | U_j] for each row (i, j) of ``pairs``, U the (M, N, K)
-    stack of member bases, by the ``_rank`` rule at tol, in stacked SVDs of
+    stack of member bases, by ``_joint_rank`` at tol on the sines of
+    C_i^T U_j, C_i the complement of U_i: (N - K, K) products in blocks of
     at most ``_PAIR_BLOCK`` entries."""
     n, k = bases.shape[1:]
+    complements = _left_singular(bases, full_matrices=True)[0][..., k:]
     ranks = np.empty(len(pairs), dtype=np.int16)
-    step = max(1, _PAIR_BLOCK // (2 * n * k))
+    step = max(1, _PAIR_BLOCK // (n * k))
     for lo in range(0, len(pairs), step):
         first, second = pairs[lo : lo + step].T
-        stacked = np.concatenate([bases[first], bases[second]], axis=2)
-        ranks[lo : lo + step] = _rank(np.linalg.svd(stacked, compute_uv=False), tol)
+        sines = _sines(complements[first], bases[second])
+        ranks[lo : lo + step] = _joint_rank(sines, 0, tol)
     return ranks
 
 
@@ -381,11 +450,18 @@ def pair_dims(family: SpanFamily) -> np.ndarray:
 
     The diagonal holds K.  Off it, entry (i, j) is 2K - rank [U_i | U_j],
     by the ``_rank`` rule at the family's span_tol, for U_i and U_j the two
-    members' bases, as in ``intersection_dim``.  That rank is the dimension
-    of V_i + V_j = span(S_i u S_j), for S_i and S_j the members' provenance
-    subsets, so it is taken once per distinct union: each member is keyed
-    by the bitmask of its provenance, each pair by the OR of the two, and
-    each distinct union is ranked at its first pair in row-major order
+    members' bases, as in ``intersection_dim``.  The rank is taken in its
+    projection form (``_pair_ranks``): with sigma_l the singular values of
+    C_i^T U_j, C_i the complement of U_i, which are the sines of the
+    principal angles, and c_l = sqrt(1 - sigma_l^2) their cosines, it is
+    K + #{l : sigma_l > span_tol * sqrt((1 + c_l)(1 + c_max))}, which is
+    ``_rank`` of the singular values sqrt(1 +- c_l) of [U_i | U_j] in exact
+    arithmetic; an (N - K, K) SVD replaces an (N, 2K) one.  That rank is
+    the dimension of V_i + V_j = span(S_i u S_j), for S_i and S_j the
+    members' provenance subsets, so it is taken once per distinct union:
+    each member is keyed by the bitmask of its provenance, each pair by the
+    OR of the two, and each distinct union is ranked at its first pair in
+    row-major order
     (``_pair_ranks``).  A pair that shares its union with an earlier one
     takes that pair's rank.  In exact arithmetic the two ranks agree; in
     floating point they differ when one pair's smallest nonzero singular

@@ -27,6 +27,7 @@ from l0geom import (
     validate_bounds,
     wilson_half_width,
 )
+from l0geom import subspaces
 
 L2 = NormSpec.l2()
 AXES2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
@@ -129,6 +130,15 @@ class TestExperiment:
         with pytest.raises(ValueError):
             LevelSetExperiment(AXES2, L2, L2, theta=1.0, n_samples=0, seed=0)
 
+    def test_level_errors_keep_their_messages_and_order(self, experiment):
+        with pytest.raises(ValueError, match=r"^tau must be > 0, got 0\.0$"):
+            experiment.estimate(Quantity.PROB_LEQ, 5, 0.0)
+        for quantity, K in [(Quantity.PROB_LEQ, 5), (Quantity.MEASURE_EQ, -1), (Quantity.PROB_EQ, None)]:
+            with pytest.raises(ValueError, match=rf"^K must lie in \[0, 2\], got {K}$"):
+                experiment.estimate(quantity, K, 0.1)
+        with pytest.raises(ValueError, match=r"^expect takes K = None, got 1$"):
+            experiment.estimate(Quantity.EXPECT, 1, 0.1)
+
     def test_fresh_experiments_agree(self, experiment):
         def fresh():
             return LevelSetExperiment(AXES2, L2, L2, theta=1.0, n_samples=40_000, seed=7)
@@ -215,6 +225,17 @@ class TestValidation:
             validate_bounds(AXES2, L2, L2, tau_grid=(-0.1,), theta=1.0, K_list=(1,))
         with pytest.raises(ValueError):
             validate_bounds(AXES2, L2, L2, tau_grid=(0.1,), theta=1.0, K_list=(7,))
+
+    def test_level_errors_come_after_tau_and_before_the_family_cap(self, monkeypatch):
+        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 0)
+        run = dict(theta=1.0, n_samples=10)
+        with pytest.raises(ValueError, match="^tau_grid must be nonempty and positive$"):
+            validate_bounds(AXES2, L2, L2, tau_grid=(0.0,), K_list=(7,), **run)
+        for K_list, first_bad in [((1, 7, -1), 7), ((3,), 3)]:
+            with pytest.raises(ValueError, match=rf"^K must lie in \[0, 2\], got {first_bad}$"):
+                validate_bounds(AXES2, L2, L2, tau_grid=(0.1,), K_list=K_list, **run)
+        with pytest.raises(ValueError, match="above the cap of 0"):
+            validate_bounds(AXES2, L2, L2, tau_grid=(0.1,), K_list=(1,), **run)
 
 
 class TestReportCsv:
