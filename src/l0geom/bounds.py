@@ -15,7 +15,8 @@ linf and weighted l1, an exact polytope volume, once per distinct subspace
 and dictionary; else, for weighted lp with p > 1, hit-or-miss Monte Carlo,
 whose uncertainty propagates into the one-standard-error fields.  Every
 other constant has standard error 0.  Pairs whose slice has a closed form
-are counted, never listed.
+are counted, never listed.  Each constant is one correctly rounded sum of
+its terms, so its bits do not depend on the order of the members or pairs.
 
 Every reported quantity is interval arithmetic on the per-level
 sandwiches of one rule, ``_sandwich``: level K - 1's interval subtracted
@@ -83,9 +84,6 @@ _KEY_SCALE = 2.0**46
 
 # Subspaces priced per batch; it bounds the stacked vertex and facet arrays.
 _PRICE_BATCH = 1024
-
-# Terms per block of a sequential sum over the pairs of a level.
-_SUM_BLOCK = 1 << 16
 
 # Two-sided 95% normal quantile: a 95% half width is Z95 standard errors.
 Z95 = 1.959963984540054
@@ -341,16 +339,6 @@ def overlap_constant(
     return _overlap(_overlap_factor(delta2, first.ambient_dim, meet.dim), inner)
 
 
-def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum: the bits of a Python ``+=`` loop from 0.0,
-    which ``np.sum``, summing pairwise, does not keep.  It runs in blocks of
-    ``_SUM_BLOCK`` terms, so a broadcast array costs no more memory."""
-    total = 0.0
-    for lo in range(0, len(values), _SUM_BLOCK):
-        total = np.add.accumulate(np.append(total, values[lo : lo + _SUM_BLOCK]))[-1]
-    return float(total)
-
-
 def _overlap_factor(delta2: float, n: int, k: int) -> float:
     """alpha(N - k) (2 delta2)^(N - k), the overlap constant per unit slice volume."""
     return _alpha(n - k) * (2.0 * delta2) ** (n - k)
@@ -388,10 +376,12 @@ class ConstantSet:
 
     c_total sums the per-member cylinder constants; q_totals[k] sums the
     overlap constants over ordered pairs meeting in dimension k, for k
-    from k_min = max(0, 2K - N) to K - 1.  delta_hat widens the sandwich,
-    delta_pair widens the overlap corrections, and reports built from
-    this set are valid when theta >= delta_gate * tau.  Standard errors are
-    combined conservatively (linearly) everywhere.
+    from k_min = max(0, 2K - N) to K - 1.  Each sum, and the sum of its
+    standard errors, is correctly rounded, whatever the members' order.
+    delta_hat widens the sandwich, delta_pair widens the overlap
+    corrections, and reports built from this set are valid when
+    theta >= delta_gate * tau.  Standard errors are combined conservatively
+    (linearly) everywhere.
     """
 
     K: int
@@ -447,12 +437,12 @@ def assemble_constants(
     (Monte Carlo stream i for member i), and the slices of each k's distinct
     pair intersections, from one stacked SVD, with one more (streams
     numbered by the distinct pairs met so far), all through the
-    dictionary's memo of exact volumes.  Q_k sums the overlap constants of
-    the ordered pairs meeting in dimension k, each unordered pair priced
-    once as ``overlap_constant`` prices it, left to right in the row-major
-    order of ``enumerate_pairs`` (``_sequential_sum``).  Where that slice
-    has a closed form (k = 0, or l2 data), the pairs at k are counted from
-    ``pair_dims``, never listed.
+    dictionary's memo of exact volumes.  C_K is the ``math.fsum`` of the
+    members' constants.  Q_k sums the overlap constants of the ordered pairs
+    meeting in dimension k: the ``math.fsum`` of each unordered pair's
+    price, as ``overlap_constant`` gives it, doubled.  Where that slice has
+    a closed form (k = 0, or l2 data), the pairs at k are counted from
+    ``pair_dims``, never listed, and Q_k is the count times the one price.
     """
     n = dictionary.n_dim
     if not 0 <= K <= n:
@@ -466,7 +456,7 @@ def assemble_constants(
     shadows = _volumes("shadow", fidelity, bases, n_samples, seed, 0, memo)
     c_members = tuple(map(_product, shadows, slices))
     c_total = VolumeEstimate(
-        sum(c.value for c in c_members), sum(c.std_err for c in c_members)
+        math.fsum(c.value for c in c_members), math.fsum(c.std_err for c in c_members)
     )
 
     k_min = max(0, 2 * K - n)
@@ -478,27 +468,26 @@ def assemble_constants(
         if closed is not None:
             count = int(np.count_nonzero(pair_dims(family) == k))
             pair = _overlap(factor, closed)
-            values = np.broadcast_to(pair.value, count)
-            errs = np.broadcast_to(pair.std_err, count)
+            q_totals[k] = VolumeEstimate(count * pair.value, count * pair.std_err)
+            met += count // 2
         else:
+            # Each unordered pair meets from its member of smaller provenance
+            # first, so its price does not depend on the members' order.
+            rank = np.argsort(sorted(range(len(members)), key=lambda i: members[i].provenance))
             listed = enumerate_pairs(family, k)
-            count = len(listed)
-            first, second = listed.T
-            fresh = listed[first < second]
-            inners = []
+            fresh = listed[rank[listed[:, 0]] < rank[listed[:, 1]]]
+            priced = []
             if len(fresh):
                 meets = meet_matrices(bases[fresh[:, 0]], bases[fresh[:, 1]], k)
                 inners = _volumes("slice", data, meets, n_samples, seed, met, memo)
-            # Each ordered pair (i, j) takes the price of (min, max), found
-            # among the row-major keys i * M + j of the unordered pairs.
-            low, high = np.minimum(first, second), np.maximum(first, second)
-            size = len(members)
-            which = np.searchsorted(fresh[:, 0] * size + fresh[:, 1], low * size + high)
-            priced = [_overlap(factor, each) for each in inners]
-            values = np.array([pair.value for pair in priced])[which]
-            errs = np.array([pair.std_err for pair in priced])[which]
-        q_totals[k] = VolumeEstimate(_sequential_sum(values), _sequential_sum(errs))
-        met += count // 2
+                priced = [_overlap(factor, each) for each in inners]
+            # Both orders of an unordered pair take its price, so each counts
+            # twice; doubling is exact.
+            q_totals[k] = VolumeEstimate(
+                math.fsum(2.0 * pair.value for pair in priced),
+                math.fsum(2.0 * pair.std_err for pair in priced),
+            )
+            met += len(fresh)
 
     delta_hat, delta_pair, delta_gate = gate_factors(fidelity, data, n, K)
     return ConstantSet(

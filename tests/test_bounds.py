@@ -18,6 +18,7 @@ import math
 import operator
 from functools import reduce
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,8 +50,9 @@ from l0geom import (
 from l0geom import bounds, norms, streams
 from l0geom.montecarlo import validation_cells
 from l0geom.norms import norm_eval, polytope_volume
-from l0geom.solver import member_distances
-from l0geom.subspaces import SubspaceBasis, empty_basis
+from l0geom.solver import member_distances, span_family
+from l0geom.subspaces import SpanFamily, SubspaceBasis, empty_basis
+from test_solver import dependent_dictionaries, fidelity as named_norm
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 AXES2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
@@ -508,6 +510,39 @@ class TestAssembleConstants:
             assemble_constants(dictionary, L2, L1, K)
         # l1 data lists its pairs at k = 1 (K = 2) and k = 2 (K = 3) only.
         assert listed == [(2, 1), (3, 2)]
+
+
+class TestOrderFreeSums:
+    """C_K and every Q_k are correctly rounded sums, so the order of the
+    family's members cannot move their bits.  Weighted lp with p > 1 is
+    left out: its Monte Carlo streams are numbered by member and pair
+    position."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dependent_dictionaries(),
+        st.sampled_from(["l2", "l1", "linf", "weighted"]),
+        st.sampled_from(["l2", "l1", "linf", "weighted"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_permuted_members_keep_the_bits(self, case, fidelity, data, seed):
+        atoms, n = case[0].atoms.T, case[0].n_dim
+        f, d = named_norm(fidelity, n), named_norm(data, n)
+        rng = np.random.default_rng(seed)
+
+        def permuted(dictionary, K):
+            family = span_family(dictionary, K)
+            members = tuple(family.members[i] for i in rng.permutation(len(family)))
+            return SpanFamily(family.K, family.ambient_dim, family.span_tol, members)
+
+        # Two dictionaries, so the two runs share no memo of exact volumes.
+        plain, shuffled = Dictionary.from_vectors(atoms), Dictionary.from_vectors(atoms)
+        for K in range(n + 1):
+            expected = assemble_constants(plain, f, d, K)
+            with mock.patch.object(bounds, "span_family", permuted):
+                got = assemble_constants(shuffled, f, d, K)
+            assert got.c_total == expected.c_total
+            assert got.q_totals == expected.q_totals
 
 
 class TestOverlapBudget:

@@ -5,9 +5,11 @@ Property tests on small dictionaries with repeated, parallel and dependent
 atoms check the closure-keyed families against the original projector
 dedup, the union-keyed pair pass against the per-row SVD pass it replaced
 and against the per-pair rank oracle, the pair arrays against the original
-double loop, and every Q_k against the per-pair sum of ``overlap_constant``.
+double loop, and every Q_k against the correctly rounded per-pair sum of
+``overlap_constant``.
 """
 
+import math
 from itertools import combinations
 from unittest import mock
 
@@ -29,7 +31,6 @@ from l0geom import (
     overlap_constant,
 )
 from l0geom import subspaces
-from l0geom.bounds import _sequential_sum
 from l0geom.solver import span_family
 from l0geom.subspaces import _rank, pair_dims
 
@@ -143,12 +144,13 @@ def double_loop_pairs(family, k, tol=1e-9):
 
 
 def per_pair_q_totals(family, fidelity, data, n_samples, seed):
-    """Q_k as the ordered-pair sum of overlap_constant, each unordered pair priced once."""
+    """Q_k as the correctly rounded ordered-pair sum of overlap_constant,
+    each unordered pair priced once."""
     n, K = family.ambient_dim, family.K
     priced = {}
     totals = {}
     for k in range(max(0, 2 * K - n), K):
-        value = err = 0.0
+        terms = []
         for i, j in enumerate_pairs(family, k):
             key = (min(i, j), max(i, j))
             if key not in priced:
@@ -156,9 +158,10 @@ def per_pair_q_totals(family, fidelity, data, n_samples, seed):
                     fidelity, data, family.members[key[0]], family.members[key[1]],
                     n_samples, seed, subid=len(priced),
                 )
-            value += priced[key].value
-            err += priced[key].std_err
-        totals[k] = VolumeEstimate(value, err)
+            terms.append(priced[key])
+        totals[k] = VolumeEstimate(
+            math.fsum(t.value for t in terms), math.fsum(t.std_err for t in terms)
+        )
     return totals
 
 
@@ -303,24 +306,6 @@ class TestIllConditionedAtoms:
         dims = pair_dims(family)
         np.testing.assert_array_equal(dims, per_row_pair_dims(family))
         assert dims[index[(0, 1)], index[(0, 2)]] == 1
-
-
-class TestSequentialSum:
-    @pytest.mark.parametrize("terms", [7, 23_080, 1_000_003])
-    def test_matches_the_python_loop_bit_for_bit(self, terms):
-        rng = np.random.default_rng(terms)
-        for values in (rng.uniform(0.0, 3.0, terms), np.full(terms, 4.0 * np.pi / 3.0)):
-            total = 0.0
-            for value in values.tolist():
-                total += value
-            assert _sequential_sum(values) == total
-        if terms > 7:
-            # Neither shortcut keeps those bits for a closed-form level's
-            # repeated pair value.
-            assert total != terms * values[0] and total != float(np.sum(values))
-
-    def test_empty_is_zero(self):
-        assert _sequential_sum(np.array([])) == 0.0
 
 
 class TestOverlapTotals:
