@@ -21,23 +21,24 @@ run for every (row, member) pair at once and stopped by ``dist_tol``.
 ``L0Solver`` holds one stacked table over the members of levels 1..L of
 the span families, in (level, provenance) order, for the fidelity's norm
 family; level 0 is the norm itself and level N, the whole space, holds
-every vector.  For l2 fidelity the table is one column per member, the
-upper triangle of I - P, so a sample's squared distances are one product
-with its pair products x_i x_j; a member's own basis U gives the residual
-form ||d - U U^T d||, as accurate as one projection.  For
-polyhedral fidelities it is the members' dual vertex tables side by side,
-with member and level offsets.  So a profile block prices every level
-with one product, and a solve finds its first member within tau, by level
-and then provenance, pricing consecutive built levels with one product
-while their cells stay within ``_SCAN_CELLS`` and stopping at the first
-such group that holds one.  An l2 scan's product is the gram one, and it
-only screens: a member whose squared gram distance lies within a proven
-rounding width (``_SCREEN_ULPS``) of tau^2 is re-priced alone in residual
-form, so the scan names the member that pricing every member alone in
-residual form names, at a fraction of its cost.  Weighted lp with p > 1 keeps one Newton fit per
-level behind the same interface.  The stack grows by one level only when
-a solve finds no built member within tau, in the calling thread.
-``member_distances`` is the table of a single member.
+every vector.  For l2 fidelity the table is one row per member, the upper
+triangle of I - P, so a sample's squared distances are products with its
+pair products x_i x_j; a member's own basis U gives the residual form
+||d - U U^T d||, as accurate as one projection.  For polyhedral
+fidelities it is the members' dual vertex tables side by side, with
+member and level offsets.  So a profile block prices each l2 level, or
+every polyhedral level, with one product, and a solve finds its first
+member within tau, by level and then provenance, pricing consecutive
+built levels with one product while their cells stay within
+``_SCAN_CELLS``, stopping at the first such group that holds one.  An l2
+scan's product is the gram one, and it only screens: a member whose
+squared gram distance lies within a proven rounding width
+(``_SCREEN_ULPS``) of tau^2 is re-priced alone in residual form, so the
+scan names the member that pricing every member alone in residual form
+names, at a fraction of its cost.  Weighted lp with p > 1 keeps one
+Newton fit per level behind the same interface.  The stack grows by one
+level only when a solve finds no built member within tau, in the calling
+thread.  ``member_distances`` is the table of a single member.
 
 A scan only names its winner, and one closest-point rule per norm family
 gives the winner's coefficients over its atoms, from that member alone:
@@ -113,10 +114,15 @@ _FIT_SLACK = _FIT_ULPS * np.finfo(float).eps
 # dual vertex table is built from; see dual_vertices.
 MAX_DUAL_CANDIDATES = 250_000
 
-# Largest rows x table-columns product one distance_profiles block holds.
-# Small blocks keep each worker's transient arrays near 256 KB; larger ones
-# run no faster and leave more memory behind in the allocator.
-_PROFILE_CELLS = 1 << 15
+# Rows per distance_profiles block: as many as fit _PROFILE_CELLS cells of
+# the stack's width (0.5 MB per worker), and at least _PROFILE_ROWS for the
+# l2 stack, whose width is at most N (N + 1) / 2 plus MAX_SPAN_SUBSETS.  In
+# process (2 CPUs, OpenBLAS on 1 thread, ms at 1 / 2 workers), family5's
+# profiles took 35 / 66 at 64 rows and 21 / 16 at this budget's 500, and
+# Gaussian N = 7, m = 14's 362 / 183 at 64 and 278-319 / 134-154 at 256.
+# Twice the budget ran no faster and added 2.5 MB to family5's peak RSS.
+_PROFILE_CELLS = 1 << 16
+_PROFILE_ROWS = 256
 
 # Largest number of table cells one single-vector scan of a solve reads in
 # one product.  A scan costs about 6.5 us per product, for the l2 screen
@@ -430,8 +436,9 @@ class _LevelStack:
     first time a solve needs them and kept in ``factors``, one entry per
     member or per vertex column at most; ``dict.setdefault`` keeps the
     first entry when concurrent solves build one twice.  ``width`` is the
-    number of table cells per row that ``nearest`` holds at once, and
-    ``cells[l - 1]`` the number a single-vector scan of level l reads.
+    number of table cells per row that ``nearest`` holds at once, which
+    sets ``block_rows`` (see ``_PROFILE_CELLS``), and ``cells[l - 1]`` the
+    number a single-vector scan of level l reads.
     ``_first(d, thresh, start, stop)`` is the scan of one group of levels;
     by default it compares every ``_distances`` with thresh.
     """
@@ -441,12 +448,16 @@ class _LevelStack:
         self.members: list[SubspaceBasis] = []
         self.starts: list[int] = []
         self.cells: list[int] = []
-        self.width = 0
+        self.width, self.floor = 0, 1
         self.factors: dict[int, tuple[np.ndarray, np.ndarray] | _Certificate] = {}
 
     @property
     def levels(self) -> int:
         return len(self.starts)
+
+    @property
+    def block_rows(self) -> int:
+        return max(self.floor, _PROFILE_CELLS // max(1, self.width))
 
     def append(self, members: tuple[SubspaceBasis, ...]) -> None:
         self.cells.append(self._append(members))
@@ -499,11 +510,13 @@ class _LevelStack:
 class _QuadraticStack(_LevelStack):
     """l2 stacked table: every member's distance from one product.
 
-    The one table is ``gram``: its column m is the upper triangle of
-    I - P_m with doubled off-diagonal entries, so a row's pair products
-    x_i x_j (i <= j) times ``gram`` are its squared distances
-    <x x^T, I - P_m>.  ``_distances`` prices members from their own bases
-    U in residual form ||d - U U^T d||, as accurate as one projection.
+    The one table is ``gram``: its row m is the upper triangle of I - P_m
+    with doubled off-diagonal entries, so ``gram`` times a row's pair
+    products x_i x_j (i <= j) gives its squared distances <x x^T, I - P_m>.
+    A level's members are contiguous rows, so a profile block prices each
+    level with one product and takes its minimum down the product's
+    columns.  ``_distances`` prices members from their own bases U in
+    residual form ||d - U U^T d||, as accurate as one projection.
 
     A single-vector scan screens its group with the gram product and
     re-prices in residual form only the members it cannot settle.  The two
@@ -521,17 +534,17 @@ class _QuadraticStack(_LevelStack):
     def __init__(self, fidelity: NormSpec, n: int) -> None:
         super().__init__(fidelity)
         self.upper = np.triu_indices(n)
-        self.gram = np.zeros((len(self.upper[0]), 0))
-        self.slack = 0.0
+        self.gram = np.zeros((0, len(self.upper[0])))
+        self.slack, self.floor = 0.0, _PROFILE_ROWS
 
     def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
         i, j = self.upper
         bases = np.stack([member.matrix for member in members])
         n, k = bases.shape[1:]
         residual = np.eye(n) - bases @ bases.transpose(0, 2, 1)
-        gram = (residual[:, i, j] * np.where(i == j, 1.0, 2.0)).T
-        self.gram = np.ascontiguousarray(np.hstack([self.gram, gram]))
-        self.width = self.gram.shape[1]
+        gram = residual[:, i, j] * np.where(i == j, 1.0, 2.0)
+        self.gram = np.vstack([self.gram, gram])
+        self.width = max(self.width, len(i) + len(members))
         spread = (n - 1) * float(np.abs(bases.transpose(0, 2, 1) @ bases - np.eye(k)).max())
         rounding = _SCREEN_ULPS * n**3 * np.finfo(float).eps
         self.slack = max(self.slack, rounding + spread * (1.0 + spread))
@@ -539,8 +552,10 @@ class _QuadraticStack(_LevelStack):
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         i, j = self.upper
-        squared = np.minimum.reduceat((rows[:, i] * rows[:, j]) @ self.gram, self.starts, axis=1)
-        return np.sqrt(np.maximum(squared, 0.0))
+        pairs, ends = rows.T[i], self.starts[1:] + [len(self.members)]
+        pairs *= rows.T[j]
+        squared = [np.min(self.gram[s:e] @ pairs, axis=0) for s, e in zip(self.starts, ends)]
+        return np.sqrt(np.maximum(np.transpose(squared), 0.0))
 
     def _distances(self, d: np.ndarray, start: int, stop: int) -> np.ndarray:
         residuals = [d - b.matrix @ (d @ b.matrix) for b in self.members[start:stop]]
@@ -548,7 +563,7 @@ class _QuadraticStack(_LevelStack):
 
     def _first(self, d: np.ndarray, thresh: float, start: int, stop: int) -> int | None:
         i, j = self.upper
-        squared = (d[i] * d[j]) @ self.gram[:, start:stop]
+        squared = self.gram[start:stop] @ (d[i] * d[j])
         square, slack = thresh * thresh, self.slack * float(d @ d)
         # Written as "not above" so that a NaN product is re-priced, never dropped.
         for m in (~(squared > square + slack)).nonzero()[0]:
@@ -986,8 +1001,8 @@ class L0Solver:
         member of the size-k family; column N is identically zero.  The
         value of a solve is the first column whose entry is within the
         feasibility threshold, so one profile matrix serves every tau.
-        The stack is grown to level N - 1 here, before any worker starts,
-        and each block of rows prices every level with one call of it.
+        The stack is grown to level N - 1 here, before any worker starts;
+        workers price its ``block_rows``-row blocks, each with one ``nearest``.
         """
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != self.dictionary.n_dim:
@@ -995,16 +1010,17 @@ class L0Solver:
         _check_finite(data)
         n_dim = self.dictionary.n_dim
         stack = self.level_stack(n_dim - 1)
-        block = max(1, _PROFILE_CELLS // max(1, stack.width))
-        n_blocks = max(1, -(-data.shape[0] // block))
+        # Column 0 comes first, so the norm's temporaries never sit beside the profiles.
+        norms = norm_eval(self.fidelity, data)
         profiles = np.empty((data.shape[0], n_dim + 1))
+        profiles[:, 0], profiles[:, n_dim] = norms, 0.0
+        del norms
+        block = stack.block_rows
+        n_blocks = -(-data.shape[0] // block) if stack.levels else 0
 
         def profile_block(b: int) -> None:
-            rows, out = data[b * block : (b + 1) * block], profiles[b * block : (b + 1) * block]
-            out[:, 0] = np.asarray(norm_eval(self.fidelity, rows))
-            out[:, n_dim] = 0.0
-            if stack.levels:
-                out[:, 1:n_dim] = stack.nearest(rows)
+            rows = slice(b * block, (b + 1) * block)
+            profiles[rows, 1:n_dim] = stack.nearest(data[rows])
 
         map_chunks(profile_block, n_blocks, workers)
         return profiles

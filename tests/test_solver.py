@@ -775,12 +775,32 @@ class TestLevelTables:
              [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0], [1.0, -1.0, 1.0, 2.0]]
         )
         first = L0Solver(dictionary, spec)
-        block = solver._PROFILE_CELLS // first.level_stack(3).width
+        block = first.level_stack(3).block_rows
         assert block > 17
+        # Three full blocks and a ragged tail, so every worker count splits them unevenly.
         points = np.random.default_rng(17).uniform(-1.0, 1.0, (3 * block + 17, 4))
         one = first.distance_profiles(points, workers=1)
-        two = L0Solver(dictionary, spec).distance_profiles(points, workers=2)
-        np.testing.assert_array_equal(one, two)
+        for workers in (2, 3):
+            many = L0Solver(dictionary, spec).distance_profiles(points, workers=workers)
+            np.testing.assert_array_equal(one, many)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dependent_dictionaries())
+    def test_l2_nearest_is_the_residual_minimum_within_the_screen(self, case):
+        """Each level's gram minimum is within sqrt(slack) ||x|| of its residual-form minimum.
+
+        The two forms of a squared distance differ by at most slack ||x||^2,
+        and |a - b| <= sqrt(|a^2 - b^2|) for a, b >= 0.
+        """
+        dictionary, points = case
+        n = dictionary.n_dim
+        assume(n >= 2)
+        stack = L0Solver(dictionary, L2).level_stack(n - 1)
+        nearest = stack.nearest(points)
+        ends = stack.starts[1:] + [len(stack.members)]
+        for x, row in zip(points, nearest):
+            residual = [np.min(stack._distances(x, s, e)) for s, e in zip(stack.starts, ends)]
+            assert np.all(np.abs(row - residual) <= np.sqrt(stack.slack) * np.linalg.norm(x))
 
     def test_l2_solve_recovers_exact_sparse_combinations(self):
         """Exact K-sparse data is within 1e-12 of a size-K span, dependent atoms included."""
