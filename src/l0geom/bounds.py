@@ -460,6 +460,9 @@ def assemble_constants(
     )
 
     k_min = max(0, 2 * K - n)
+    # Each unordered pair meets from its member of smaller provenance
+    # first, so its price does not depend on the members' order.
+    rank = np.argsort(sorted(range(len(members)), key=lambda i: members[i].provenance))
     q_totals: dict[int, VolumeEstimate] = {}
     met = 0  # distinct pairs of the levels below, which number the Monte Carlo streams
     for k in range(k_min, K):
@@ -471,9 +474,6 @@ def assemble_constants(
             q_totals[k] = VolumeEstimate(count * pair.value, count * pair.std_err)
             met += count // 2
         else:
-            # Each unordered pair meets from its member of smaller provenance
-            # first, so its price does not depend on the members' order.
-            rank = np.argsort(sorted(range(len(members)), key=lambda i: members[i].provenance))
             listed = enumerate_pairs(family, k)
             fresh = listed[rank[listed[:, 0]] < rank[listed[:, 1]]]
             priced = []
@@ -544,19 +544,34 @@ def constants_to_csv(sets: list[ConstantSet] | tuple[ConstantSet, ...]) -> str:
     header += [f"Q_{k}" for k in range(n)]
     header += ["deltaHat", "Delta_K", "ci", "deltaPrime"]
     header += [f"Q_{k}_ci" for k in range(n)]
-    lines = [",".join(header)]
+    rows = []
     for c in sorted(sets, key=lambda s: s.K):
-        cells = [str(c.K), repr(c.c_total.value), str(c.k_min)]
         qs = [c.q_totals.get(k) for k in range(n)]
-        cells += ["" if q is None else repr(q.value) for q in qs]
-        cells += [
-            repr(c.delta_hat),
-            repr(c.delta_gate),
-            repr(Z95 * c.c_total.std_err),
-            repr(c.delta_pair) if c.q_totals else "",
-        ]
-        cells += ["" if q is None else repr(Z95 * q.std_err) for q in qs]
-        lines.append(",".join(cells))
+        rows.append((
+            c.K, c.c_total.value, c.k_min,
+            *(None if q is None else q.value for q in qs),
+            c.delta_hat, c.delta_gate, Z95 * c.c_total.std_err,
+            c.delta_pair if c.q_totals else None,
+            *(None if q is None else Z95 * q.std_err for q in qs),
+        ))
+    return _csv(",".join(header), rows)
+
+
+def _cell(value) -> str:
+    """One CSV cell: empty for None, true/false, a quantity's name, repr of a float."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Quantity):
+        return value.value
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _csv(header: str, rows: Iterable[tuple]) -> str:
+    lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -8,23 +8,21 @@ Subcommands:
     validate   estimates against analytic bounds, pass/fail matrix (CSV)
 
 Exit codes: 0 success (and, for validate, no failed cells); 2 validate
-found failing cells; 1 any error.  Seed and thread count can also come
-from L0GEOM_SEED and L0GEOM_THREADS; explicit flags win over the
-environment, which wins over the config file.
+found failing cells; 1 any error.  --seed, --threads and --samples
+replace the config's seed, threads and samples keys before the config is
+checked, so a bad flag value is refused with the config key's message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .bounds import assemble_constants, bound_levels, constants_to_csv, gate_factors
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, positive_number
 from .montecarlo import (
     LevelSetExperiment,
     estimates_to_csv,
@@ -34,9 +32,6 @@ from .montecarlo import (
 )
 from .solver import L0Solver, span_family
 from .subspaces import check_family_sizes, enumerate_pairs
-
-ENV_SEED = "L0GEOM_SEED"
-ENV_THREADS = "L0GEOM_THREADS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,34 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from err
-
-
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    seed = args.seed if args.seed is not None else _env_int(ENV_SEED)
-    threads = args.threads if args.threads is not None else _env_int(ENV_THREADS)
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
-        config = replace(config, seed=seed)
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {threads}")
-        config = replace(config, threads=threads)
-    if args.samples is not None:
-        if args.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {args.samples}")
-        config = replace(config, n_samples=args.samples)
-    return config
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -119,9 +86,7 @@ def _cmd_solve(config: ExperimentConfig, args: argparse.Namespace) -> int:
             f"--data has {data.size} entries, dictionary dimension is "
             f"{config.dictionary.n_dim}"
         )
-    tau = args.tau if args.tau is not None else config.tau_grid[0]
-    if not tau > 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
+    tau = config.tau_grid[0] if args.tau is None else positive_number(args.tau, "--tau")
     solver = L0Solver(
         config.dictionary, config.fidelity, feas_tol=config.feas_tol, dist_tol=config.dist_tol
     )
@@ -169,11 +134,10 @@ def _cmd_spans(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_constants(config: ExperimentConfig, args: argparse.Namespace) -> int:
     check_family_sizes(config.dictionary, config.K_list)
-    vol_samples = config.constants_samples or config.n_samples
     sets = [
         assemble_constants(
             config.dictionary, config.fidelity, config.data, k,
-            n_samples=vol_samples, seed=config.seed,
+            n_samples=config.n_samples, seed=config.seed,
         )
         for k in config.K_list
     ]
@@ -213,8 +177,7 @@ def _cmd_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
         config.dictionary, config.fidelity, config.data, config.tau_grid,
         config.theta, config.K_list, quantities=config.quantities,
         n_samples=config.n_samples, seed=config.seed, feas_tol=config.feas_tol,
-        dist_tol=config.dist_tol, constants_samples=config.constants_samples,
-        workers=config.threads,
+        dist_tol=config.dist_tol, workers=config.threads,
     )
     _emit(report_to_csv(report), args.output)
     if report.n_fail:
@@ -227,7 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = load_config(
+            args.config, seed=args.seed, threads=args.threads, samples=args.samples
+        )
         if args.command == "solve":
             return _cmd_solve(config, args)
         if args.command == "spans":

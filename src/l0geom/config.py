@@ -10,9 +10,9 @@ Optional, with defaults:
     K / K_list         all of 0..N        sparsity levels
     quantities         all five           subset of measure_leq, measure_eq,
                                           prob_leq, prob_eq, expect
-    samples            100000             Monte Carlo draws per estimate
-    constants_samples  same as samples    draws for the volume constants that
-                                          have no exact value (wlp with p > 1)
+    samples            100000             Monte Carlo draws per estimate, and
+                                          for the volume constants that have
+                                          no exact value (wlp with p > 1)
     seed               42                 base seed for all streams
     span_tol           1e-9               rank tolerance of the spanning check, span
                                           families, pair dimensions and overlaps
@@ -28,6 +28,12 @@ Optional, with defaults:
                                           starts); volume constants run in the
                                           calling thread
 
+theta, tau, the tau_grid entries and the three tolerances must be finite
+and positive.  ``load_config`` writes its overrides (the command line's
+--seed, --threads and --samples) under their keys before any check, so
+each setting is checked once, by ``config_from_dict``, wherever it came
+from.
+
 Estimates and validation rows both come in cell order: quantity, then K,
 then tau.
 """
@@ -35,6 +41,7 @@ then tau.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -50,8 +57,7 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {
     "dictionary", "fidelity", "data", "theta", "tau", "tau_grid", "K", "K_list",
-    "quantities", "samples", "constants_samples", "seed", "span_tol", "feas_tol",
-    "dist_tol", "threads",
+    "quantities", "samples", "seed", "span_tol", "feas_tol", "dist_tol", "threads",
 }
 
 
@@ -65,7 +71,6 @@ class ExperimentConfig:
     K_list: tuple[int, ...]
     quantities: tuple[Quantity, ...]
     n_samples: int
-    constants_samples: int | None
     seed: int
     feas_tol: float
     dist_tol: float
@@ -76,11 +81,20 @@ class ExperimentConfig:
         return self.dictionary.span_tol
 
 
-def _positive(obj: dict[str, Any], key: str, default: float) -> float:
-    value = obj.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-        raise ConfigError(f"'{key}' must be a positive number, got {value!r}")
+def positive_number(value: Any, name: str) -> float:
+    """``value`` as a float if it is a real number in (0, inf), else a ConfigError naming ``name``.
+
+    The upper bound also refuses an integer too large to become a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        0 < value <= sys.float_info.max
+    ):
+        raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
+
+
+def _positive(obj: dict[str, Any], key: str, default: float) -> float:
+    return positive_number(obj.get(key, default), f"'{key}'")
 
 
 def _positive_int(obj: dict[str, Any], key: str, default: int) -> int:
@@ -125,9 +139,7 @@ def config_from_dict(obj: dict[str, Any]) -> ExperimentConfig:
         grid = obj["tau_grid"]
         if not isinstance(grid, list) or not grid:
             raise ConfigError("'tau_grid' must be a nonempty list")
-        if any(not isinstance(t, (int, float)) or isinstance(t, bool) or not t > 0 for t in grid):
-            raise ConfigError("'tau_grid' entries must be positive numbers")
-        tau_grid = tuple(float(t) for t in grid)
+        tau_grid = tuple(positive_number(t, "each 'tau_grid' entry") for t in grid)
     else:
         raise ConfigError("config needs 'tau' or 'tau_grid'")
 
@@ -158,9 +170,6 @@ def config_from_dict(obj: dict[str, Any]) -> ExperimentConfig:
             f"unknown quantity; expected one of {[q.value for q in Quantity]}: {err}"
         ) from err
 
-    constants_samples = (
-        _positive_int(obj, "constants_samples", 0) if "constants_samples" in obj else None
-    )
     seed = obj.get("seed", 42)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
@@ -173,7 +182,6 @@ def config_from_dict(obj: dict[str, Any]) -> ExperimentConfig:
         K_list=K_list,
         quantities=quantities,
         n_samples=_positive_int(obj, "samples", 100_000),
-        constants_samples=constants_samples,
         seed=seed,
         feas_tol=_positive(obj, "feas_tol", DEFAULT_FEAS_TOL),
         dist_tol=_positive(obj, "dist_tol", DEFAULT_DIST_TOL),
@@ -181,7 +189,8 @@ def config_from_dict(obj: dict[str, Any]) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides: Any) -> ExperimentConfig:
+    """The config at ``path``, each non-None override written under its key first."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
@@ -189,4 +198,6 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+    if isinstance(obj, dict):
+        obj.update((key, value) for key, value in overrides.items() if value is not None)
     return config_from_dict(obj)

@@ -21,6 +21,7 @@ from .bounds import (
     Z95,
     ConstantSet,
     Quantity,
+    _csv,
     assemble_constants,
     bound_levels,
     bound_report,
@@ -324,7 +325,6 @@ def validate_bounds(
     seed: int = 42,
     feas_tol: float = DEFAULT_FEAS_TOL,
     dist_tol: float = DEFAULT_DIST_TOL,
-    constants_samples: int | None = None,
     workers: int = 1,
 ) -> ValidationReport:
     """Cross every requested quantity, level, and tau against its bounds.
@@ -348,9 +348,8 @@ def validate_bounds(
     # The distance profiles need every level below N, and so cover every
     # capped level the bounds need.
     check_family_sizes(dictionary, range(n))
-    vol_samples = constants_samples if constants_samples is not None else n_samples
     consts: dict[int, ConstantSet] = {
-        k: assemble_constants(dictionary, fidelity, data, k, n_samples=vol_samples, seed=seed)
+        k: assemble_constants(dictionary, fidelity, data, k, n_samples=n_samples, seed=seed)
         for k in levels
     }
     data_ball_vol = ball_volume(data, n)
@@ -374,23 +373,6 @@ def validate_bounds(
     return ValidationReport(
         rows=tuple(rows), theta=float(theta), n_samples=int(n_samples), seed=int(seed)
     )
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Quantity):
-        return value.value
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv(header: str, rows: Iterable[tuple]) -> str:
-    lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def report_to_csv(report: ValidationReport) -> str:

@@ -518,19 +518,10 @@ def enumerate_pairs(family: SpanFamily, k: int) -> np.ndarray:
     not attainable, in particular for k = K, for any k below
     max(0, 2K - N) and for families with fewer than two members.  The
     dimensions come from the family's memoised ``pair_dims`` matrix, so
-    calls at every k share one rank pass; the array is filled in row
-    blocks, so that it is the only O(P) memory.
+    calls at every k share one rank pass.
     """
     if not 0 <= k <= family.K:
         raise ValueError(f"k must lie in [0, {family.K}], got {k}")
     if k == family.K:  # off the diagonal, pair_dims holds dimensions below K
         return np.empty((0, 2), dtype=np.intp)
-    hits = pair_dims(family) == k
-    pairs = np.empty((np.count_nonzero(hits), 2), dtype=np.intp)
-    step = max(1, _PAIR_BLOCK // max(1, len(hits)))
-    end = 0
-    for lo in range(0, len(hits), step):
-        rows, cols = np.nonzero(hits[lo : lo + step])
-        start, end = end, end + len(rows)
-        pairs[start:end, 0], pairs[start:end, 1] = lo + rows, cols
-    return pairs
+    return np.argwhere(pair_dims(family) == k)

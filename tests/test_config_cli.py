@@ -27,7 +27,6 @@ class TestConfig:
         assert cfg.K_list == (0, 1, 2)
         assert cfg.quantities == tuple(Quantity)
         assert cfg.n_samples == 100_000
-        assert cfg.constants_samples is None
         assert cfg.seed == 42
         assert (cfg.span_tol, cfg.feas_tol, cfg.dist_tol) == (1e-9, 1e-10, 1e-9)
         assert cfg.threads == 1
@@ -43,7 +42,6 @@ class TestConfig:
                 "K_list": [1, 2],
                 "quantities": ["prob_leq", "expect"],
                 "samples": 500,
-                "constants_samples": 800,
                 "seed": 0,
                 "threads": 4,
             }
@@ -53,8 +51,28 @@ class TestConfig:
         assert cfg.tau_grid == (0.01, 0.1)
         assert cfg.K_list == (1, 2)
         assert cfg.quantities == (Quantity.PROB_LEQ, Quantity.EXPECT)
-        assert cfg.constants_samples == 800
+        assert cfg.n_samples == 500
         assert cfg.seed == 0
+        assert cfg.threads == 4
+
+    def test_constants_samples_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['constants_samples'\]"):
+            config_from_dict(minimal(constants_samples=800))
+
+    @pytest.mark.parametrize("key", ["theta", "tau", "tau_grid", "span_tol", "feas_tol", "dist_tol"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
+    def test_non_finite_numbers_are_refused(self, key, value):
+        obj = minimal(**{key: [value] if key == "tau_grid" else value})
+        if key == "tau_grid":
+            del obj["tau"]
+        with pytest.raises(ConfigError, match=f"'{key}'.*positive finite number"):
+            config_from_dict(obj)
+
+    def test_json_overflow_reads_as_infinity_and_is_refused(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"dictionary": [[1, 0], [0, 1]], "tau": 0.05, "theta": 1e999}')
+        with pytest.raises(ConfigError, match="'theta' must be a positive finite number, got inf"):
+            load_config(str(path))
 
     def test_span_tol_is_the_dictionary_tolerance(self):
         cfg = config_from_dict(minimal(span_tol=1e-6))
@@ -115,12 +133,6 @@ def config_path(tmp_path):
     return write
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("L0GEOM_SEED", raising=False)
-    monkeypatch.delenv("L0GEOM_THREADS", raising=False)
-
-
 class TestSolveCommand:
     def test_json_output(self, config_path, capsys):
         path = config_path({"dictionary": THREE, "tau": 0.05})
@@ -151,6 +163,14 @@ class TestSolveCommand:
         assert main(["solve", "--config", path, "--data", data]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tau", ["inf", "nan", "0", "-0.5"])
+    def test_tau_flag_must_be_positive_and_finite(self, config_path, capsys, tau):
+        path = config_path(minimal())
+        assert main(["solve", "--config", path, "--data", "0.5,0.5", f"--tau={tau}"]) == 1
+        captured = capsys.readouterr()
+        assert "--tau must be a positive finite number" in captured.err
         assert captured.out == ""
 
     def test_unparsable_data_vector(self, config_path, capsys):
@@ -264,34 +284,56 @@ class TestValidateCommand:
         assert target.read_text().startswith("quantity,")
 
     def test_byte_determinism_and_thread_invariance(self, config_path, capsys, monkeypatch):
+        from l0geom import cli
+
+        workers = []
+        real = cli.validate_bounds
+
+        def recording(*args, **kwargs):
+            workers.append(kwargs["workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_bounds", recording)
         path = config_path(self.CLEAN)
         main(["validate", "--config", path])
         first = capsys.readouterr().out
         main(["validate", "--config", path])
         second = capsys.readouterr().out
-        monkeypatch.setenv("L0GEOM_THREADS", "3")
-        main(["validate", "--config", path])
+        main(["validate", "--config", path, "--threads", "3"])
         third = capsys.readouterr().out
+        assert workers == [1, 1, 3]
         assert first == second == third
 
-    def test_seed_precedence_flag_env_config(self, config_path, capsys, monkeypatch):
+    def test_seed_flag_beats_config(self, config_path, capsys):
         path = config_path(self.CLEAN)
         main(["estimate", "--config", path])
         base = capsys.readouterr().out
-        monkeypatch.setenv("L0GEOM_SEED", "123")
-        main(["estimate", "--config", path])
-        env_out = capsys.readouterr().out
-        main(["estimate", "--config", path, "--seed", "11"])
+        main(["estimate", "--config", path, "--seed", "123"])
         flag_out = capsys.readouterr().out
-        assert env_out != base
-        assert flag_out == base  # flag wins over environment
-        assert ",123" in env_out.splitlines()[1]
+        main(["estimate", "--config", config_path(dict(self.CLEAN, seed=123))])
+        config_out = capsys.readouterr().out
+        assert ",11" in base.splitlines()[1]
+        assert flag_out != base and flag_out == config_out
 
-    def test_bad_env_value(self, config_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "'seed' must be a nonnegative integer, got -1"),
+            ("--threads", "0", "'threads' must be a positive integer, got 0"),
+            ("--samples", "0", "'samples' must be a positive integer, got 0"),
+        ],
+        ids=["seed", "threads", "samples"],
+    )
+    def test_bad_override_gets_the_config_message(
+        self, config_path, capsys, monkeypatch, flag, value, message
+    ):
+        from l0geom import cli
+
+        monkeypatch.setattr(cli, "validate_bounds", lambda *a, **k: pytest.fail("ran"))
         path = config_path(self.CLEAN)
-        monkeypatch.setenv("L0GEOM_SEED", "soon")
-        assert main(["validate", "--config", path]) == 1
-        assert "L0GEOM_SEED" in capsys.readouterr().err
+        assert main(["validate", "--config", path, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_validity_warning(self, config_path, capsys):
         path = config_path({"dictionary": AXES, "tau": 0.6, "samples": 2000})
