@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .norms import (
 # subspace_distance and enumerate_spans are no longer called here but stay
 # importable from this module, where perfbench/tracing.py looks them up.
 from .solver import (  # noqa: F401
-    _indices,
     box_vertices,
     dual_vertices,
     member_distances,
@@ -66,6 +65,7 @@ from .subspaces import (  # noqa: F401
     Dictionary,
     SpanFamily,
     SubspaceBasis,
+    _indices,
     empty_basis,
     enumerate_pairs,
     enumerate_spans,
@@ -645,17 +645,26 @@ def report_levels(quantity: Quantity | str, K: int | None, n_dim: int) -> tuple[
     return (K,)
 
 
+def validation_cells(
+    quantities: Iterable[Quantity | str], K_list: Iterable[int], tau_grid: Sequence[float]
+) -> Iterator[tuple[Quantity, int | None, float]]:
+    """Every (quantity, K, tau) cell in report order: quantity, then K, then
+    tau.  expect has no level and takes K = None; every other quantity
+    takes each K of K_list."""
+    K_list = tuple(K_list)
+    for q in map(Quantity, quantities):
+        for K in (None,) if q is Quantity.EXPECT else K_list:
+            for tau in tau_grid:
+                yield q, K, tau
+
+
 def bound_levels(
     quantities: Iterable[Quantity | str], K_list: Iterable[int], n_dim: int
 ) -> tuple[int, ...]:
-    """Sorted union of ``report_levels`` over the cells of the requested
-    quantities at the levels of K_list (expect once, at K = None)."""
-    K_list = tuple(K_list)
-    levels: set[int] = set()
-    for q in map(Quantity, quantities):
-        for K in (None,) if q is Quantity.EXPECT else K_list:
-            levels.update(report_levels(q, K, n_dim))
-    return tuple(sorted(levels))
+    """Sorted union of ``report_levels`` over the cells' (quantity, K) pairs,
+    read from ``validation_cells`` at one placeholder tau."""
+    cells = validation_cells(quantities, K_list, (None,))
+    return tuple(sorted({k for q, K, _ in cells for k in report_levels(q, K, n_dim)}))
 
 
 def _level(

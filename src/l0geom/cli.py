@@ -21,15 +21,15 @@ import sys
 
 import numpy as np
 
-from .bounds import assemble_constants, bound_levels, constants_to_csv, gate_factors
-from .config import ConfigError, ExperimentConfig, load_config, positive_number
-from .montecarlo import (
-    LevelSetExperiment,
-    estimates_to_csv,
-    report_to_csv,
-    validate_bounds,
+from .bounds import (
+    assemble_constants,
+    bound_levels,
+    constants_to_csv,
+    gate_factors,
     validation_cells,
 )
+from .config import ConfigError, ExperimentConfig, load_config, positive_number
+from .montecarlo import LevelSetExperiment, estimates_to_csv, report_to_csv, validate_bounds
 from .solver import L0Solver, span_family
 from .subspaces import check_family_sizes, enumerate_pairs
 
@@ -87,10 +87,7 @@ def _cmd_solve(config: ExperimentConfig, args: argparse.Namespace) -> int:
             f"{config.dictionary.n_dim}"
         )
     tau = config.tau_grid[0] if args.tau is None else positive_number(args.tau, "--tau")
-    solver = L0Solver(
-        config.dictionary, config.fidelity, feas_tol=config.feas_tol, dist_tol=config.dist_tol
-    )
-    result = solver.solve(data, tau)
+    result = L0Solver(config.dictionary, config.fidelity).solve(data, tau)
     _emit(
         _json(
             {
@@ -148,7 +145,7 @@ def _cmd_constants(config: ExperimentConfig, args: argparse.Namespace) -> int:
 def _cmd_estimate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     experiment = LevelSetExperiment(
         config.dictionary, config.fidelity, config.data, config.theta, config.n_samples,
-        config.seed, workers=config.threads, feas_tol=config.feas_tol, dist_tol=config.dist_tol,
+        config.seed, workers=config.threads,
     )
     cells = validation_cells(config.quantities, config.K_list, config.tau_grid)
     _emit(estimates_to_csv(experiment.estimate(*cell) for cell in cells), args.output)
@@ -176,8 +173,7 @@ def _cmd_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     report = validate_bounds(
         config.dictionary, config.fidelity, config.data, config.tau_grid,
         config.theta, config.K_list, quantities=config.quantities,
-        n_samples=config.n_samples, seed=config.seed, feas_tol=config.feas_tol,
-        dist_tol=config.dist_tol, workers=config.threads,
+        n_samples=config.n_samples, seed=config.seed, workers=config.threads,
     )
     _emit(report_to_csv(report), args.output)
     if report.n_fail:

@@ -16,11 +16,6 @@ Optional, with defaults:
     seed               42                 base seed for all streams
     span_tol           1e-9               rank tolerance of the spanning check, span
                                           families, pair dimensions and overlaps
-    feas_tol           1e-10              relative slack on tau in feasibility tests
-    dist_tol           1e-9               stopping tolerance of the Newton fit that
-                                          prices every level of a wlp fidelity
-                                          with p > 1 (one fit per level, inside
-                                          the solver's one stacked table)
     threads            1                  worker threads for sampling and distance
                                           profiles (never affects results; the
                                           solver's stacked table grows only in the
@@ -28,11 +23,13 @@ Optional, with defaults:
                                           starts); volume constants run in the
                                           calling thread
 
-theta, tau, the tau_grid entries and the three tolerances must be finite
-and positive.  ``load_config`` writes its overrides (the command line's
---seed, --threads and --samples) under their keys before any check, so
-each setting is checked once, by ``config_from_dict``, wherever it came
-from.
+theta, tau, the tau_grid entries and span_tol must be finite and
+positive.  The solver's slack on tau and its Newton stopping tolerance are
+the constants ``solver.FEAS_TOL`` and ``solver.DIST_TOL``, not keys, so a
+config naming either is refused as an unknown key.  ``load_config``
+writes its overrides (the command line's --seed, --threads and
+--samples) under their keys before any check, so each setting is checked
+once, by ``config_from_dict``, wherever it came from.
 
 Estimates and validation rows both come in cell order: quantity, then K,
 then tau.
@@ -47,7 +44,7 @@ from typing import Any
 
 from .bounds import Quantity
 from .norms import NormSpec
-from .solver import DEFAULT_DIST_TOL, DEFAULT_FEAS_TOL
+from .solver import DIST_TOL, FEAS_TOL
 from .subspaces import DEFAULT_SPAN_TOL, Dictionary
 
 
@@ -57,7 +54,7 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {
     "dictionary", "fidelity", "data", "theta", "tau", "tau_grid", "K", "K_list",
-    "quantities", "samples", "seed", "span_tol", "feas_tol", "dist_tol", "threads",
+    "quantities", "samples", "seed", "span_tol", "threads",
 }
 
 
@@ -72,13 +69,16 @@ class ExperimentConfig:
     quantities: tuple[Quantity, ...]
     n_samples: int
     seed: int
-    feas_tol: float
-    dist_tol: float
     threads: int
 
     @property
     def span_tol(self) -> float:
         return self.dictionary.span_tol
+
+    # The solver's constants, not fields: perfbench reads them here and
+    # passes them to L0Solver and values_from_profiles positionally.
+    feas_tol = FEAS_TOL
+    dist_tol = DIST_TOL
 
 
 def positive_number(value: Any, name: str) -> float:
@@ -183,8 +183,6 @@ def config_from_dict(obj: dict[str, Any]) -> ExperimentConfig:
         quantities=quantities,
         n_samples=_positive_int(obj, "samples", 100_000),
         seed=seed,
-        feas_tol=_positive(obj, "feas_tol", DEFAULT_FEAS_TOL),
-        dist_tol=_positive(obj, "dist_tol", DEFAULT_DIST_TOL),
         threads=_positive_int(obj, "threads", 1),
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,16 +26,11 @@ from .bounds import (
     bound_levels,
     bound_report,
     report_levels,
+    validation_cells,
 )
 from .norms import NormSpec, VolumeEstimate, ball_volume
 from .sampling import sample_levelset_batch
-from .solver import (
-    DEFAULT_DIST_TOL,
-    DEFAULT_FEAS_TOL,
-    L0Solver,
-    member_distances,
-    values_from_profiles,
-)
+from .solver import L0Solver, member_distances, threshold, values_from_profiles
 from .subspaces import Dictionary, SubspaceBasis, check_family_sizes
 
 
@@ -78,8 +73,7 @@ class LevelSetExperiment:
     (quantity, K, tau) cell from them; the profiles need every level below
     N, and a span family too large to enumerate at any of them is refused
     before sampling starts.  ``workers`` splits the chunked
-    sampling and profile work without changing any result.  The
-    tolerances are read from ``solver`` and the dictionary it searches.
+    sampling and profile work without changing any result.
     """
 
     def __init__(
@@ -91,8 +85,6 @@ class LevelSetExperiment:
         n_samples: int,
         seed: int,
         *,
-        feas_tol: float = DEFAULT_FEAS_TOL,
-        dist_tol: float = DEFAULT_DIST_TOL,
         workers: int = 1,
     ) -> None:
         if n_samples < 1:
@@ -106,7 +98,7 @@ class LevelSetExperiment:
         self.n_samples = int(n_samples)
         self.seed = int(seed)
         self.workers = workers
-        self.solver = L0Solver(dictionary, fidelity, feas_tol=feas_tol, dist_tol=dist_tol)
+        self.solver = L0Solver(dictionary, fidelity)
         self._points: np.ndarray | None = None
         self._profiles: np.ndarray | None = None
         self._values: dict[float, np.ndarray] = {}
@@ -134,7 +126,7 @@ class LevelSetExperiment:
     def values(self, tau: float) -> np.ndarray:
         tau = float(tau)
         if tau not in self._values:
-            vals = values_from_profiles(self.profiles, tau, self.solver.feas_tol)
+            vals = values_from_profiles(self.profiles, tau)
             vals.flags.writeable = False
             self._values[tau] = vals
         return self._values[tau]
@@ -183,12 +175,9 @@ class LevelSetExperiment:
         self, first: SubspaceBasis, second: SubspaceBasis, tau: float
     ) -> MCEstimate:
         """Measure of the set within tau of both spans, inside the data ball."""
-        if not tau > 0.0:
-            raise ValueError(f"tau must be > 0, got {tau}")
-        thresh = tau * (1.0 + self.solver.feas_tol)
+        thresh = threshold(tau)
         near = [
-            member_distances(self.fidelity, span, self.points, self.solver.dist_tol) <= thresh
-            for span in (first, second)
+            member_distances(self.fidelity, span, self.points) <= thresh for span in (first, second)
         ]
         hits = int(np.count_nonzero(near[0] & near[1]))
         return self._frequency(Quantity.MEASURE_LEQ, None, tau, hits)
@@ -299,19 +288,6 @@ def _row_from(
     )
 
 
-def validation_cells(
-    quantities: Iterable[Quantity], K_list: Sequence[int], tau_grid: Sequence[float]
-) -> Iterator[tuple[Quantity, int | None, float]]:
-    """Every (quantity, K, tau) cell in report order: quantity, then K, then tau.
-
-    expect has no level and yields K = None once per tau.
-    """
-    for q in quantities:
-        for K in (None,) if q is Quantity.EXPECT else K_list:
-            for tau in tau_grid:
-                yield q, K, tau
-
-
 def validate_bounds(
     dictionary: Dictionary,
     fidelity: NormSpec,
@@ -323,8 +299,6 @@ def validate_bounds(
     quantities: Iterable[Quantity | str] = tuple(Quantity),
     n_samples: int = 100_000,
     seed: int = 42,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    dist_tol: float = DEFAULT_DIST_TOL,
     workers: int = 1,
 ) -> ValidationReport:
     """Cross every requested quantity, level, and tau against its bounds.
@@ -354,8 +328,7 @@ def validate_bounds(
     }
     data_ball_vol = ball_volume(data, n)
     experiment = LevelSetExperiment(
-        dictionary, fidelity, data, theta, n_samples, seed,
-        feas_tol=feas_tol, dist_tol=dist_tol, workers=workers,
+        dictionary, fidelity, data, theta, n_samples, seed, workers=workers
     )
 
     def leading_for(q: Quantity, K: int | None, tau: float) -> float | None:

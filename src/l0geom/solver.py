@@ -6,7 +6,10 @@ d, searching support sizes upward.  Feasibility at size k only depends on
 the span of the chosen atoms, so the search runs over the distinct spans
 of size-k subsets instead of the subsets themselves; rank-deficient
 subsets never help and are skipped.  The attained value never exceeds the
-ambient dimension N, because the dictionary spans R^N.
+ambient dimension N, because the dictionary spans R^N.  Tau is the one
+tolerance a caller sets: "within tau" means at most ``threshold(tau)``,
+tau with the relative slack ``FEAS_TOL``, in every solve, profile and
+tube, and the Newton fit below stops at the constant ``DIST_TOL``.
 
 Distances to a span V come in one form per norm family.  Euclidean
 distances are orthogonal projections.  Polyhedral fidelities (l1, linf,
@@ -16,7 +19,7 @@ finitely many vertices that depend on V alone.  ``dual_vertices`` lists
 them once per span, after which every distance is a row maximum of one
 matrix product.  Weighted lp with p > 1 has no finite table: its
 distances come from one damped Newton fit over the basis coefficients,
-run for every (row, member) pair at once and stopped by ``dist_tol``.
+run for every (row, member) pair at once and stopped by ``DIST_TOL``.
 
 ``L0Solver`` holds one stacked table over the members of levels 1..L of
 the span families, in (level, provenance) order, for the fidelity's norm
@@ -66,16 +69,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .norms import NormSpec, norm_eval, scaled_magnitudes
 from .streams import map_chunks
-from .subspaces import Dictionary, SpanFamily, SubspaceBasis, enumerate_spans
+from .subspaces import Dictionary, SpanFamily, SubspaceBasis, _indices, enumerate_spans
 
-DEFAULT_FEAS_TOL = 1e-10
-DEFAULT_DIST_TOL = 1e-9
+# Relative slack on tau in every feasibility test (``threshold``): a
+# distance priced above tau by rounding alone still counts as within it.
+FEAS_TOL = 1e-10
+# Stopping tolerance of the weighted-lp Newton fit (p > 1): a (row, member)
+# pair stops once a step gains at most 1e-3 * DIST_TOL in the distance.
+DIST_TOL = 1e-9
 
 # Newton steps of one weighted-lp fit before ConvergenceError, and step
 # halvings of one Armijo backtracking search.
@@ -159,12 +166,6 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative distance computation hits its iteration cap."""
 
 
-def _indices(n: int, r: int) -> np.ndarray:
-    """All r-element subsets of range(n), one per row, in lexicographic order."""
-    subsets = list(combinations(range(n), r))
-    return np.array(subsets, dtype=int).reshape(len(subsets), r)
-
-
 def null_directions(c: np.ndarray) -> np.ndarray:
     """(C(N, m - 1), m) unit vectors x, one per m - 1 rows of the (N, m) matrix c,
     with those rows of c x zero: the null space of the rows when they are
@@ -242,6 +243,19 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     return np.vstack([np.zeros((1, n)), z[np.sort(first)]])
 
 
+def threshold(tau: float) -> float:
+    """The largest distance that counts as within tau > 0."""
+    if not tau > 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    return tau * (1.0 + FEAS_TOL)
+
+
+def _check_slot(name: str, value: float | None, fixed: float, owner: str) -> None:
+    """ValueError unless a positional tolerance slot holds None or the value in force."""
+    if value not in (None, fixed):
+        raise ValueError(f"{name} {value} is not {owner} {fixed}")
+
+
 def _check_finite(data: np.ndarray) -> None:
     """ValueError unless a data vector, or each row of a data matrix, is finite."""
     if not np.isfinite(data).all():
@@ -250,10 +264,7 @@ def _check_finite(data: np.ndarray) -> None:
 
 
 def subspace_distance(
-    fidelity: NormSpec,
-    basis: SubspaceBasis,
-    d: np.ndarray,
-    dist_tol: float = DEFAULT_DIST_TOL,
+    fidelity: NormSpec, basis: SubspaceBasis, d: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Distance from d to the subspace in the fidelity norm, with a closest point.
 
@@ -277,7 +288,7 @@ def subspace_distance(
         v = bm @ (bm.T @ d)
         return float(np.linalg.norm(d - v)), v
     if not fidelity.polyhedral:
-        dist, coeffs = _PowerLevel(fidelity, (basis,), dist_tol).fit(d[None, :])
+        dist, coeffs = _PowerLevel(fidelity, (basis,)).fit(d[None, :])
         return float(dist[0, 0]), bm @ coeffs[0, 0]
     table = dual_vertices(fidelity, basis)
     scores = table @ d
@@ -388,12 +399,7 @@ class _Certificate:
         return coeffs[hits[0]], float(norms[hits[0]])
 
 
-def member_distances(
-    fidelity: NormSpec,
-    basis: SubspaceBasis,
-    rows: np.ndarray,
-    dist_tol: float = DEFAULT_DIST_TOL,
-) -> np.ndarray:
+def member_distances(fidelity: NormSpec, basis: SubspaceBasis, rows: np.ndarray) -> np.ndarray:
     """Fidelity distance from each row to the subspace, without closest points.
 
     This is the stacked table of the one member: a product with the
@@ -410,7 +416,7 @@ def member_distances(
         return np.asarray(norm_eval(fidelity, rows))
     if basis.dim == basis.ambient_dim:
         return np.zeros(rows.shape[0])
-    table = _level_stack(fidelity, basis.ambient_dim, dist_tol)
+    table = _level_stack(fidelity, basis.ambient_dim)
     table.append((basis,))
     return table.nearest(rows)[:, 0]
 
@@ -658,10 +664,8 @@ class _PowerLevel:
     fitted alone, in a block, or in a whole level.
     """
 
-    def __init__(
-        self, fidelity: NormSpec, members: tuple[SubspaceBasis, ...], dist_tol: float
-    ) -> None:
-        self.fidelity, self.members, self.dist_tol = fidelity, members, dist_tol
+    def __init__(self, fidelity: NormSpec, members: tuple[SubspaceBasis, ...]) -> None:
+        self.fidelity, self.members = fidelity, members
         self.weights = np.asarray(fidelity.weights, dtype=float)
         self.bases = np.stack([member.matrix for member in members])
         n_members, n, k = self.bases.shape
@@ -723,7 +727,7 @@ class _PowerLevel:
         so every power is taken of a number in [0, 1]; where that is not a
         descent direction, a gradient step of length m replaces it.  Each
         step backtracks until Armijo's condition holds on phi, and a pair
-        stops once a step gains at most 1e-3 * dist_tol in the distance (in
+        stops once a step gains at most 1e-3 * DIST_TOL in the distance (in
         phi itself, or for the ``dual`` fit in 1 / phi).  A pair still
         gaining after ``_MAX_NEWTON_STEPS`` raises ConvergenceError.
         """
@@ -767,7 +771,7 @@ class _PowerLevel:
 
             coeffs[active] = new_c
             gain = phi - new_phi
-            going = gain > 1e-3 * self.dist_tol * (phi * new_phi if dual else 1.0)
+            going = gain > 1e-3 * DIST_TOL * (phi * new_phi if dual else 1.0)
             active, gain = active[going], gain[going]
             if not active.size:
                 return coeffs
@@ -792,13 +796,12 @@ class _PowerStack(_LevelStack):
     block fits each level in turn.
     """
 
-    def __init__(self, fidelity: NormSpec, dist_tol: float) -> None:
+    def __init__(self, fidelity: NormSpec) -> None:
         super().__init__(fidelity)
-        self.dist_tol = dist_tol
         self.tables: list[_PowerLevel] = []
 
     def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
-        self.tables.append(_PowerLevel(self.fidelity, members, self.dist_tol))
+        self.tables.append(_PowerLevel(self.fidelity, members))
         self.width = max(self.width, self.tables[-1].width)
         return self.tables[-1].width
 
@@ -814,19 +817,19 @@ class _PowerStack(_LevelStack):
 
     def closest(self, d: np.ndarray, m: int, dictionary: Dictionary) -> tuple[np.ndarray, float]:
         member = self.members[m]
-        fit = _PowerLevel(self.fidelity, (member,), self.dist_tol).fit(d[None, :])[1][0, 0]
+        fit = _PowerLevel(self.fidelity, (member,)).fit(d[None, :])[1][0, 0]
         atoms, inverse = self._pseudo_inverse(m, dictionary)
         coeffs = inverse @ (member.matrix @ fit)
         return coeffs, float(norm_eval(self.fidelity, atoms @ coeffs - d))
 
 
-def _level_stack(fidelity: NormSpec, n: int, dist_tol: float) -> _LevelStack:
+def _level_stack(fidelity: NormSpec, n: int) -> _LevelStack:
     """An empty stacked table of the fidelity's norm family in R^n."""
     if fidelity.kind == "l2":
         return _QuadraticStack(fidelity, n)
     if fidelity.polyhedral:
         return _DualStack(fidelity, n)
-    return _PowerStack(fidelity, dist_tol)
+    return _PowerStack(fidelity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -861,10 +864,11 @@ class L0Solver:
     """Shared search state for many solves against one dictionary and norm.
 
     Span families come from ``span_family``, so they are enumerated once
-    per dictionary, at the dictionary's own tolerance; a ``span_tol``
-    argument other than that one raises ValueError.  The solver owns the
-    relative slack on tau, ``feas_tol``, and the stopping tolerance of the
-    weighted-lp Newton fit, ``dist_tol``.
+    per dictionary, at the dictionary's own tolerance.  Feasibility is
+    ``threshold(tau)`` and the weighted-lp Newton fit stops at ``DIST_TOL``,
+    both module constants.  The positional ``span_tol``, ``feas_tol`` and
+    ``dist_tol`` slots take None or the value in force (the dictionary's
+    span_tol, FEAS_TOL, DIST_TOL), and any other value raises ValueError.
 
     The solver holds the stacked table of the fidelity's norm family
     (``level_stack``).  A solve's scan names the first member within tau,
@@ -886,18 +890,15 @@ class L0Solver:
         dictionary: Dictionary,
         fidelity: NormSpec,
         span_tol: float | None = None,
-        feas_tol: float = DEFAULT_FEAS_TOL,
-        dist_tol: float = DEFAULT_DIST_TOL,
+        feas_tol: float | None = None,
+        dist_tol: float | None = None,
     ) -> None:
-        if span_tol not in (None, dictionary.span_tol):
-            raise ValueError(f"span_tol {span_tol} is not the dictionary's {dictionary.span_tol}")
-        if not (feas_tol >= 0 and dist_tol > 0):
-            raise ValueError("tolerances must be positive (feas_tol may be zero)")
+        _check_slot("span_tol", span_tol, dictionary.span_tol, "the dictionary's")
+        _check_slot("feas_tol", feas_tol, FEAS_TOL, "the solver's")
+        _check_slot("dist_tol", dist_tol, DIST_TOL, "the solver's")
         self.dictionary = dictionary
         self.fidelity = fidelity
-        self.feas_tol = feas_tol
-        self.dist_tol = dist_tol
-        self._stack = _level_stack(fidelity, dictionary.n_dim, dist_tol)
+        self._stack = _level_stack(fidelity, dictionary.n_dim)
         # value_leq's tables of single levels the stack does not reach yet.
         self._levels: dict[int, _LevelStack] = {}
         # The first full-rank subset and its atoms, once a solve reaches level N.
@@ -916,15 +917,13 @@ class L0Solver:
             self._levels.pop(self._stack.levels, None)
         return self._stack
 
-    def _check_data(self, d: np.ndarray, tau: float) -> np.ndarray:
+    def _check_data(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
         if d.shape != (self.dictionary.n_dim,):
             raise ValueError(
                 f"data has shape {d.shape}, expected ({self.dictionary.n_dim},)"
             )
         _check_finite(d)
-        if not tau > 0.0:
-            raise ValueError(f"tau must be > 0, got {tau}")
         return d
 
     def solve(self, d: np.ndarray, tau: float) -> SolveResult:
@@ -936,8 +935,8 @@ class L0Solver:
         stack's ``closest`` rule, and at level N from interpolating d on
         the first full-rank subset.
         """
-        d = self._check_data(d, tau)
-        n, thresh = self.dictionary.n_dim, tau * (1.0 + self.feas_tol)
+        d = self._check_data(d)
+        n, thresh = self.dictionary.n_dim, threshold(tau)
         residual = float(norm_eval(self.fidelity, d))
         if residual <= thresh:
             return SolveResult(value=0, support=(), coefficients=np.zeros(0), residual=residual)
@@ -971,11 +970,10 @@ class L0Solver:
         on a table of its own, built once and kept until the stack reaches
         level K, so no other family is enumerated.
         """
-        d = self._check_data(d, tau)
+        d, thresh = self._check_data(d), threshold(tau)
         n = self.dictionary.n_dim
         if not 0 <= K <= n:
             raise ValueError(f"K must lie in [0, {n}], got {K}")
-        thresh = tau * (1.0 + self.feas_tol)
         if K == 0:
             return bool(norm_eval(self.fidelity, d) <= thresh)
         if K == n:
@@ -984,7 +982,7 @@ class L0Solver:
             return self._stack.first_within(d, thresh, K, K) is not None
         table = self._levels.get(K)
         if table is None:
-            table = _level_stack(self.fidelity, n, self.dist_tol)
+            table = _level_stack(self.fidelity, n)
             table.append(self.family(K).members)
             table = self._levels.setdefault(K, table)
         return table.first_within(d, thresh, 1, 1) is not None
@@ -1027,23 +1025,16 @@ class L0Solver:
 
 
 def values_from_profiles(
-    profiles: np.ndarray, tau: float, feas_tol: float = DEFAULT_FEAS_TOL
+    profiles: np.ndarray, tau: float, feas_tol: float | None = None
 ) -> np.ndarray:
-    """Smallest-support values for every profile row at tolerance tau > 0."""
-    if not tau > 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    thresh = tau * (1.0 + feas_tol)
-    return np.argmax(profiles <= thresh, axis=1)
+    """Smallest-support values for every profile row at tolerance tau > 0.
+
+    The positional ``feas_tol`` slot takes None or FEAS_TOL, like
+    ``L0Solver``'s tolerance slots."""
+    _check_slot("feas_tol", feas_tol, FEAS_TOL, "the solver's")
+    return np.argmax(profiles <= threshold(tau), axis=1)
 
 
-def solve_l0(
-    dictionary: Dictionary,
-    fidelity: NormSpec,
-    d: np.ndarray,
-    tau: float,
-    *,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    dist_tol: float = DEFAULT_DIST_TOL,
-) -> SolveResult:
-    return L0Solver(dictionary, fidelity, feas_tol=feas_tol, dist_tol=dist_tol).solve(d, tau)
+def solve_l0(dictionary: Dictionary, fidelity: NormSpec, d: np.ndarray, tau: float) -> SolveResult:
+    return L0Solver(dictionary, fidelity).solve(d, tau)
 

@@ -345,6 +345,12 @@ def check_family_sizes(dictionary: Dictionary, levels: Iterable[int]) -> None:
             )
 
 
+def _indices(n: int, r: int) -> np.ndarray:
+    """All r-element subsets of range(n), one per row, in lexicographic order."""
+    subsets = list(combinations(range(n), r))
+    return np.array(subsets, dtype=int).reshape(len(subsets), r)
+
+
 def _closures(bases: np.ndarray, unit: np.ndarray, tol: float) -> np.ndarray:
     """(S, m) closure marks of an (S, N, K) stack of bases against the unit
     atoms, the columns of ``unit``: rank [U | a] = K by ``_joint_rank`` at
@@ -391,7 +397,7 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
                 return SpanFamily(**fields, members=(basis,))
         return SpanFamily(**fields)
     check_family_sizes(dictionary, (K,))
-    subsets = np.array(list(combinations(range(dictionary.n_atoms), K)))
+    subsets = _indices(dictionary.n_atoms, K)
     u, s = _left_singular(np.moveaxis(dictionary.atoms[:, subsets], 1, 0), full_matrices=False)
     full = _rank(s, tol) == K
     bases, subsets = u[full], subsets[full]

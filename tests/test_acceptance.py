@@ -33,6 +33,7 @@ from l0geom import (
     validate_bounds,
 )
 from l0geom.bounds import euclid_ck
+from l0geom.solver import threshold
 from l0geom.subspaces import enumerate_spans
 from test_bounds import monte_carlo_volume
 
@@ -122,7 +123,7 @@ def build_artifacts(workers):
         exp = LevelSetExperiment(
             DICT3, L2, L2, theta=1.0, n_samples=100_000, seed=SEED, workers=workers
         )
-        feasible = exp.profiles <= 0.05 * (1.0 + exp.solver.feas_tol)
+        feasible = exp.profiles <= threshold(0.05)
         n_infeasible = int(np.count_nonzero(~feasible.any(axis=1)))
         counts = np.bincount(exp.values(0.05), minlength=4)
         lines = ["val,count"]

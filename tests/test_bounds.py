@@ -48,7 +48,7 @@ from l0geom import (
     slice_volume,
 )
 from l0geom import bounds, norms, streams
-from l0geom.montecarlo import validation_cells
+from l0geom.bounds import validation_cells
 from l0geom.norms import norm_eval, polytope_volume
 from l0geom.solver import member_distances, span_family
 from l0geom.subspaces import SpanFamily, SubspaceBasis, empty_basis

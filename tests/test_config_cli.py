@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from l0geom import Quantity, ValidationReport, ValidationRow
+from l0geom import Quantity, ValidationReport, ValidationRow, solver
 from l0geom.cli import main
 from l0geom.config import ConfigError, config_from_dict, load_config
 
@@ -59,7 +59,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown config keys: \['constants_samples'\]"):
             config_from_dict(minimal(constants_samples=800))
 
-    @pytest.mark.parametrize("key", ["theta", "tau", "tau_grid", "span_tol", "feas_tol", "dist_tol"])
+    @pytest.mark.parametrize("key", ["theta", "tau", "tau_grid", "span_tol"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
     def test_non_finite_numbers_are_refused(self, key, value):
         obj = minimal(**{key: [value] if key == "tau_grid" else value})
@@ -400,6 +400,14 @@ class TestCliPlumbing:
             line.split(",")[6] == "500"
             for line in capsys.readouterr().out.splitlines()[1:]
         )
+
+    @pytest.mark.parametrize("key", ["feas_tol", "dist_tol"])
+    def test_a_solver_constant_in_the_config_exits_one_naming_it(self, config_path, capsys, key):
+        # Even at the solver's own value: the constants are not run settings.
+        path = config_path(minimal(**{key: getattr(solver, key.upper())}))
+        assert main(["solve", "--config", path, "--data", "0.5,0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown config keys: ['{key}']\n" and captured.out == ""
 
     def test_negative_overrides_rejected(self, config_path, capsys):
         path = config_path(minimal())

@@ -219,6 +219,36 @@ class TestInvalidInput:
             values_from_profiles(profiles, tau)
 
 
+class TestToleranceSlots:
+    """The benchmark passes every tolerance positionally: each slot takes
+    None or the value in force, and refuses any other value by name."""
+
+    SLOTS = ("span_tol", "feas_tol", "dist_tol")
+
+    def in_force(self):
+        return [THREE_LINES.span_tol, solver.FEAS_TOL, solver.DIST_TOL]
+
+    def test_the_benchmark_call_shapes_work(self):
+        l0 = L0Solver(THREE_LINES, L2, *self.in_force())
+        profiles = l0.distance_profiles(np.array([[0.2, 0.1], [1.0, 0.3]]))
+        np.testing.assert_array_equal(
+            values_from_profiles(profiles, 0.05, solver.FEAS_TOL),
+            values_from_profiles(profiles, 0.05),
+        )
+        assert solver.threshold(0.05) == 0.05 * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("slot", range(3), ids=SLOTS)
+    def test_another_value_in_a_solver_slot_is_refused_by_name(self, slot):
+        tolerances = self.in_force()
+        tolerances[slot] *= 10.0
+        with pytest.raises(ValueError, match=f"^{self.SLOTS[slot]} "):
+            L0Solver(THREE_LINES, L2, *tolerances)
+
+    def test_another_feas_tol_is_refused_by_values_from_profiles(self):
+        with pytest.raises(ValueError, match="^feas_tol "):
+            values_from_profiles(np.zeros((1, 3)), 0.05, 1e-8)
+
+
 class TestSolveProperties:
     def test_monotone_in_tau_and_scale_covariant(self):
         rng = np.random.default_rng(41)
@@ -976,11 +1006,11 @@ class TestScreenedScan:
             near = member.matrix @ rng.standard_normal(k)
             away = member.complement().matrix @ rng.standard_normal(n - k)
             for tau in (1e-12, 1e-9, 1e-6):
-                thresh = tau * (1.0 + screened.feas_tol)
+                thresh = solver.threshold(tau)
                 for scale in (1.0 - 1e-12, 1.0 + 1e-12):
                     cases.append((near + away * (thresh * scale / np.linalg.norm(away)), tau))
         for d, tau in cases:
-            thresh = tau * (1.0 + screened.feas_tol)
+            thresh = solver.threshold(tau)
             found = stack.first_within(d, thresh, 1, n - 1)
             assert found == ref_stack.first_within(d, thresh, 1, n - 1)
             with pytest.MonkeyPatch.context() as patch:
@@ -1218,7 +1248,7 @@ class TestWeightedLpFit:
         fitted = L0Solver(dictionary, spec)
         for k in range(1, 4):
             members = fitted.family(k).members
-            table = solver._PowerLevel(spec, members, fitted.dist_tol)
+            table = solver._PowerLevel(spec, members)
             level = table.fit(points)[0]
             for m, member in enumerate(members):
                 np.testing.assert_array_equal(member_distances(spec, member, points), level[:, m])
