@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .config import Quantity
 from .norms import (
-    EquivConstants,
     NormSpec,
     VolumeEstimate,
     ball_volume,
@@ -301,19 +300,6 @@ def _product(a: VolumeEstimate, b: VolumeEstimate) -> VolumeEstimate:
     return VolumeEstimate(a.value * b.value, err)
 
 
-def cylinder_constant(
-    fidelity: NormSpec,
-    data: NormSpec,
-    basis: SubspaceBasis,
-    n_samples: int = DEFAULT_VOLUME_SAMPLES,
-    seed: int = 0,
-    subid: int = 0,
-) -> VolumeEstimate:
-    """Leading constant of one subspace: shadow volume times slice volume."""
-    shadow = projected_ball_volume(fidelity, basis, n_samples, seed, subid)
-    return _product(shadow, slice_volume(data, basis, n_samples, seed, subid))
-
-
 def overlap_constant(
     fidelity: NormSpec,
     data: NormSpec,
@@ -346,28 +332,6 @@ def _overlap_factor(delta2: float, n: int, k: int) -> float:
 
 def _overlap(factor: float, inner: VolumeEstimate) -> VolumeEstimate:
     return VolumeEstimate(factor * inner.value, factor * inner.std_err)
-
-
-def overlap_cap(
-    n_dim: int, k: int, family_size: int, equiv: EquivConstants
-) -> float:
-    """Cheap certified upper bound on the summed overlap constants at level k.
-
-    family_size * (family_size - 1) ordered pairs, each at most
-    alpha(N - k) (2 delta2)^(N - k) alpha(k) delta3^k.
-    """
-    if not 0 <= k <= n_dim:
-        raise ValueError(f"k must lie in [0, {n_dim}], got {k}")
-    if family_size < 0:
-        raise ValueError(f"family_size must be nonnegative, got {family_size}")
-    pairs = family_size * (family_size - 1)
-    return (
-        pairs
-        * _alpha(n_dim - k)
-        * (2.0 * equiv.delta2) ** (n_dim - k)
-        * _alpha(k)
-        * equiv.delta3**k
-    )
 
 
 @dataclass(frozen=True)
@@ -573,21 +537,6 @@ def _cell(value) -> str:
 def _csv(header: str, rows: Iterable[tuple]) -> str:
     lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-class Quantity(str, Enum):
-    """What a bound or estimate refers to.
-
-    Measures are Lebesgue volumes inside the data ball of radius theta;
-    probabilities divide by that ball's volume; expect is the mean
-    smallest-support value under the uniform distribution on the ball.
-    """
-
-    MEASURE_LEQ = "measure_leq"
-    MEASURE_EQ = "measure_eq"
-    PROB_LEQ = "prob_leq"
-    PROB_EQ = "prob_eq"
-    EXPECT = "expect"
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,9 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from enum import Enum
 from typing import Any
 
-from .bounds import Quantity
 from .norms import NormSpec
 from .solver import DIST_TOL, FEAS_TOL
 from .subspaces import DEFAULT_SPAN_TOL, Dictionary
@@ -50,6 +50,21 @@ from .subspaces import DEFAULT_SPAN_TOL, Dictionary
 
 class ConfigError(ValueError):
     """Raised for a malformed or inconsistent configuration."""
+
+
+class Quantity(str, Enum):
+    """What a bound or estimate refers to.
+
+    Measures are Lebesgue volumes inside the data ball of radius theta;
+    probabilities divide by that ball's volume; expect is the mean
+    smallest-support value under the uniform distribution on the ball.
+    """
+
+    MEASURE_LEQ = "measure_leq"
+    MEASURE_EQ = "measure_eq"
+    PROB_LEQ = "prob_leq"
+    PROB_EQ = "prob_eq"
+    EXPECT = "expect"
 
 
 _KNOWN_KEYS = {

@@ -20,7 +20,6 @@ import numpy as np
 from .bounds import (
     Z95,
     ConstantSet,
-    Quantity,
     _csv,
     assemble_constants,
     bound_levels,
@@ -28,10 +27,11 @@ from .bounds import (
     report_levels,
     validation_cells,
 )
+from .config import Quantity
 from .norms import NormSpec, VolumeEstimate, ball_volume
 from .sampling import sample_levelset_batch
-from .solver import L0Solver, member_distances, threshold, values_from_profiles
-from .subspaces import Dictionary, SubspaceBasis, check_family_sizes
+from .solver import L0Solver, values_from_profiles
+from .subspaces import Dictionary, check_family_sizes
 
 
 def wilson_half_width(p_hat: float, n: int) -> float:
@@ -170,17 +170,6 @@ class LevelSetExperiment:
         return MCEstimate(
             quantity, K, tau, self.theta, mean, half_width, self.n_samples, self.seed
         )
-
-    def tube_overlap_measure(
-        self, first: SubspaceBasis, second: SubspaceBasis, tau: float
-    ) -> MCEstimate:
-        """Measure of the set within tau of both spans, inside the data ball."""
-        thresh = threshold(tau)
-        near = [
-            member_distances(self.fidelity, span, self.points) <= thresh for span in (first, second)
-        ]
-        hits = int(np.count_nonzero(near[0] & near[1]))
-        return self._frequency(Quantity.MEASURE_LEQ, None, tau, hits)
 
 
 @dataclass(frozen=True)

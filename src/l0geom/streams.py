@@ -10,11 +10,12 @@ count, and lets any single sample be regenerated in isolation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
-from numpy.random import Generator, Philox
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 # Samples per chunk.  Each chunk owns a disjoint 2**192 slice of the Philox
 # counter space, so chunks can never collide.
@@ -26,7 +27,6 @@ PURPOSE_PROJECTED = 3
 PURPOSE_SLICE = 4
 
 _T = TypeVar("_T")
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def stream_id(purpose: int, subid: int = 0) -> int:
@@ -43,7 +43,11 @@ def chunk_generator(seed: int, stream: int, chunk_index: int) -> Generator:
 
     The key is (seed, stream); the chunk index is planted in the top word of
     the 256-bit counter so consecutive chunks start 2**192 states apart.
+    NumPy's RNG loads on the first call, so a caller that never samples
+    never loads it.
     """
+    from numpy.random import Generator, Philox
+
     if chunk_index < 0:
         raise ValueError(f"chunk_index must be nonnegative, got {chunk_index}")
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
@@ -67,6 +71,8 @@ def map_chunks(
     workers = min(workers, n_chunks)
     if workers <= 1:
         return [fn(i) for i in range(n_chunks)]
+    from concurrent.futures import ThreadPoolExecutor
+
     ends = [n_chunks * w // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         runs = pool.map(lambda w: [fn(i) for i in range(ends[w], ends[w + 1])], range(workers))

@@ -1,0 +1,65 @@
+"""Reference quantities the tests check the package against.
+
+None of these is on a path the package runs: each restates a definition
+from the paper in its plainest form, for the tests to compare with.
+"""
+
+import math
+
+import numpy as np
+
+from l0geom import LevelSetExperiment, MCEstimate, NormSpec, Quantity, SubspaceBasis, VolumeEstimate
+from l0geom.bounds import DEFAULT_VOLUME_SAMPLES, _product, projected_ball_volume, slice_volume
+from l0geom.norms import EquivConstants
+from l0geom.solver import member_distances, threshold
+
+
+def _alpha(n: int) -> float:
+    """Euclidean unit-ball volume in R^n, 1 for n = 0."""
+    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+
+
+def cylinder_constant(
+    fidelity: NormSpec,
+    data: NormSpec,
+    basis: SubspaceBasis,
+    n_samples: int = DEFAULT_VOLUME_SAMPLES,
+    seed: int = 0,
+    subid: int = 0,
+) -> VolumeEstimate:
+    """Leading constant of one subspace: shadow volume times slice volume."""
+    shadow = projected_ball_volume(fidelity, basis, n_samples, seed, subid)
+    return _product(shadow, slice_volume(data, basis, n_samples, seed, subid))
+
+
+def overlap_cap(n_dim: int, k: int, family_size: int, equiv: EquivConstants) -> float:
+    """Certified upper bound on the summed overlap constants at level k.
+
+    family_size * (family_size - 1) ordered pairs, each at most
+    alpha(N - k) (2 delta2)^(N - k) alpha(k) delta3^k.
+    """
+    if not 0 <= k <= n_dim:
+        raise ValueError(f"k must lie in [0, {n_dim}], got {k}")
+    if family_size < 0:
+        raise ValueError(f"family_size must be nonnegative, got {family_size}")
+    pairs = family_size * (family_size - 1)
+    return (
+        pairs
+        * _alpha(n_dim - k)
+        * (2.0 * equiv.delta2) ** (n_dim - k)
+        * _alpha(k)
+        * equiv.delta3**k
+    )
+
+
+def tube_overlap_measure(
+    experiment: LevelSetExperiment, first: SubspaceBasis, second: SubspaceBasis, tau: float
+) -> MCEstimate:
+    """Measure of the set within tau of both spans, inside the experiment's data ball."""
+    thresh = threshold(tau)
+    near = [
+        member_distances(experiment.fidelity, span, experiment.points) <= thresh
+        for span in (first, second)
+    ]
+    hits = int(np.count_nonzero(near[0] & near[1]))
+    return experiment._frequency(Quantity.MEASURE_LEQ, None, tau, hits)

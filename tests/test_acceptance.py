@@ -35,6 +35,7 @@ from l0geom import (
 from l0geom.bounds import euclid_ck
 from l0geom.solver import threshold
 from l0geom.subspaces import enumerate_spans
+from oracles import tube_overlap_measure
 from test_bounds import monte_carlo_volume
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
@@ -209,7 +210,7 @@ def build_artifacts(workers):
         y_axis = orthonormal_basis([[0.0, 1.0]])
         rows = ["tau,estimate,ci,bound"]
         for tau in TAUS_OVERLAP:
-            est = exp.tube_overlap_measure(x_axis, y_axis, tau)
+            est = tube_overlap_measure(exp, x_axis, y_axis, tau)
             bound = 4.0 * math.pi * tau * tau
             rows.append(f"{tau!r},{est.mean!r},{est.half_width_95!r},{bound!r}")
         return slope_text, "\n".join(rows) + "\n"

@@ -38,11 +38,9 @@ from l0geom import (
     bound_report,
     compute_equiv_constants,
     constants_to_csv,
-    cylinder_constant,
     euclid_ck,
     orthonormal_basis,
     overlap_budget,
-    overlap_cap,
     overlap_constant,
     projected_ball_volume,
     slice_volume,
@@ -52,6 +50,7 @@ from l0geom.bounds import validation_cells
 from l0geom.norms import norm_eval, polytope_volume
 from l0geom.solver import member_distances, span_family
 from l0geom.subspaces import SpanFamily, SubspaceBasis, empty_basis
+from oracles import cylinder_constant, overlap_cap
 from test_solver import dependent_dictionaries, fidelity as named_norm
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()

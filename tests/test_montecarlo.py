@@ -28,6 +28,7 @@ from l0geom import (
     wilson_half_width,
 )
 from l0geom import subspaces
+from oracles import tube_overlap_measure
 
 L2 = NormSpec.l2()
 AXES2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
@@ -109,7 +110,7 @@ class TestExperiment:
         x_axis = orthonormal_basis([[1.0, 0.0]])
         y_axis = orthonormal_basis([[0.0, 1.0]])
         tau = 0.1
-        est = experiment.tube_overlap_measure(x_axis, y_axis, tau)
+        est = tube_overlap_measure(experiment, x_axis, y_axis, tau)
         assert abs(est.mean - 4.0 * tau * tau) <= 4.0 * est.std_err
         cap = 4.0 * math.pi * tau * tau  # one ordered pair's overlap constant
         assert est.mean <= cap + 3.0 * est.std_err
