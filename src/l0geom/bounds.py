@@ -36,12 +36,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import sizes
 from .config import Quantity
 from .norms import (
     NormSpec,
     VolumeEstimate,
     ball_volume,
-    check_candidates,
     compute_equiv_constants,
     euclid_ball_volume,
     equivalence_constant,
@@ -127,19 +127,9 @@ def _slice_polytope(data: NormSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     vector sigma in {-1, 1}^N.
     """
     n, k = u.shape[1:]
-    what = f"{data.kind} slice of a {k}-dimensional subspace of R^{n}"
+    sizes.slice_candidates(data.kind, n, k)
     if data.kind == "linf":
-        points = math.comb(n, k) * 2**k
-        check_candidates(
-            f"{what}: C({n}, {k}) * 2^{k} = {points} vertex candidates by {2 * n} facets",
-            points * 2 * n,
-        )
         return _stacked([box_vertices(each, np.ones(n))[0] for each in u]), np.hstack([u, -u])
-    points = 2 * math.comb(n, k - 1)
-    check_candidates(
-        f"{what}: 2 * C({n}, {k - 1}) = {points} vertex candidates by 2^{n} sign vectors",
-        points * 2**n,
-    )
     w = _weights(data, n)
     r = null_directions(u)
     r /= np.sum(w * np.abs(r @ u.transpose(0, 2, 1)), axis=2, keepdims=True)
@@ -155,9 +145,14 @@ def _shadow_polytope(
     orthonormal complement basis C, for each (U, C) of a stack: the hull of
     the +-c_i / w_i over the rows c_i of C, whose facets are the rows of
     ``dual_vertices`` in complement coordinates, since a point y lies in it
-    exactly when max (Z C y) <= 1."""
+    exactly when max (Z C y) <= 1.  Each table is priced as soon as it is built."""
+    width = 2 * comp.shape[1]
     w = np.tile(_weights(fidelity, comp.shape[1]), 2)[:, None]
-    facets = [dual_vertices(fidelity, SubspaceBasis(a))[1:] @ c for a, c in zip(u, comp)]
+    facets = []
+    for a, c in zip(u, comp):
+        z = dual_vertices(fidelity, SubspaceBasis(a))[1:]
+        sizes.polytope_candidates(f"{width} points by {len(z)} facet normals", width * len(z))
+        facets.append(z @ c)
     return np.hstack([comp, -comp]) / w, _stacked(facets)
 
 
@@ -167,7 +162,7 @@ def _zonotope_volumes(comp: np.ndarray) -> np.ndarray:
     2^m sum_S |det C_S| over the m-row subsets S (Shephard, Canad. J.
     Math. 26, 1974)."""
     n, m = comp.shape[1:]
-    check_candidates(f"linf shadow on R^{m} in R^{n}: C({n}, {m}) determinants", math.comb(n, m))
+    sizes.shadow_determinants(n, n - m)
     return 2.0**m * np.abs(np.linalg.det(comp[:, _indices(n, m)])).sum(axis=1)
 
 
@@ -411,6 +406,7 @@ def assemble_constants(
     n = dictionary.n_dim
     if not 0 <= K <= n:
         raise ValueError(f"K must lie in [0, {n}], got {K}")
+    sizes.check_run(dictionary, fidelity, data, constants=(K,))
     delta2 = compute_equiv_constants(fidelity, data, n).delta2
     family = span_family(dictionary, K)
 

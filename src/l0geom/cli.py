@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from . import sizes
 from .bounds import (
     assemble_constants,
     bound_levels,
@@ -31,7 +32,7 @@ from .bounds import (
 from .config import ConfigError, ExperimentConfig, load_config, positive_number
 from .montecarlo import LevelSetExperiment, estimates_to_csv, report_to_csv, validate_bounds
 from .solver import L0Solver, span_family
-from .subspaces import check_family_sizes, enumerate_pairs
+from .subspaces import enumerate_pairs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +131,7 @@ def _cmd_spans(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    check_family_sizes(config.dictionary, config.K_list)
+    sizes.check_run(config.dictionary, config.fidelity, config.data, constants=config.K_list)
     sets = [
         assemble_constants(
             config.dictionary, config.fidelity, config.data, k,

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import sizes
 from .bounds import (
     Z95,
     ConstantSet,
@@ -30,8 +31,8 @@ from .bounds import (
 from .config import Quantity
 from .norms import NormSpec, VolumeEstimate, ball_volume
 from .sampling import sample_levelset_batch
-from .solver import L0Solver, values_from_profiles
-from .subspaces import Dictionary, check_family_sizes
+from .solver import L0Solver, threshold, values_from_profiles
+from .subspaces import Dictionary
 
 
 def wilson_half_width(p_hat: float, n: int) -> float:
@@ -70,9 +71,7 @@ class LevelSetExperiment:
     Sampling and profile computation happen lazily on first use and are
     reused afterwards, and so are the values at each tau, which every cell
     at that tau shares as one read-only array; ``estimate`` prices any
-    (quantity, K, tau) cell from them; the profiles need every level below
-    N, and a span family too large to enumerate at any of them is refused
-    before sampling starts.  ``workers`` splits the chunked
+    (quantity, K, tau) cell from them.  ``workers`` splits the chunked
     sampling and profile work without changing any result.
     """
 
@@ -119,7 +118,7 @@ class LevelSetExperiment:
     @property
     def profiles(self) -> np.ndarray:
         if self._profiles is None:
-            check_family_sizes(self.dictionary, range(self.dictionary.n_dim))
+            sizes.check_run(self.dictionary, self.fidelity, self.data, profiles=True)
             self._profiles = self.solver.distance_profiles(self.points, self.workers)
         return self._profiles
 
@@ -143,8 +142,9 @@ class LevelSetExperiment:
         normal interval and takes K = None.
         """
         quantity = Quantity(quantity)
-        vals = self.values(tau)
+        threshold(tau)
         report_levels(quantity, K, self.dictionary.n_dim)
+        vals = self.values(tau)
         if quantity is Quantity.EXPECT:
             spread = float(vals.std(ddof=1)) if self.n_samples > 1 else 0.0
             return MCEstimate(
@@ -296,9 +296,8 @@ def validate_bounds(
     3 standard errors of slack, pooling the estimate's uncertainty with
     the bound's own Monte Carlo uncertainty.  Cells outside the validity
     region are flagged with passed = None.  ``workers`` splits sampling and
-    distance profiles; the volume constants run in the calling thread.  A
-    span family too large to enumerate, at any level the bounds or the
-    distance profiles need, is refused before any work.
+    distance profiles; the volume constants run in the calling thread.
+    Every argument and level is checked before any work.
     """
     quantities = tuple(Quantity(q) for q in quantities)
     tau_grid = tuple(float(t) for t in tau_grid)
@@ -307,18 +306,15 @@ def validate_bounds(
         raise ValueError("tau_grid must be nonempty and positive")
     n = dictionary.n_dim
     levels = bound_levels(quantities, K_list, n)
-
-    # The distance profiles need every level below N, and so cover every
-    # capped level the bounds need.
-    check_family_sizes(dictionary, range(n))
+    experiment = LevelSetExperiment(
+        dictionary, fidelity, data, theta, n_samples, seed, workers=workers
+    )
+    sizes.check_run(dictionary, fidelity, data, profiles=True, constants=levels)
     consts: dict[int, ConstantSet] = {
         k: assemble_constants(dictionary, fidelity, data, k, n_samples=n_samples, seed=seed)
         for k in levels
     }
     data_ball_vol = ball_volume(data, n)
-    experiment = LevelSetExperiment(
-        dictionary, fidelity, data, theta, n_samples, seed, workers=workers
-    )
 
     def leading_for(q: Quantity, K: int | None, tau: float) -> float | None:
         if q is Quantity.EXPECT:

@@ -26,19 +26,13 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import streams
+from . import sizes, streams
 
 _KINDS = ("l1", "l2", "linf", "wlp")
 
 # A point lies on a facet of polytope_volume's polytope when its facet
 # product is within this of 1.
 _ON_FACET = 1e-10
-
-# Largest vertex-by-facet candidate table that polytope_volume starts
-# from, and largest number of candidate faces its walk examines; a
-# ValueError naming the counts is raised past it.  At the cap a walk takes
-# about 6 s on a 2-CPU machine (README, "Size limits").
-MAX_POLYTOPE_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -288,14 +282,6 @@ def ball_volume(spec: NormSpec, n: int) -> VolumeEstimate:
     )
 
 
-def check_candidates(what: str, count: int) -> None:
-    """Raise a ValueError when count exceeds ``MAX_POLYTOPE_CANDIDATES``."""
-    if count > MAX_POLYTOPE_CANDIDATES:
-        raise ValueError(
-            f"{what} needs {count} candidates, above the cap of {MAX_POLYTOPE_CANDIDATES}"
-        )
-
-
 def _maximal_sets(sets: np.ndarray, least: int) -> np.ndarray:
     """(P, R) mask of the rows of each (R, C) boolean matrix in a stack that
     have at least ``least`` members and lie inside no other row, the first
@@ -318,9 +304,9 @@ def _maximal_sets(sets: np.ndarray, least: int) -> np.ndarray:
 def _walls(meets: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
     """(count, width, m) vertex sets: for each owner (nondecreasing), the
     maximal sets among its meets, one of each; the other rows are empty."""
-    sizes = np.bincount(owner, minlength=count)
-    slot = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
-    grid = np.zeros((count, sizes.max(initial=0), meets.shape[1]), dtype=bool)
+    widths = np.bincount(owner, minlength=count)
+    slot = np.arange(len(owner)) - (np.cumsum(widths) - widths)[owner]
+    grid = np.zeros((count, widths.max(initial=0), meets.shape[1]), dtype=bool)
     grid[owner, slot] = meets
     return grid & _maximal_sets(grid, 1)[:, :, None]
 
@@ -344,10 +330,8 @@ def polytope_volume(vertices: np.ndarray, facet_normals: np.ndarray) -> float:
     facets H' of X, so each face meets only its siblings.  The walk runs
     over many faces at once, one dimension per step, and every simplex's
     determinant comes from one batched ``np.linalg.det``; the simplices are
-    summed in a fixed order.  A ValueError is raised before any work when
-    the points times the facet normals exceed ``MAX_POLYTOPE_CANDIDATES``,
-    as soon as the walk has examined more candidate faces than that, and
-    when the incidences do not form a face lattice.
+    summed in a fixed order.  A ValueError is raised past the size cap
+    and when the incidences do not form a face lattice.
     """
     v = np.asarray(vertices, dtype=float)
     a = np.asarray(facet_normals, dtype=float)
@@ -371,7 +355,7 @@ def polytope_volumes(vertices: np.ndarray, facet_normals: np.ndarray) -> np.ndar
             f"need (P, m, d) vertices and (P, f, d) facet normals, got {v.shape}, {a.shape}"
         )
     count, width, d = v.shape
-    check_candidates(f"{width} points by {a.shape[1]} facet normals", width * a.shape[1])
+    sizes.polytope_candidates(f"{width} points by {a.shape[1]} facet normals", width * a.shape[1])
     step = max(1, (1 << 21) // (a.shape[1] * (a.shape[1] + width)))
     return np.concatenate(
         [_summed(v[lo : lo + step], *_triangulate(v[lo : lo + step], a[lo : lo + step]))
@@ -426,7 +410,7 @@ def _triangulate(v: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(_LATTICE_ERROR)
         np.add.at(met, poly[group], np.count_nonzero(size, axis=1)[group])
         worst = poly[group][np.argmax(met[poly[group]])]
-        check_candidates(
+        sizes.polytope_candidates(
             f"face walk of a {d}-polytope with {np.count_nonzero(touched[worst])} vertices",
             met[worst],
         )

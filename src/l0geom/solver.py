@@ -66,13 +66,13 @@ and its atoms once a solve has needed them.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from . import sizes
 from .norms import NormSpec, norm_eval, scaled_magnitudes
 from .streams import map_chunks
 from .subspaces import Dictionary, SpanFamily, SubspaceBasis, _indices, enumerate_spans
@@ -117,13 +117,9 @@ _PIN_RANK_RTOL = 1e-10
 _FIT_ULPS = 4096.0
 _FIT_SLACK = _FIT_ULPS * np.finfo(float).eps
 
-# Largest C(N, N - K) * 2^(N - K) candidate count that an l1 or weighted-l1
-# dual vertex table is built from; see dual_vertices.
-MAX_DUAL_CANDIDATES = 250_000
-
 # Rows per distance_profiles block: as many as fit _PROFILE_CELLS cells of
 # the stack's width (0.5 MB per worker), and at least _PROFILE_ROWS for the
-# l2 stack, whose width is at most N (N + 1) / 2 plus MAX_SPAN_SUBSETS.  In
+# l2 stack, whose width is at most N (N + 1) / 2 plus sizes.MAX_SPAN_SUBSETS.  In
 # process (2 CPUs, OpenBLAS on 1 thread, ms at 1 / 2 workers), family5's
 # profiles took 35 / 66 at 64 rows and 21 / 16 at this budget's 500, and
 # Gaussian N = 7, m = 14's 362 / 183 at 64 and 278-319 / 134-154 at 256.
@@ -212,9 +208,7 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     feasible point and the row maximum equals the LP value up to rounding.
     Candidates from singular restricted systems are feasible extra points
     and do no harm.  The zero row keeps the table nonempty when V is all
-    of R^N.  The box has C(N, m) 2^m candidates, held in memory at once;
-    a ValueError is raised before any work when that count exceeds
-    ``MAX_DUAL_CANDIDATES``.
+    of R^N.  The box's C(N, m) 2^m candidates are held at once.
     """
     if not fidelity.polyhedral:
         raise ValueError(f"dual vertices need a polyhedral fidelity norm, got {fidelity}")
@@ -222,13 +216,7 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     if m == 0:
         return np.zeros((1, n))
     if fidelity.kind != "linf":
-        candidates = math.comb(n, m) * 2**m
-        if candidates > MAX_DUAL_CANDIDATES:
-            raise ValueError(
-                f"{fidelity.kind} dual vertex table for N={n}, K={basis.dim} needs "
-                f"C({n}, {m}) * 2^{m} = {candidates} candidates, above the cap of "
-                f"{MAX_DUAL_CANDIDATES}"
-            )
+        sizes.dual_candidates(fidelity.kind, n, basis.dim)
     comp = basis.complement().matrix
     if fidelity.kind == "linf":
         z = null_directions(comp) @ comp.T

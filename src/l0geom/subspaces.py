@@ -18,32 +18,19 @@ principal angles, plus ones (Bjorck & Golub, Math. Comp. 27, 1973).  So
 no SVD of [A | B]; the sines come from one projection product (an atom's
 residual off a span, or C^T B for C the complement of A).  ``_rank`` on
 computed singular values remains only where a basis is built.
-
-Enumeration refuses, before it starts, families with 0 < K < N whose
-C(m, K) subset count exceeds ``MAX_SPAN_SUBSETS``: the pair pass grows
-with the square of the family size.  ``check_family_sizes`` applies the
-same rule to every level a computation will need before it starts.  The
-K = N family is the whole space and is not capped.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-DEFAULT_SPAN_TOL = 1e-9
+from . import sizes
 
-# Largest C(m, K) that enumerate_spans accepts.  It guards the quadratic
-# pair layer: at N=8, m=16 (Gaussian atoms) the pair pass takes about
-# 0.8 s at K=4 (1,820 members) and 4.4 s at K=5 (4,368), most of it
-# sorting and looking up union keys, and the l2 constants of K=5, which
-# count their pairs without listing them, take about 4.3 s and peak near
-# 112 MB resident.
-MAX_SPAN_SUBSETS = 5_000
+DEFAULT_SPAN_TOL = 1e-9
 
 # Upper-triangle entries per row block of the pair pass, and entries per
 # block of its union ranks' products: they bound the arrays held at once.
@@ -331,20 +318,6 @@ class SpanFamily:
         return len(self.members)
 
 
-def check_family_sizes(dictionary: Dictionary, levels: Iterable[int]) -> None:
-    """Refuse, before any work, the smallest level 0 < K < N among ``levels``
-    whose C(n_atoms, K) subsets exceed ``MAX_SPAN_SUBSETS``, with the
-    ValueError that ``enumerate_spans`` would raise on reaching it."""
-    n, m = dictionary.n_dim, dictionary.n_atoms
-    for K in sorted(set(levels)):
-        count = math.comb(m, K)
-        if 0 < K < n and count > MAX_SPAN_SUBSETS:
-            raise ValueError(
-                f"span family of m={m} atoms at K={K} needs C({m}, {K}) = {count} "
-                f"subsets, above the cap of {MAX_SPAN_SUBSETS} (subspaces.MAX_SPAN_SUBSETS)"
-            )
-
-
 def _indices(n: int, r: int) -> np.ndarray:
     """All r-element subsets of range(n), one per row, in lexicographic order."""
     subsets = list(combinations(range(n), r))
@@ -381,8 +354,7 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
     residual r of a/|a| off span U_S and c = |U_S^T a|/|a| give
     [U_S | a/|a|] the singular values sqrt(1 + c), sqrt(1 - c) and K - 1
     ones, so the ``_rank`` rule keeps rank K exactly when
-    r <= span_tol * (1 + c).  A ValueError is raised up front when
-    C(n_atoms, K) exceeds ``MAX_SPAN_SUBSETS``.
+    r <= span_tol * (1 + c).
     """
     n, tol = dictionary.n_dim, dictionary.span_tol
     if not 0 <= K <= n:
@@ -396,7 +368,7 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
             if basis.dim == n:
                 return SpanFamily(**fields, members=(basis,))
         return SpanFamily(**fields)
-    check_family_sizes(dictionary, (K,))
+    sizes.span_subsets(dictionary.n_atoms, K)
     subsets = _indices(dictionary.n_atoms, K)
     u, s = _left_singular(np.moveaxis(dictionary.atoms[:, subsets], 1, 0), full_matrices=False)
     full = _rank(s, tol) == K

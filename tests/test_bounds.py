@@ -45,7 +45,7 @@ from l0geom import (
     projected_ball_volume,
     slice_volume,
 )
-from l0geom import bounds, norms, streams
+from l0geom import bounds, norms, sizes, streams
 from l0geom.bounds import validation_cells
 from l0geom.norms import norm_eval, polytope_volume
 from l0geom.solver import member_distances, span_family
@@ -300,23 +300,23 @@ class TestExactVolumes:
     def test_caps_fail_fast(self, monkeypatch):
         rng = np.random.default_rng(5)
         plane4 = _random_basis(rng, 6, 4)
-        monkeypatch.setattr(norms, "MAX_POLYTOPE_CANDIDATES", 2559)
+        monkeypatch.setattr(sizes, "MAX_POLYTOPE_CANDIDATES", 2559)
         with pytest.raises(
             ValueError,
-            match=r"2 \* C\(6, 3\) = 40 vertex candidates by 2\^6 sign vectors needs 2560 "
-            r"candidates, above the cap of 2559",
+            match=r"^l1 slice of a 4-dimensional subspace of R\^6 needs 2 \* C\(6, 3\) \* 2\^6 "
+            r"= 2560 candidates, above the cap of 2559 \(sizes.MAX_POLYTOPE_CANDIDATES\)$",
         ):
             slice_volume(L1, plane4)
-        with pytest.raises(ValueError, match=r"C\(6, 4\) \* 2\^4 = 240 vertex candidates by 12"):
+        with pytest.raises(ValueError, match=r"C\(6, 4\) \* 2\^4 \* 12 = 2880 candidates"):
             slice_volume(LINF, plane4)
-        monkeypatch.setattr(norms, "MAX_POLYTOPE_CANDIDATES", 14)
+        monkeypatch.setattr(sizes, "MAX_POLYTOPE_CANDIDATES", 14)
         with pytest.raises(ValueError, match=r"12 points by \d+ facet normals"):
             projected_ball_volume(L1, _random_basis(rng, 6, 2))
-        with pytest.raises(ValueError, match=r"C\(6, 2\) determinants needs 15 candidates"):
+        with pytest.raises(ValueError, match=r"C\(6, 2\) = 15 determinants"):
             projected_ball_volume(LINF, plane4)
         # A hyperplane section of the cross-polytope in R^8 starts from
         # 2 C(8, 6) * 2^8 = 14,336 candidate incidences and walks more faces.
-        monkeypatch.setattr(norms, "MAX_POLYTOPE_CANDIDATES", 14_336)
+        monkeypatch.setattr(sizes, "MAX_POLYTOPE_CANDIDATES", 14_336)
         with pytest.raises(ValueError, match="face walk of a 7-polytope with 56 vertices"):
             slice_volume(L1, _random_basis(rng, 8, 7))
 

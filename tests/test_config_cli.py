@@ -216,15 +216,15 @@ class TestConstantsCommand:
     def test_a_level_above_the_span_cap_is_refused_before_any_constant(
         self, config_path, capsys, monkeypatch
     ):
-        from l0geom import cli, subspaces
+        from l0geom import cli, sizes
 
         entered = []
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 2)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 2)
         monkeypatch.setattr(cli, "assemble_constants", lambda *a, **k: entered.append(a))
         path = config_path(minimal(dictionary=THREE, K_list=[0, 1]))
         assert main(["constants", "--config", path]) == 1
         err = capsys.readouterr().err
-        assert "C(3, 1) = 3 subsets, above the cap of 2 (subspaces.MAX_SPAN_SUBSETS)" in err
+        assert "C(3, 1) = 3 subsets, above the cap of 2 (sizes.MAX_SPAN_SUBSETS)" in err
         assert entered == []
 
 

@@ -27,7 +27,7 @@ from l0geom import (
     validate_bounds,
     wilson_half_width,
 )
-from l0geom import subspaces
+from l0geom import sizes
 from oracles import tube_overlap_measure
 
 L2 = NormSpec.l2()
@@ -228,7 +228,7 @@ class TestValidation:
             validate_bounds(AXES2, L2, L2, tau_grid=(0.1,), theta=1.0, K_list=(7,))
 
     def test_level_errors_come_after_tau_and_before_the_family_cap(self, monkeypatch):
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 0)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 0)
         run = dict(theta=1.0, n_samples=10)
         with pytest.raises(ValueError, match="^tau_grid must be nonempty and positive$"):
             validate_bounds(AXES2, L2, L2, tau_grid=(0.0,), K_list=(7,), **run)

@@ -24,7 +24,7 @@ from l0geom import (
     subspace_distance,
     values_from_profiles,
 )
-from l0geom import simplex, solver, subspaces
+from l0geom import simplex, sizes, solver
 from l0geom.subspaces import empty_basis, enumerate_spans
 from test_pair_dims import structured_dictionaries
 
@@ -443,12 +443,12 @@ class TestDualVertices:
 
     def test_candidate_cap_fails_fast(self, monkeypatch):
         line = orthonormal_basis([[1.0, 2.0, 3.0]])  # C(3, 2) * 2^2 = 12 candidates
-        monkeypatch.setattr(solver, "MAX_DUAL_CANDIDATES", 11)
+        monkeypatch.setattr(sizes, "MAX_DUAL_CANDIDATES", 11)
         for spec in (L1, NormSpec.weighted_lp(1.0, [1.0, 2.0, 3.0])):
             with pytest.raises(ValueError, match=r"C\(3, 2\) \* 2\^2 = 12 candidates.*cap of 11"):
                 dual_vertices(spec, line)
         assert dual_vertices(LINF, line).shape[1] == 3  # the cross-polytope is not capped
-        monkeypatch.setattr(solver, "MAX_DUAL_CANDIDATES", 12)
+        monkeypatch.setattr(sizes, "MAX_DUAL_CANDIDATES", 12)
         assert dual_vertices(L1, line).shape[1] == 3
 
     def test_rejects_smooth_norms(self):
@@ -915,7 +915,7 @@ class TestStackGrowth:
         dictionary = Dictionary.from_vectors(atoms)
         solver = L0Solver(dictionary, fidelity(kind, 4))
         # Levels 1 and 2 need C(7, 1) = 7 and C(7, 2) = 21 subsets; level 3 needs 35.
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 21)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 21)
         res = solver.solve(0.5 * atoms[0] + 0.3 * atoms[1], 0.05)
         assert (res.value, res.support) == (2, (0, 1))
         assert max(dictionary._families) == 2
@@ -930,7 +930,7 @@ class TestStackGrowth:
         dictionary = Dictionary.from_vectors(atoms)
         solver = L0Solver(dictionary, fidelity(kind, 6))
         # Level 5 needs C(7, 5) = 21 subsets; levels 3 and 4 need 35 each.
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 21)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 21)
         assert solver.value_leq(atoms[:5].sum(axis=0), 1e-6, 5)
         assert not solver.value_leq(np.arange(1.0, 7.0), 1e-6, 5)
         assert sorted(dictionary._families) == [5]

@@ -23,7 +23,7 @@ from l0geom import (
     spans_equal,
     validate_bounds,
 )
-from l0geom import subspaces
+from l0geom import sizes, subspaces
 from l0geom.subspaces import pair_dims
 
 E1E2 = Dictionary.from_vectors([[1.0, 0.0], [0.0, 1.0]])
@@ -222,11 +222,11 @@ class TestSpanFamilies:
             enumerate_spans(E1E2, -1)
 
     def test_subset_cap_fails_fast(self, monkeypatch):
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 2)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 2)
         with pytest.raises(ValueError, match=r"m=3 atoms at K=1 .*C\(3, 1\) = 3 .*cap of 2"):
             enumerate_spans(THREE_LINES, 1)
         assert len(enumerate_spans(THREE_LINES, 0)) == 1
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 3)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 3)
         assert len(enumerate_spans(THREE_LINES, 1)) == 3
 
     def test_validate_refuses_every_level_before_any_work(self, monkeypatch):
@@ -236,12 +236,12 @@ class TestSpanFamilies:
 
         d = Dictionary.from_vectors(np.vstack([np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]]))
         l2 = NormSpec.l2()
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 9)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 9)
         entered = []
         for name in ("assemble_constants", "sample_levelset_batch"):
             monkeypatch.setattr(montecarlo, name, lambda *a, name=name, **k: entered.append(name))
         monkeypatch.setattr(solver, "enumerate_spans", lambda *a: entered.append("spans"))
-        cap = r"m=5 atoms at K=2 .*C\(5, 2\) = 10 .*cap of 9 \(subspaces.MAX_SPAN_SUBSETS\)"
+        cap = r"m=5 atoms at K=2 .*C\(5, 2\) = 10 .*cap of 9 \(sizes.MAX_SPAN_SUBSETS\)"
         with pytest.raises(ValueError, match=cap):
             validate_bounds(d, l2, l2, [0.1], 1.0, [1], quantities=["prob_leq"], n_samples=50)
         with pytest.raises(ValueError, match=cap):
@@ -254,10 +254,10 @@ class TestSpanFamilies:
         d = Dictionary.from_vectors(
             [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]]
         )
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 10)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 10)
         fam = enumerate_spans(d, 2)
         assert [m.provenance for m in fam.members] == [(0, 2)]
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 20)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 20)
         uncapped = enumerate_spans(d, 2)
         assert [m.provenance for m in uncapped.members] == [(0, 2)]
         np.testing.assert_array_equal(fam.members[0].matrix, uncapped.members[0].matrix)
@@ -268,7 +268,7 @@ class TestSpanFamilies:
         d = Dictionary.from_vectors(
             [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]]
         )
-        monkeypatch.setattr(subspaces, "MAX_SPAN_SUBSETS", 10)
+        monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 10)
         solver = L0Solver(d, NormSpec.l2())
         profiles = solver.distance_profiles(np.array([[0.5, 0.3], [0.0, 0.0]]))
         assert profiles.shape == (2, 3)
