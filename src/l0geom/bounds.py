@@ -129,7 +129,10 @@ def _slice_polytope(data: NormSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     n, k = u.shape[1:]
     sizes.slice_candidates(data.kind, n, k)
     if data.kind == "linf":
-        return _stacked([box_vertices(each, np.ones(n))[0] for each in u]), np.hstack([u, -u])
+        points, _, keep = box_vertices(u, np.ones(n))
+        # Each member's kept points first, in order, then zero rows up to the batch's widest.
+        order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
+        return np.take_along_axis(points, order[..., None], axis=1), np.hstack([u, -u])
     w = _weights(data, n)
     r = null_directions(u)
     r /= np.sum(w * np.abs(r @ u.transpose(0, 2, 1)), axis=2, keepdims=True)

@@ -15,11 +15,13 @@ Distances to a span V come in one form per norm family.  Euclidean
 distances are orthogonal projections.  Polyhedral fidelities (l1, linf,
 and weighted l1) use LP duality: dist_f(x, V) = max <z, x> over z in
 V-perp with dual norm at most 1, and the maximum is attained at one of
-finitely many vertices that depend on V alone.  ``dual_vertices`` lists
-them once per span, after which every distance is a row maximum of one
-matrix product.  Weighted lp with p > 1 has no finite table: its
-distances come from one damped Newton fit over the basis coefficients,
-run for every (row, member) pair at once and stopped by ``DIST_TOL``.
+finitely many vertices that depend on V alone.  ``_dual_tables`` lists
+them for a whole level of spans in one stacked pass, each span's table
+with the bits ``dual_vertices`` gives it alone, after which every
+distance is a row maximum of one matrix product.  Weighted lp with p > 1
+has no finite table: its distances come from one damped Newton fit over
+the basis coefficients, run for every (row, member) pair at once and
+stopped by ``DIST_TOL``.
 
 ``L0Solver`` holds one stacked table over the members of levels 1..L of
 the span families, in (level, provenance) order, for the fidelity's norm
@@ -66,6 +68,7 @@ and its atoms once a solve has needed them.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
@@ -75,7 +78,9 @@ import numpy as np
 from . import sizes
 from .norms import NormSpec, norm_eval, scaled_magnitudes
 from .streams import map_chunks
-from .subspaces import Dictionary, SpanFamily, SubspaceBasis, _indices, enumerate_spans
+from .subspaces import (
+    Dictionary, SpanFamily, SubspaceBasis, _complements, _indices, enumerate_spans,
+)
 
 # Relative slack on tau in every feasibility test (``threshold``): a
 # distance priced above tau by rounding alone still counts as within it.
@@ -99,6 +104,10 @@ _RIDGE = 1e-12
 # Box-vertex candidates whose dual norm exceeds 1 by more than this are
 # dropped as infeasible; the rest are scaled onto the dual unit sphere.
 _VERTEX_SLACK = 1e-6
+
+# Candidate cells (rows times N) one pass of ``_dual_tables`` holds at once,
+# 2 MB: a level whose members need more is built in several passes.
+_DUAL_PASS_CELLS = 1 << 18
 
 # A dual vertex entry within this relative slack of zero (linf) or of its
 # bound w_i (l1 and weighted l1) counts as on it when complementary
@@ -171,27 +180,43 @@ def null_directions(c: np.ndarray) -> np.ndarray:
     return np.linalg.svd(c[..., _indices(n, m - 1), :])[2][..., -1, :]
 
 
-def box_vertices(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary points c x of the box |(c x)_i| <= w_i, as (x rows, c x rows).
+def box_vertices(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary points c x of the box |(c x)_i| <= w_i for an (N, m) matrix c,
+    or for each matrix of a stack, as (x rows, c x rows, kept).
 
     Each of the C(N, m) 2^m candidates solves c_A x = sigma * w_A for m
-    active rows A and signs sigma; candidates outside the box by more than
-    a relative 1e-6 are dropped and the rest scaled onto its boundary.
-    Among them is every vertex of the polytope {x : |(c x)_i| <= w_i}.
+    active rows A and signs sigma, from one pseudo-inverse of every active
+    block of every matrix.  Candidates outside the box by more than a
+    relative 1e-6 are dropped, their rows zero and ``kept`` false, and the
+    rest are scaled onto its boundary.  Among them is every vertex of the
+    polytope {x : |(c x)_i| <= w_i}.
     """
-    n, m = c.shape
+    n, m = c.shape[-2:]
     active = _indices(n, m)
     signs = np.array(list(product((-1.0, 1.0), repeat=m)))
     rhs = signs[None, :, :] * w[active][:, None, :]
-    coeffs = np.einsum("aij,asj->asi", np.linalg.pinv(c[active]), rhs).reshape(-1, m)
-    z = coeffs @ c.T
-    scale = np.max(np.abs(z) / w, axis=1)
+    coeffs = np.einsum("...aij,asj->...asi", np.linalg.pinv(c[..., active, :]), rhs)
+    coeffs = coeffs.reshape(*c.shape[:-2], -1, m)
+    z = coeffs @ c.swapaxes(-1, -2)
+    scale = np.max(np.abs(z) / w, axis=-1)
     keep = (scale > 0.0) & (scale <= 1.0 + _VERTEX_SLACK)
-    return coeffs[keep] / scale[keep, None], z[keep] / scale[keep, None]
+    scale = np.where(keep, scale, 1.0)[..., None]
+    kept = keep[..., None]
+    return np.where(kept, coeffs / scale, 0.0), np.where(kept, z / scale, 0.0), keep
 
 
-def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
-    """(n_v, N) table whose row maxima against x give the distance from x to the span.
+def _first_rows(keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the first row of each distinct (owner, key row)."""
+    order = np.lexsort((*keys.T[::-1], owners))
+    keys, owners = keys[order], owners[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (owners[1:] != owners[:-1]) | np.any(keys[1:] != keys[:-1], axis=1)
+    return np.sort(order[first])
+
+
+def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dual vertex tables of every span of an (M, N, K) stack of bases:
+    their (V, N) rows, member after member, and each member's row count.
 
     By LP duality dist_f(x, V) = max <z, x> over the polytope of z in
     V-perp with dual norm at most 1, attained at a vertex.  With C an
@@ -207,28 +232,57 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     Every candidate is scaled onto the dual unit sphere, so each row is a
     feasible point and the row maximum equals the LP value up to rounding.
     Candidates from singular restricted systems are feasible extra points
-    and do no harm.  The zero row keeps the table nonempty when V is all
-    of R^N.  The box's C(N, m) 2^m candidates are held at once.
+    and do no harm.  A member's table is the zero row, which keeps it
+    nonempty when V is all of R^N, then the first of its candidates that
+    agree to 12 decimals, in candidate order.
+
+    The stack is built in passes of whole members, each holding at most
+    ``_DUAL_PASS_CELLS`` candidate cells (or one member, if that holds
+    more): one complement SVD, one candidate pass, one normalisation and
+    one sort of the pass's rounded rows keyed by member.  Every step acts
+    on one member's own numbers, so each table has the bits it has alone.
     """
     if not fidelity.polyhedral:
         raise ValueError(f"dual vertices need a polyhedral fidelity norm, got {fidelity}")
-    n, m = basis.ambient_dim, basis.ambient_dim - basis.dim
+    count, n, k = bases.shape
+    m = n - k
     if m == 0:
-        return np.zeros((1, n))
-    if fidelity.kind != "linf":
-        sizes.dual_candidates(fidelity.kind, n, basis.dim)
-    comp = basis.complement().matrix
+        return np.zeros((count, n)), np.ones(count, dtype=np.intp)
     if fidelity.kind == "linf":
-        z = null_directions(comp) @ comp.T
-        z /= np.sum(np.abs(z), axis=1, keepdims=True)
-        z = np.vstack([z, -z])
+        candidates = 2 * math.comb(n, m - 1)
     else:
+        sizes.dual_candidates(fidelity.kind, n, k)
+        candidates = math.comb(n, m) * 2**m
         w = np.ones(n) if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
         if w.shape != (n,):
             raise ValueError(f"wlp norm has {w.size} weights but dimension is {n}")
-        _, z = box_vertices(comp, w)
-    _, first = np.unique(np.round(z, 12), axis=0, return_index=True)
-    return np.vstack([np.zeros((1, n)), z[np.sort(first)]])
+    step = max(1, _DUAL_PASS_CELLS // (candidates * n))
+    rows, owners = [], []
+    for lo in range(0, count, step):
+        comp = _complements(bases[lo : lo + step])
+        if fidelity.kind == "linf":
+            z = null_directions(comp) @ comp.swapaxes(-1, -2)
+            z /= np.sum(np.abs(z), axis=-1, keepdims=True)
+            z = np.concatenate([z, -z], axis=1)
+            owner, z = np.repeat(np.arange(len(comp)), candidates), z.reshape(-1, n)
+        else:
+            _, z, keep = box_vertices(comp, w)
+            owner, row = keep.nonzero()
+            z = z[owner, row]
+        first = _first_rows(np.round(z, 12), owner)
+        rows.append(z[first])
+        owners.append(lo + owner[first])
+    kept, owner = np.concatenate(rows), np.concatenate(owners)
+    table = np.zeros((len(kept) + count, n))
+    # Member p's rows follow its own zero row and the p tables before it.
+    table[np.arange(len(kept)) + owner + 1] = kept
+    return table, np.bincount(owner, minlength=count) + 1
+
+
+def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
+    """(n_v, N) table whose row maxima against x give the distance from x to
+    the span: ``_dual_tables`` on a stack of one."""
+    return _dual_tables(fidelity, basis.matrix[None])[0]
 
 
 def threshold(tau: float) -> float:
@@ -586,12 +640,11 @@ class _DualStack(_LevelStack):
         self.bounds = np.zeros(1, dtype=np.intp)
 
     def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
-        tables = [dual_vertices(self.fidelity, member) for member in members]
-        sizes = np.cumsum([t.shape[0] for t in tables])
-        self.bounds = np.concatenate([self.bounds, self.width + sizes])
-        self.vertices = np.ascontiguousarray(np.hstack([self.vertices, np.vstack(tables).T]))
+        table, counts = _dual_tables(self.fidelity, np.stack([member.matrix for member in members]))
+        self.bounds = np.concatenate([self.bounds, self.width + np.cumsum(counts)])
+        self.vertices = np.ascontiguousarray(np.hstack([self.vertices, table.T]))
         self.width = self.vertices.shape[1]
-        return self.vertices.shape[0] * int(sizes[-1])
+        return table.size
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         distances = np.maximum.reduceat(rows @ self.vertices, self.bounds[:-1], axis=1)
@@ -659,7 +712,7 @@ class _PowerLevel:
         n_members, n, k = self.bases.shape
         self.dual = fidelity.p < 2.0 and k < n
         if self.dual:
-            self.complements = np.stack([member.complement().matrix for member in members])
+            self.complements = _complements(self.bases)
         # Unknowns per row, over all members: the fit's largest arrays hold
         # N cells for each, and its Python steps are paid once per block.
         self.width = n_members * max(k, n - k - 1 if self.dual else 0)

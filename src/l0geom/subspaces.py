@@ -76,11 +76,7 @@ class SubspaceBasis:
 
     def complement(self) -> "SubspaceBasis":
         """Orthonormal basis of the orthogonal complement."""
-        n, k = self.matrix.shape
-        if k == 0:
-            return SubspaceBasis(np.eye(n))
-        u, _ = _left_singular(self.matrix, full_matrices=True)
-        return SubspaceBasis(u[:, k:])
+        return SubspaceBasis(_complements(self.matrix[None])[0])
 
 
 def _check_orthonormal(stack: np.ndarray) -> None:
@@ -117,6 +113,24 @@ def _left_singular(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.n
         _, s, ut = np.linalg.svd(m.swapaxes(-1, -2), full_matrices=full_matrices)
         u = ut.swapaxes(-1, -2)
     return u, s
+
+
+def _complements(bases: np.ndarray) -> np.ndarray:
+    """(M, N, N - K) orthonormal complements of an (M, N, K) stack of bases.
+
+    One stacked SVD gives each member the bits its own SVD gives.  Where
+    the stack fails to converge, ``_left_singular``'s retry would transpose
+    every member, so each member is retried alone instead, and still gets
+    the bits it gets alone.
+    """
+    count, n, k = bases.shape
+    if k == 0:
+        return np.repeat(np.eye(n)[None], count, axis=0)
+    try:
+        u = np.linalg.svd(bases, full_matrices=True)[0]
+    except np.linalg.LinAlgError:
+        u = np.stack([_left_singular(basis, full_matrices=True)[0] for basis in bases])
+    return u[..., k:]
 
 
 def _rank(s: np.ndarray, tol: float) -> np.ndarray:
@@ -413,7 +427,7 @@ def _pair_ranks(bases: np.ndarray, pairs: np.ndarray, tol: float) -> np.ndarray:
     C_i^T U_j, C_i the complement of U_i: (N - K, K) products in blocks of
     at most ``_PAIR_BLOCK`` entries."""
     n, k = bases.shape[1:]
-    complements = _left_singular(bases, full_matrices=True)[0][..., k:]
+    complements = _complements(bases)
     ranks = np.empty(len(pairs), dtype=np.int16)
     step = max(1, _PAIR_BLOCK // (n * k))
     for lo in range(0, len(pairs), step):

@@ -5,13 +5,15 @@ from the paper in its plainest form, for the tests to compare with.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
 from l0geom import LevelSetExperiment, MCEstimate, NormSpec, Quantity, SubspaceBasis, VolumeEstimate
 from l0geom.bounds import DEFAULT_VOLUME_SAMPLES, _product, projected_ball_volume, slice_volume
 from l0geom.norms import EquivConstants
-from l0geom.solver import member_distances, threshold
+from l0geom.solver import _VERTEX_SLACK, member_distances, null_directions, threshold
+from l0geom.subspaces import _indices, _left_singular
 
 
 def _alpha(n: int) -> float:
@@ -63,3 +65,35 @@ def tube_overlap_measure(
     ]
     hits = int(np.count_nonzero(near[0] & near[1]))
     return experiment._frequency(Quantity.MEASURE_LEQ, None, tau, hits)
+
+
+def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
+    """One span's dual vertex table, built alone: the complement, the
+    candidates of one member, and ``np.unique`` on the rows rounded to 12
+    decimals, keeping first occurrences in candidate order after a zero row.
+
+    linf: the null direction of each m - 1 rows of the complement C
+    (m = N - K), scaled to l1 norm 1, with both signs.  l1 and weighted l1:
+    the solutions of C_A c = sigma * w_A by the pseudo-inverse of each
+    active block A, kept within a relative 1e-6 of the box and scaled onto it.
+    """
+    n, m = basis.ambient_dim, basis.ambient_dim - basis.dim
+    if m == 0:
+        return np.zeros((1, n))
+    comp = _left_singular(basis.matrix, full_matrices=True)[0][:, basis.dim :]
+    if fidelity.kind == "linf":
+        z = null_directions(comp) @ comp.T
+        z /= np.sum(np.abs(z), axis=1, keepdims=True)
+        z = np.vstack([z, -z])
+    else:
+        w = np.ones(n) if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
+        active = _indices(n, m)
+        signs = np.array(list(product((-1.0, 1.0), repeat=m)))
+        rhs = signs[None, :, :] * w[active][:, None, :]
+        coeffs = np.einsum("aij,asj->asi", np.linalg.pinv(comp[active]), rhs).reshape(-1, m)
+        z = coeffs @ comp.T
+        scale = np.max(np.abs(z) / w, axis=1)
+        keep = (scale > 0.0) & (scale <= 1.0 + _VERTEX_SLACK)
+        z = z[keep] / scale[keep, None]
+    _, first = np.unique(np.round(z, 12), axis=0, return_index=True)
+    return np.vstack([np.zeros((1, n)), z[np.sort(first)]])

@@ -320,6 +320,20 @@ class TestExactVolumes:
         with pytest.raises(ValueError, match="face walk of a 7-polytope with 56 vertices"):
             slice_volume(L1, _random_basis(rng, 8, 7))
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_linf_slice_points_of_a_batch_are_each_subspaces_own(self, k):
+        # Each subspace's kept box vertices, in order, then zero rows up to the widest.
+        rng = np.random.default_rng(20 + k)
+        u = np.stack([_random_basis(rng, 6, k).matrix for _ in range(9)])
+        u[3] = np.eye(6)[:, :k]  # a coordinate subspace keeps fewer candidates
+        points, normals = bounds._slice_polytope(LINF, u)
+        alone = []
+        for each in u:
+            x, _, keep = bounds.box_vertices(each, np.ones(6))
+            alone.append(x[keep])
+        assert points.tobytes() == bounds._stacked(alone).tobytes()
+        assert normals.tobytes() == np.hstack([u, -u]).tobytes()
+
     def test_each_distinct_subspace_is_priced_once_per_dictionary(self, monkeypatch):
         calls = []
         original = bounds._slice_polytope

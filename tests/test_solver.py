@@ -26,6 +26,7 @@ from l0geom import (
 )
 from l0geom import simplex, sizes, solver
 from l0geom.subspaces import empty_basis, enumerate_spans
+import oracles
 from test_pair_dims import structured_dictionaries
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
@@ -451,6 +452,31 @@ class TestDualVertices:
         monkeypatch.setattr(sizes, "MAX_DUAL_CANDIDATES", 12)
         assert dual_vertices(L1, line).shape[1] == 3
 
+    def test_a_stack_grows_by_one_table_pass_per_level(self, monkeypatch):
+        calls = []
+        real = solver._dual_tables
+
+        def counting(spec, bases):
+            calls.append(len(bases))
+            return real(spec, bases)
+
+        monkeypatch.setattr(solver, "_dual_tables", counting)
+        stack = L0Solver(DICT3, LINF).level_stack(2)
+        assert stack.starts == [0, 5] and len(stack.members) == 13
+        assert calls == [5, 8]
+
+    def test_box_vertices_of_a_stack_are_each_matrix_alone(self):
+        rng = np.random.default_rng(11)
+        comps = np.linalg.svd(rng.standard_normal((6, 5, 5)))[0][..., :3]
+        w = np.linspace(0.5, 3.0, 5)
+        points, z, keep = solver.box_vertices(comps, w)
+        for c, p_i, z_i, keep_i in zip(comps, points, z, keep):
+            alone = solver.box_vertices(c, w)
+            for stacked, single in zip((p_i, z_i, keep_i), alone):
+                assert stacked.tobytes() == single.tobytes()
+            assert not np.any(p_i[~keep_i]) and not np.any(z_i[~keep_i])
+        assert keep.any(axis=1).all() and not keep.all()
+
     def test_rejects_smooth_norms(self):
         with pytest.raises(ValueError):
             dual_vertices(L2, orthonormal_basis([[1.0, 1.0]]))
@@ -750,6 +776,25 @@ class TestCertificateFallback:
 
 
 class TestLevelTables:
+    @settings(max_examples=60, deadline=None)
+    @given(dependent_dictionaries(), st.sampled_from(["l1", "linf", "weighted"]), st.booleans())
+    def test_level_pass_gives_each_member_its_own_table(self, case, kind, small):
+        # A budget of one cell puts every member in a pass of its own.
+        dictionary, _ = case
+        n = dictionary.n_dim
+        spec = fidelity(kind, n)
+        with pytest.MonkeyPatch.context() as patch:
+            if small:
+                patch.setattr(solver, "_DUAL_PASS_CELLS", 1)
+            for k in range(n + 1):
+                members = solver.span_family(dictionary, k).members
+                table, counts = solver._dual_tables(spec, np.stack([m.matrix for m in members]))
+                assert counts.sum() == len(table)
+                for member, rows in zip(members, np.split(table, np.cumsum(counts)[:-1])):
+                    expected = oracles.dual_vertices(spec, member)
+                    assert rows.shape == expected.shape, (k, member.provenance)
+                    assert rows.tobytes() == expected.tobytes(), (k, member.provenance)
+
     @settings(max_examples=60, deadline=None)
     @given(dependent_dictionaries())
     def test_l2_profiles_match_member_distances(self, case):

@@ -102,6 +102,27 @@ class TestBases:
         assert [m.provenance for m in expected.members] == [(0, 1), (0, 4), (1, 4), (3, 4)]
         assert all(spans_equal(a, b) for a, b in zip(retried.members, expected.members))
 
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_stacked_complements_are_each_members_own(self, monkeypatch, fail):
+        real_svd = np.linalg.svd
+        stack = np.random.default_rng(8).standard_normal((6, 5, 2))
+        bases = [orthonormal_basis(matrix.T) for matrix in stack]
+        alone = [basis.complement().matrix for basis in bases]
+        reference = [subspaces._left_singular(b.matrix, full_matrices=True)[0][:, 2:] for b in bases]
+
+        def fails_on_a_stack(a, *args, **kwargs):
+            if np.ndim(a) == 3 and len(a) > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        if fail:  # the stack fails to converge, and each member alone does not
+            monkeypatch.setattr(np.linalg, "svd", fails_on_a_stack)
+        comps = subspaces._complements(np.stack([b.matrix for b in bases]))
+        assert comps.shape == (6, 5, 3)
+        for comp, own, ref in zip(comps, alone, reference):
+            assert comp.tobytes() == own.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(subspaces._complements(np.zeros((2, 4, 0))), [np.eye(4)] * 2)
+
     def test_orthonormal_basis_examples(self):
         b = orthonormal_basis([[3.0, 0.0], [0.0, 0.0]])
         assert b.dim == 1
