@@ -51,6 +51,7 @@ from .norms import (
 # subspace_distance and enumerate_spans are no longer called here but stay
 # importable from this module, where perfbench/tracing.py looks them up.
 from .solver import (  # noqa: F401
+    _passes,
     box_vertices,
     dual_vertices,
     member_distances,
@@ -121,18 +122,26 @@ def _slice_polytope(data: NormSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     norm and each (N, k) orthonormal U of a stack, 0 < k < N.
 
     linf: the facets are the rows +-u_i of U, and ``box_vertices`` lists the
-    vertices.  l1 and weighted l1: a vertex has k - 1 zero coordinates, so
-    it spans the null space of k - 1 rows of U (``null_directions``,
-    scaled to norm 1), and the facets are U^T (w * sigma) for every sign
-    vector sigma in {-1, 1}^N.
+    vertices, in the passes of whole subspaces that ``_passes`` cuts; the
+    points are each subspace's kept vertices, in order, then zero rows up
+    to the batch's widest.  l1 and weighted l1: a vertex has k - 1 zero
+    coordinates, so it spans the null space of k - 1 rows of U
+    (``null_directions``, scaled to norm 1), and the facets are
+    U^T (w * sigma) for every sign vector sigma in {-1, 1}^N.
     """
     n, k = u.shape[1:]
     sizes.slice_candidates(data.kind, n, k)
     if data.kind == "linf":
-        points, _, keep = box_vertices(u, np.ones(n))
-        # Each member's kept points first, in order, then zero rows up to the batch's widest.
-        order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
-        return np.take_along_axis(points, order[..., None], axis=1), np.hstack([u, -u])
+        pieces = []
+        for piece in _passes(len(u), math.comb(n, k) * 2**k * n):
+            points, _, keep = box_vertices(u[piece], np.ones(n))
+            # Each member's kept points first, in order, then zero rows.
+            order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
+            pieces.append(np.take_along_axis(points, order[..., None], axis=1))
+        width = max(p.shape[1] for p in pieces)
+        pads = [((0, 0), (0, width - p.shape[1]), (0, 0)) for p in pieces]
+        points = np.concatenate([np.pad(p, pad) for p, pad in zip(pieces, pads)])
+        return points, np.hstack([u, -u])
     w = _weights(data, n)
     r = null_directions(u)
     r /= np.sum(w * np.abs(r @ u.transpose(0, 2, 1)), axis=2, keepdims=True)

@@ -105,9 +105,10 @@ _RIDGE = 1e-12
 # dropped as infeasible; the rest are scaled onto the dual unit sphere.
 _VERTEX_SLACK = 1e-6
 
-# Candidate cells (rows times N) one pass of ``_dual_tables`` holds at once,
-# 2 MB: a level whose members need more is built in several passes.
-_DUAL_PASS_CELLS = 1 << 18
+# Candidate cells (rows times N) that one pass of ``_dual_tables``, or of the
+# linf slice points in ``bounds``, holds at once, 2 MB: a stack whose
+# members need more is built in several passes.
+_PASS_CELLS = 1 << 18
 
 # A dual vertex entry within this relative slack of zero (linf) or of its
 # bound w_i (l1 and weighted l1) counts as on it when complementary
@@ -205,6 +206,14 @@ def box_vertices(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return np.where(kept, coeffs / scale, 0.0), np.where(kept, z / scale, 0.0), keep
 
 
+def _passes(count: int, cells: int) -> list[slice]:
+    """A stack of ``count`` members, each building ``cells`` candidate cells,
+    cut into passes of whole members within ``_PASS_CELLS`` (one member
+    where that alone holds more)."""
+    step = max(1, _PASS_CELLS // cells)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 def _first_rows(keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
     """Indices, in order, of the first row of each distinct (owner, key row)."""
     order = np.lexsort((*keys.T[::-1], owners))
@@ -236,9 +245,8 @@ def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> tuple[np.ndarray, np.
     nonempty when V is all of R^N, then the first of its candidates that
     agree to 12 decimals, in candidate order.
 
-    The stack is built in passes of whole members, each holding at most
-    ``_DUAL_PASS_CELLS`` candidate cells (or one member, if that holds
-    more): one complement SVD, one candidate pass, one normalisation and
+    The stack is built in the passes of whole members that ``_passes``
+    cuts: one complement SVD, one candidate pass, one normalisation and
     one sort of the pass's rounded rows keyed by member.  Every step acts
     on one member's own numbers, so each table has the bits it has alone.
     """
@@ -256,10 +264,9 @@ def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> tuple[np.ndarray, np.
         w = np.ones(n) if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
         if w.shape != (n,):
             raise ValueError(f"wlp norm has {w.size} weights but dimension is {n}")
-    step = max(1, _DUAL_PASS_CELLS // (candidates * n))
     rows, owners = [], []
-    for lo in range(0, count, step):
-        comp = _complements(bases[lo : lo + step])
+    for piece in _passes(count, candidates * n):
+        comp = _complements(bases[piece])
         if fidelity.kind == "linf":
             z = null_directions(comp) @ comp.swapaxes(-1, -2)
             z /= np.sum(np.abs(z), axis=-1, keepdims=True)
@@ -271,7 +278,7 @@ def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> tuple[np.ndarray, np.
             z = z[owner, row]
         first = _first_rows(np.round(z, 12), owner)
         rows.append(z[first])
-        owners.append(lo + owner[first])
+        owners.append(piece.start + owner[first])
     kept, owner = np.concatenate(rows), np.concatenate(owners)
     table = np.zeros((len(kept) + count, n))
     # Member p's rows follow its own zero row and the p tables before it.

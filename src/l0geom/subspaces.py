@@ -105,7 +105,11 @@ def _left_singular(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.n
 
     Some LAPACK builds' divide-and-conquer SVD fails to converge on small,
     well-conditioned integer matrices; the SVD of the transpose is the same
-    factorisation with the factors swapped, so it serves as the retry.
+    factorisation with the factors swapped, so it serves as the retry, for
+    the whole stack at once.  That suits a stack whose members are always
+    the same, as ``enumerate_spans`` builds from a dictionary: its members'
+    bits still depend on that stack alone.  Stacks cut by a budget or a
+    block size go through ``_complements``, whose retry is member by member.
     """
     try:
         u, s, _ = np.linalg.svd(m, full_matrices=full_matrices)
@@ -118,10 +122,11 @@ def _left_singular(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.n
 def _complements(bases: np.ndarray) -> np.ndarray:
     """(M, N, N - K) orthonormal complements of an (M, N, K) stack of bases.
 
-    One stacked SVD gives each member the bits its own SVD gives.  Where
-    the stack fails to converge, ``_left_singular``'s retry would transpose
-    every member, so each member is retried alone instead, and still gets
-    the bits it gets alone.
+    One stacked SVD gives each member the bits its own SVD gives.  Callers
+    cut their stacks by budgets and block sizes, so a member's bits must not
+    depend on the stack it came in: where the stack fails to converge, each
+    member is retried alone through ``_left_singular`` (transposed only if
+    it fails alone too), and gets the bits it gets alone.
     """
     count, n, k = bases.shape
     if k == 0:

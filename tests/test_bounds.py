@@ -45,7 +45,7 @@ from l0geom import (
     projected_ball_volume,
     slice_volume,
 )
-from l0geom import bounds, norms, sizes, streams
+from l0geom import bounds, norms, sizes, solver, streams
 from l0geom.bounds import validation_cells
 from l0geom.norms import norm_eval, polytope_volume
 from l0geom.solver import member_distances, span_family
@@ -333,6 +333,28 @@ class TestExactVolumes:
             alone.append(x[keep])
         assert points.tobytes() == bounds._stacked(alone).tobytes()
         assert normals.tobytes() == np.hstack([u, -u]).tobytes()
+
+    @pytest.mark.parametrize("per_pass", [1, 2, 4])
+    def test_linf_slice_points_split_into_passes_keep_their_bytes(self, monkeypatch, per_pass):
+        # A budget of per_pass subspaces' candidate cells: 9 subspaces, one
+        # of them with fewer kept points, in several passes of box_vertices.
+        rng = np.random.default_rng(31)
+        u = np.stack([_random_basis(rng, 6, 3).matrix for _ in range(9)])
+        u[3] = np.eye(6)[:, :3]
+        whole = bounds._slice_polytope(LINF, u)
+        calls = []
+        real = bounds.box_vertices
+
+        def counting(c, w):
+            calls.append(len(c))
+            return real(c, w)
+
+        monkeypatch.setattr(bounds, "box_vertices", counting)
+        monkeypatch.setattr(solver, "_PASS_CELLS", per_pass * math.comb(6, 3) * 2**3 * 6)
+        points, normals = bounds._slice_polytope(LINF, u)
+        assert calls == [per_pass] * (9 // per_pass) + [9 % per_pass] * (9 % per_pass > 0)
+        assert points.tobytes() == whole[0].tobytes()
+        assert normals.tobytes() == whole[1].tobytes()
 
     def test_each_distinct_subspace_is_priced_once_per_dictionary(self, monkeypatch):
         calls = []

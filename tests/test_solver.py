@@ -785,7 +785,7 @@ class TestLevelTables:
         spec = fidelity(kind, n)
         with pytest.MonkeyPatch.context() as patch:
             if small:
-                patch.setattr(solver, "_DUAL_PASS_CELLS", 1)
+                patch.setattr(solver, "_PASS_CELLS", 1)
             for k in range(n + 1):
                 members = solver.span_family(dictionary, k).members
                 table, counts = solver._dual_tables(spec, np.stack([m.matrix for m in members]))
