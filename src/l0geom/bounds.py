@@ -12,11 +12,13 @@ One rule, ``_volumes``, prices every shadow and slice, a stack at a time:
 a closed form where the volume depends on its dimension alone (the point,
 the Euclidean ball, the whole ball); else, for the polytope balls of l1,
 linf and weighted l1, an exact polytope volume, once per distinct subspace
-and dictionary; else, for weighted lp with p > 1, hit-or-miss Monte Carlo,
-whose uncertainty propagates into the one-standard-error fields.  Every
-other constant has standard error 0.  Pairs whose slice has a closed form
-are counted, never listed.  Each constant is one correctly rounded sum of
-its terms, so its bits do not depend on the order of the members or pairs.
+and dictionary, from the solver's ``_sections`` (a slice's points) and
+dual vertex tables (an l1 shadow's facets); else, for weighted lp with
+p > 1, hit-or-miss Monte Carlo, whose uncertainty propagates into the
+one-standard-error fields.  Every other constant has standard error 0.
+Pairs whose slice has a closed form are counted, never listed.  Each
+constant is one correctly rounded sum of its terms, so its bits do not
+depend on the order of the members or pairs.
 
 Every reported quantity is interval arithmetic on the per-level
 sandwiches of one rule, ``_sandwich``: level K - 1's interval subtracted
@@ -51,11 +53,10 @@ from .norms import (
 # subspace_distance and enumerate_spans are no longer called here but stay
 # importable from this module, where perfbench/tracing.py looks them up.
 from .solver import (  # noqa: F401
-    _passes,
-    box_vertices,
+    _sections,
+    _weights,
     dual_vertices,
     member_distances,
-    null_directions,
     span_family,
     subspace_distance,
 )
@@ -105,10 +106,6 @@ def euclid_ck(K: int, n: int) -> float:
     return _alpha(K) * _alpha(n - K)
 
 
-def _weights(norm: NormSpec, n: int) -> np.ndarray:
-    return np.ones(n) if norm.kind != "wlp" else np.asarray(norm.weights, dtype=float)
-
-
 def _stacked(rows: list[np.ndarray]) -> np.ndarray:
     """Equal-width 2-d arrays stacked into one 3-d array, zero rows padding the shorter."""
     stack = np.zeros((len(rows), max(len(r) for r in rows), rows[0].shape[1]))
@@ -121,32 +118,22 @@ def _slice_polytope(data: NormSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Points and facet normals of {y : data(U y) <= 1} for a polyhedral data
     norm and each (N, k) orthonormal U of a stack, 0 < k < N.
 
-    linf: the facets are the rows +-u_i of U, and ``box_vertices`` lists the
-    vertices, in the passes of whole subspaces that ``_passes`` cuts; the
-    points are each subspace's kept vertices, in order, then zero rows up
-    to the batch's widest.  l1 and weighted l1: a vertex has k - 1 zero
-    coordinates, so it spans the null space of k - 1 rows of U
-    (``null_directions``, scaled to norm 1), and the facets are
-    U^T (w * sigma) for every sign vector sigma in {-1, 1}^N.
+    The points are the data ball's ``_sections`` by the span of U, in U's
+    coordinates, each subspace's in order, then zero rows up to the stack's
+    widest.  linf: the facets are the rows +-u_i of U.  l1 and weighted l1:
+    they are U^T (w * sigma) for every sign vector sigma in {-1, 1}^N.
     """
     n, k = u.shape[1:]
     sizes.slice_candidates(data.kind, n, k)
-    if data.kind == "linf":
-        pieces = []
-        for piece in _passes(len(u), math.comb(n, k) * 2**k * n):
-            points, _, keep = box_vertices(u[piece], np.ones(n))
-            # Each member's kept points first, in order, then zero rows.
-            order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
-            pieces.append(np.take_along_axis(points, order[..., None], axis=1))
-        width = max(p.shape[1] for p in pieces)
-        pads = [((0, 0), (0, width - p.shape[1]), (0, 0)) for p in pieces]
-        points = np.concatenate([np.pad(p, pad) for p, pad in zip(pieces, pads)])
-        return points, np.hstack([u, -u])
     w = _weights(data, n)
-    r = null_directions(u)
-    r /= np.sum(w * np.abs(r @ u.transpose(0, 2, 1)), axis=2, keepdims=True)
+    y, _, owner = _sections(data.kind == "linf", w, u)
+    at = np.arange(len(owner)) - np.searchsorted(owner, owner)  # place in its subspace's list
+    points = np.zeros((len(u), at.max() + 1, k))
+    points[owner, at] = y
+    if data.kind == "linf":
+        return points, np.hstack([u, -u])
     signs = np.array(list(product((-1.0, 1.0), repeat=n)))
-    return np.hstack([r, -r]), (signs * w) @ u
+    return points, (signs * w) @ u
 
 
 def _shadow_polytope(
@@ -435,13 +422,18 @@ def assemble_constants(
     # Each unordered pair meets from its member of smaller provenance
     # first, so its price does not depend on the members' order.
     rank = np.argsort(sorted(range(len(members)), key=lambda i: members[i].provenance))
+    # Ordered pairs per meet dimension, in 64k-entry blocks, which bincount copies to intp.
+    dims = pair_dims(family)
+    rows = max(1, (1 << 16) // len(dims))
+    blocks = (dims[lo : lo + rows].ravel() for lo in range(0, len(dims), rows))
+    counts = sum(np.bincount(block, minlength=K + 1) for block in blocks)
     q_totals: dict[int, VolumeEstimate] = {}
     met = 0  # distinct pairs of the levels below, which number the Monte Carlo streams
     for k in range(k_min, K):
         factor = _overlap_factor(delta2, n, k)
         closed = _closed_volume(data, n, k)
         if closed is not None:
-            count = int(np.count_nonzero(pair_dims(family) == k))
+            count = int(counts[k])
             pair = _overlap(factor, closed)
             q_totals[k] = VolumeEstimate(count * pair.value, count * pair.std_err)
             met += count // 2

@@ -34,6 +34,9 @@ from .sampling import sample_levelset_batch
 from .solver import L0Solver, threshold, values_from_profiles
 from .subspaces import Dictionary
 
+# Standard errors of slack a validation cell's sandwich allows (``validate_bounds``).
+_SIGMA_RULE = 3.0
+
 
 def wilson_half_width(p_hat: float, n: int) -> float:
     """Half width of the 95% Wilson score interval for a binomial rate."""
@@ -256,9 +259,7 @@ class ValidationReport:
         return self.n_fail == 0
 
 
-def _row_from(
-    est: MCEstimate, bound, leading: float | None, sigma_rule: float = 3.0
-) -> ValidationRow:
+def _row_from(est: MCEstimate, bound, leading: float | None) -> ValidationRow:
     ratio = None
     if leading is not None and leading > 0.0:
         ratio = est.mean / leading
@@ -267,8 +268,8 @@ def _row_from(
             est.quantity, est.K, est.tau, est.theta, est.mean, est.half_width_95,
             None, None, 0.0, 0.0, ratio, False, None,
         )
-    low_slack = sigma_rule * (est.std_err + bound.lower_std_err)
-    up_slack = sigma_rule * (est.std_err + bound.upper_std_err)
+    low_slack = _SIGMA_RULE * (est.std_err + bound.lower_std_err)
+    up_slack = _SIGMA_RULE * (est.std_err + bound.upper_std_err)
     ok = (bound.lower - low_slack <= est.mean) and (est.mean <= bound.upper + up_slack)
     return ValidationRow(
         est.quantity, est.K, est.tau, est.theta, est.mean, est.half_width_95,

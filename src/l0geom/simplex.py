@@ -3,13 +3,13 @@
 The solver handles the standard form min c.x subject to A x = b, x >= 0,
 with Bland's rule throughout, so it cannot cycle.  Problem sizes here are
 tiny (tens of variables), which keeps a dense tableau both simple and
-fast.  On top of it sit the two projection programs for the closest
-point of a subspace in the l1 and linf norms.
+fast.  The tests' oracles build the l1 and linf projection programs for
+the closest point of a subspace on top of it.
 
 No runtime path uses these programs.  Distances are row maxima against
 the dual vertex tables of ``solver.dual_vertices``, and closest points are
 completions of the maximising vertex (``solver._Certificate``).  This
-module is the independent oracle the tests check both against.
+module is the independent LP solver the tests check both against.
 """
 
 from __future__ import annotations
@@ -115,42 +115,3 @@ def solve_standard_form(
         if j < n:
             x[j] = t[r, -1]
     return x, float(-t[m, -1])
-
-
-def l1_projection(basis_matrix: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, float]:
-    """Coefficients y minimizing ||d - B y||_1 and the attained distance."""
-    bm = np.asarray(basis_matrix, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n, k = bm.shape
-    if k == 0:
-        return np.zeros(0), float(np.sum(np.abs(d)))
-    # Variables: y+ (k), y- (k), residual+ (n), residual- (n).
-    a = np.hstack([bm, -bm, np.eye(n), -np.eye(n)])
-    c = np.concatenate([np.zeros(2 * k), np.ones(2 * n)])
-    x, value = solve_standard_form(c, a, d, tol=tol)
-    return x[:k] - x[k : 2 * k], value
-
-
-def linf_projection(basis_matrix: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, float]:
-    """Coefficients y minimizing ||d - B y||_inf and the attained distance."""
-    bm = np.asarray(basis_matrix, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n, k = bm.shape
-    if k == 0:
-        return np.zeros(0), float(np.max(np.abs(d)))
-    # Variables: y+ (k), y- (k), t (1), slack u (n), slack v (n), with
-    # B y + t - u = d and B y - t + v = d forcing t = ||d - B y||_inf.
-    a = np.zeros((2 * n, 2 * k + 1 + 2 * n))
-    a[:n, :k] = bm
-    a[:n, k : 2 * k] = -bm
-    a[:n, 2 * k] = 1.0
-    a[:n, 2 * k + 1 : 2 * k + 1 + n] = -np.eye(n)
-    a[n:, :k] = bm
-    a[n:, k : 2 * k] = -bm
-    a[n:, 2 * k] = -1.0
-    a[n:, 2 * k + 1 + n :] = np.eye(n)
-    c = np.zeros(2 * k + 1 + 2 * n)
-    c[2 * k] = 1.0
-    b = np.concatenate([d, d])
-    x, value = solve_standard_form(c, a, b, tol=tol)
-    return x[:k] - x[k : 2 * k], value

@@ -29,17 +29,23 @@ def span_subsets(m: int, K: int) -> None:
     _check(what, f"C({m}, {K})", math.comb(m, K), "subsets", "MAX_SPAN_SUBSETS")
 
 
+def section_points(box: bool, n: int, k: int) -> int:
+    """Candidate points of a k-dimensional section of the box (k faces, each at
+    either bound) or of the cross-polytope (k - 1 zero coordinates, both signs) in R^n."""
+    return math.comb(n, k) * 2**k if box else 2 * math.comb(n, k - 1)
+
+
 def dual_candidates(kind: str, n: int, K: int) -> None:
     what, formula = f"{kind} dual vertex table for N={n}, K={K}", f"C({n}, {n - K}) * 2^{n - K}"
-    _check(what, formula, math.comb(n, K) * 2 ** (n - K), "candidates", "MAX_DUAL_CANDIDATES")
+    _check(what, formula, section_points(True, n, n - K), "candidates", "MAX_DUAL_CANDIDATES")
 
 
 def slice_candidates(kind: str, n: int, k: int) -> None:
-    # linf: C(n, k) 2^k box vertices by 2n facets; l1: 2 C(n, k - 1) null directions by 2^n signs.
+    # linf: box points by 2n facets; l1: cross-polytope points by 2^n signs.
     if kind == "linf":
-        formula, count = f"C({n}, {k}) * 2^{k} * {2 * n}", math.comb(n, k) * 2**k * 2 * n
+        formula, count = f"C({n}, {k}) * 2^{k} * {2 * n}", section_points(True, n, k) * 2 * n
     else:
-        formula, count = f"2 * C({n}, {k - 1}) * 2^{n}", 2 * math.comb(n, k - 1) * 2**n
+        formula, count = f"2 * C({n}, {k - 1}) * 2^{n}", section_points(False, n, k) * 2**n
     what = f"{kind} slice of a {k}-dimensional subspace of R^{n}"
     _check(what, formula, count, "candidates", "MAX_POLYTOPE_CANDIDATES")
 

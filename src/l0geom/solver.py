@@ -15,13 +15,15 @@ Distances to a span V come in one form per norm family.  Euclidean
 distances are orthogonal projections.  Polyhedral fidelities (l1, linf,
 and weighted l1) use LP duality: dist_f(x, V) = max <z, x> over z in
 V-perp with dual norm at most 1, and the maximum is attained at one of
-finitely many vertices that depend on V alone.  ``_dual_tables`` lists
-them for a whole level of spans in one stacked pass, each span's table
-with the bits ``dual_vertices`` gives it alone, after which every
-distance is a row maximum of one matrix product.  Weighted lp with p > 1
-has no finite table: its distances come from one damped Newton fit over
-the basis coefficients, run for every (row, member) pair at once and
-stopped by ``DIST_TOL``.
+finitely many vertices that depend on V alone: the dual ball's section
+by V-perp.  ``_sections`` lists the sections of a box or cross-polytope
+by a stack of subspaces, for these tables and for the data-ball slices
+of ``bounds`` alike; ``_dual_tables`` builds a whole level's tables from
+it, each span's table with the bits ``dual_vertices`` gives it alone,
+after which every distance is a row maximum of one matrix product.
+Weighted lp with p > 1 has no finite table: its distances come from one
+damped Newton fit over the basis coefficients, run for every (row,
+member) pair at once and stopped by ``DIST_TOL``.
 
 ``L0Solver`` holds one stacked table over the members of levels 1..L of
 the span families, in (level, provenance) order, for the fidelity's norm
@@ -68,7 +70,6 @@ and its atoms once a solve has needed them.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
@@ -79,7 +80,7 @@ from . import sizes
 from .norms import NormSpec, norm_eval, scaled_magnitudes
 from .streams import map_chunks
 from .subspaces import (
-    Dictionary, SpanFamily, SubspaceBasis, _complements, _indices, enumerate_spans,
+    Dictionary, SpanFamily, SubspaceBasis, _complements, _first_rows, _indices, enumerate_spans,
 )
 
 # Relative slack on tau in every feasibility test (``threshold``): a
@@ -105,9 +106,8 @@ _RIDGE = 1e-12
 # dropped as infeasible; the rest are scaled onto the dual unit sphere.
 _VERTEX_SLACK = 1e-6
 
-# Candidate cells (rows times N) that one pass of ``_dual_tables``, or of the
-# linf slice points in ``bounds``, holds at once, 2 MB: a stack whose
-# members need more is built in several passes.
+# Candidate cells (rows times N) that one pass of ``_sections`` holds at
+# once, 2 MB: a stack whose frames need more is built in several passes.
 _PASS_CELLS = 1 << 18
 
 # A dual vertex entry within this relative slack of zero (linf) or of its
@@ -206,83 +206,72 @@ def box_vertices(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return np.where(kept, coeffs / scale, 0.0), np.where(kept, z / scale, 0.0), keep
 
 
-def _passes(count: int, cells: int) -> list[slice]:
-    """A stack of ``count`` members, each building ``cells`` candidate cells,
-    cut into passes of whole members within ``_PASS_CELLS`` (one member
-    where that alone holds more)."""
-    step = max(1, _PASS_CELLS // cells)
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
+def _weights(norm: NormSpec, n: int) -> np.ndarray:
+    """The weights w_i of a norm on R^n: its own for weighted lp, else ones."""
+    if norm.kind != "wlp":
+        return np.ones(n)
+    if len(norm.weights) != n:
+        raise ValueError(f"wlp norm has {len(norm.weights)} weights but dimension is {n}")
+    return np.asarray(norm.weights, dtype=float)
 
 
-def _first_rows(keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """Indices, in order, of the first row of each distinct (owner, key row)."""
-    order = np.lexsort((*keys.T[::-1], owners))
-    keys, owners = keys[order], owners[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (owners[1:] != owners[:-1]) | np.any(keys[1:] != keys[:-1], axis=1)
-    return np.sort(order[first])
+def _sections(box: bool, w: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Boundary points of the box |x_i| <= w_i (its ``box_vertices``, the
+    dropped ones left out) or of the cross-polytope sum w_i |x_i| <= 1 (a
+    vertex vanishes on k - 1 coordinates, so it spans their
+    ``null_directions``; scaled onto the boundary, with both signs) cut by
+    the span of each (N, k) orthonormal frame C of a stack: coordinates y,
+    points x = C y and each row's frame, frame after frame.  Every vertex
+    is among them.  Each pass of whole frames holds at most ``_PASS_CELLS``
+    candidate cells (one frame where that alone holds more), and every step
+    acts on one frame's own numbers, so each frame's rows have its own bits.
+    """
+    n, k = frames.shape[1:]
+    step = max(1, _PASS_CELLS // (sizes.section_points(box, n, k) * n))
+    pieces = []
+    for lo in range(0, len(frames), step):
+        c = frames[lo : lo + step]
+        if box:
+            y, x, keep = box_vertices(c, w)
+            owner, y, x = keep.nonzero()[0], y[keep], x[keep]
+        else:
+            y = null_directions(c)
+            x = y @ c.swapaxes(-1, -2)
+            scale = np.sum(w * np.abs(x), axis=-1, keepdims=True)
+            y, x = y / scale, x / scale
+            y, x = np.concatenate([y, -y], axis=1), np.concatenate([x, -x], axis=1)
+            owner = np.repeat(np.arange(len(c)), y.shape[1])
+        pieces.append((y.reshape(-1, k), x.reshape(-1, n), lo + owner))
+    return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
 def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The dual vertex tables of every span of an (M, N, K) stack of bases:
     their (V, N) rows, member after member, and each member's row count.
 
-    By LP duality dist_f(x, V) = max <z, x> over the polytope of z in
-    V-perp with dual norm at most 1, attained at a vertex.  With C an
-    orthonormal basis of V-perp (m = N - K columns) and z = C c:
-
-    * linf fidelity (dual ball the cross-polytope): a vertex vanishes on
-      m - 1 coordinates whose rows of C are independent, so c spans the
-      null space of those rows; z is scaled to ||z||_1 = 1, with both signs.
-    * l1 and weighted l1 fidelity (dual ball the box |z_i| <= w_i): a
-      vertex sits on m faces whose rows of C are independent, so
-      C_A c = sigma * w_A for an active set A and a sign vector sigma.
-
-    Every candidate is scaled onto the dual unit sphere, so each row is a
-    feasible point and the row maximum equals the LP value up to rounding.
-    Candidates from singular restricted systems are feasible extra points
-    and do no harm.  A member's table is the zero row, which keeps it
-    nonempty when V is all of R^N, then the first of its candidates that
-    agree to 12 decimals, in candidate order.
-
-    The stack is built in the passes of whole members that ``_passes``
-    cuts: one complement SVD, one candidate pass, one normalisation and
-    one sort of the pass's rounded rows keyed by member.  Every step acts
-    on one member's own numbers, so each table has the bits it has alone.
+    By LP duality dist_f(x, V) = max <z, x> over z in V-perp with dual norm
+    at most 1, attained at a vertex of the dual ball's ``_sections`` by the
+    complements: the cross-polytope for linf fidelity, the box |z_i| <= w_i
+    for l1 and weighted l1.  Each row is feasible, so the row maximum is the
+    LP value up to rounding.  A member's table is the zero row, which keeps
+    it nonempty when V is R^N, then the first of its rows that agree to 12
+    decimals, in candidate order (``_first_rows``), so each table has the
+    bits it has alone.
     """
     if not fidelity.polyhedral:
         raise ValueError(f"dual vertices need a polyhedral fidelity norm, got {fidelity}")
     count, n, k = bases.shape
-    m = n - k
-    if m == 0:
+    if k == n:
         return np.zeros((count, n)), np.ones(count, dtype=np.intp)
-    if fidelity.kind == "linf":
-        candidates = 2 * math.comb(n, m - 1)
-    else:
+    box = fidelity.kind != "linf"
+    if box:
         sizes.dual_candidates(fidelity.kind, n, k)
-        candidates = math.comb(n, m) * 2**m
-        w = np.ones(n) if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"wlp norm has {w.size} weights but dimension is {n}")
-    rows, owners = [], []
-    for piece in _passes(count, candidates * n):
-        comp = _complements(bases[piece])
-        if fidelity.kind == "linf":
-            z = null_directions(comp) @ comp.swapaxes(-1, -2)
-            z /= np.sum(np.abs(z), axis=-1, keepdims=True)
-            z = np.concatenate([z, -z], axis=1)
-            owner, z = np.repeat(np.arange(len(comp)), candidates), z.reshape(-1, n)
-        else:
-            _, z, keep = box_vertices(comp, w)
-            owner, row = keep.nonzero()
-            z = z[owner, row]
-        first = _first_rows(np.round(z, 12), owner)
-        rows.append(z[first])
-        owners.append(piece.start + owner[first])
-    kept, owner = np.concatenate(rows), np.concatenate(owners)
-    table = np.zeros((len(kept) + count, n))
+    _, z, owner = _sections(box, _weights(fidelity, n), _complements(bases))
+    first = _first_rows(np.column_stack([owner, np.round(z, 12)]))
+    owner = owner[first]
+    table = np.zeros((len(first) + count, n))
     # Member p's rows follow its own zero row and the p tables before it.
-    table[np.arange(len(kept)) + owner + 1] = kept
+    table[np.arange(len(first)) + owner + 1] = z[first]
     return table, np.bincount(owner, minlength=count) + 1
 
 
@@ -380,8 +369,7 @@ class _Certificate:
             self.pinned = size > _ACTIVE_SLACK * top if top > 0.0 else np.full(z.size, True)
             self.shift, signs = np.sign(z)[self.pinned], (1.0, -1.0)
         else:
-            w = 1.0 if fidelity.kind == "l1" else np.asarray(fidelity.weights, dtype=float)
-            self.pinned = size < (1.0 - _ACTIVE_SLACK) * w
+            self.pinned = size < (1.0 - _ACTIVE_SLACK) * _weights(fidelity, z.size)
             self.shift, signs = np.zeros(np.count_nonzero(self.pinned)), (0.0,)
         floor, pinned_rows = _PIN_RANK_RTOL * np.linalg.norm(matrix), matrix[self.pinned]
         # Rows within floor in Frobenius norm have every singular value there too: they pin nothing.

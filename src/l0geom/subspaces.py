@@ -343,6 +343,15 @@ def _indices(n: int, r: int) -> np.ndarray:
     return np.array(subsets, dtype=int).reshape(len(subsets), r)
 
 
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the first occurrence of each distinct row of keys."""
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return np.sort(order[first])
+
+
 def _closures(bases: np.ndarray, unit: np.ndarray, tol: float) -> np.ndarray:
     """(S, m) closure marks of an (S, N, K) stack of bases against the unit
     atoms, the columns of ``unit``: rank [U | a] = K by ``_joint_rank`` at
@@ -394,7 +403,7 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
     bases, subsets = u[full], subsets[full]
     unit = dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)
     closures = np.packbits(_closures(bases, unit, tol), axis=1)
-    kept = np.sort(np.unique(closures, axis=0, return_index=True)[1])
+    kept = _first_rows(closures)
     return SpanFamily(**fields, members=_bases(bases[kept], subsets[kept]))
 
 

@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 
 from l0geom import LevelSetExperiment, MCEstimate, NormSpec, Quantity, SubspaceBasis, VolumeEstimate
+from l0geom import simplex
 from l0geom.bounds import DEFAULT_VOLUME_SAMPLES, _product, projected_ball_volume, slice_volume
 from l0geom.norms import EquivConstants
 from l0geom.solver import _VERTEX_SLACK, member_distances, null_directions, threshold
@@ -97,3 +98,46 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
         z = z[keep] / scale[keep, None]
     _, first = np.unique(np.round(z, 12), axis=0, return_index=True)
     return np.vstack([np.zeros((1, n)), z[np.sort(first)]])
+
+
+def l1_projection(
+    basis_matrix: np.ndarray, d: np.ndarray, tol: float = 1e-9
+) -> tuple[np.ndarray, float]:
+    """Coefficients y minimizing ||d - B y||_1 and the attained distance."""
+    bm = np.asarray(basis_matrix, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n, k = bm.shape
+    if k == 0:
+        return np.zeros(0), float(np.sum(np.abs(d)))
+    # Variables: y+ (k), y- (k), residual+ (n), residual- (n).
+    a = np.hstack([bm, -bm, np.eye(n), -np.eye(n)])
+    c = np.concatenate([np.zeros(2 * k), np.ones(2 * n)])
+    x, value = simplex.solve_standard_form(c, a, d, tol=tol)
+    return x[:k] - x[k : 2 * k], value
+
+
+def linf_projection(
+    basis_matrix: np.ndarray, d: np.ndarray, tol: float = 1e-9
+) -> tuple[np.ndarray, float]:
+    """Coefficients y minimizing ||d - B y||_inf and the attained distance."""
+    bm = np.asarray(basis_matrix, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n, k = bm.shape
+    if k == 0:
+        return np.zeros(0), float(np.max(np.abs(d)))
+    # Variables: y+ (k), y- (k), t (1), slack u (n), slack v (n), with
+    # B y + t - u = d and B y - t + v = d forcing t = ||d - B y||_inf.
+    a = np.zeros((2 * n, 2 * k + 1 + 2 * n))
+    a[:n, :k] = bm
+    a[:n, k : 2 * k] = -bm
+    a[:n, 2 * k] = 1.0
+    a[:n, 2 * k + 1 : 2 * k + 1 + n] = -np.eye(n)
+    a[n:, :k] = bm
+    a[n:, k : 2 * k] = -bm
+    a[n:, 2 * k] = -1.0
+    a[n:, 2 * k + 1 + n :] = np.eye(n)
+    c = np.zeros(2 * k + 1 + 2 * n)
+    c[2 * k] = 1.0
+    b = np.concatenate([d, d])
+    x, value = simplex.solve_standard_form(c, a, b, tol=tol)
+    return x[:k] - x[k : 2 * k], value

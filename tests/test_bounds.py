@@ -329,7 +329,7 @@ class TestExactVolumes:
         points, normals = bounds._slice_polytope(LINF, u)
         alone = []
         for each in u:
-            x, _, keep = bounds.box_vertices(each, np.ones(6))
+            x, _, keep = solver.box_vertices(each, np.ones(6))
             alone.append(x[keep])
         assert points.tobytes() == bounds._stacked(alone).tobytes()
         assert normals.tobytes() == np.hstack([u, -u]).tobytes()
@@ -337,22 +337,39 @@ class TestExactVolumes:
     @pytest.mark.parametrize("per_pass", [1, 2, 4])
     def test_linf_slice_points_split_into_passes_keep_their_bytes(self, monkeypatch, per_pass):
         # A budget of per_pass subspaces' candidate cells: 9 subspaces, one
-        # of them with fewer kept points, in several passes of box_vertices.
+        # of them with fewer kept points, in several passes of box_vertices,
+        # which the slice reaches through solver._sections.
         rng = np.random.default_rng(31)
         u = np.stack([_random_basis(rng, 6, 3).matrix for _ in range(9)])
         u[3] = np.eye(6)[:, :3]
         whole = bounds._slice_polytope(LINF, u)
         calls = []
-        real = bounds.box_vertices
+        real = solver.box_vertices
 
         def counting(c, w):
             calls.append(len(c))
             return real(c, w)
 
-        monkeypatch.setattr(bounds, "box_vertices", counting)
+        monkeypatch.setattr(solver, "box_vertices", counting)
         monkeypatch.setattr(solver, "_PASS_CELLS", per_pass * math.comb(6, 3) * 2**3 * 6)
         points, normals = bounds._slice_polytope(LINF, u)
         assert calls == [per_pass] * (9 // per_pass) + [9 % per_pass] * (9 % per_pass > 0)
+        assert points.tobytes() == whole[0].tobytes()
+        assert normals.tobytes() == whole[1].tobytes()
+
+    @pytest.mark.parametrize("data", [L1, NormSpec.weighted_lp(1.0, [1, 2, 0.5, 3, 1.5, 1])])
+    def test_l1_slice_points_split_into_passes_keep_their_bytes(self, monkeypatch, data):
+        # A budget of 2 subspaces' candidate cells: 9 subspaces in 5 passes of null_directions.
+        rng = np.random.default_rng(32)
+        u = np.stack([_random_basis(rng, 6, 3).matrix for _ in range(9)])
+        u[3] = np.eye(6)[:, :3]
+        whole = bounds._slice_polytope(data, u)
+        calls = []
+        real = solver.null_directions
+        monkeypatch.setattr(solver, "null_directions", lambda c: calls.append(len(c)) or real(c))
+        monkeypatch.setattr(solver, "_PASS_CELLS", 2 * sizes.section_points(False, 6, 3) * 6)
+        points, normals = bounds._slice_polytope(data, u)
+        assert calls == [2, 2, 2, 2, 1]
         assert points.tobytes() == whole[0].tobytes()
         assert normals.tobytes() == whole[1].tobytes()
 

@@ -387,11 +387,11 @@ def spans_and_points(draw):
 def lp_projection(spec, matrix, d):
     """Coefficients over the columns of matrix and the distance, from the simplex programs."""
     if spec.kind == "l1":
-        return simplex.l1_projection(matrix, d)
+        return oracles.l1_projection(matrix, d)
     if spec.kind == "linf":
-        return simplex.linf_projection(matrix, d)
+        return oracles.linf_projection(matrix, d)
     w = np.asarray(spec.weights)
-    return simplex.l1_projection(matrix * w[:, None], d * w)
+    return oracles.l1_projection(matrix * w[:, None], d * w)
 
 
 @contextmanager
@@ -776,6 +776,15 @@ class TestCertificateFallback:
 
 
 class TestLevelTables:
+    @settings(max_examples=200, deadline=None)
+    @given(dependent_dictionaries())
+    def test_family_members_come_in_provenance_order(self, case):
+        # The stack's (level, provenance) order and the constants' pair pricing rest on it.
+        dictionary, _ = case
+        for k in range(dictionary.n_dim + 1):
+            provenances = [m.provenance for m in solver.span_family(dictionary, k).members]
+            assert all(a < b for a, b in zip(provenances, provenances[1:])), (k, provenances)
+
     @settings(max_examples=60, deadline=None)
     @given(dependent_dictionaries(), st.sampled_from(["l1", "linf", "weighted"]), st.booleans())
     def test_level_pass_gives_each_member_its_own_table(self, case, kind, small):

@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0geom import (
     Dictionary,
@@ -323,6 +325,18 @@ class TestSpanFamilies:
                     assert any(spans_equal(basis, mem) for mem in fam.members)
                 if K in (0, n):
                     assert len(fam) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 80), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1)
+    )
+    def test_first_rows_are_uniques_first_occurrences(self, rows, cols, values, seed):
+        # Closure keys as enumerate_spans packs them, few values, so rows repeat.
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, values, (rows, cols)).astype(np.uint8) * np.uint8(85)
+        keys = keys[rng.integers(0, rows, rows)]
+        expected = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+        assert subspaces._first_rows(keys).tolist() == expected.tolist()
 
 
 class TestPairEnumeration:
