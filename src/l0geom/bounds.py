@@ -13,12 +13,12 @@ a closed form where the volume depends on its dimension alone (the point,
 the Euclidean ball, the whole ball); else, for the polytope balls of l1,
 linf and weighted l1, an exact polytope volume, once per distinct subspace
 and dictionary, from the solver's ``_sections`` (a slice's points) and
-dual vertex tables (an l1 shadow's facets); else, for weighted lp with
-p > 1, hit-or-miss Monte Carlo, whose uncertainty propagates into the
-one-standard-error fields.  Every other constant has standard error 0.
-Pairs whose slice has a closed form are counted, never listed.  Each
-constant is one correctly rounded sum of its terms, so its bits do not
-depend on the order of the members or pairs.
+passes of dual vertex tables (an l1 shadow's facets, priced pass by
+pass); else, for weighted lp with p > 1, hit-or-miss Monte Carlo, whose
+uncertainty propagates into the one-standard-error fields.  Every other
+constant has standard error 0.  Pairs whose slice has a closed form are
+counted, never listed.  Each constant is one correctly rounded sum of
+its terms, so its bits do not depend on the order of the members or pairs.
 
 Every reported quantity is interval arithmetic on the per-level
 sandwiches of one rule, ``_sandwich``: level K - 1's interval subtracted
@@ -43,6 +43,7 @@ from .config import Quantity
 from .norms import (
     NormSpec,
     VolumeEstimate,
+    _padded,
     ball_volume,
     compute_equiv_constants,
     euclid_ball_volume,
@@ -53,9 +54,9 @@ from .norms import (
 # subspace_distance and enumerate_spans are no longer called here but stay
 # importable from this module, where perfbench/tracing.py looks them up.
 from .solver import (  # noqa: F401
+    _dual_tables,
     _sections,
     _weights,
-    dual_vertices,
     member_distances,
     span_family,
     subspace_distance,
@@ -106,14 +107,6 @@ def euclid_ck(K: int, n: int) -> float:
     return _alpha(K) * _alpha(n - K)
 
 
-def _stacked(rows: list[np.ndarray]) -> np.ndarray:
-    """Equal-width 2-d arrays stacked into one 3-d array, zero rows padding the shorter."""
-    stack = np.zeros((len(rows), max(len(r) for r in rows), rows[0].shape[1]))
-    for i, r in enumerate(rows):
-        stack[i, : len(r)] = r
-    return stack
-
-
 def _slice_polytope(data: NormSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Points and facet normals of {y : data(U y) <= 1} for a polyhedral data
     norm and each (N, k) orthonormal U of a stack, 0 < k < N.
@@ -126,10 +119,8 @@ def _slice_polytope(data: NormSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     n, k = u.shape[1:]
     sizes.slice_candidates(data.kind, n, k)
     w = _weights(data, n)
-    y, _, owner = _sections(data.kind == "linf", w, u)
-    at = np.arange(len(owner)) - np.searchsorted(owner, owner)  # place in its subspace's list
-    points = np.zeros((len(u), at.max() + 1, k))
-    points[owner, at] = y
+    _, y, _, owner = zip(*_sections(data.kind == "linf", w, u))
+    points = _padded(np.concatenate(y), np.concatenate(owner), len(u))
     if data.kind == "linf":
         return points, np.hstack([u, -u])
     signs = np.array(list(product((-1.0, 1.0), repeat=n)))
@@ -143,16 +134,20 @@ def _shadow_polytope(
     on the complement of span U, 0 < K < N, in the coordinates of an
     orthonormal complement basis C, for each (U, C) of a stack: the hull of
     the +-c_i / w_i over the rows c_i of C, whose facets are the rows of
-    ``dual_vertices`` in complement coordinates, since a point y lies in it
-    exactly when max (Z C y) <= 1.  Each table is priced as soon as it is built."""
+    U's dual vertex table in complement coordinates, since a point y lies in
+    it exactly when max (Z C y) <= 1.  The tables come from the solver's
+    passes (``_dual_tables``), and each pass is priced at its widest table
+    as soon as it is built, before the next one exists."""
     width = 2 * comp.shape[1]
     w = np.tile(_weights(fidelity, comp.shape[1]), 2)[:, None]
-    facets = []
-    for a, c in zip(u, comp):
-        z = dual_vertices(fidelity, SubspaceBasis(a))[1:]
-        sizes.polytope_candidates(f"{width} points by {len(z)} facet normals", width * len(z))
-        facets.append(z @ c)
-    return np.hstack([comp, -comp]) / w, _stacked(facets)
+    tables = []
+    for table, counts in _dual_tables(fidelity, u):
+        widest = int(counts.max()) - 1  # facets: the table less its zero row
+        sizes.polytope_candidates(f"{width} points by {widest} facet normals", width * widest)
+        tables += np.split(table, np.cumsum(counts)[:-1])
+    facets = [z[1:] @ c for z, c in zip(tables, comp)]
+    owner = np.repeat(np.arange(len(comp)), [len(f) for f in facets])
+    return np.hstack([comp, -comp]) / w, _padded(np.concatenate(facets), owner, len(comp))
 
 
 def _zonotope_volumes(comp: np.ndarray) -> np.ndarray:

@@ -41,27 +41,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Smallest-support solver, span families, bound constants, "
         "and Monte Carlo validation",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True, help="path to JSON config")
+    shared.add_argument("--output", help="write result here instead of stdout")
+    shared.add_argument("--seed", type=int, help="override config seed")
+    shared.add_argument("--threads", type=int, help="override worker thread count")
+    shared.add_argument("--samples", type=int, help="override Monte Carlo sample count")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--output", help="write result here instead of stdout")
-        p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--threads", type=int, help="override worker thread count")
-        p.add_argument("--samples", type=int, help="override Monte Carlo sample count")
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[shared], help=summary)
+        p.set_defaults(run=run)
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve one data vector")
-    common(p_solve)
+    p_solve = command("solve", _cmd_solve, "solve one data vector")
     p_solve.add_argument("--data", required=True, help="comma-separated data vector")
     p_solve.add_argument("--tau", type=float, help="tolerance (default: first config tau)")
-
-    p_spans = sub.add_parser("spans", help="list the span family at one level")
-    common(p_spans)
+    p_spans = command("spans", _cmd_spans, "list the span family at one level")
     p_spans.add_argument("--level", type=int, required=True, help="subset size K")
-
-    common(sub.add_parser("constants", help="constant sets for configured levels"))
-    common(sub.add_parser("estimate", help="Monte Carlo estimates for configured cells"))
-    common(sub.add_parser("validate", help="estimates versus analytic bounds"))
+    command("constants", _cmd_constants, "constant sets for configured levels")
+    command("estimate", _cmd_estimate, "Monte Carlo estimates for configured cells")
+    command("validate", _cmd_validate, "estimates versus analytic bounds")
     return parser
 
 
@@ -190,15 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(
             args.config, seed=args.seed, threads=args.threads, samples=args.samples
         )
-        if args.command == "solve":
-            return _cmd_solve(config, args)
-        if args.command == "spans":
-            return _cmd_spans(config, args)
-        if args.command == "constants":
-            return _cmd_constants(config, args)
-        if args.command == "estimate":
-            return _cmd_estimate(config, args)
-        return _cmd_validate(config, args)
+        return args.run(config, args)
     except (ConfigError, ValueError, OSError, RuntimeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1

@@ -301,13 +301,21 @@ def _maximal_sets(sets: np.ndarray, least: int) -> np.ndarray:
     return keep
 
 
+def _padded(rows: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
+    """(count, width, ...) stack of ragged row groups: owner (nondecreasing)
+    names each row's group, each group keeps its rows' order, and zero (or
+    false) rows pad every group, an empty one too, up to the widest."""
+    widths = np.bincount(owner, minlength=count)
+    slot = np.arange(len(owner)) - (np.cumsum(widths) - widths)[owner]
+    grid = np.zeros((count, widths.max(initial=0), *rows.shape[1:]), dtype=rows.dtype)
+    grid[owner, slot] = rows
+    return grid
+
+
 def _walls(meets: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
     """(count, width, m) vertex sets: for each owner (nondecreasing), the
     maximal sets among its meets, one of each; the other rows are empty."""
-    widths = np.bincount(owner, minlength=count)
-    slot = np.arange(len(owner)) - (np.cumsum(widths) - widths)[owner]
-    grid = np.zeros((count, widths.max(initial=0), meets.shape[1]), dtype=bool)
-    grid[owner, slot] = meets
+    grid = _padded(meets, owner, count)
     return grid & _maximal_sets(grid, 1)[:, :, None]
 
 

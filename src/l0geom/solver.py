@@ -17,10 +17,12 @@ and weighted l1) use LP duality: dist_f(x, V) = max <z, x> over z in
 V-perp with dual norm at most 1, and the maximum is attained at one of
 finitely many vertices that depend on V alone: the dual ball's section
 by V-perp.  ``_sections`` lists the sections of a box or cross-polytope
-by a stack of subspaces, for these tables and for the data-ball slices
-of ``bounds`` alike; ``_dual_tables`` builds a whole level's tables from
-it, each span's table with the bits ``dual_vertices`` gives it alone,
-after which every distance is a row maximum of one matrix product.
+by a stack of subspaces, one pass of frames at a time, for these tables
+and the data-ball slices of ``bounds`` alike; ``_dual_tables`` yields
+each pass's tables, deduplicated, for the level stack, the l1 shadows
+of ``bounds`` and ``dual_vertices`` (a stack of one), so a level holds
+its tables and one pass of candidates.  Each span's table has the bits
+it has alone, and every distance is a row maximum of one matrix product.
 Weighted lp with p > 1 has no finite table: its distances come from one
 damped Newton fit over the basis coefficients, run for every (row,
 member) pair at once and stopped by ``DIST_TOL``.
@@ -73,6 +75,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -215,20 +218,20 @@ def _weights(norm: NormSpec, n: int) -> np.ndarray:
     return np.asarray(norm.weights, dtype=float)
 
 
-def _sections(box: bool, w: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, ...]:
+def _sections(box: bool, w: np.ndarray, frames: np.ndarray) -> Iterator[tuple]:
     """Boundary points of the box |x_i| <= w_i (its ``box_vertices``, the
     dropped ones left out) or of the cross-polytope sum w_i |x_i| <= 1 (a
     vertex vanishes on k - 1 coordinates, so it spans their
     ``null_directions``; scaled onto the boundary, with both signs) cut by
-    the span of each (N, k) orthonormal frame C of a stack: coordinates y,
+    the span of each (N, k) orthonormal frame C of a stack, in passes of
+    whole frames: each pass yields the range of its frames, coordinates y,
     points x = C y and each row's frame, frame after frame.  Every vertex
-    is among them.  Each pass of whole frames holds at most ``_PASS_CELLS``
-    candidate cells (one frame where that alone holds more), and every step
-    acts on one frame's own numbers, so each frame's rows have its own bits.
+    is among them.  A pass holds at most ``_PASS_CELLS`` candidate cells
+    (one frame where that alone holds more), and every step acts on one
+    frame's own numbers, so each frame's rows have its own bits.
     """
     n, k = frames.shape[1:]
     step = max(1, _PASS_CELLS // (sizes.section_points(box, n, k) * n))
-    pieces = []
     for lo in range(0, len(frames), step):
         c = frames[lo : lo + step]
         if box:
@@ -241,13 +244,13 @@ def _sections(box: bool, w: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray,
             y, x = y / scale, x / scale
             y, x = np.concatenate([y, -y], axis=1), np.concatenate([x, -x], axis=1)
             owner = np.repeat(np.arange(len(c)), y.shape[1])
-        pieces.append((y.reshape(-1, k), x.reshape(-1, n), lo + owner))
-    return tuple(np.concatenate(part) for part in zip(*pieces))
+        yield range(lo, lo + len(c)), y.reshape(-1, k), x.reshape(-1, n), lo + owner
 
 
-def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The dual vertex tables of every span of an (M, N, K) stack of bases:
-    their (V, N) rows, member after member, and each member's row count.
+def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The dual vertex tables of every span of an (M, N, K) stack of bases,
+    one pass of members at a time: their (V, N) rows, member after member,
+    and each member's row count.
 
     By LP duality dist_f(x, V) = max <z, x> over z in V-perp with dual norm
     at most 1, attained at a vertex of the dual ball's ``_sections`` by the
@@ -256,29 +259,30 @@ def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> tuple[np.ndarray, np.
     LP value up to rounding.  A member's table is the zero row, which keeps
     it nonempty when V is R^N, then the first of its rows that agree to 12
     decimals, in candidate order (``_first_rows``), so each table has the
-    bits it has alone.
+    bits it has alone, and each pass is yielded before the next one exists.
     """
     if not fidelity.polyhedral:
         raise ValueError(f"dual vertices need a polyhedral fidelity norm, got {fidelity}")
     count, n, k = bases.shape
     if k == n:
-        return np.zeros((count, n)), np.ones(count, dtype=np.intp)
+        yield np.zeros((count, n)), np.ones(count, dtype=np.intp)
+        return
     box = fidelity.kind != "linf"
     if box:
         sizes.dual_candidates(fidelity.kind, n, k)
-    _, z, owner = _sections(box, _weights(fidelity, n), _complements(bases))
-    first = _first_rows(np.column_stack([owner, np.round(z, 12)]))
-    owner = owner[first]
-    table = np.zeros((len(first) + count, n))
-    # Member p's rows follow its own zero row and the p tables before it.
-    table[np.arange(len(first)) + owner + 1] = z[first]
-    return table, np.bincount(owner, minlength=count) + 1
+    for members, _, z, owner in _sections(box, _weights(fidelity, n), _complements(bases)):
+        first = _first_rows(np.column_stack([owner, np.round(z, 12)]))
+        owner = owner[first] - members.start
+        table = np.zeros((len(first) + len(members), n))
+        # Member p's rows follow its own zero row and the p tables before it.
+        table[np.arange(len(first)) + owner + 1] = z[first]
+        yield table, np.bincount(owner, minlength=len(members)) + 1
 
 
 def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     """(n_v, N) table whose row maxima against x give the distance from x to
-    the span: ``_dual_tables`` on a stack of one."""
-    return _dual_tables(fidelity, basis.matrix[None])[0]
+    the span: the one pass of ``_dual_tables`` on a stack of one."""
+    return next(_dual_tables(fidelity, basis.matrix[None]))[0]
 
 
 def threshold(tau: float) -> float:
@@ -635,11 +639,11 @@ class _DualStack(_LevelStack):
         self.bounds = np.zeros(1, dtype=np.intp)
 
     def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
-        table, counts = _dual_tables(self.fidelity, np.stack([member.matrix for member in members]))
-        self.bounds = np.concatenate([self.bounds, self.width + np.cumsum(counts)])
-        self.vertices = np.ascontiguousarray(np.hstack([self.vertices, table.T]))
+        tables, counts = zip(*_dual_tables(self.fidelity, np.stack([m.matrix for m in members])))
+        self.bounds = np.concatenate([self.bounds, self.width + np.cumsum(np.concatenate(counts))])
+        self.vertices = np.ascontiguousarray(np.hstack([self.vertices, *(t.T for t in tables)]))
         self.width = self.vertices.shape[1]
-        return table.size
+        return sum(t.size for t in tables)
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         distances = np.maximum.reduceat(rows @ self.vertices, self.bounds[:-1], axis=1)

@@ -415,33 +415,33 @@ def _atom_words(subsets: np.ndarray, n_atoms: int) -> np.ndarray:
     return np.packbits(marks, axis=1, bitorder="little").view("<u8")
 
 
-def _upper_blocks(words: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _upper_blocks(size: int) -> Iterator[tuple[int, np.ndarray]]:
     """The strict upper triangle of the (M, M) pair matrix in row blocks of
     about ``_PAIR_BLOCK`` entries, in row-major order.  Each block is
-    (lo, upper, unions): rows lo:lo + len(upper) against columns lo:,
-    ``upper`` marking the entries with j > i, and the OR of the two
-    members' ``words`` at each marked entry."""
-    size = len(words)
+    (lo, upper): rows lo:lo + len(upper) against columns lo:, ``upper``
+    marking the entries with j > i."""
     lo = 0
     while lo < size - 1:
         hi = min(size, lo + max(1, _PAIR_BLOCK // (size - lo)))
-        upper = np.triu(np.ones((hi - lo, size - lo), dtype=bool), 1)
-        yield lo, upper, (words[lo:hi, None] | words[None, lo:])[upper]
+        yield lo, np.triu(np.ones((hi - lo, size - lo), dtype=bool), 1)
         lo = hi
 
 
-def _keys(words: np.ndarray) -> np.ndarray:
-    """One sortable key per row of (P, W) bitmask words: the row's bytes."""
-    return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
+def _union_keys(words: np.ndarray, lo: int, upper: np.ndarray) -> np.ndarray:
+    """One sortable key per marked entry of an ``_upper_blocks`` block: the
+    bytes of the OR of the two members' (M, W) bitmask ``words``."""
+    unions = (words[lo : lo + len(upper), None] | words[None, lo:])[upper]
+    return unions.view(np.dtype((np.void, unions.itemsize * unions.shape[1])))[:, 0]
 
 
-def _pair_ranks(bases: np.ndarray, pairs: np.ndarray, tol: float) -> np.ndarray:
+def _pair_ranks(
+    complements: np.ndarray, bases: np.ndarray, pairs: np.ndarray, tol: float
+) -> np.ndarray:
     """Rank of [U_i | U_j] for each row (i, j) of ``pairs``, U the (M, N, K)
-    stack of member bases, by ``_joint_rank`` at tol on the sines of
-    C_i^T U_j, C_i the complement of U_i: (N - K, K) products in blocks of
-    at most ``_PAIR_BLOCK`` entries."""
+    stack of member bases and C their ``_complements``, by ``_joint_rank``
+    at tol on the sines of C_i^T U_j: (N - K, K) products in blocks of at
+    most ``_PAIR_BLOCK`` entries."""
     n, k = bases.shape[1:]
-    complements = _complements(bases)
     ranks = np.empty(len(pairs), dtype=np.int16)
     step = max(1, _PAIR_BLOCK // (n * k))
     for lo in range(0, len(pairs), step):
@@ -476,28 +476,34 @@ def pair_dims(family: SpanFamily) -> np.ndarray:
     of two such angles appear.  The upper triangle is walked in row blocks
     twice, to collect the distinct unions and then to scatter their
     dimensions, so that beyond the int16 matrix the memory is
-    O(``_PAIR_BLOCK``) plus the distinct unions.  The read-only matrix is
-    computed once and memoised on the family.  Two members meeting in
-    dimension K are one span counted twice: a ValueError names both
-    provenances.
+    O(``_PAIR_BLOCK``) plus the distinct unions.  At K = 1 the members are
+    distinct single atoms, so every pair is its own union's first pair:
+    each block's pairs are ranked directly, with no union keys.  The
+    read-only matrix is computed once and memoised on the family.  Two
+    members meeting in dimension K are one span counted twice: a ValueError
+    names both provenances.
     """
     if family._pair_dims is None:
         size, k = len(family.members), family.K
         dims = np.full((size, size), k, dtype=np.int16)
         if k > 0 and size > 1:
-            subsets = np.array([member.provenance for member in family.members])
-            words = _atom_words(subsets, int(subsets.max()) + 1)
-            keys, firsts = [], []
-            for lo, upper, unions in _upper_blocks(words):
-                block_keys, at = np.unique(_keys(unions), return_index=True)
-                rows, cols = np.nonzero(upper)
-                keys.append(block_keys)
-                firsts.append(np.column_stack([lo + rows[at], lo + cols[at]]))
-            distinct, at = np.unique(np.concatenate(keys), return_index=True)
             bases = np.stack([member.matrix for member in family.members])
-            ranks = _pair_ranks(bases, np.concatenate(firsts)[at], family.span_tol)
-            for lo, upper, unions in _upper_blocks(words):
-                rank = ranks[np.searchsorted(distinct, _keys(unions))]
+            complements, tol = _complements(bases), family.span_tol
+            if k > 1:
+                subsets = np.array([member.provenance for member in family.members])
+                words = _atom_words(subsets, int(subsets.max()) + 1)
+                keys, firsts = [], []
+                for lo, upper in _upper_blocks(size):
+                    block_keys, at = np.unique(_union_keys(words, lo, upper), return_index=True)
+                    keys.append(block_keys)
+                    firsts.append(lo + np.argwhere(upper)[at])
+                distinct, at = np.unique(np.concatenate(keys), return_index=True)
+                ranks = _pair_ranks(complements, bases, np.concatenate(firsts)[at], tol)
+            for lo, upper in _upper_blocks(size):
+                if k == 1:  # every pair is its own union's first pair
+                    rank = _pair_ranks(complements, bases, lo + np.argwhere(upper), tol)
+                else:
+                    rank = ranks[np.searchsorted(distinct, _union_keys(words, lo, upper))]
                 same = np.flatnonzero(rank <= k)
                 if same.size:
                     rows, cols = np.nonzero(upper)

@@ -100,6 +100,15 @@ def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     return np.vstack([np.zeros((1, n)), z[np.sort(first)]])
 
 
+def stacked(rows: list[np.ndarray]) -> np.ndarray:
+    """Equal-width 2-d arrays stacked into one 3-d array, zero rows padding
+    the shorter, one at a time."""
+    stack = np.zeros((len(rows), max(len(r) for r in rows), rows[0].shape[1]), dtype=rows[0].dtype)
+    for i, r in enumerate(rows):
+        stack[i, : len(r)] = r
+    return stack
+
+
 def l1_projection(
     basis_matrix: np.ndarray, d: np.ndarray, tol: float = 1e-9
 ) -> tuple[np.ndarray, float]:

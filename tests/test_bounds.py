@@ -50,6 +50,7 @@ from l0geom.bounds import validation_cells
 from l0geom.norms import norm_eval, polytope_volume
 from l0geom.solver import member_distances, span_family
 from l0geom.subspaces import SpanFamily, SubspaceBasis, empty_basis
+import oracles
 from oracles import cylinder_constant, overlap_cap
 from test_solver import dependent_dictionaries, fidelity as named_norm
 
@@ -331,7 +332,7 @@ class TestExactVolumes:
         for each in u:
             x, _, keep = solver.box_vertices(each, np.ones(6))
             alone.append(x[keep])
-        assert points.tobytes() == bounds._stacked(alone).tobytes()
+        assert points.tobytes() == oracles.stacked(alone).tobytes()
         assert normals.tobytes() == np.hstack([u, -u]).tobytes()
 
     @pytest.mark.parametrize("per_pass", [1, 2, 4])
@@ -372,6 +373,25 @@ class TestExactVolumes:
         assert calls == [2, 2, 2, 2, 1]
         assert points.tobytes() == whole[0].tobytes()
         assert normals.tobytes() == whole[1].tobytes()
+
+    @pytest.mark.parametrize("spec", [L1, NormSpec.weighted_lp(1.0, [1, 2, 0.5, 3, 1.5, 1])])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_shadow_facets_keep_their_bytes_in_any_passes(self, monkeypatch, spec, k):
+        # Each subspace's table rows less the zero row, in complement
+        # coordinates, then zero rows up to the widest: the bytes of its own
+        # table, whether the solver's passes hold every subspace or one.
+        rng = np.random.default_rng(40 + k)
+        frames = np.linalg.qr(rng.standard_normal((9, 6, 6)))[0]
+        frames[3] = np.eye(6)  # a coordinate subspace keeps fewer facets
+        u, comp = frames[:, :, 6 - k :], frames[:, :, : 6 - k]
+        alone = [oracles.dual_vertices(spec, SubspaceBasis(a))[1:] @ c for a, c in zip(u, comp)]
+        hull = np.hstack([comp, -comp]) / np.tile(solver._weights(spec, 6), 2)[:, None]
+        whole = bounds._shadow_polytope(spec, u, comp)
+        monkeypatch.setattr(solver, "_PASS_CELLS", 1)
+        split = bounds._shadow_polytope(spec, u, comp)
+        for points, facets in (whole, split):
+            assert points.tobytes() == hull.tobytes()
+            assert facets.tobytes() == oracles.stacked(alone).tobytes()
 
     def test_each_distinct_subspace_is_priced_once_per_dictionary(self, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from l0geom import Quantity, ValidationReport, ValidationRow, solver
+from l0geom import cli
 from l0geom.cli import main
 from l0geom.config import ConfigError, config_from_dict, load_config
 
@@ -392,6 +393,24 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit) as err:
             main(["solve"])
         assert err.value.code == 2
+
+    def test_each_subcommand_keeps_its_options(self):
+        shared = ["--config", "--output", "--seed", "--threads", "--samples"]
+        expected = {
+            "solve": shared + ["--data", "--tau"],
+            "spans": shared + ["--level"],
+            "constants": shared,
+            "estimate": shared,
+            "validate": shared,
+        }
+        (commands,) = cli.build_parser()._subparsers._group_actions
+        assert list(commands.choices) == list(expected)
+        for name, parser in commands.choices.items():
+            options = [a.option_strings[0] for a in parser._actions if a.option_strings]
+            assert options == ["-h"] + expected[name], name
+            required = {a.option_strings[0] for a in parser._actions if a.required}
+            assert required == {"--config"} | {"solve": {"--data"}, "spans": {"--level"}}.get(name, set())
+            assert parser.get_default("run") is getattr(cli, f"_cmd_{name}")
 
     def test_samples_flag(self, config_path, capsys):
         path = config_path(minimal())

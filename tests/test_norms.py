@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0geom import (
     NormSpec,
@@ -13,7 +15,8 @@ from l0geom import (
     euclid_ball_volume,
     norm_eval,
 )
-from l0geom.norms import hit_or_miss_volume
+from l0geom.norms import _padded, hit_or_miss_volume
+from oracles import stacked
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 
@@ -238,3 +241,36 @@ class TestBallVolumes:
             hit_or_miss_volume(disk, [1.0, -1.0], 100, seed=0, stream=0)
         with pytest.raises(ValueError):
             hit_or_miss_volume(disk, [1.0], 0, seed=0, stream=0)
+
+
+class TestPadded:
+    """``_padded`` is the one placement of ragged row groups into a zero-padded
+    stack: each owner's rows in order, as the per-group copies, the rank of
+    each row within its run of owners, and the walk's slot rule placed them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=6), st.integers(1, 3), st.booleans())
+    def test_matches_the_per_group_placements(self, widths, d, boolean):
+        rng = np.random.default_rng(sum(widths) + 7 * d)
+        owner = np.repeat(np.arange(len(widths)), widths)
+        rows = rng.standard_normal((len(owner), d))
+        rows = rows > 0.0 if boolean else rows
+        padded = _padded(rows, owner, len(widths))
+        assert padded.dtype == rows.dtype
+        assert padded.shape == (len(widths), max(widths), d)
+        groups = np.split(rows, np.cumsum(widths)[:-1])
+        assert padded.tobytes() == stacked(groups).tobytes()
+        if len(owner):
+            at = np.arange(len(owner)) - np.searchsorted(owner, owner)
+            by_rank = np.zeros((len(widths), at.max() + 1, d), dtype=rows.dtype)
+            by_rank[owner, at] = rows
+            assert padded.tobytes() == by_rank.tobytes()
+
+    def test_owners_without_rows_are_empty_and_no_rows_give_width_zero(self):
+        meets = np.array([[True, False], [False, True], [True, True]])
+        padded = _padded(meets, np.array([1, 1, 3]), 5)
+        assert padded.shape == (5, 2, 2)
+        assert not padded[[0, 2, 4]].any()
+        assert padded[1].tolist() == [[True, False], [False, True]]
+        assert padded[3].tolist() == [[True, True], [False, False]]
+        assert _padded(np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=np.intp), 3).shape == (3, 0, 2)

@@ -297,6 +297,36 @@ class TestIllConditionedAtoms:
             for i, j in combinations(range(len(atoms)), 2):
                 assert dims[i, j] == dims[j, i] == oracle[first[frozenset(atoms[i] | atoms[j])]]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([0.6, 1.5, 4.0]), min_size=1, max_size=4),
+    )
+    def test_lines_take_the_oracle_rank_of_every_pair(self, n, seed, steps):
+        # At K = 1 every pair is its own union, ranked directly.  A chain of
+        # near-copies turned by 0.6 to 4 times span_tol per step makes
+        # neighbours share a span that atoms two steps apart do not.
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((n + 1, n))
+        turn = base[1] - (base[1] @ base[0]) / (base[0] @ base[0]) * base[0]
+        turn *= np.linalg.norm(base[0]) / np.linalg.norm(turn)
+        angles = 1e-6 * np.cumsum(steps)
+        chain = np.cos(angles)[:, None] * base[0] + np.sin(angles)[:, None] * turn
+        atoms = np.vstack([base, chain])[rng.permutation(len(base) + len(chain))]
+        family = enumerate_spans(Dictionary.from_vectors(atoms, span_tol=1e-6), 1)
+        oracle = per_row_pair_dims(family)
+        try:
+            dims = pair_dims(family)
+        except ValueError as error:
+            i, j = next((i, j) for i, j in combinations(range(len(family)), 2) if oracle[i, j] == 1)
+            assert str(error).startswith(
+                f"members {family.members[i].provenance} and "
+                f"{family.members[j].provenance} have one span"
+            )
+            return
+        np.testing.assert_array_equal(dims, oracle)
+
     def test_planes_that_meet_in_a_line(self):
         c, s = self.c, self.s
         family = enumerate_spans(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from l0geom import Dictionary, enumerate_spans, intersection_dim
-from l0geom.subspaces import _closures, _left_singular, _pair_ranks, _rank
+from l0geom.subspaces import _closures, _complements, _left_singular, _pair_ranks, _rank
 from test_solver import dependent_dictionaries
 
 
@@ -68,7 +68,7 @@ class TestAgainstStackedSvds:
             bases = np.stack([member.matrix for member in family.members])
             pairs = np.array(list(combinations(range(len(bases)), 2)), dtype=np.intp).reshape(-1, 2)
             np.testing.assert_array_equal(
-                _pair_ranks(bases, pairs, tol),
+                _pair_ranks(_complements(bases), bases, pairs, tol),
                 svd_rank(bases[pairs[:, 0]], bases[pairs[:, 1]], tol),
             )
         every = list(combinations(members, 2))

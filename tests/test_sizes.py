@@ -194,16 +194,23 @@ def test_validate_checks_its_arguments_before_pricing(monkeypatch):
 
 def test_an_l1_shadow_batch_is_refused_at_its_first_table(monkeypatch):
     # The shadows' facet counts are known only once their dual vertex tables
-    # are built, so the run-time guard prices each table as it comes.
+    # are built, so the run-time guard prices each pass of tables as it
+    # comes; at one member per pass, that is each table.
     built = []
-    monkeypatch.setattr(
-        bounds, "dual_vertices", lambda *a: built.append(a) or dual_vertices(*a)
-    )
+    real = bounds._dual_tables
+
+    def spying(*args):
+        for table, counts in real(*args):
+            built.append(len(counts))
+            yield table, counts
+
+    monkeypatch.setattr(bounds, "_dual_tables", spying)
+    monkeypatch.setattr(solver, "_PASS_CELLS", 1)
     monkeypatch.setattr(sizes, "MAX_POLYTOPE_CANDIDATES", 0)
     d = Dictionary.from_vectors(np.eye(5))
     with pytest.raises(ValueError, match=r"^10 points by \d+ facet normals needs \d+ candidates"):
         assemble_constants(d, NormSpec.l1(), L2, 2)
-    assert len(built) == 1  # of the level's C(5, 2) = 10 members
+    assert built == [1]  # one table, of the level's C(5, 2) = 10 members
 
 
 @pytest.mark.parametrize(

@@ -797,12 +797,33 @@ class TestLevelTables:
                 patch.setattr(solver, "_PASS_CELLS", 1)
             for k in range(n + 1):
                 members = solver.span_family(dictionary, k).members
-                table, counts = solver._dual_tables(spec, np.stack([m.matrix for m in members]))
+                passes = list(solver._dual_tables(spec, np.stack([m.matrix for m in members])))
+                table, counts = (np.concatenate(part) for part in zip(*passes))
                 assert counts.sum() == len(table)
                 for member, rows in zip(members, np.split(table, np.cumsum(counts)[:-1])):
                     expected = oracles.dual_vertices(spec, member)
                     assert rows.shape == expected.shape, (k, member.provenance)
                     assert rows.tobytes() == expected.tobytes(), (k, member.provenance)
+
+    @pytest.mark.parametrize("kind", ["l1", "linf", "weighted"])
+    @pytest.mark.parametrize("budget", [1, 3_000, solver._PASS_CELLS])
+    def test_each_pass_is_deduplicated_alone(self, monkeypatch, kind, budget):
+        # _first_rows sees one pass of candidates at a time, never a whole
+        # level's, and the stack keeps its bytes at any budget.
+        dictionary = Dictionary.from_vectors(np.random.default_rng(3).standard_normal((9, 5)))
+        spec = fidelity(kind, 5)
+        whole = L0Solver(dictionary, spec).level_stack(4)
+        seen = []
+        real = solver._first_rows
+        monkeypatch.setattr(solver, "_first_rows", lambda keys: seen.append(len(keys)) or real(keys))
+        monkeypatch.setattr(solver, "_PASS_CELLS", budget)
+        stack = L0Solver(dictionary, spec).level_stack(4)
+        assert stack.vertices.tobytes() == whole.vertices.tobytes()
+        assert stack.bounds.tobytes() == whole.bounds.tobytes()
+        frames = [sizes.section_points(kind != "linf", 5, 5 - k) for k in range(1, 5)]
+        assert max(seen) <= max(budget // 5, max(frames))
+        if budget == 1:  # every member is a pass of its own
+            assert len(seen) == len(stack.members)
 
     @settings(max_examples=60, deadline=None)
     @given(dependent_dictionaries())
