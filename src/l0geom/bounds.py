@@ -67,7 +67,9 @@ from .subspaces import (  # noqa: F401
     Dictionary,
     SpanFamily,
     SubspaceBasis,
+    _complements,
     _indices,
+    check_level,
     empty_basis,
     enumerate_pairs,
     enumerate_spans,
@@ -102,8 +104,7 @@ def euclid_ck(K: int, n: int) -> float:
     For K in {0, n} one factor degenerates to the zero-dimensional
     convention and the constant is alpha(n), the ball volume itself.
     """
-    if not 0 <= K <= n:
-        raise ValueError(f"K must lie in [0, {n}], got {K}")
+    check_level(K, n)
     return _alpha(K) * _alpha(n - K)
 
 
@@ -141,7 +142,7 @@ def _shadow_polytope(
     width = 2 * comp.shape[1]
     w = np.tile(_weights(fidelity, comp.shape[1]), 2)[:, None]
     tables = []
-    for table, counts in _dual_tables(fidelity, u):
+    for table, counts in _dual_tables(fidelity, _complements(u)):
         widest = int(counts.max()) - 1  # facets: the table less its zero row
         sizes.polytope_candidates(f"{width} points by {widest} facet normals", width * widest)
         tables += np.split(table, np.cumsum(counts)[:-1])
@@ -398,14 +399,12 @@ def assemble_constants(
     ``pair_dims``, never listed, and Q_k is the count times the one price.
     """
     n = dictionary.n_dim
-    if not 0 <= K <= n:
-        raise ValueError(f"K must lie in [0, {n}], got {K}")
+    check_level(K, n)
     sizes.check_run(dictionary, fidelity, data, constants=(K,))
     delta2 = compute_equiv_constants(fidelity, data, n).delta2
     family = span_family(dictionary, K)
 
-    members, memo = family.members, dictionary._volumes
-    bases = np.stack([member.matrix for member in members])
+    bases, memo = family.bases, dictionary._volumes
     slices = _volumes("slice", data, bases, n_samples, seed, 0, memo)
     shadows = _volumes("shadow", fidelity, bases, n_samples, seed, 0, memo)
     c_members = tuple(map(_product, shadows, slices))
@@ -416,7 +415,7 @@ def assemble_constants(
     k_min = max(0, 2 * K - n)
     # Each unordered pair meets from its member of smaller provenance
     # first, so its price does not depend on the members' order.
-    rank = np.argsort(sorted(range(len(members)), key=lambda i: members[i].provenance))
+    rank = np.argsort(np.lexsort(family.provenances.T[::-1])) if K else None
     # Ordered pairs per meet dimension, in 64k-entry blocks, which bincount copies to intp.
     dims = pair_dims(family)
     rows = max(1, (1 << 16) // len(dims))
@@ -582,8 +581,7 @@ def report_levels(quantity: Quantity | str, K: int | None, n_dim: int) -> tuple[
         if K is not None:
             raise ValueError(f"expect takes K = None, got {K}")
         return tuple(range(n_dim))
-    if K is None or not 0 <= K <= n_dim:
-        raise ValueError(f"K must lie in [0, {n_dim}], got {K}")
+    check_level(K, n_dim)
     if quantity in (Quantity.MEASURE_EQ, Quantity.PROB_EQ) and K >= 1:
         return (K - 1, K)
     return (K,)

@@ -109,6 +109,7 @@ def _cmd_spans(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if not 0 <= args.level <= n:
         raise ConfigError(f"--level must lie in [0, {n}], got {args.level}")
     family = span_family(config.dictionary, args.level)
+    atoms = family.provenances.tolist()
     pairs = {
         str(k): enumerate_pairs(family, k).tolist()
         for k in range(max(0, 2 * args.level - n), args.level)
@@ -118,10 +119,7 @@ def _cmd_spans(config: ExperimentConfig, args: argparse.Namespace) -> int:
             {
                 "K": args.level,
                 "ambient_dim": n,
-                "members": [
-                    {"index": i, "atoms": list(member.provenance)}
-                    for i, member in enumerate(family.members)
-                ],
+                "members": [{"index": i, "atoms": a} for i, a in enumerate(atoms)],
                 "pairs": pairs,
             }
         ),

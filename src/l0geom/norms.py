@@ -72,6 +72,13 @@ class NormSpec:
         """True for the norms with a polytope unit ball: l1, linf, wlp with p = 1."""
         return self.kind in ("l1", "linf") or (self.kind == "wlp" and self.p == 1.0)
 
+    def check_dimension(self, n: int) -> None:
+        """ValueError unless the norm applies on R^n: n >= 1, and n weights for wlp."""
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        if self.kind == "wlp" and len(self.weights) != n:
+            raise ValueError(f"wlp norm has {len(self.weights)} weights but dimension is {n}")
+
     @staticmethod
     def l1() -> "NormSpec":
         return NormSpec("l1")
@@ -169,13 +176,8 @@ def equivalence_constant(a: NormSpec, b: NormSpec, n: int) -> float:
     table); valid but possibly loose when a wlp norm is involved, where the
     weight extremes bracket the weighted norm between plain lp norms.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    for spec in (a, b):
-        if spec.kind == "wlp" and len(spec.weights) != n:
-            raise ValueError(
-                f"wlp norm has {len(spec.weights)} weights but dimension is {n}"
-            )
+    a.check_dimension(n)
+    b.check_dimension(n)
     if a == b:
         return 1.0
     pa, _, wmax_a = _lp_profile(a)
@@ -265,16 +267,13 @@ def ball_volume(spec: NormSpec, n: int) -> VolumeEstimate:
     prod_i w_i); l1, l2 and linf are its special cases, written out so each
     keeps its own rounding.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    spec.check_dimension(n)
     if spec.kind == "l1":
         return VolumeEstimate(2.0**n / math.factorial(n))
     if spec.kind == "l2":
         return VolumeEstimate(euclid_ball_volume(n))
     if spec.kind == "linf":
         return VolumeEstimate(2.0**n)
-    if len(spec.weights) != n:
-        raise ValueError(f"wlp norm has {len(spec.weights)} weights but dimension is {n}")
     p = spec.p
     return VolumeEstimate(
         (2.0 * math.gamma(1.0 + 1.0 / p)) ** n

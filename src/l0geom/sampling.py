@@ -50,14 +50,9 @@ def _levelset_chunk(
 
 
 def _check_args(spec: NormSpec, theta: float, dim: int) -> None:
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    spec.check_dimension(dim)
     if not theta > 0.0:
         raise ValueError(f"theta must be > 0, got {theta}")
-    if spec.kind == "wlp" and len(spec.weights) != dim:
-        raise ValueError(
-            f"wlp norm has {len(spec.weights)} weights but dimension is {dim}"
-        )
 
 
 def sample_levelset_batch(

@@ -29,8 +29,10 @@ member) pair at once and stopped by ``DIST_TOL``.
 
 ``L0Solver`` holds one stacked table over the members of levels 1..L of
 the span families, in (level, provenance) order, for the fidelity's norm
-family; level 0 is the norm itself and level N, the whole space, holds
-every vector.  For l2 fidelity the table is one row per member, the upper
+family, built from each family's arrays: its bases (l2, weighted lp) and
+its complements, shared with the pair pass (polyhedral tables, the dual
+Newton fit).  Level 0 is the norm itself and level N, the whole space,
+holds every vector.  For l2 fidelity the table is one row per member, the upper
 triangle of I - P, so a sample's squared distances are products with its
 pair products x_i x_j; a member's own basis U gives the residual form
 ||d - U U^T d||, as accurate as one projection.  For polyhedral
@@ -83,7 +85,8 @@ from . import sizes
 from .norms import NormSpec, norm_eval, scaled_magnitudes
 from .streams import map_chunks
 from .subspaces import (
-    Dictionary, SpanFamily, SubspaceBasis, _complements, _first_rows, _indices, enumerate_spans,
+    DEFAULT_SPAN_TOL, Dictionary, SpanFamily, SubspaceBasis, _complements, _first_rows, _indices,
+    check_level, enumerate_spans,
 )
 
 # Relative slack on tau in every feasibility test (``threshold``): a
@@ -213,8 +216,7 @@ def _weights(norm: NormSpec, n: int) -> np.ndarray:
     """The weights w_i of a norm on R^n: its own for weighted lp, else ones."""
     if norm.kind != "wlp":
         return np.ones(n)
-    if len(norm.weights) != n:
-        raise ValueError(f"wlp norm has {len(norm.weights)} weights but dimension is {n}")
+    norm.check_dimension(n)
     return np.asarray(norm.weights, dtype=float)
 
 
@@ -247,10 +249,10 @@ def _sections(box: bool, w: np.ndarray, frames: np.ndarray) -> Iterator[tuple]:
         yield range(lo, lo + len(c)), y.reshape(-1, k), x.reshape(-1, n), lo + owner
 
 
-def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The dual vertex tables of every span of an (M, N, K) stack of bases,
-    one pass of members at a time: their (V, N) rows, member after member,
-    and each member's row count.
+def _dual_tables(fidelity: NormSpec, complements: np.ndarray) -> Iterator[tuple]:
+    """The dual vertex tables of the spans V whose orthonormal complements
+    form an (M, N, N - K) stack, one pass of members at a time: their (V, N)
+    rows, member after member, and each member's row count.
 
     By LP duality dist_f(x, V) = max <z, x> over z in V-perp with dual norm
     at most 1, attained at a vertex of the dual ball's ``_sections`` by the
@@ -263,14 +265,14 @@ def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> Iterator[tuple[np.nda
     """
     if not fidelity.polyhedral:
         raise ValueError(f"dual vertices need a polyhedral fidelity norm, got {fidelity}")
-    count, n, k = bases.shape
-    if k == n:
+    count, n, c = complements.shape
+    if c == 0:
         yield np.zeros((count, n)), np.ones(count, dtype=np.intp)
         return
     box = fidelity.kind != "linf"
     if box:
-        sizes.dual_candidates(fidelity.kind, n, k)
-    for members, _, z, owner in _sections(box, _weights(fidelity, n), _complements(bases)):
+        sizes.dual_candidates(fidelity.kind, n, n - c)
+    for members, _, z, owner in _sections(box, _weights(fidelity, n), complements):
         first = _first_rows(np.column_stack([owner, np.round(z, 12)]))
         owner = owner[first] - members.start
         table = np.zeros((len(first) + len(members), n))
@@ -282,7 +284,7 @@ def _dual_tables(fidelity: NormSpec, bases: np.ndarray) -> Iterator[tuple[np.nda
 def dual_vertices(fidelity: NormSpec, basis: SubspaceBasis) -> np.ndarray:
     """(n_v, N) table whose row maxima against x give the distance from x to
     the span: the one pass of ``_dual_tables`` on a stack of one."""
-    return next(_dual_tables(fidelity, basis.matrix[None]))[0]
+    return next(_dual_tables(fidelity, _complements(basis.matrix[None])))[0]
 
 
 def threshold(tau: float) -> float:
@@ -330,18 +332,18 @@ def subspace_distance(
         v = bm @ (bm.T @ d)
         return float(np.linalg.norm(d - v)), v
     if not fidelity.polyhedral:
-        dist, coeffs = _PowerLevel(fidelity, (basis,)).fit(d[None, :])
+        dist, coeffs = _PowerLevel(fidelity, _lone(bm, basis.provenance)).fit(d[None, :])
         return float(dist[0, 0]), bm @ coeffs[0, 0]
     table = dual_vertices(fidelity, basis)
     scores = table @ d
     best = int(np.argmax(scores))
     dist = float(scores[best])
-    return dist, bm @ _Certificate(fidelity, basis, bm, table[best]).closest(d, dist)[0]
+    return dist, bm @ _Certificate(fidelity, basis.provenance, bm, table[best]).closest(d, dist)[0]
 
 
 class _Certificate:
-    """A polyhedral closest-point rule over the columns of matrix, which span
-    basis, for the data whose distance the dual vertex z attains.
+    """A polyhedral closest-point rule over the columns of matrix, the atoms
+    ``provenance``, for the data whose distance the dual vertex z attains.
 
     Every closest residual r = d - matrix c meets z with equality in
     Hölder's inequality, which pins r_i = dist * sign(z_i) on supp(z) for
@@ -364,9 +366,9 @@ class _Certificate:
     """
 
     def __init__(
-        self, fidelity: NormSpec, basis: SubspaceBasis, matrix: np.ndarray, z: np.ndarray
+        self, fidelity: NormSpec, provenance: tuple[int, ...], matrix: np.ndarray, z: np.ndarray
     ) -> None:
-        self.fidelity, self.basis, self.matrix = fidelity, basis, matrix
+        self.fidelity, self.provenance, self.matrix = fidelity, provenance, matrix
         size = np.abs(z)
         if fidelity.kind == "linf":
             top = size.max()
@@ -406,7 +408,7 @@ class _Certificate:
         distance dist, and the residual norm they reach.
 
         The first candidate within the rounding slack ``_FIT_ULPS`` of dist
-        is returned; RuntimeError, naming the basis, means there was none,
+        is returned; RuntimeError, naming the subspace, means there was none,
         so z does not certify dist.
         """
         matrix, f = self.matrix, self.free_dirs.shape[1]
@@ -435,7 +437,7 @@ class _Certificate:
         if not hits.size:
             raise RuntimeError(
                 f"no vertex completion of the dual certificate attains distance {dist:.17g} "
-                f"for basis {self.basis.provenance or self.basis.matrix.shape}"
+                f"for basis {self.provenance or matrix.shape}"
             )
         return coeffs[hits[0]], float(norms[hits[0]])
 
@@ -458,8 +460,14 @@ def member_distances(fidelity: NormSpec, basis: SubspaceBasis, rows: np.ndarray)
     if basis.dim == basis.ambient_dim:
         return np.zeros(rows.shape[0])
     table = _level_stack(fidelity, basis.ambient_dim)
-    table.append((basis,))
+    table.append(_lone(basis.matrix, basis.provenance))
     return table.nearest(rows)[:, 0]
+
+
+def _lone(matrix: np.ndarray, provenance: tuple[int, ...]) -> SpanFamily:
+    """The family of the one span of an (N, k) orthonormal matrix."""
+    n, k = matrix.shape
+    return SpanFamily(k, n, DEFAULT_SPAN_TOL, matrix[None], np.array([provenance], dtype=int))
 
 
 # A scan's answer: the winner's level and its index in the stack.
@@ -469,13 +477,14 @@ _Found = tuple[int, int]
 class _LevelStack:
     """The members of levels 1..L side by side, in (level, provenance) order.
 
-    ``members`` lists them, and ``starts[l - 1]`` is the index of the first
-    member of level l.  A dictionary spanning R^N has a member at every
-    level, so no level is empty.  ``append`` adds the next level.  Each
-    subclass prices the whole stack at once: ``nearest(rows)`` gives each
-    row's distance to the nearest member of every level, an (n, L) matrix,
-    and ``_distances(d, start, stop)`` the distances from d to the members
-    from index start to stop.  A scan only names its winner;
+    ``append`` adds a level from its ``SpanFamily``'s arrays: ``provenances``
+    lists the members' atom subsets, ``matrices`` views of their bases, and
+    ``starts[l - 1]`` is the index of the first member of level l.  A
+    dictionary spanning R^N has a member at every level, so no level is
+    empty.  Each subclass prices the whole stack at once: ``nearest(rows)``
+    gives each row's distance to the nearest member of every level, an
+    (n, L) matrix, and ``_distances(d, start, stop)`` the distances from d
+    to the members from index start to stop.  A scan only names its winner;
     ``closest(d, m, dictionary)`` then gives the coefficients over member
     m's atoms of a closest point to d, and the residual norm they reach,
     from member m alone.  Its factors are fixed by the member (and, for a
@@ -485,14 +494,15 @@ class _LevelStack:
     first entry when concurrent solves build one twice.  ``width`` is the
     number of table cells per row that ``nearest`` holds at once, which
     sets ``block_rows`` (see ``_PROFILE_CELLS``), and ``cells[l - 1]`` the
-    number a single-vector scan of level l reads.
-    ``_first(d, thresh, start, stop)`` is the scan of one group of levels;
-    by default it compares every ``_distances`` with thresh.
+    number a single-vector scan of level l reads.  ``_first(d, thresh,
+    start, stop)`` is the scan of one group of levels; by default it
+    compares every ``_distances`` with thresh.
     """
 
     def __init__(self, fidelity: NormSpec) -> None:
         self.fidelity = fidelity
-        self.members: list[SubspaceBasis] = []
+        self.provenances: list[tuple[int, ...]] = []
+        self.matrices: list[np.ndarray] = []
         self.starts: list[int] = []
         self.cells: list[int] = []
         self.width, self.floor = 0, 1
@@ -506,10 +516,11 @@ class _LevelStack:
     def block_rows(self) -> int:
         return max(self.floor, _PROFILE_CELLS // max(1, self.width))
 
-    def append(self, members: tuple[SubspaceBasis, ...]) -> None:
-        self.cells.append(self._append(members))
-        self.starts.append(len(self.members))
-        self.members.extend(members)
+    def append(self, family: SpanFamily) -> None:
+        self.cells.append(self._append(family))
+        self.starts.append(len(self.provenances))
+        self.provenances.extend(map(tuple, family.provenances.tolist()))
+        self.matrices.extend(family.bases)
 
     def first_within(self, d: np.ndarray, thresh: float, lo: int, hi: int) -> _Found | None:
         """The first member within thresh of d at levels lo..hi, by level and
@@ -526,7 +537,7 @@ class _LevelStack:
                 cells += self.cells[top]
                 top += 1
             start = self.starts[lo - 1]
-            stop = self.starts[top] if top < self.levels else len(self.members)
+            stop = self.starts[top] if top < self.levels else len(self.provenances)
             first = self._first(d, thresh, start, stop)
             if first is not None:
                 return bisect_right(self.starts, first), first
@@ -548,7 +559,7 @@ class _LevelStack:
         """
         factors = self.factors.get(m)
         if factors is None:
-            atoms = dictionary.subset(self.members[m].provenance)
+            atoms = dictionary.subset(self.provenances[m])
             u, s, vt = np.linalg.svd(atoms, full_matrices=False)
             factors = self.factors.setdefault(m, (atoms, vt.T @ (u.T / s[:, None])))
         return factors
@@ -584,14 +595,14 @@ class _QuadraticStack(_LevelStack):
         self.gram = np.zeros((0, len(self.upper[0])))
         self.slack, self.floor = 0.0, _PROFILE_ROWS
 
-    def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
+    def _append(self, family: SpanFamily) -> int:
         i, j = self.upper
-        bases = np.stack([member.matrix for member in members])
+        bases = family.bases
         n, k = bases.shape[1:]
         residual = np.eye(n) - bases @ bases.transpose(0, 2, 1)
         gram = residual[:, i, j] * np.where(i == j, 1.0, 2.0)
         self.gram = np.vstack([self.gram, gram])
-        self.width = max(self.width, len(i) + len(members))
+        self.width = max(self.width, len(i) + len(bases))
         spread = (n - 1) * float(np.abs(bases.transpose(0, 2, 1) @ bases - np.eye(k)).max())
         rounding = _SCREEN_ULPS * n**3 * np.finfo(float).eps
         self.slack = max(self.slack, rounding + spread * (1.0 + spread))
@@ -599,13 +610,13 @@ class _QuadraticStack(_LevelStack):
 
     def nearest(self, rows: np.ndarray) -> np.ndarray:
         i, j = self.upper
-        pairs, ends = rows.T[i], self.starts[1:] + [len(self.members)]
+        pairs, ends = rows.T[i], self.starts[1:] + [len(self.provenances)]
         pairs *= rows.T[j]
         squared = [np.min(self.gram[s:e] @ pairs, axis=0) for s, e in zip(self.starts, ends)]
         return np.sqrt(np.maximum(np.transpose(squared), 0.0))
 
     def _distances(self, d: np.ndarray, start: int, stop: int) -> np.ndarray:
-        residuals = [d - b.matrix @ (d @ b.matrix) for b in self.members[start:stop]]
+        residuals = [d - b @ (d @ b) for b in self.matrices[start:stop]]
         return np.sqrt([r @ r for r in residuals])
 
     def _first(self, d: np.ndarray, thresh: float, start: int, stop: int) -> int | None:
@@ -638,8 +649,8 @@ class _DualStack(_LevelStack):
         self.vertices = np.zeros((n, 0))
         self.bounds = np.zeros(1, dtype=np.intp)
 
-    def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
-        tables, counts = zip(*_dual_tables(self.fidelity, np.stack([m.matrix for m in members])))
+    def _append(self, family: SpanFamily) -> int:
+        tables, counts = zip(*_dual_tables(self.fidelity, family.complements))
         self.bounds = np.concatenate([self.bounds, self.width + np.cumsum(np.concatenate(counts))])
         self.vertices = np.ascontiguousarray(np.hstack([self.vertices, *(t.T for t in tables)]))
         self.width = self.vertices.shape[1]
@@ -661,9 +672,9 @@ class _DualStack(_LevelStack):
         column = int(self.bounds[m]) + best
         certificate = self.factors.get(column)
         if certificate is None:
-            member = self.members[m]
-            atoms = dictionary.subset(member.provenance)
-            certificate = _Certificate(self.fidelity, member, atoms, self.vertices[:, column])
+            provenance = self.provenances[m]
+            atoms = dictionary.subset(provenance)
+            certificate = _Certificate(self.fidelity, provenance, atoms, self.vertices[:, column])
             certificate = self.factors.setdefault(column, certificate)
         return certificate.closest(d, float(scores[best]))
 
@@ -686,7 +697,7 @@ def _weighted_gram(bases_t: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 class _PowerLevel:
-    """Weighted-lp level table (p > 1): the stacked bases and one Newton fit.
+    """Weighted-lp level table (p > 1): a family's bases and one Newton fit.
 
     ``fit`` prices every (row, member) pair at once.  For p >= 2 it runs
     ``_newton`` on the member's K basis coefficients.  For p < 2 residuals
@@ -704,14 +715,13 @@ class _PowerLevel:
     fitted alone, in a block, or in a whole level.
     """
 
-    def __init__(self, fidelity: NormSpec, members: tuple[SubspaceBasis, ...]) -> None:
-        self.fidelity, self.members = fidelity, members
+    def __init__(self, fidelity: NormSpec, family: SpanFamily) -> None:
+        self.fidelity, self.bases, self.provenances = fidelity, family.bases, family.provenances
         self.weights = np.asarray(fidelity.weights, dtype=float)
-        self.bases = np.stack([member.matrix for member in members])
         n_members, n, k = self.bases.shape
         self.dual = fidelity.p < 2.0 and k < n
         if self.dual:
-            self.complements = _complements(self.bases)
+            self.complements = family.complements
         # Unknowns per row, over all members: the fit's largest arrays hold
         # N cells for each, and its Python steps are paid once per block.
         self.width = n_members * max(k, n - k - 1 if self.dual else 0)
@@ -815,9 +825,9 @@ class _PowerLevel:
             active, gain = active[going], gain[going]
             if not active.size:
                 return coeffs
-        basis = self.members[which[active[0]]]
+        provenance = tuple(self.provenances[which[active[0]]].tolist())
         raise ConvergenceError(
-            f"wlp Newton fit for basis {basis.provenance or basis.matrix.shape} did not "
+            f"wlp Newton fit for basis {provenance or self.bases.shape[1:]} did not "
             f"converge in {_MAX_NEWTON_STEPS} steps (last gain {gain[0]:.3g})"
         )
 
@@ -840,8 +850,8 @@ class _PowerStack(_LevelStack):
         super().__init__(fidelity)
         self.tables: list[_PowerLevel] = []
 
-    def _append(self, members: tuple[SubspaceBasis, ...]) -> int:
-        self.tables.append(_PowerLevel(self.fidelity, members))
+    def _append(self, family: SpanFamily) -> int:
+        self.tables.append(_PowerLevel(self.fidelity, family))
         self.width = max(self.width, self.tables[-1].width)
         return self.tables[-1].width
 
@@ -856,10 +866,10 @@ class _PowerStack(_LevelStack):
         return None
 
     def closest(self, d: np.ndarray, m: int, dictionary: Dictionary) -> tuple[np.ndarray, float]:
-        member = self.members[m]
-        fit = _PowerLevel(self.fidelity, (member,)).fit(d[None, :])[1][0, 0]
+        matrix = self.matrices[m]
+        fit = _PowerLevel(self.fidelity, _lone(matrix, self.provenances[m])).fit(d[None])[1][0, 0]
         atoms, inverse = self._pseudo_inverse(m, dictionary)
-        coeffs = inverse @ (member.matrix @ fit)
+        coeffs = inverse @ (matrix @ fit)
         return coeffs, float(norm_eval(self.fidelity, atoms @ coeffs - d))
 
 
@@ -917,8 +927,7 @@ class L0Solver:
     one level at a time, only when a solve finds no built member within
     tau, so a solve enumerates no family above its answer, nor the level-0
     family; ``distance_profiles`` grows it to level N - 1, and
-    ``value_leq`` reads a level it has not built from a table of that
-    level alone, kept until the stack reaches it.  Growth happens in the
+    ``value_leq`` to the level it asks about.  Growth happens in the
     calling thread, so concurrent solves need ``distance_profiles`` or a
     dense solve first; afterwards the levels are only read, the kept
     factors only gain entries (the first one built wins), and data vectors
@@ -939,8 +948,6 @@ class L0Solver:
         self.dictionary = dictionary
         self.fidelity = fidelity
         self._stack = _level_stack(fidelity, dictionary.n_dim)
-        # value_leq's tables of single levels the stack does not reach yet.
-        self._levels: dict[int, _LevelStack] = {}
         # The first full-rank subset and its atoms, once a solve reaches level N.
         self._dense: tuple[tuple[int, ...], np.ndarray] | None = None
 
@@ -953,8 +960,7 @@ class L0Solver:
         if not 0 <= top < self.dictionary.n_dim:
             raise ValueError(f"the stack covers levels 1..{self.dictionary.n_dim - 1}, got {top}")
         while self._stack.levels < top:
-            self._stack.append(self.family(self._stack.levels + 1).members)
-            self._levels.pop(self._stack.levels, None)
+            self._stack.append(self.family(self._stack.levels + 1))
         return self._stack
 
     def _check_data(self, d: np.ndarray) -> np.ndarray:
@@ -986,12 +992,12 @@ class L0Solver:
             found = stack.first_within(d, thresh, level, stack.levels)
             if found is not None:
                 k, m = found
-                support = stack.members[m].provenance
+                support = stack.provenances[m]
                 coeffs, residual = stack.closest(d, m, self.dictionary)
                 return SolveResult(value=k, support=support, coefficients=coeffs, residual=residual)
             level = stack.levels + 1
         if self._dense is None:
-            support = self.family(n).members[0].provenance
+            support = tuple(self.family(n).provenances[0].tolist())
             self._dense = support, self.dictionary.subset(support)
         support, atoms = self._dense
         coeffs = np.linalg.solve(atoms, d)
@@ -1006,26 +1012,17 @@ class L0Solver:
 
         Only the size-K spans need checking: every smaller feasible span is
         contained in a size-K one, which is then feasible too.  Level K is
-        read from the stack when the stack holds it, and is otherwise priced
-        on a table of its own, built once and kept until the stack reaches
-        level K, so no other family is enumerated.
+        read from the solver's stack, grown through level K if it does not
+        reach it yet.
         """
         d, thresh = self._check_data(d), threshold(tau)
         n = self.dictionary.n_dim
-        if not 0 <= K <= n:
-            raise ValueError(f"K must lie in [0, {n}], got {K}")
+        check_level(K, n)
         if K == 0:
             return bool(norm_eval(self.fidelity, d) <= thresh)
         if K == n:
             return True
-        if self._stack.levels >= K:
-            return self._stack.first_within(d, thresh, K, K) is not None
-        table = self._levels.get(K)
-        if table is None:
-            table = _level_stack(self.fidelity, n)
-            table.append(self.family(K).members)
-            table = self._levels.setdefault(K, table)
-        return table.first_within(d, thresh, 1, 1) is not None
+        return self.level_stack(K).first_within(d, thresh, K, K) is not None
 
     def value_eq(self, d: np.ndarray, tau: float, K: int) -> bool:
         if K == 0:

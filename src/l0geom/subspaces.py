@@ -11,6 +11,11 @@ dimension of their intersection, which drives the overlap corrections;
 ``pair_dims`` finds them all with one rank per distinct union of two
 members' atoms.
 
+A ``SpanFamily`` is one stack of its members' bases, provenance subsets
+and complements (one SVD, on first read), which the pair pass, the
+constants and the solver's level tables all read; member ``SubspaceBasis``
+objects are built only for a caller that asks for them.
+
 Every span question stacks two orthonormal bases A and B, and [A | B]
 has the singular values sqrt(1 +- c_l) for c_l the cosines of their
 principal angles, plus ones (Bjorck & Golub, Math. Comp. 27, 1973).  So
@@ -23,6 +28,7 @@ computed singular values remains only where a basis is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -85,19 +91,6 @@ def _check_orthonormal(stack: np.ndarray) -> None:
     gram = stack.transpose(0, 2, 1) @ stack
     if gram.size and not np.allclose(gram, np.eye(stack.shape[2]), atol=_ORTHONORMAL_ATOL):
         raise ValueError(f"basis columns are not orthonormal within {_ORTHONORMAL_ATOL}")
-
-
-def _bases(matrices: np.ndarray, provenances: np.ndarray) -> tuple[SubspaceBasis, ...]:
-    """One ``SubspaceBasis`` per (N, k) matrix of a stack, with its row of
-    ``provenances``; the stack is checked once, not member by member."""
-    _check_orthonormal(matrices)
-    bases = []
-    for matrix, provenance in zip(matrices, provenances.tolist()):
-        basis = object.__new__(SubspaceBasis)
-        object.__setattr__(basis, "matrix", matrix)
-        object.__setattr__(basis, "provenance", tuple(provenance))
-        bases.append(basis)
-    return tuple(bases)
 
 
 def _left_singular(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -321,20 +314,41 @@ def meet_matrices(first: np.ndarray, second: np.ndarray, k: int) -> np.ndarray:
 class SpanFamily:
     """All distinct K-dimensional dictionary spans, one representative each.
 
-    Members are ordered by their provenance subsets (lexicographically);
-    each provenance is the smallest index subset generating that span.
-    ``span_tol`` is the tolerance of the dictionary the family came from,
-    and ``_pair_dims`` memoises its ``pair_dims`` matrix.
+    ``bases`` (M, N, K) stacks the members' orthonormal bases, and row i of
+    ``provenances`` (M, K) is member i's smallest generating index subset,
+    in lexicographic order (no columns for a lone non-dictionary subspace).
+    ``complements`` (M, N, N - K), their ``_complements``, is computed on
+    first read and kept; ``members``, the ``SubspaceBasis`` views of the
+    stack, only when read.  ``span_tol`` is the dictionary's tolerance,
+    and ``_pair_dims`` memoises the ``pair_dims`` matrix.
     """
 
     K: int
     ambient_dim: int
     span_tol: float
-    members: tuple[SubspaceBasis, ...] = field(default_factory=tuple)
+    bases: np.ndarray
+    provenances: np.ndarray
     _pair_dims: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.bases)
+
+    @cached_property
+    def complements(self) -> np.ndarray:
+        return _complements(self.bases)
+
+    @cached_property
+    def members(self) -> tuple[SubspaceBasis, ...]:
+        members = tuple(object.__new__(SubspaceBasis) for _ in range(len(self)))
+        for basis, matrix, atoms in zip(members, self.bases, self.provenances.tolist()):
+            basis.__dict__.update(matrix=matrix, provenance=tuple(atoms))  # checked as a stack
+        return members
+
+
+def check_level(K: int | None, n: int) -> None:
+    """ValueError unless K is a level of R^n: 0 <= K <= n."""
+    if K is None or not 0 <= K <= n:
+        raise ValueError(f"K must lie in [0, {n}], got {K}")
 
 
 def _indices(n: int, r: int) -> np.ndarray:
@@ -385,26 +399,27 @@ def enumerate_spans(dictionary: Dictionary, K: int) -> SpanFamily:
     r <= span_tol * (1 + c).
     """
     n, tol = dictionary.n_dim, dictionary.span_tol
-    if not 0 <= K <= n:
-        raise ValueError(f"K must lie in [0, {n}], got {K}")
-    fields = dict(K=K, ambient_dim=n, span_tol=tol)
+    check_level(K, n)
     if K == 0:
-        return SpanFamily(**fields, members=(empty_basis(n),))
-    if K == n:
+        bases, subsets = np.zeros((1, n, 0)), np.zeros((1, 0), dtype=int)
+    elif K == n:
+        bases, subsets = np.zeros((0, n, n)), np.zeros((0, n), dtype=int)
         for subset in combinations(range(dictionary.n_atoms), n):
-            basis = orthonormal_basis(dictionary.subset(subset).T, tol=tol, provenance=subset)
-            if basis.dim == n:
-                return SpanFamily(**fields, members=(basis,))
-        return SpanFamily(**fields)
-    sizes.span_subsets(dictionary.n_atoms, K)
-    subsets = _indices(dictionary.n_atoms, K)
-    u, s = _left_singular(np.moveaxis(dictionary.atoms[:, subsets], 1, 0), full_matrices=False)
-    full = _rank(s, tol) == K
-    bases, subsets = u[full], subsets[full]
-    unit = dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)
-    closures = np.packbits(_closures(bases, unit, tol), axis=1)
-    kept = _first_rows(closures)
-    return SpanFamily(**fields, members=_bases(bases[kept], subsets[kept]))
+            u, s = _left_singular(dictionary.subset(subset), full_matrices=False)
+            if _rank(s, tol) == n:
+                bases, subsets = u[None], np.array([subset])
+                break
+    else:
+        sizes.span_subsets(dictionary.n_atoms, K)
+        subsets = _indices(dictionary.n_atoms, K)
+        u, s = _left_singular(np.moveaxis(dictionary.atoms[:, subsets], 1, 0), full_matrices=False)
+        full = _rank(s, tol) == K
+        bases, subsets = u[full], subsets[full]
+        unit = dictionary.atoms / np.linalg.norm(dictionary.atoms, axis=0)
+        kept = _first_rows(np.packbits(_closures(bases, unit, tol), axis=1))
+        bases, subsets = bases[kept], subsets[kept]
+    _check_orthonormal(bases)
+    return SpanFamily(K, n, tol, bases, subsets)
 
 
 def _atom_words(subsets: np.ndarray, n_atoms: int) -> np.ndarray:
@@ -467,30 +482,28 @@ def pair_dims(family: SpanFamily) -> np.ndarray:
     members' provenance subsets, so it is taken once per distinct union:
     each member is keyed by the bitmask of its provenance, each pair by the
     OR of the two, and each distinct union is ranked at its first pair in
-    row-major order
-    (``_pair_ranks``).  A pair that shares its union with an earlier one
-    takes that pair's rank.  In exact arithmetic the two ranks agree; in
-    floating point they differ when one pair's smallest nonzero singular
-    value falls under span_tol and the other's does not, as for planes
-    whose atoms are 1e-5 radians apart at span_tol 1e-9, where products
-    of two such angles appear.  The upper triangle is walked in row blocks
-    twice, to collect the distinct unions and then to scatter their
+    row-major order (``_pair_ranks``).  A pair that shares its union with an
+    earlier one takes that pair's rank.  In exact arithmetic the two ranks
+    agree; in floating point they differ when one pair's smallest nonzero
+    singular value falls under span_tol and the other's does not, as for
+    planes whose atoms are 1e-5 radians apart at span_tol 1e-9, where
+    products of two such angles appear.  The upper triangle is walked in row
+    blocks twice, to collect the distinct unions and then to scatter their
     dimensions, so that beyond the int16 matrix the memory is
     O(``_PAIR_BLOCK``) plus the distinct unions.  At K = 1 the members are
-    distinct single atoms, so every pair is its own union's first pair:
-    each block's pairs are ranked directly, with no union keys.  The
-    read-only matrix is computed once and memoised on the family.  Two
-    members meeting in dimension K are one span counted twice: a ValueError
-    names both provenances.
+    distinct single atoms, so every pair is its own union's first pair: each
+    block's pairs are ranked directly, with no union keys.  The read-only
+    matrix is computed once and memoised on the family.  Two members meeting
+    in dimension K are one span counted twice: a ValueError names both
+    provenances.
     """
     if family._pair_dims is None:
-        size, k = len(family.members), family.K
+        size, k = len(family), family.K
         dims = np.full((size, size), k, dtype=np.int16)
         if k > 0 and size > 1:
-            bases = np.stack([member.matrix for member in family.members])
-            complements, tol = _complements(bases), family.span_tol
+            bases, subsets = family.bases, family.provenances
+            complements, tol = family.complements, family.span_tol
             if k > 1:
-                subsets = np.array([member.provenance for member in family.members])
                 words = _atom_words(subsets, int(subsets.max()) + 1)
                 keys, firsts = [], []
                 for lo, upper in _upper_blocks(size):
@@ -507,9 +520,9 @@ def pair_dims(family: SpanFamily) -> np.ndarray:
                 same = np.flatnonzero(rank <= k)
                 if same.size:
                     rows, cols = np.nonzero(upper)
-                    first, second = (family.members[lo + axis[same[0]]] for axis in (rows, cols))
+                    first, second = (tuple(subsets[lo + a[same[0]]].tolist()) for a in (rows, cols))
                     raise ValueError(
-                        f"members {first.provenance} and {second.provenance} have one span "
+                        f"members {first} and {second} have one span "
                         f"at span_tol {family.span_tol}"
                     )
                 block = np.full(upper.shape, k, dtype=np.int16)

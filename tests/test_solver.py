@@ -24,8 +24,10 @@ from l0geom import (
     subspace_distance,
     values_from_profiles,
 )
-from l0geom import simplex, sizes, solver
-from l0geom.subspaces import empty_basis, enumerate_spans
+from l0geom import bounds, simplex, sizes, solver, subspaces
+from l0geom.bounds import assemble_constants
+from l0geom.montecarlo import validate_bounds
+from l0geom.subspaces import SpanFamily, SubspaceBasis, empty_basis, enumerate_spans
 import oracles
 from test_pair_dims import structured_dictionaries
 
@@ -456,13 +458,13 @@ class TestDualVertices:
         calls = []
         real = solver._dual_tables
 
-        def counting(spec, bases):
-            calls.append(len(bases))
-            return real(spec, bases)
+        def counting(spec, complements):
+            calls.append(len(complements))
+            return real(spec, complements)
 
         monkeypatch.setattr(solver, "_dual_tables", counting)
         stack = L0Solver(DICT3, LINF).level_stack(2)
-        assert stack.starts == [0, 5] and len(stack.members) == 13
+        assert stack.starts == [0, 5] and len(stack.provenances) == 13
         assert calls == [5, 8]
 
     def test_box_vertices_of_a_stack_are_each_matrix_alone(self):
@@ -767,7 +769,7 @@ class TestCertificateFallback:
         table = dual_vertices(spec, basis)
         best = int(np.argmax(table @ d))
         dist = float(table[best] @ d)
-        certificate = solver._Certificate(spec, basis, basis.matrix, table[best])
+        certificate = solver._Certificate(spec, basis.provenance, basis.matrix, table[best])
         coeffs, residual = certificate.closest(d, dist)
         assert residual == pytest.approx(dist, abs=1e-14)
         assert float(norm_eval(spec, d - basis.matrix @ coeffs)) == pytest.approx(dist, abs=1e-14)
@@ -796,11 +798,11 @@ class TestLevelTables:
             if small:
                 patch.setattr(solver, "_PASS_CELLS", 1)
             for k in range(n + 1):
-                members = solver.span_family(dictionary, k).members
-                passes = list(solver._dual_tables(spec, np.stack([m.matrix for m in members])))
+                family = solver.span_family(dictionary, k)
+                passes = list(solver._dual_tables(spec, family.complements))
                 table, counts = (np.concatenate(part) for part in zip(*passes))
                 assert counts.sum() == len(table)
-                for member, rows in zip(members, np.split(table, np.cumsum(counts)[:-1])):
+                for member, rows in zip(family.members, np.split(table, np.cumsum(counts)[:-1])):
                     expected = oracles.dual_vertices(spec, member)
                     assert rows.shape == expected.shape, (k, member.provenance)
                     assert rows.tobytes() == expected.tobytes(), (k, member.provenance)
@@ -823,7 +825,7 @@ class TestLevelTables:
         frames = [sizes.section_points(kind != "linf", 5, 5 - k) for k in range(1, 5)]
         assert max(seen) <= max(budget // 5, max(frames))
         if budget == 1:  # every member is a pass of its own
-            assert len(seen) == len(stack.members)
+            assert len(seen) == len(stack.provenances)
 
     @settings(max_examples=60, deadline=None)
     @given(dependent_dictionaries())
@@ -902,7 +904,7 @@ class TestLevelTables:
         assume(n >= 2)
         stack = L0Solver(dictionary, L2).level_stack(n - 1)
         nearest = stack.nearest(points)
-        ends = stack.starts[1:] + [len(stack.members)]
+        ends = stack.starts[1:] + [len(stack.provenances)]
         for x, row in zip(points, nearest):
             residual = [np.min(stack._distances(x, s, e)) for s, e in zip(stack.starts, ends)]
             assert np.all(np.abs(row - residual) <= np.sqrt(stack.slack) * np.linalg.norm(x))
@@ -927,6 +929,76 @@ def result_bits(res):
 
 
 FIDELITIES = ["l2", "l1", "linf", "weighted", "wlp3"]
+
+
+class TestOneStackPerFamily:
+    """A span family is one stack of bases, provenances and complements that
+    every layer reads: no layer restacks it or builds its members' objects,
+    and its complements are taken once."""
+
+    @staticmethod
+    def spy_bases(monkeypatch):
+        """A list that gains an entry for every SubspaceBasis built, and for
+        every read of a family's ``members``, which builds them."""
+        built = []
+        post_init = SubspaceBasis.__post_init__
+        monkeypatch.setattr(SubspaceBasis, "__post_init__", lambda b: built.append(b) or post_init(b))
+        members = SpanFamily.members
+        monkeypatch.setattr(
+            SpanFamily, "members", property(lambda f: built.append(f) or members.__get__(f))
+        )
+        return built
+
+    def test_no_basis_object_is_built_by_a_validate_constants_or_solves(self, monkeypatch):
+        built = self.spy_bases(monkeypatch)
+        validate_bounds(
+            Dictionary.from_vectors(DICT3.atoms.T), LINF, L1, [0.05, 0.1], 1.0, range(4),
+            n_samples=2000, seed=5,
+        )
+        assert built == []
+        dictionary = Dictionary.from_vectors(DICT3.atoms.T)
+        for K in range(4):
+            assemble_constants(dictionary, L2, L1, K)
+        assert built == []
+        atoms = np.random.default_rng(4).standard_normal((9, 4))
+        points = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 4))
+        for spec in (L2, L1, LINF):
+            l0 = L0Solver(Dictionary.from_vectors(atoms), spec)
+            values = [l0.solve(d, tau).value for d in points for tau in (0.05, 0.5)]
+            assert set(values) > {1, 2}
+        assert built == []
+
+    def test_complements_are_taken_once_per_family(self, monkeypatch):
+        calls = []
+        for module in (subspaces, solver, bounds):
+            real = module._complements
+            monkeypatch.setattr(
+                module, "_complements", lambda bases, real=real: calls.append(len(bases)) or real(bases)
+            )
+        validate_bounds(
+            Dictionary.from_vectors(DICT3.atoms.T), LINF, L1, [0.05, 0.1], 1.0, range(4),
+            n_samples=2000, seed=5,
+        )
+        # The pair pass and the dual vertex tables of levels 1 and 2 share
+        # each level's one SVD; level 3 has one member and no table.
+        assert calls == [5, 8]
+
+    @settings(max_examples=60, deadline=None)
+    @given(dependent_dictionaries())
+    def test_the_stack_is_the_members_stacked(self, case):
+        dictionary, _ = case
+        for k in range(dictionary.n_dim + 1):
+            family = enumerate_spans(dictionary, k)
+            stacked = np.stack([member.matrix for member in family.members])
+            assert family.bases.shape == stacked.shape and family.bases.flags.c_contiguous
+            assert family.bases.tobytes() == stacked.tobytes()
+            complements = subspaces._complements(stacked)
+            assert family.complements.shape == complements.shape
+            assert family.complements.tobytes() == complements.tobytes()
+            assert family.provenances.shape == (len(family), k)
+            assert [tuple(row) for row in family.provenances.tolist()] == [
+                member.provenance for member in family.members
+            ]
 
 
 class TestStackGrowth:
@@ -1000,15 +1072,18 @@ class TestStackGrowth:
             solver.solve(np.array([1.0, -2.0, 0.5, 3.0]), 1e-3)
 
     @pytest.mark.parametrize("kind", FIDELITIES)
-    def test_value_leq_enumerates_level_k_alone(self, monkeypatch, kind):
+    def test_value_leq_enumerates_no_level_above_k(self, monkeypatch, kind):
         atoms = np.random.default_rng(8).standard_normal((7, 6))
         dictionary = Dictionary.from_vectors(atoms)
         solver = L0Solver(dictionary, fidelity(kind, 6))
-        # Level 5 needs C(7, 5) = 21 subsets; levels 3 and 4 need 35 each.
+        assert solver.value_leq(atoms[:3].sum(axis=0), 1e-6, 3)
+        assert not solver.value_leq(np.arange(1.0, 7.0), 1e-6, 3)
+        assert sorted(dictionary._families) == [1, 2, 3]
+        # Level 5 needs C(7, 5) = 21 subsets, but the stack grows through
+        # level 4 first, whose C(7, 4) = 35 subsets are over a cap of 21.
         monkeypatch.setattr(sizes, "MAX_SPAN_SUBSETS", 21)
-        assert solver.value_leq(atoms[:5].sum(axis=0), 1e-6, 5)
-        assert not solver.value_leq(np.arange(1.0, 7.0), 1e-6, 5)
-        assert sorted(dictionary._families) == [5]
+        with pytest.raises(ValueError, match=r"C\(7, 4\) = 35 .*MAX_SPAN_SUBSETS"):
+            solver.value_leq(atoms[:5].sum(axis=0), 1e-6, 5)
 
     @pytest.mark.parametrize("kind", FIDELITIES)
     def test_value_leq_builds_a_level_table_once(self, monkeypatch, kind):
@@ -1022,12 +1097,11 @@ class TestStackGrowth:
         points = np.vstack([atoms[:3].sum(axis=0), atoms[1] - atoms[4], np.arange(1.0, 7.0)])
         answers = [l0.value_leq(d, 1e-6, 3) for d in np.vstack([points, points])]
         assert answers == [True, True, False] * 2
-        assert len(built) == 1
-        # Once the stack holds level 3, value_leq reads it and the lone table is dropped.
-        l0.level_stack(3)
-        assert not l0._levels
-        assert [l0.value_leq(d, 1e-6, 3) for d in points] == answers[:3]
-        assert len(built) == 1
+        # value_leq reads the solver's own stack, grown through level 3 by
+        # the first call, and builds no table of its own.
+        assert not built and l0._stack.levels == 3
+        assert [l0.value_leq(d, 1e-6, 2) for d in points] == [False, True, False]
+        assert not built and l0._stack.levels == 3
 
     def test_a_scan_stops_at_the_first_group_holding_a_member(self, monkeypatch):
         atoms = np.random.default_rng(9).standard_normal((8, 5))
@@ -1046,7 +1120,7 @@ class TestStackGrowth:
         scans.clear()
         assert grown.solve(np.arange(1.0, 6.0), 1e-9).value == 5
         assert scans == [(0, stack.starts[2]), (stack.starts[2], stack.starts[3]),
-                         (stack.starts[3], len(stack.members))]
+                         (stack.starts[3], len(stack.provenances))]
 
 
 class TestScreenedScan:
@@ -1135,7 +1209,7 @@ class TestClosestPoint:
         original = solver._Certificate.closest
 
         def recording(certificate, d, dist):
-            certified.append((certificate.basis, dist))
+            certified.append((certificate.provenance, dist))
             return original(certificate, d, dist)
 
         with pytest.MonkeyPatch.context() as patch:
@@ -1147,8 +1221,9 @@ class TestClosestPoint:
                 if not 0 < res.value < dictionary.n_dim:
                     assert not certified
                     continue
-                ((member, dist),) = certified
-                assert member.provenance == res.support
+                ((provenance, dist),) = certified
+                assert provenance == res.support
+                member = next(m for m in l0.family(res.value).members if m.provenance == provenance)
                 scale = 1.0 + np.abs(d).sum()
                 assert abs(dist - np.max(dual_vertices(spec, member) @ d)) <= 1e-12 * scale
                 assert res.residual <= tau * (1.0 + 1e-10)
@@ -1322,10 +1397,10 @@ class TestWeightedLpFit:
         points = np.random.default_rng(71).uniform(-1.0, 1.0, (40, 4))
         fitted = L0Solver(dictionary, spec)
         for k in range(1, 4):
-            members = fitted.family(k).members
-            table = solver._PowerLevel(spec, members)
+            family = fitted.family(k)
+            table = solver._PowerLevel(spec, family)
             level = table.fit(points)[0]
-            for m, member in enumerate(members):
+            for m, member in enumerate(family.members):
                 np.testing.assert_array_equal(member_distances(spec, member, points), level[:, m])
                 for i in (0, 17, 39):
                     alone = subspace_distance(spec, member, points[i])[0]
